@@ -25,6 +25,7 @@ import csv
 import inspect
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -73,6 +74,8 @@ CONVERGENCE_DEFAULTS = {
     "max_rounds": 10_000,
     "presets": ("all_wrong_max_counters", "yellow_center", "cyan_corner"),
 }
+# Smallest accepted value of each integer parameter (per entry for n_list).
+_MINIMUMS = {"n": 2, "n_list": 2, "trials": 1, "max_rounds": 1}
 # Log-log slope above which a sweep no longer counts as "growing no
 # faster than C (ln n)^{5/2}" (slack over 1.0 absorbs quantile noise).
 SLOPE_TOLERANCE = 1.1
@@ -108,6 +111,33 @@ class LemmaReport:
             "sweep": self.sweep,
             "details": self.details,
         }
+
+
+def _resolve(defaults: dict, **given) -> list:
+    """The given parameters in order, each None replaced by its default.
+
+    A given 0 or empty value is kept, not defaulted, so it fails here or
+    in SimConfig with a UsageError.  Counts and sweep lists are checked
+    here; the remaining values are checked where they are used.
+    """
+    values = []
+    for key, value in given.items():
+        value = defaults[key] if value is None else value
+        if key in ("n_list", "presets"):
+            if not isinstance(value, (list, tuple)) or not value:
+                raise UsageError(
+                    f"{key} must be a non-empty comma-separated list, got {value!r}; "
+                    "end a single entry with a comma"
+                )
+            value = list(value)
+        if key in _MINIMUMS:
+            for item in value if key == "n_list" else [value]:
+                if isinstance(item, bool) or not isinstance(item, numbers.Integral):
+                    raise UsageError(f"{key} must be an integer, got {item!r}")
+                if item < _MINIMUMS[key]:
+                    raise UsageError(f"{key} must be >= {_MINIMUMS[key]}, got {item}")
+        values.append(value)
+    return values
 
 
 def _whp_threshold(n: int, trials: int, epsilon: float = 1.0) -> float:
@@ -202,11 +232,9 @@ def verify_green(
     the pinned source).  Requires ell >= (2/delta^2) ln n.
     """
     start = time.perf_counter()
-    n = n or GREEN_DEFAULTS["n"]
-    delta = delta if delta is not None else GREEN_DEFAULTS["delta"]
-    trials = trials or GREEN_DEFAULTS["trials"]
+    n, delta, trials = _resolve(GREEN_DEFAULTS, n=n, delta=delta, trials=trials)
     needed = math.ceil((2.0 / delta**2) * math.log(n))
-    ell = ell or needed
+    ell = needed if ell is None else ell
     if ell < needed:
         raise UsageError(f"verify_green needs ell >= (2/delta^2) ln n = {needed}, got {ell}")
 
@@ -247,10 +275,9 @@ def verify_purple(
     in Green1 w.h.p.; mirrored for Purple0.
     """
     start = time.perf_counter()
-    n = n or PURPLE_DEFAULTS["n"]
-    delta = delta if delta is not None else PURPLE_DEFAULTS["delta"]
-    trials = trials or PURPLE_DEFAULTS["trials"]
-    ell = ell or math.ceil((2.0 / delta**2) * math.log(n))
+    n, delta, trials = _resolve(PURPLE_DEFAULTS, n=n, delta=delta, trials=trials)
+    if ell is None:
+        ell = math.ceil((2.0 / delta**2) * math.log(n))
     constants = AnalysisConstants.for_population(n, delta=delta, ell=ell)
 
     def success(label: DomainLabel, y: float, x_next: float, c) -> bool:
@@ -296,10 +323,9 @@ def verify_red(
     (ln n)^{1/2 + 2 delta} rounds and never exits into Yellow or Red.
     """
     start = time.perf_counter()
-    n = n or RED_DEFAULTS["n"]
-    delta = delta if delta is not None else RED_DEFAULTS["delta"]
-    c_sample = c_sample or RED_DEFAULTS["c_sample"]
-    trials = trials or RED_DEFAULTS["trials"]
+    n, delta, c_sample, trials = _resolve(
+        RED_DEFAULTS, n=n, delta=delta, c_sample=c_sample, trials=trials
+    )
     config = SimConfig(n=n, c_sample=c_sample, delta=delta, seed=seed)
     constants = config.constants()
     bound = math.log(n) ** (0.5 + 2.0 * delta)
@@ -428,10 +454,9 @@ def verify_cyan(
     cyan_expectation_check must hold with zero violations.
     """
     start = time.perf_counter()
-    n = n or CYAN_DEFAULTS["n"]
-    delta = delta if delta is not None else CYAN_DEFAULTS["delta"]
-    c_sample = c_sample or CYAN_DEFAULTS["c_sample"]
-    trials = trials or CYAN_DEFAULTS["trials"]
+    n, delta, c_sample, trials = _resolve(
+        CYAN_DEFAULTS, n=n, delta=delta, c_sample=c_sample, trials=trials
+    )
     config = SimConfig(
         n=n, c_sample=c_sample, delta=delta, seed=seed, max_rounds=1000
     )
@@ -562,12 +587,14 @@ def verify_yellow(
     (sqrt(c)/c4) (ln n)^{3/2} scale, c4 = 1/(4 alpha)).
     """
     start = time.perf_counter()
-    p = YELLOW_DEFAULTS
-    n_list = list(n_list or p["n_list"])
-    delta = delta if delta is not None else p["delta"]
-    c_sample = c_sample or p["c_sample"]
-    trials = trials or p["trials"]
-    max_rounds = max_rounds or p["max_rounds"]
+    n_list, delta, c_sample, trials, max_rounds = _resolve(
+        YELLOW_DEFAULTS,
+        n_list=n_list,
+        delta=delta,
+        c_sample=c_sample,
+        trials=trials,
+        max_rounds=max_rounds,
+    )
 
     sweep = []
     q99s = []
@@ -657,13 +684,15 @@ def verify_convergence(
     times is reported alongside for scaling checks.
     """
     start = time.perf_counter()
-    p = CONVERGENCE_DEFAULTS
-    n_list = list(n_list or p["n_list"])
-    presets = list(presets or p["presets"])
-    delta = delta if delta is not None else p["delta"]
-    c_sample = c_sample or p["c_sample"]
-    trials = trials or p["trials"]
-    max_rounds = max_rounds or p["max_rounds"]
+    n_list, presets, delta, c_sample, trials, max_rounds = _resolve(
+        CONVERGENCE_DEFAULTS,
+        n_list=n_list,
+        presets=presets,
+        delta=delta,
+        c_sample=c_sample,
+        trials=trials,
+        max_rounds=max_rounds,
+    )
 
     times: dict[tuple[str, int], list[int]] = {}
     all_converged = True

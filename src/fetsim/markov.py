@@ -11,9 +11,11 @@ solves the first-step equations for expected hitting times of the
 absorbing state (n, n), and cross-validates both simulation backends
 against the solver.
 
-The pair-state chain ignores adversarial counter memory, exactly like
-the aggregate backend; the bridge from an adversarial start is one
-agent-level round, and reports state this in their header.
+The pair-state chain assumes the stored counters are i.i.d.
+Bin(ell, k_t/n), which holds after any round but not for an adversarial
+start.  The aggregate backend bridges that first round exactly by
+drawing it from the (opinion, stored counter) class counts, and reports
+state this in their header.
 """
 
 from __future__ import annotations
@@ -29,7 +31,13 @@ from scipy.sparse.linalg import spsolve
 from .duel import binomial_pmf_vector
 from .dynamics import flip_probs
 from .errors import StructuralError, UsageError
-from .protocol import Population, SimConfig, derive_rng, step_agent_level, step_aggregate
+from .protocol import (
+    Population,
+    SimConfig,
+    _step_class_counts,
+    derive_rng,
+    step_aggregate,
+)
 
 __all__ = [
     "Kernel",
@@ -42,9 +50,10 @@ __all__ = [
 
 PRUNE_THRESHOLD = 1e-15
 BRIDGE_NOTE = (
-    "pair-state kernel ignores adversarial counter memory; trials are "
-    "bridged by one agent-level round (or by planting counters drawn "
-    "from Bin(ell, k_t/n), which is the post-round distribution)"
+    "pair-state kernel assumes stored counters i.i.d. Bin(ell, k_t/n), the "
+    "post-round distribution; aggregate trials draw their first round "
+    "exactly from the (opinion, stored counter) class counts of the "
+    "adversarial start, agent-level trials run every round per agent"
 )
 
 
@@ -235,7 +244,7 @@ def _simulate_hitting_times(
     """Consensus rounds from the all-wrong start, one entry per trial.
 
     Agent-level trials run in lockstep as one vectorized batch; the
-    aggregate backend runs its mandatory first round agent-level and
+    aggregate backend draws its first round from the class counts and
     then steps pairs.
     """
     config = SimConfig(n=n, ell=ell, backend=backend, seed=seed, max_rounds=max_rounds)
@@ -270,13 +279,12 @@ def _simulate_hitting_times(
             )
         return times
     times = np.empty(trials, dtype=np.int64)
+    opinions = np.zeros(n, dtype=np.uint8)
+    opinions[0] = 1
+    all_wrong = Population(opinions, np.zeros(n, dtype=np.int32))
     for t in range(trials):
         rng = derive_rng(seed, "hitting", backend, t)
-        opinions = np.zeros(n, dtype=np.uint8)
-        opinions[0] = 1
-        pop = Population(opinions, np.zeros(n, dtype=np.int32))
-        pop = step_agent_level(pop, config, rng)
-        xs = [1.0 / n, pop.fraction_ones()]
+        xs = [1.0 / n, _step_class_counts(all_wrong, config, rng) / n]
         while xs[-1] != 1.0 and len(xs) <= max_rounds:
             xs.append(step_aggregate(xs[-2], xs[-1], config, rng))
         if xs[-1] != 1.0:

@@ -15,12 +15,16 @@ the rule and keeps the correct opinion throughout.
 
 Two backends are provided.  The agent-level backend executes the rule
 faithfully, including arbitrary adversarial counter memory.  The
-aggregate backend replaces one round by two binomial draws over the
-current pair of fractions (x_t, x_{t+1}); conditioned on that pair the
-two are identically distributed, which the test suite verifies.  A
-fresh adversarial start corrupts each agent's stored counter in ways
-the pair state cannot represent, so every trial runs its first round
-agent-level and only then may switch to the aggregate backend.
+aggregate backend reads the agents only once, to bin them for round 1.
+Agents sample with replacement, so given the population an agent's two
+half-counts are independent Bin(ell, x_t) draws: the histogram of
+non-source agents over (opinion, stored counter), 2(ell+1) integers,
+is an exact sufficient statistic for one round, adversarial counters
+included.  The first round is drawn from that histogram.  Afterwards
+every stored counter is an independent Bin(ell, x_t) draw, so each
+later round is two binomial draws over the pair of fractions
+(x_t, x_{t+1}); the test suite checks both laws against the agent
+level.
 
 Randomness is drawn from counter-based Philox streams keyed by hashes
 of (seed, trial, ...), so parallel trials are reproducible
@@ -36,6 +40,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .domains import DomainLabel, YellowLabel, classify, classify_yellow
+from .duel import binomial_pmf_vector
 from .dynamics import AnalysisConstants, flip_probs
 from .errors import DomainError, UsageError
 
@@ -89,7 +94,8 @@ class SimConfig:
 
     ell is the per-half sample size (an agent reads 2*ell opinions per
     round); when omitted it is derived as ceil(c_sample * ln n).
-    backend selects how rounds after the first are executed.
+    backend selects agent-level rounds or the aggregate (class-count,
+    then pair-state) rounds; the naive variant exists only agent-level.
     """
 
     n: int
@@ -117,6 +123,11 @@ class SimConfig:
             raise UsageError(f"backend must be 'agent' or 'aggregate', got {self.backend!r}")
         if self.variant not in ("fet", "naive"):
             raise UsageError(f"variant must be 'fet' or 'naive', got {self.variant!r}")
+        if self.variant == "naive" and self.backend != "agent":
+            raise UsageError(
+                "variant 'naive' needs backend 'agent': the aggregate backend "
+                "only implements FET rounds"
+            )
 
     def constants(self) -> AnalysisConstants:
         return AnalysisConstants.for_population(self.n, delta=self.delta, ell=self.ell)
@@ -184,9 +195,6 @@ class Population:
     def fraction_ones(self) -> float:
         return float(self.opinions.sum()) / self.n
 
-    def copy(self) -> "Population":
-        return Population(self.opinions.copy(), self.prev_counts.copy())
-
 
 def mirror_population(pop: Population, ell: int) -> Population:
     """Flip every opinion and reflect every counter (c -> ell - c)."""
@@ -229,6 +237,36 @@ def step_agent_level(
     return Population(new_op, c_store)
 
 
+def _step_class_counts(
+    pop: Population,
+    config: SimConfig,
+    rng: np.random.Generator,
+) -> int:
+    """One FET round drawn from class counts; returns the new number of ones.
+
+    Non-source agents are binned by (opinion, stored counter).  Every
+    agent's fresh count c' is an independent Bin(ell, x) draw with x the
+    current fraction of ones, so an agent in class (o, c) holds opinion 1
+    after the round with probability P(c' > c) + [o = 1] P(c' = c), and
+    each class contributes one binomial draw.  Same law as
+    step_agent_level, at O(ell) cost after the O(n) binning.
+    """
+    ell = config.ell
+    opinions = pop.opinions[SOURCE_INDEX + 1 :]
+    counters = pop.prev_counts[SOURCE_INDEX + 1 :]
+    hist = np.stack(
+        [
+            np.bincount(counters[opinions == 0], minlength=ell + 1),
+            np.bincount(counters[opinions == 1], minlength=ell + 1),
+        ]
+    )
+    ones = int(hist[1].sum()) + int(pop.opinions[SOURCE_INDEX])
+    pmf = binomial_pmf_vector(ell, ones / pop.n)
+    gt = np.clip(1.0 - np.cumsum(pmf), 0.0, 1.0)  # P(c' > c)
+    probs = np.stack([gt, np.clip(gt + pmf, 0.0, 1.0)])
+    return int(rng.binomial(hist, probs).sum()) + config.source_opinion
+
+
 def _count_from_fraction(x: float, n: int, what: str) -> int:
     k = x * n
     if abs(k - round(k)) > 1e-9:
@@ -264,6 +302,19 @@ def step_aggregate(
     return (1 + ones_keep + ones_gain) / n
 
 
+def _check_population(pop: Population, config: SimConfig) -> Population:
+    """Reject a per-agent state that does not fit ``config``."""
+    if pop.n != config.n:
+        raise UsageError(f"population has {pop.n} agents, config has n={config.n}")
+    if pop.opinions.max() > 1:
+        raise UsageError("opinions must be 0 or 1")
+    if pop.opinions[SOURCE_INDEX] != config.source_opinion:
+        raise UsageError(f"the source must hold source_opinion={config.source_opinion}")
+    if pop.prev_counts.min() < 0 or pop.prev_counts.max() > config.ell:
+        raise UsageError(f"stored counters must lie in [0, ell={config.ell}]")
+    return pop
+
+
 def init_adversarial(
     preset,
     config: SimConfig,
@@ -287,13 +338,7 @@ def init_adversarial(
         if name == "explicit":
             opinions, counters = rest
             pop = Population(np.array(opinions), np.array(counters))
-            if pop.n != n:
-                raise UsageError(f"explicit state has {pop.n} agents, config has {n}")
-            if pop.opinions[SOURCE_INDEX] != src:
-                raise UsageError("explicit state must give the source its opinion")
-            if pop.prev_counts.min() < 0 or pop.prev_counts.max() > ell:
-                raise UsageError("explicit counters must lie in [0, ell]")
-            return pop
+            return _check_population(pop, config)
         arg = rest[0] if rest else None
     elif isinstance(preset, str) and preset.startswith("fraction:"):
         name, arg = "fraction", float(preset.split(":", 1)[1])
@@ -375,14 +420,15 @@ def run_trial(
     """Run one trial to consensus persistence or the round cap.
 
     ``initial`` is a preset accepted by init_adversarial or an explicit
-    Population.  The first round always executes agent-level (the pair
-    state cannot encode adversarial counters); afterwards the configured
-    backend takes over.  Hitting the cap without consensus yields a
-    trajectory with converged_round = None, not an error.
+    Population, checked like an ("explicit", ...) preset.  The agent
+    backend runs every round agent-level; the aggregate backend draws
+    round 1 from the (opinion, stored counter) class counts and steps
+    the pair state from round 2 on.  Hitting the cap without consensus
+    yields a trajectory with converged_round = None, not an error.
     """
     rng = derive_rng(config.seed, "trial", trial)
     if isinstance(initial, Population):
-        pop = initial.copy()
+        pop = _check_population(initial, config)
     else:
         pop = init_adversarial(initial, config, rng)
     try:
@@ -397,16 +443,14 @@ def run_trial(
     xs: list[float] = [pop.fraction_ones()]
     consensus_at: int | None = 0 if xs[0] == target else None
 
-    agent_mode_pop: Population | None = pop
     round_idx = 0
     while round_idx < config.max_rounds:
         round_idx += 1
-        if config.backend == "agent" or round_idx == 1:
-            assert agent_mode_pop is not None
-            agent_mode_pop = step_agent_level(agent_mode_pop, config, rng)
-            x_next = agent_mode_pop.fraction_ones()
-            if config.backend == "aggregate" and round_idx == 1:
-                agent_mode_pop = None
+        if config.backend == "agent":
+            pop = step_agent_level(pop, config, rng)
+            x_next = pop.fraction_ones()
+        elif round_idx == 1:
+            x_next = _step_class_counts(pop, config, rng) / n
         else:
             x_next = step_aggregate(xs[-2], xs[-1], config, rng)
         xs.append(x_next)

@@ -140,6 +140,15 @@ class TestSimulateCommand:
         assert rows[0]["x_t"] == repr(1 / 64)
         assert rows[-1]["domain"] == ""
 
+    def test_naive_variant_with_aggregate_backend_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("n = 64\nell = 8\nvariant = naive\n")
+        code, _, err = run_cli(
+            capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path / "out")
+        )
+        assert code == 2
+        assert "naive" in err
+
     def test_output_determinism(self, capsys, tmp_path):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text(
@@ -178,3 +187,16 @@ class TestVerifyCommand:
         assert json.loads(out) == {"green": "PASS"}
         assert (out_dir / "green.csv").exists()
         assert (out_dir / "green.json").exists()
+
+    @pytest.mark.parametrize(
+        "lemma, line",
+        [("green", "trials = 0"), ("yellow", "yellow_n_list = 1024")],
+        ids=["zero_trials", "scalar_sweep"],
+    )
+    def test_bad_parameter_is_usage_error(self, capsys, tmp_path, lemma, line):
+        cfg = tmp_path / "verify.cfg"
+        cfg.write_text(line + "\n")
+        code, out, err = run_cli(capsys, "verify", "--lemma", lemma, "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")

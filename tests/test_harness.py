@@ -213,6 +213,19 @@ class TestRunLemma:
         with pytest.raises(UsageError):
             run_lemma("mauve")
 
+    def test_zero_trials_rejected_not_defaulted(self):
+        with pytest.raises(UsageError, match="trials"):
+            verify_green(trials=0)
+        with pytest.raises(UsageError, match="trials"):
+            run_lemma("green", {"trials": 0})
+
+    def test_scalar_sweep_list_rejected(self):
+        # A config line "yellow_n_list = 1024" parses to an int, not a list.
+        with pytest.raises(UsageError, match="n_list"):
+            run_lemma("yellow", {"yellow_n_list": 1024})
+        with pytest.raises(UsageError, match="presets"):
+            run_lemma("convergence", {"convergence_presets": "all_wrong"})
+
     def test_override_plumbing(self):
         report = run_lemma("green", {"trials": 25, "seed": 4, "green_delta": 0.2})
         assert report.params["trials"] == 25

@@ -2,10 +2,12 @@
 determinism, symmetry, and agreement with the analytical layer."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import oracle_pmf_vector
 from fetsim.domains import DomainLabel
 from fetsim.dynamics import expected_next_fraction, flip_probs
 from fetsim.errors import DomainError, UsageError
@@ -13,6 +15,7 @@ from fetsim.protocol import (
     AgentState,
     Population,
     SimConfig,
+    _step_class_counts,
     agent_round,
     derive_rng,
     init_adversarial,
@@ -168,6 +171,87 @@ class TestStepAggregate:
             step_aggregate(0.5, 0.0, config, derive_rng(0, "y"))
 
 
+class TestClassCountRound:
+    """The class-count first round against an agent-level oracle.
+
+    Same pattern as acceptance criterion 1, from per-agent starts with
+    arbitrary counters: 10^5 rounds at n = 64, ell = 8, TV < 0.02 and
+    both means within 3 SE of the exact expected count.
+    """
+
+    N, ELL, TRIALS = 64, 8, 100_000
+
+    def _start(self, name):
+        n, ell = self.N, self.ELL
+        rng = derive_rng(0, "class-law-start", name)
+        if name == "random_explicit_source0":
+            config = SimConfig(n=n, ell=ell, source_opinion=0)
+            opinions = rng.integers(0, 2, size=n).astype(np.uint8)
+            opinions[0] = 0
+            counters = rng.integers(0, ell + 1, size=n)
+            return config, init_adversarial(("explicit", opinions, counters), config, rng)
+        if name == "all_wrong_max_counters_mirror":
+            base = SimConfig(n=n, ell=ell)
+            pop = init_adversarial("all_wrong_max_counters", base, rng)
+            return SimConfig(n=n, ell=ell, source_opinion=0), mirror_population(pop, ell)
+        config = SimConfig(n=n, ell=ell)
+        return config, init_adversarial(name, config, rng)
+
+    @staticmethod
+    def _agent_oracle(pop, ell, source_opinion, trials, rng):
+        """Ones after one round, each agent sampling ell fresh opinions."""
+        n = pop.n
+        out = np.empty(trials, dtype=np.int64)
+        done = 0
+        while done < trials:
+            m = min(20_000, trials - done)
+            idx = rng.integers(0, n, size=(m, n, ell), dtype=np.uint16)
+            c_fresh = pop.opinions[idx].sum(axis=2, dtype=np.int32)
+            new = np.where(
+                c_fresh > pop.prev_counts,
+                1,
+                np.where(c_fresh < pop.prev_counts, 0, pop.opinions),
+            )
+            new[:, 0] = source_opinion
+            out[done : done + m] = new.sum(axis=1)
+            done += m
+        return out
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "all_wrong",
+            "all_wrong_max_counters",
+            "yellow_center",
+            "random_explicit_source0",
+            "all_wrong_max_counters_mirror",
+        ],
+    )
+    def test_one_round_law_matches_agent_level(self, name):
+        n, ell, trials = self.N, self.ELL, self.TRIALS
+        config, pop = self._start(name)
+        src = config.source_opinion
+        agent = self._agent_oracle(pop, ell, src, trials, derive_rng(0, "class-law-agent", name))
+        rng = derive_rng(0, "class-law-classes", name)
+        classes = np.array([_step_class_counts(pop, config, rng) for _ in range(trials)])
+
+        # Exact law: agent i holds 1 afterwards with probability
+        # P(c' > c_i) + [o_i = 1] P(c' = c_i), c' ~ Bin(ell, x_0).
+        pmf = oracle_pmf_vector(ell, pop.fraction_ones())
+        p_gt = np.array([pmf[c + 1 :].sum() for c in range(ell + 1)])
+        ops, ctr = pop.opinions[1:], pop.prev_counts[1:]
+        p_one = p_gt[ctr] + (ops == 1) * pmf[ctr]
+        mean = src + p_one.sum()
+        se = math.sqrt((p_one * (1 - p_one)).sum() / trials)
+        tol = 3.0 * se if se > 0 else 1e-12
+
+        h_agent = np.bincount(agent, minlength=n + 1) / trials
+        h_classes = np.bincount(classes, minlength=n + 1) / trials
+        assert 0.5 * np.abs(h_agent - h_classes).sum() < 0.02
+        assert abs(agent.mean() - mean) <= tol
+        assert abs(classes.mean() - mean) <= tol
+
+
 class TestInitPresets:
     def cfg(self, n=64, **kw):
         return SimConfig(n=n, ell=8, seed=2, **kw)
@@ -274,6 +358,48 @@ class TestRunTrial:
         se = math.hypot(a.std(ddof=1) / math.sqrt(trials), b.std(ddof=1) / math.sqrt(trials))
         assert abs(a.mean() - b.mean()) <= 3 * se
 
+    def test_aggregate_trial_memory_stays_small(self):
+        # Aggregate trials never hold per-agent samples: below 64 bytes
+        # per agent at n = 2^20, set-up included (an n x 2*ell int64
+        # sample-index array alone would be 672).
+        n = 1 << 20
+        config = SimConfig(n=n, seed=0)
+        tracemalloc.start()
+        try:
+            traj = run_trial(config, "all_wrong_max_counters")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert traj.converged_round is not None
+        assert peak / n < 64
+
+    def test_explicit_population_wrong_size_rejected(self):
+        pop = init_adversarial("all_wrong", SimConfig(n=32, ell=4), derive_rng(0, "p"))
+        with pytest.raises(UsageError):
+            run_trial(SimConfig(n=64, ell=4), pop)
+
+    def test_explicit_population_source_opinion_checked(self):
+        config = SimConfig(n=32, ell=4, source_opinion=0)
+        pop = Population(np.ones(32, dtype=np.uint8), np.zeros(32, dtype=np.int32))
+        with pytest.raises(UsageError):
+            run_trial(config, pop)
+
+    @pytest.mark.parametrize("bad", [-1, 5])
+    def test_explicit_population_counters_checked(self, bad):
+        config = SimConfig(n=32, ell=4)
+        counters = np.zeros(32, dtype=np.int32)
+        counters[7] = bad
+        pop = Population(np.ones(32, dtype=np.uint8), counters)
+        with pytest.raises(UsageError):
+            run_trial(config, pop)
+
+    def test_explicit_population_opinions_must_be_bits(self):
+        config = SimConfig(n=32, ell=4)
+        opinions = np.ones(32, dtype=np.uint8)
+        opinions[3] = 2
+        with pytest.raises(UsageError):
+            run_trial(config, Population(opinions, np.zeros(32, dtype=np.int32)))
+
     def test_naive_variant_runs(self):
         config = SimConfig(n=64, ell=8, seed=8, backend="agent", variant="naive")
         traj = run_trial(config, "half_half")
@@ -308,6 +434,11 @@ class TestConfigValidation:
             SimConfig(n=16, ell=4, backend="warp")
         with pytest.raises(UsageError):
             SimConfig(n=16, ell=4, source_opinion=2)
+
+    def test_naive_variant_needs_agent_backend(self):
+        # The aggregate backend only implements FET rounds.
+        with pytest.raises(UsageError):
+            SimConfig(n=16, ell=4, variant="naive")
 
     def test_ell_derived_from_c_sample(self):
         config = SimConfig(n=4096, c_sample=3.0)
