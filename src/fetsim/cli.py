@@ -31,8 +31,8 @@ from .dynamics import (
     flip_probs,
     speed,
 )
-from .errors import DomainError, FetsimError
-from .harness import LEMMAS, emit, run_all, run_lemma
+from .errors import DomainError, FetsimError, UsageError
+from .harness import LEMMAS, _resolve, emit, run_all, run_lemma
 from .markov import absorption_times, build_kernel
 from .protocol import SimConfig, run_trial
 
@@ -139,11 +139,11 @@ def _cmd_simulate(args) -> int:
     settings = parse_config_file(args.config)
     if args.preset:
         settings["preset"] = args.preset
-    if args.trials:
+    if args.trials is not None:
         settings["trials"] = args.trials
+    (trials,) = _resolve({"trials": 1}, trials=settings.get("trials"))
     config = _sim_config_from_settings(settings)
     preset = settings.get("preset", "all_wrong")
-    trials = int(settings.get("trials", 1))
     out_dir = Path(args.out) if args.out else Path("simulate-out")
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -184,7 +184,7 @@ def _cmd_simulate(args) -> int:
         "preset": str(preset),
         "trials": trials,
         "converged_round_per_trial": summary_rows,
-        "converged_fraction": len(converged) / trials if trials else 0.0,
+        "converged_fraction": len(converged) / trials,
         "quantiles": quantiles,
         "domain_visit_counts": dict(sorted(domain_visits.items())),
     }
@@ -193,7 +193,19 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _parse_pair_state(text: str, n: int) -> tuple[int, int]:
+    """The --from value "KT,KT1" as a pair state of the n-agent chain."""
+    try:  # a non-integer part and a part count other than two both raise
+        a, b = (int(part) for part in text.split(","))
+    except ValueError:
+        raise UsageError(f"--from must be two integers KT,KT1, got {text!r}") from None
+    if not (0 <= a <= n and 1 <= b <= n):
+        raise UsageError(f"--from needs 0 <= KT <= n and 1 <= KT1 <= n = {n}, got {text!r}")
+    return a, b
+
+
 def _cmd_chain(args) -> int:
+    from_state = None if args.from_state is None else _parse_pair_state(args.from_state, args.n)
     kernel = build_kernel(args.n, args.ell)
     times = absorption_times(kernel)
     payload = {
@@ -203,10 +215,9 @@ def _cmd_chain(args) -> int:
         "max_expected_rounds": float(times.max()),
         "expected_rounds_from_corner": float(times[kernel.state_index(1, 1)]),
     }
-    if args.from_state:
-        a, b = (int(part) for part in args.from_state.split(","))
-        payload["from_state"] = [a, b]
-        payload["expected_rounds_from_state"] = float(times[kernel.state_index(a, b)])
+    if from_state is not None:
+        payload["from_state"] = list(from_state)
+        payload["expected_rounds_from_state"] = float(times[kernel.state_index(*from_state)])
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")

@@ -7,9 +7,10 @@ rounds (source opinion fixed to 1), the next count is distributed as
 
 with flip probabilities evaluated at (k_t/n, k_t1/n).  This module
 builds that transition kernel by exact convolution of binomial pmfs,
-solves the first-step equations for expected hitting times of the
-absorbing state (n, n), and cross-validates both simulation backends
-against the solver.
+vectorized over k_t, solves the first-step equations for expected
+hitting times of the absorbing state (n, n) iteratively (BiCGSTAB,
+gated on the recomputed residual), and cross-validates both simulation
+backends against the solver.
 
 The pair-state chain assumes the stored counters are i.i.d.
 Bin(ell, k_t/n), which holds after any round but not for an adversarial
@@ -26,10 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import breadth_first_order
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import bicgstab
+from scipy.special import gammaln
 
 from .duel import binomial_pmf_vector
-from .dynamics import flip_probs
 from .errors import StructuralError, UsageError
 from .protocol import (
     Population,
@@ -105,38 +106,88 @@ class Kernel:
         return self.state_index(self.n, self.n)
 
 
+def _binomial_pmf_rows(k: int, p: np.ndarray) -> np.ndarray:
+    """Row r is the pmf of Binomial(k, p[r]), a (len(p), k+1) array.
+
+    The batched form of duel.binomial_pmf_vector: the same log-space
+    formula, evaluated in the same order, with p = 0 and p = 1 rows set
+    to their point masses.  The logs come from math.log/math.log1p as
+    there: numpy's ufuncs differ from them in the last bit on a few
+    percent of inputs, and a kernel entry amplifies that ~100-fold.
+    """
+    i = np.arange(k + 1)
+    inner = (p > 0.0) & (p < 1.0)
+    safe = np.where(inner, p, 0.5).tolist()
+    log_p = np.array([math.log(v) for v in safe])[:, None]
+    log_q = np.array([math.log1p(-v) for v in safe])[:, None]
+    log_pmf = (
+        gammaln(k + 1)
+        - gammaln(i + 1)
+        - gammaln(k - i + 1)
+        + i * log_p
+        + (k - i) * log_q
+    )
+    out = np.exp(log_pmf)
+    out[~inner] = 0.0
+    out[p == 0.0, 0] = 1.0
+    out[p == 1.0, k] = 1.0
+    return out
+
+
+def _convolve_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise full convolution of two row-aligned arrays.
+
+    A direct sum, looping over the shorter operand's columns; an FFT's
+    ~1e-17 noise would move entries across PRUNE_THRESHOLD.
+    """
+    if u.shape[1] > v.shape[1]:
+        u, v = v, u
+    width = v.shape[1]
+    out = np.zeros((u.shape[0], u.shape[1] + width - 1))
+    for i in range(u.shape[1]):
+        out[:, i : i + width] += u[:, i, None] * v
+    return out
+
+
 def build_kernel(n: int, ell: int) -> Kernel:
     """Exact kernel over all pairs (k_t, k_t1) with k_t1 >= 1.
 
-    Row construction is independent per row (parallelizable); here rows
-    are emitted in index order, which keeps the matrix deterministic.
+    The duel triples for every pair come from two products of the
+    Bin(ell, k/n) pmf table with itself and its CDF; then, per k_t1,
+    the two binomial row pmfs and their convolution are computed for
+    all k_t at once.  Rows are assembled in index order, which keeps
+    the matrix deterministic.
     """
     if n > 256:
         raise UsageError(f"build_kernel supports n <= 256 (cost control), got {n}")
     if not 1 <= ell <= n:
         raise UsageError(f"need 1 <= ell <= n, got ell={ell}, n={n}")
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-    pruned = 0.0
-    for k_t in range(n + 1):
-        for k_t1 in range(1, n + 1):
-            fp = flip_probs(k_t / n, k_t1 / n, ell)
-            keep = binomial_pmf_vector(k_t1 - 1, fp.p_keep_one)
-            gain = binomial_pmf_vector(n - k_t1, fp.p_gain_one)
-            dist = np.convolve(keep, gain)  # over k_{t+2} - 1 in 0..n-1
-            mask = dist >= PRUNE_THRESHOLD
-            pruned += float(dist[~mask].sum())
-            succ = np.nonzero(mask)[0]  # k_{t+2} = succ + 1
-            row_idx = k_t * n + (k_t1 - 1)
-            rows.append(np.full(succ.shape, row_idx, dtype=np.int64))
-            cols.append(k_t1 * n + succ)
-            vals.append(dist[succ])
+    pmf = _binomial_pmf_rows(ell, np.arange(n + 1) / n)  # row a: Bin(ell, a/n)
+    cdf = np.cumsum(pmf, axis=1)
+    cdf_below = np.hstack([np.zeros((n + 1, 1)), cdf[:, :-1]])
+    # Duel of B(a/n) against B(b/n) at [a, b], clamped as in duel.exact_duel.
+    p_lt = np.clip(pmf @ (1.0 - cdf).T, 0.0, 1.0)
+    p_eq = np.clip(pmf @ pmf.T, 0.0, 1.0)
+    p_gt = np.clip(pmf @ cdf_below.T, 0.0, 1.0)
+    total = p_lt + p_eq + p_gt
+    if np.abs(total - 1.0).max() > 1e-9:
+        raise StructuralError(f"duel triples sum to {total.min()!r}..{total.max()!r}, not 1")
+    gain = p_lt  # P(B(k_t1/n) > B(k_t/n))
+    keep = np.minimum(gain + p_eq, 1.0)
+    # dist[a, b - 1, j]: P(k_{t+2} = j + 1 | (a, b)), the row of state a*n + b - 1.
+    dist = np.empty((n + 1, n, n))
+    for b in range(1, n + 1):
+        dist[:, b - 1] = _convolve_rows(
+            _binomial_pmf_rows(b - 1, keep[:, b]),
+            _binomial_pmf_rows(n - b, gain[:, b]),
+        )
+    dist = dist.reshape((n + 1) * n, n)
+    mask = dist >= PRUNE_THRESHOLD
+    pruned = float(dist[~mask].sum())
+    rows, succ = np.nonzero(mask)  # k_{t+2} = succ + 1
+    cols = (rows % n + 1) * n + succ  # successor pair (k_t1, k_{t+2})
     size = (n + 1) * n
-    matrix = sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(size, size),
-    )
+    matrix = sparse.csr_matrix((dist[rows, succ], (rows, cols)), shape=(size, size))
     return Kernel(n=n, ell=ell, matrix=matrix, pruned_mass=pruned)
 
 
@@ -178,8 +229,13 @@ def absorption_times(kernel: Kernel) -> np.ndarray:
     """Expected rounds to reach (n, n) from every pair state.
 
     Validates row normalization and absorbency, then solves the
-    first-step linear system (I - Q) h = 1 over transient states with a
-    sparse direct solve, verified to relative residual 1e-10.
+    first-step linear system (I - Q) h = 1 over transient states with
+    unpreconditioned BiCGSTAB (relative tolerance 1e-12).  The true
+    relative residual is recomputed from the returned h and must be at
+    most 1e-10: on ill-conditioned chains (hitting times of 1e8 and
+    more, e.g. ell = 1) the solver can report convergence with a true
+    residual far above that (7e-5 at n = 64, ell = 1), so its own flag
+    is not trusted alone.
     Index the result with kernel.state_index.
     """
     _validate_rows(kernel)
@@ -190,10 +246,12 @@ def absorption_times(kernel: Kernel) -> np.ndarray:
     q = kernel.matrix[transient][:, transient].tocsr()
     ident = sparse.identity(q.shape[0], format="csr")
     rhs = np.ones(q.shape[0])
-    h_transient = spsolve(ident - q, rhs)
+    h_transient, info = bicgstab(ident - q, rhs, rtol=1e-12, atol=0.0)
     residual = np.linalg.norm((ident - q) @ h_transient - rhs) / np.linalg.norm(rhs)
-    if residual > 1e-10:
-        raise StructuralError(f"linear solve residual {residual:.3e} exceeds 1e-10")
+    if info != 0 or not residual <= 1e-10:
+        raise StructuralError(
+            f"linear solve residual {residual:.3e} exceeds 1e-10 (bicgstab info {info})"
+        )
     h = np.zeros(size)
     h[transient] = h_transient
     return h
@@ -210,27 +268,8 @@ def expected_consensus_time_all_wrong(kernel: Kernel, times: np.ndarray) -> floa
     n, ell = kernel.n, kernel.ell
     p_flip = 1.0 - (1.0 - 1.0 / n) ** ell
     weights = binomial_pmf_vector(n - 1, p_flip)  # over k_1 - 1
-    return float(
-        sum(
-            weights[b - 1] * times[kernel.state_index(1, b)]
-            for b in range(1, n + 1)
-        )
-    )
-
-
-def plant_pair_population(
-    n: int, ell: int, k_t: int, k_t1: int, rng: np.random.Generator
-) -> Population:
-    """Agent configuration whose law matches the kernel state (k_t, k_t1).
-
-    Opinions hold k_t1 ones (source first); stored counters are i.i.d.
-    Bin(ell, k_t/n), the distribution they have after any round with
-    fraction k_t/n.
-    """
-    opinions = np.zeros(n, dtype=np.uint8)
-    opinions[:k_t1] = 1
-    counters = rng.binomial(ell, k_t / n, size=n).astype(np.int32)
-    return Population(opinions, counters)
+    start = kernel.state_index(1, 1)  # states (1, 1) .. (1, n) are contiguous
+    return float(weights @ times[start : start + n])
 
 
 def _simulate_hitting_times(

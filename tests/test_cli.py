@@ -149,6 +149,22 @@ class TestSimulateCommand:
         assert code == 2
         assert "naive" in err
 
+    @pytest.mark.parametrize(
+        "cfg_line, flags",
+        [("trials = 0", []), ("trials = 2", ["--trials", "0"])],
+        ids=["config", "flag"],
+    )
+    def test_zero_trials_is_usage_error(self, capsys, tmp_path, cfg_line, flags):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"n = 64\n{cfg_line}\n")
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(
+            capsys, "simulate", "--config", str(cfg), "--out", str(out_dir), *flags
+        )
+        assert code == 2
+        assert "trials" in err
+        assert not out_dir.exists()
+
     def test_output_determinism(self, capsys, tmp_path):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text(
@@ -172,6 +188,13 @@ class TestChainCommand:
         payload = json.loads(out_file.read_text())
         assert payload["expected_rounds_from_state"] > 0
         assert payload["expected_rounds_from_corner"] == payload["expected_rounds_from_state"]
+
+    @pytest.mark.parametrize("state", ["3", "x,y", "1,2,3", "", "9,1", "4,0"])
+    def test_bad_from_state_is_usage_error(self, capsys, state):
+        code, out, err = run_cli(capsys, "chain", "--n", "8", "--ell", "2", "--from", state)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --from")
 
 
 class TestVerifyCommand:

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from conftest import oracle_kernel, plant_pair_population
+from scipy import sparse
+from scipy.sparse.linalg import spsolve
 
 from fetsim.dynamics import expected_next_fraction
 from fetsim.errors import StructuralError, UsageError
@@ -12,7 +15,6 @@ from fetsim.markov import (
     absorption_times,
     build_kernel,
     expected_consensus_time_all_wrong,
-    plant_pair_population,
     simulate_exact_check,
 )
 from fetsim.protocol import derive_rng
@@ -62,6 +64,15 @@ class TestBuildKernel:
         with pytest.raises(UsageError):
             build_kernel(512, 8)
 
+    @pytest.mark.parametrize("n, ell", [(2, 1), (16, 4), (64, 8), (96, 14)])
+    def test_matches_row_loop_oracle(self, n, ell):
+        matrix, pruned = oracle_kernel(n, ell)
+        k = build_kernel(n, ell)
+        assert k.matrix.shape == matrix.shape
+        # Sparse difference: an entry pruned on one side reads as 0.
+        assert abs(k.matrix - matrix).max() <= 1e-14
+        assert k.pruned_mass == pytest.approx(pruned, abs=1e-14)
+
 
 class TestAbsorptionTimes:
     def test_two_agent_hand_values(self):
@@ -73,6 +84,21 @@ class TestAbsorptionTimes:
         assert h[k.state_index(1, 2)] == pytest.approx(1.0, abs=1e-9)
         assert h[k.state_index(1, 1)] == pytest.approx(5.0, abs=1e-9)
         assert h[k.state_index(2, 1)] == pytest.approx(6.0, abs=1e-9)
+
+    @pytest.mark.parametrize("n, ell", [(16, 4), (32, 6), (64, 8)])
+    def test_matches_direct_solve(self, n, ell):
+        k = build_kernel(n, ell)
+        h = absorption_times(k)
+        transient = np.arange(k.num_states) != k.absorbing_index
+        q = k.matrix[transient][:, transient]
+        direct = spsolve(sparse.identity(q.shape[0], format="csc") - q, np.ones(q.shape[0]))
+        np.testing.assert_allclose(h[transient], direct, rtol=1e-10, atol=0.0)
+
+    def test_ill_conditioned_chain_fails_residual_gate(self):
+        # ell = 1 gives hitting times of 1e8 and more; the solve cannot
+        # meet the 1e-10 residual there, and must say so.
+        with pytest.raises(StructuralError, match="residual"):
+            absorption_times(build_kernel(64, 1))
 
     def test_zero_from_consensus(self):
         k = build_kernel(16, 4)
