@@ -24,11 +24,9 @@ from .dynamics import (
 from .errors import DomainError, FetsimError, PlantingError, StructuralError, UsageError
 from .markov import Kernel, PairState, absorption_times, build_kernel, simulate_exact_check
 from .protocol import (
-    AgentState,
     Population,
     SimConfig,
     Trajectory,
-    agent_round,
     init_adversarial,
     run_trial,
     step_agent_level,
@@ -36,7 +34,6 @@ from .protocol import (
 )
 
 __all__ = [
-    "AgentState",
     "AnalysisConstants",
     "DomainError",
     "DomainLabel",
@@ -55,7 +52,6 @@ __all__ = [
     "YellowLabel",
     "absorption_times",
     "advantage",
-    "agent_round",
     "audit_partition",
     "binomial_pmf",
     "build_kernel",

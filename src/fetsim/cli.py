@@ -129,6 +129,10 @@ def _cmd_audit(args) -> int:
 
 
 def _sim_config_from_settings(settings: dict) -> SimConfig:
+    known = {*SIM_CONFIG_KEYS, "preset", "trials"}
+    unknown = sorted(set(settings) - known)
+    if unknown:
+        raise UsageError(f"unknown simulate config key(s) {unknown}; known: {sorted(known)}")
     kwargs = {k: settings[k] for k in SIM_CONFIG_KEYS if k in settings}
     if "n" not in kwargs:
         raise DomainError("config must set n")

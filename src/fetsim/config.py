@@ -20,11 +20,19 @@ Example::
 
 from __future__ import annotations
 
+import numbers
 from pathlib import Path
 
 from .errors import UsageError
 
-__all__ = ["parse_config_file", "parse_value"]
+__all__ = ["check_number", "parse_config_file", "parse_value"]
+
+
+def check_number(name: str, value, kind: type = numbers.Real) -> None:
+    """Raise a UsageError unless value is a number of kind (bools are not)."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        noun = "an integer" if kind is numbers.Integral else "a real number"
+        raise UsageError(f"{name} must be {noun}, got {value!r}")
 
 
 def parse_value(raw: str):

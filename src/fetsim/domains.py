@@ -28,7 +28,9 @@ Boundary inequalities are implemented exactly as written (strict vs
 non-strict); where several definitions match a point, classification
 applies the fixed precedence Green > Purple > Red > Cyan > Yellow with
 the 1-variant before the 0-variant, and ``audit_partition`` quantifies
-every gap and overlap instead of hiding them.
+every gap and overlap instead of hiding them.  Each definition is
+written once and evaluated on floats by the pointwise classifiers and
+on arrays by ``classify_array`` and the audit.
 """
 
 from __future__ import annotations
@@ -48,12 +50,14 @@ __all__ = [
     "YellowLabel",
     "audit_partition",
     "classify",
+    "classify_array",
     "classify_yellow",
     "matching_domains",
 ]
 
 
 class DomainLabel(str, Enum):
+    # Member order is the classification precedence; Unclassified last.
     GREEN1 = "Green1"
     GREEN0 = "Green0"
     PURPLE1 = "Purple1"
@@ -122,64 +126,96 @@ def _coords(point) -> tuple[float, float]:
     return float(x), float(y)
 
 
-def _green1(x: float, y: float, c: AnalysisConstants) -> bool:
-    return y >= x + c.delta
+def _domain_tests(x, y, c: AnalysisConstants) -> tuple:
+    """The nine domain definitions at (x, y), in precedence order.
 
-
-def _purple1(x: float, y: float, c: AnalysisConstants) -> bool:
+    The order is that of DomainLabel: Green > Purple > Red > Cyan >
+    Yellow, 1-variant first; each 0-variant is its 1-variant at the
+    mirrored point.  Only comparisons, arithmetic, &, | and abs are
+    used, so floats give bools and arrays give boolean arrays, with the
+    same IEEE arithmetic.
+    """
+    d = c.delta
     inv_log = 1.0 / c.log_n
+    shrink = 1.0 - c.lambda_n
+    mx, my = 1.0 - x, 1.0 - y
     return (
-        inv_log <= x < 0.5 - 3.0 * c.delta
-        and (1.0 - c.lambda_n) * x <= y < x + c.delta
+        _green1(x, y, d),
+        _green1(mx, my, d),
+        _purple1(x, y, d, inv_log, shrink),
+        _purple1(mx, my, d, inv_log, shrink),
+        _red1(x, y, d, inv_log, shrink),
+        _red1(mx, my, d, inv_log, shrink),
+        _cyan1(x, y, d, inv_log),
+        _cyan1(mx, my, d, inv_log),
+        _yellow(x, y, d),
     )
 
 
-def _red1(x: float, y: float, c: AnalysisConstants) -> bool:
-    inv_log = 1.0 / c.log_n
-    return (
-        inv_log <= y
-        and x < 0.5 - 3.0 * c.delta
-        and x - c.delta <= y < (1.0 - c.lambda_n) * x
-    )
+def _green1(u, v, d):
+    return v >= u + d
 
 
-def _cyan1(x: float, y: float, c: AnalysisConstants) -> bool:
-    inv_log = 1.0 / c.log_n
-    return min(x, y) < inv_log and x - c.delta < y < x + c.delta
+def _purple1(u, v, d, inv_log, shrink):
+    return (inv_log <= u) & (u < 0.5 - 3.0 * d) & (shrink * u <= v) & (v < u + d)
 
 
-def _yellow(x: float, y: float, c: AnalysisConstants) -> bool:
+def _red1(u, v, d, inv_log, shrink):
+    return (inv_log <= v) & (u < 0.5 - 3.0 * d) & (u - d <= v) & (v < shrink * u)
+
+
+def _cyan1(u, v, d, inv_log):
+    return ((u < inv_log) | (v < inv_log)) & (u - d < v) & (v < u + d)
+
+
+def _yellow(u, v, d):
     # Typo-corrected x-band: 1/2 - 3d <= x_t <= 1/2 + 3d (see module docstring).
     return (
-        0.5 - 3.0 * c.delta <= x <= 0.5 + 3.0 * c.delta
-        and 0.5 - 4.0 * c.delta <= y <= 0.5 + 4.0 * c.delta
-        and abs(y - x) < c.delta
+        (0.5 - 3.0 * d <= u)
+        & (u <= 0.5 + 3.0 * d)
+        & (0.5 - 4.0 * d <= v)
+        & (v <= 0.5 + 4.0 * d)
+        & (abs(v - u) < d)
     )
 
 
-# Precedence order: Green > Purple > Red > Cyan > Yellow, 1-variant first.
-# The 0-variants evaluate the 1-variant predicate at the mirrored point.
-_DEFINITIONS = (
-    (DomainLabel.GREEN1, _green1, False),
-    (DomainLabel.GREEN0, _green1, True),
-    (DomainLabel.PURPLE1, _purple1, False),
-    (DomainLabel.PURPLE0, _purple1, True),
-    (DomainLabel.RED1, _red1, False),
-    (DomainLabel.RED0, _red1, True),
-    (DomainLabel.CYAN1, _cyan1, False),
-    (DomainLabel.CYAN0, _cyan1, True),
-    (DomainLabel.YELLOW, _yellow, False),
-)
+def _in_box(x, y, c: AnalysisConstants):
+    """Membership in Yellow' = [1/2-4d, 1/2+4d]^2, for floats or arrays."""
+    lo = 0.5 - 4.0 * c.delta
+    hi = 0.5 + 4.0 * c.delta
+    return (lo <= x) & (x <= hi) & (lo <= y) & (y <= hi)
+
+
+def _yellow_area_tests(x, y) -> tuple:
+    """The A/B/C definitions at (x, y) in YellowLabel order, 1-variant first.
+
+    They tile Yellow'; like _domain_tests they take floats or arrays.
+    """
+    mx, my = 1.0 - x, 1.0 - y
+    return (_a1(x, y), _a1(mx, my), _b1(x, y), _b1(mx, my), _c1(x, y), _c1(mx, my))
+
+
+def _a1(u, v):
+    return (v >= 0.5) & (v - u >= u - 0.5)
+
+
+def _b1(u, v):
+    return (v >= u) & (v - u < u - 0.5)
+
+
+def _c1(u, v):
+    return (v < 0.5) & (v >= u)
+
+
+def _first_true(tests) -> np.ndarray:
+    """Per array element, the position of the first true test (len(tests) if none)."""
+    return np.select(tests, range(len(tests)), len(tests))
 
 
 def matching_domains(point, n: int, constants: AnalysisConstants) -> list[DomainLabel]:
     """All domain definitions a point satisfies, in precedence order."""
     x, y = _coords(point)
-    out = []
-    for label, predicate, mirrored in _DEFINITIONS:
-        if predicate(1.0 - x, 1.0 - y, constants) if mirrored else predicate(x, y, constants):
-            out.append(label)
-    return out
+    return [label for label, hit in zip(DomainLabel, _domain_tests(x, y, constants)) if hit]
 
 
 def classify(point, n: int, constants: AnalysisConstants) -> DomainLabel:
@@ -188,42 +224,32 @@ def classify(point, n: int, constants: AnalysisConstants) -> DomainLabel:
         raise UsageError(
             f"constants built for n={constants.n}, classify called with n={n}"
         )
-    matches = matching_domains(point, n, constants)
-    return matches[0] if matches else DomainLabel.UNCLASSIFIED
+    x, y = _coords(point)
+    for label, hit in zip(DomainLabel, _domain_tests(x, y, constants)):
+        if hit:
+            return label
+    return DomainLabel.UNCLASSIFIED
+
+
+def classify_array(x: np.ndarray, y: np.ndarray, constants: AnalysisConstants) -> np.ndarray:
+    """classify over coordinate arrays, as positions in ``tuple(DomainLabel)``.
+
+    Unclassified, the last position, marks no match; the n check is the caller's.
+    """
+    return _first_true(_domain_tests(x, y, constants))
 
 
 def in_yellow_prime(point, constants: AnalysisConstants) -> bool:
     """Membership in the square box Yellow' = [1/2-4d, 1/2+4d]^2."""
-    x, y = _coords(point)
-    lo = 0.5 - 4.0 * constants.delta
-    hi = 0.5 + 4.0 * constants.delta
-    return lo <= x <= hi and lo <= y <= hi
+    return _in_box(*_coords(point), constants)
 
 
 def classify_yellow(point, constants: AnalysisConstants) -> YellowLabel:
     """A/B/C sub-area of Yellow', with precedence A > B > C, 1-variant first."""
     x, y = _coords(point)
-    if not in_yellow_prime(point, constants):
+    if not _in_box(x, y, constants):
         return YellowLabel.OUTSIDE
-
-    def a1(u: float, v: float) -> bool:
-        return v >= 0.5 and (v - u) >= (u - 0.5)
-
-    def b1(u: float, v: float) -> bool:
-        return v >= u and (v - u) < (u - 0.5)
-
-    def c1(u: float, v: float) -> bool:
-        return v < 0.5 and v >= u
-
-    mx, my = 1.0 - x, 1.0 - y
-    for label, hit in (
-        (YellowLabel.A1, a1(x, y)),
-        (YellowLabel.A0, a1(mx, my)),
-        (YellowLabel.B1, b1(x, y)),
-        (YellowLabel.B0, b1(mx, my)),
-        (YellowLabel.C1, c1(x, y)),
-        (YellowLabel.C0, c1(mx, my)),
-    ):
+    for label, hit in zip(YellowLabel, _yellow_area_tests(x, y)):
         if hit:
             return label
     # The six conditions tile the box; reaching here would be a logic bug.
@@ -279,50 +305,6 @@ YELLOW_READING = (
 )
 
 
-def _definition_masks(n: int, constants: AnalysisConstants):
-    """Vectorized membership masks over the full grid, per definition."""
-    frac = np.arange(n + 1) / n
-    x, y = np.meshgrid(frac, frac, indexing="ij")
-    d = constants.delta
-    lam = constants.lambda_n
-    inv_log = 1.0 / constants.log_n
-
-    def green1(u, v):
-        return v >= u + d
-
-    def purple1(u, v):
-        return (inv_log <= u) & (u < 0.5 - 3 * d) & ((1 - lam) * u <= v) & (v < u + d)
-
-    def red1(u, v):
-        return (inv_log <= v) & (u < 0.5 - 3 * d) & (u - d <= v) & (v < (1 - lam) * u)
-
-    def cyan1(u, v):
-        return (np.minimum(u, v) < inv_log) & (u - d < v) & (v < u + d)
-
-    def yellow(u, v):
-        return (
-            (0.5 - 3 * d <= u)
-            & (u <= 0.5 + 3 * d)
-            & (0.5 - 4 * d <= v)
-            & (v <= 0.5 + 4 * d)
-            & (np.abs(v - u) < d)
-        )
-
-    mx, my = 1.0 - x, 1.0 - y
-    masks = [
-        (DomainLabel.GREEN1, green1(x, y)),
-        (DomainLabel.GREEN0, green1(mx, my)),
-        (DomainLabel.PURPLE1, purple1(x, y)),
-        (DomainLabel.PURPLE0, purple1(mx, my)),
-        (DomainLabel.RED1, red1(x, y)),
-        (DomainLabel.RED0, red1(mx, my)),
-        (DomainLabel.CYAN1, cyan1(x, y)),
-        (DomainLabel.CYAN0, cyan1(mx, my)),
-        (DomainLabel.YELLOW, yellow(x, y)),
-    ]
-    return masks
-
-
 def audit_partition(n: int, constants: AnalysisConstants) -> PartitionAudit:
     """Enumerate all (n+1)^2 grid points and measure partition coverage.
 
@@ -334,18 +316,13 @@ def audit_partition(n: int, constants: AnalysisConstants) -> PartitionAudit:
     """
     if n > 512:
         raise UsageError(f"audit_partition supports n <= 512, got {n}")
-    masks = _definition_masks(n, constants)
-    counts = np.zeros((n + 1, n + 1), dtype=np.int64)
-    for _, mask in masks:
-        counts += mask
-
-    # Precedence labelling: first matching definition in order.
-    label_idx = np.full((n + 1, n + 1), len(masks), dtype=np.int64)
-    for pos in range(len(masks) - 1, -1, -1):
-        label_idx[masks[pos][1]] = pos
-    names = [label.value for label, _ in masks] + [DomainLabel.UNCLASSIFIED.value]
+    frac = np.arange(n + 1) / n
+    x, y = np.meshgrid(frac, frac, indexing="ij")
+    tests = _domain_tests(x, y, constants)
+    counts = np.sum(tests, axis=0, dtype=np.int64)
+    label_idx = _first_true(tests)
     histogram = {
-        name: int((label_idx == pos).sum()) for pos, name in enumerate(names)
+        label.value: int((label_idx == pos).sum()) for pos, label in enumerate(DomainLabel)
     }
 
     uncovered_mask = counts == 0

@@ -34,7 +34,6 @@ __all__ = [
     "advantage",
     "binomial_pmf",
     "binomial_pmf_vector",
-    "difference_distribution",
     "exact_duel",
     "hoeffding_duel_bound",
     "normal_cdf",
@@ -172,19 +171,6 @@ def exact_duel(k: int, p: float, q: float) -> DuelProbs:
 def exact_duel_cached(k: int, p: float, q: float) -> DuelProbs:
     """Memoized exact_duel for hot loops over repeated grid pairs."""
     return exact_duel(k, p, q)
-
-
-def difference_distribution(k: int, p: float, q: float) -> np.ndarray:
-    """pmf of the signed difference B_k(q) - B_k(p).
-
-    Returns a length 2k+1 array where index d+k holds
-    P(B_k(q) - B_k(p) = d), d in [-k, k].
-    """
-    k = _check_count("k", k, minimum=1)
-    pmf_p = binomial_pmf_vector(k, p)
-    pmf_q = binomial_pmf_vector(k, q)
-    # index m = i_q + (k - i_p) runs over 0..2k, so d = m - k.
-    return np.convolve(pmf_q, pmf_p[::-1])
 
 
 def hoeffding_duel_bound(k: int, p: float, q: float) -> float:

@@ -15,8 +15,8 @@ backends against the solver.
 The pair-state chain assumes the stored counters are i.i.d.
 Bin(ell, k_t/n), which holds after any round but not for an adversarial
 start.  The aggregate backend bridges that first round exactly by
-drawing it from the (opinion, stored counter) class counts, and reports
-state this in their header.
+drawing it from the (opinion, stored counter) class counts, and
+``simulate_exact_check`` reports say so in their ``note`` field.
 """
 
 from __future__ import annotations
@@ -155,8 +155,9 @@ def build_kernel(n: int, ell: int) -> Kernel:
     The duel triples for every pair come from two products of the
     Bin(ell, k/n) pmf table with itself and its CDF; then, per k_t1,
     the two binomial row pmfs and their convolution are computed for
-    all k_t at once.  Rows are assembled in index order, which keeps
-    the matrix deterministic.
+    all k_t at once and pruned.  The kept entries are assembled once;
+    within a row they stay in successor order, which keeps the matrix
+    deterministic.
     """
     if n > 256:
         raise UsageError(f"build_kernel supports n <= 256 (cost control), got {n}")
@@ -174,20 +175,27 @@ def build_kernel(n: int, ell: int) -> Kernel:
         raise StructuralError(f"duel triples sum to {total.min()!r}..{total.max()!r}, not 1")
     gain = p_lt  # P(B(k_t1/n) > B(k_t/n))
     keep = np.minimum(gain + p_eq, 1.0)
-    # dist[a, b - 1, j]: P(k_{t+2} = j + 1 | (a, b)), the row of state a*n + b - 1.
-    dist = np.empty((n + 1, n, n))
+    # block[a, j]: P(k_{t+2} = j + 1 | (a, b)), the row of state a*n + b - 1.
+    # Pruning each block as it is built bounds memory by the kept entries.
+    rows, cols, vals = [], [], []
+    pruned = 0.0
     for b in range(1, n + 1):
-        dist[:, b - 1] = _convolve_rows(
+        block = _convolve_rows(
             _binomial_pmf_rows(b - 1, keep[:, b]),
             _binomial_pmf_rows(n - b, gain[:, b]),
         )
-    dist = dist.reshape((n + 1) * n, n)
-    mask = dist >= PRUNE_THRESHOLD
-    pruned = float(dist[~mask].sum())
-    rows, succ = np.nonzero(mask)  # k_{t+2} = succ + 1
-    cols = (rows % n + 1) * n + succ  # successor pair (k_t1, k_{t+2})
+        mask = block >= PRUNE_THRESHOLD
+        pruned += float(block[~mask].sum())
+        a, succ = np.nonzero(mask)  # k_{t+2} = succ + 1
+        vals.append(block[a, succ])
+        # State indices stay below (n + 1) * n <= 65,792, so int32 holds them.
+        rows.append((a * n + b - 1).astype(np.int32))
+        cols.append((b * n + succ).astype(np.int32))  # successor pair (k_t1, k_{t+2})
     size = (n + 1) * n
-    matrix = sparse.csr_matrix((dist[rows, succ], (rows, cols)), shape=(size, size))
+    matrix = sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(size, size),
+    )
     return Kernel(n=n, ell=ell, matrix=matrix, pruned_mass=pruned)
 
 

@@ -35,25 +35,24 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .config import check_number
 from .domains import DomainLabel, YellowLabel, classify, classify_yellow
 from .duel import binomial_pmf_vector
 from .dynamics import AnalysisConstants, flip_probs
 from .errors import DomainError, UsageError
 
 __all__ = [
-    "AgentState",
     "Population",
     "SimConfig",
     "Trajectory",
     "TrajectoryRow",
-    "agent_round",
     "derive_rng",
     "init_adversarial",
-    "mirror_population",
     "run_trial",
     "step_agent_level",
     "step_aggregate",
@@ -67,10 +66,6 @@ PRESETS = (
     "yellow_center",
     "cyan_corner",
 )
-# Extra rounds simulated after first consensus to confirm it persists.
-# All-correct is absorbing (a separately tested invariant), so a short
-# confirmation window is sufficient.
-PERSISTENCE_CHECK_ROUNDS = 4
 
 
 def derive_rng(seed: int, *stream: object) -> np.random.Generator:
@@ -109,6 +104,12 @@ class SimConfig:
     variant: str = "fet"
 
     def __post_init__(self) -> None:
+        for name in ("n", "max_rounds", "seed", "source_opinion"):
+            check_number(name, getattr(self, name), numbers.Integral)
+        if self.ell is not None:
+            check_number("ell", self.ell, numbers.Integral)
+        check_number("delta", self.delta)
+        check_number("c_sample", self.c_sample)
         if self.n < 2:
             raise UsageError(f"population size must be >= 2, got {self.n}")
         if self.ell is None:
@@ -133,48 +134,6 @@ class SimConfig:
         return AnalysisConstants.for_population(self.n, delta=self.delta, ell=self.ell)
 
 
-@dataclass(frozen=True)
-class AgentState:
-    """One agent: opinion bit, stored half-sample count, source flag."""
-
-    opinion: int
-    prev_count: int
-    is_source: bool = False
-
-
-def agent_round(
-    state: AgentState,
-    first_half: "list[int] | np.ndarray",
-    second_half: "list[int] | np.ndarray",
-    ell: int,
-    source_opinion: int = 1,
-) -> AgentState:
-    """Apply one FET update to a single agent.
-
-    first_half are the ell observed opinion bits whose count is compared
-    against the stored count from the previous round; second_half are
-    the ell bits whose count replaces the stored one.
-    """
-    first = np.asarray(first_half)
-    second = np.asarray(second_half)
-    if first.shape != (ell,) or second.shape != (ell,):
-        raise DomainError(
-            f"both halves must contain exactly ell={ell} bits, "
-            f"got {first.shape} and {second.shape}"
-        )
-    c_fresh = int(first.sum())
-    c_store = int(second.sum())
-    if state.is_source:
-        return AgentState(source_opinion, c_store, True)
-    if c_fresh > state.prev_count:
-        opinion = 1
-    elif c_fresh < state.prev_count:
-        opinion = 0
-    else:
-        opinion = state.opinion
-    return AgentState(opinion, c_store, False)
-
-
 @dataclass
 class Population:
     """Vectorized population state; agent 0 is the source."""
@@ -194,11 +153,6 @@ class Population:
 
     def fraction_ones(self) -> float:
         return float(self.opinions.sum()) / self.n
-
-
-def mirror_population(pop: Population, ell: int) -> Population:
-    """Flip every opinion and reflect every counter (c -> ell - c)."""
-    return Population(1 - pop.opinions, ell - pop.prev_counts)
 
 
 def step_agent_level(
@@ -341,7 +295,7 @@ def init_adversarial(
             return _check_population(pop, config)
         arg = rest[0] if rest else None
     elif isinstance(preset, str) and preset.startswith("fraction:"):
-        name, arg = "fraction", float(preset.split(":", 1)[1])
+        name, arg = "fraction", preset.split(":", 1)[1]
 
     opinions = np.full(n, wrong, dtype=np.uint8)
     opinions[SOURCE_INDEX] = src
@@ -361,12 +315,8 @@ def init_adversarial(
 
     if name == "all_wrong":
         return Population(opinions, np.zeros(n, dtype=np.int32))
-    if name == "all_wrong_max_counters":
+    if name in ("all_wrong_max_counters", "cyan_corner"):
         return Population(opinions, np.full(n, ell, dtype=np.int32))
-    if name == "cyan_corner":
-        op = np.full(n, wrong, dtype=np.uint8)
-        op[SOURCE_INDEX] = src
-        return Population(op, np.full(n, ell, dtype=np.int32))
     if name == "half_half":
         # Half the non-source agents (round half up) hold opinion 1,
         # plus the source: n = 64 gives x_0 = 33/64 with source opinion 1.
@@ -377,9 +327,13 @@ def init_adversarial(
         total = math.floor(n / 2 + 0.5)
         return with_ones(total, random_counters())
     if name == "fraction":
-        if arg is None or not 0.0 <= float(arg) <= 1.0:
+        try:
+            x0 = float(arg)
+        except (TypeError, ValueError):
+            x0 = math.nan
+        if not 0.0 <= x0 <= 1.0:
             raise UsageError(f"fraction preset needs x0 in [0,1], got {arg!r}")
-        return with_ones(int(round(float(arg) * n)), random_counters())
+        return with_ones(int(round(x0 * n)), random_counters())
     raise UsageError(f"unknown preset {preset!r}; known: {PRESETS}, fraction:X, explicit")
 
 
@@ -398,18 +352,11 @@ class Trajectory:
     Row t carries x_t and the labels of the pair (x_t, x_{t+1}); the
     final row's labels are None since it has no successor.
     converged_round is the first round at which every opinion equals
-    the source's, confirmed to persist (all-correct is absorbing).
+    the source's, and the final row's round when set.
     """
 
     rows: list[TrajectoryRow] = field(default_factory=list)
     converged_round: int | None = None
-
-    @property
-    def xs(self) -> list[float]:
-        return [r.x for r in self.rows]
-
-    def domain_sequence(self) -> list[DomainLabel]:
-        return [r.domain for r in self.rows if r.domain is not None]
 
 
 def run_trial(
@@ -417,14 +364,17 @@ def run_trial(
     initial,
     trial: int = 0,
 ) -> Trajectory:
-    """Run one trial to consensus persistence or the round cap.
+    """Run one trial to consensus or the round cap.
 
     ``initial`` is a preset accepted by init_adversarial or an explicit
     Population, checked like an ("explicit", ...) preset.  The agent
     backend runs every round agent-level; the aggregate backend draws
     round 1 from the (opinion, stored counter) class counts and steps
-    the pair state from round 2 on.  Hitting the cap without consensus
-    yields a trajectory with converged_round = None, not an error.
+    the pair state from round 2 on.  The trial stops at the first
+    round whose fraction equals the source's opinion: all-correct is
+    absorbing, so no later round can change it.  Hitting the cap
+    without consensus yields a trajectory with converged_round = None,
+    not an error.
     """
     rng = derive_rng(config.seed, "trial", trial)
     if isinstance(initial, Population):
@@ -441,37 +391,22 @@ def run_trial(
     target = 1.0 if config.source_opinion == 1 else 0.0
 
     xs: list[float] = [pop.fraction_ones()]
-    consensus_at: int | None = 0 if xs[0] == target else None
-
-    round_idx = 0
-    while round_idx < config.max_rounds:
-        round_idx += 1
+    while xs[-1] != target and len(xs) <= config.max_rounds:
         if config.backend == "agent":
             pop = step_agent_level(pop, config, rng)
-            x_next = pop.fraction_ones()
-        elif round_idx == 1:
-            x_next = _step_class_counts(pop, config, rng) / n
+            xs.append(pop.fraction_ones())
+        elif len(xs) == 1:
+            xs.append(_step_class_counts(pop, config, rng) / n)
         else:
-            x_next = step_aggregate(xs[-2], xs[-1], config, rng)
-        xs.append(x_next)
-        if x_next == target:
-            if consensus_at is None:
-                consensus_at = round_idx
-            if round_idx - consensus_at >= PERSISTENCE_CHECK_ROUNDS:
-                break
-        else:
-            consensus_at = None
+            xs.append(step_aggregate(xs[-2], xs[-1], config, rng))
 
     rows = []
-    for t, x in enumerate(xs):
-        if t + 1 < len(xs):
-            pair = (x, xs[t + 1])
-            if constants is None:
-                domain, yellow = DomainLabel.UNCLASSIFIED, YellowLabel.OUTSIDE
-            else:
-                domain = classify(pair, n, constants)
-                yellow = classify_yellow(pair, constants)
-            rows.append(TrajectoryRow(round=t, x=x, domain=domain, yellow=yellow))
+    for t, pair in enumerate(zip(xs, xs[1:])):
+        if constants is None:
+            domain, yellow = DomainLabel.UNCLASSIFIED, YellowLabel.OUTSIDE
         else:
-            rows.append(TrajectoryRow(round=t, x=x, domain=None, yellow=None))
-    return Trajectory(rows=rows, converged_round=consensus_at)
+            domain = classify(pair, n, constants)
+            yellow = classify_yellow(pair, constants)
+        rows.append(TrajectoryRow(round=t, x=pair[0], domain=domain, yellow=yellow))
+    rows.append(TrajectoryRow(round=len(xs) - 1, x=xs[-1], domain=None, yellow=None))
+    return Trajectory(rows, converged_round=len(xs) - 1 if xs[-1] == target else None)

@@ -5,12 +5,15 @@ from exact integer binomial coefficients, duels from the full (k+1)^2
 double sum, so agreement with the package is a genuine cross-check.
 The pair-state kernel oracle is the exception: it builds each row
 separately through the scalar duel path, as a reference for the
-vectorized markov.build_kernel.
+vectorized markov.build_kernel.  The single-agent FET rule
+(``agent_round``), the population mirror and the duel difference
+distribution are kept here as references for the tests only.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from scipy import sparse
 
 from fetsim.duel import binomial_pmf_vector
 from fetsim.dynamics import flip_probs
+from fetsim.errors import DomainError
 from fetsim.markov import PRUNE_THRESHOLD
 from fetsim.protocol import Population
 
@@ -86,6 +90,65 @@ def plant_pair_population(
     opinions[:k_t1] = 1
     counters = rng.binomial(ell, k_t / n, size=n).astype(np.int32)
     return Population(opinions, counters)
+
+
+@dataclass(frozen=True)
+class AgentState:
+    """One agent: opinion bit, stored half-sample count, source flag."""
+
+    opinion: int
+    prev_count: int
+    is_source: bool = False
+
+
+def agent_round(
+    state: AgentState,
+    first_half: "list[int] | np.ndarray",
+    second_half: "list[int] | np.ndarray",
+    ell: int,
+    source_opinion: int = 1,
+) -> AgentState:
+    """Apply one FET update to a single agent.
+
+    first_half are the ell observed opinion bits whose count is compared
+    against the stored count from the previous round; second_half are
+    the ell bits whose count replaces the stored one.
+    """
+    first = np.asarray(first_half)
+    second = np.asarray(second_half)
+    if first.shape != (ell,) or second.shape != (ell,):
+        raise DomainError(
+            f"both halves must contain exactly ell={ell} bits, "
+            f"got {first.shape} and {second.shape}"
+        )
+    c_fresh = int(first.sum())
+    c_store = int(second.sum())
+    if state.is_source:
+        return AgentState(source_opinion, c_store, True)
+    if c_fresh > state.prev_count:
+        opinion = 1
+    elif c_fresh < state.prev_count:
+        opinion = 0
+    else:
+        opinion = state.opinion
+    return AgentState(opinion, c_store, False)
+
+
+def mirror_population(pop: Population, ell: int) -> Population:
+    """Flip every opinion and reflect every counter (c -> ell - c)."""
+    return Population(1 - pop.opinions, ell - pop.prev_counts)
+
+
+def difference_distribution(k: int, p: float, q: float) -> np.ndarray:
+    """pmf of the signed difference B_k(q) - B_k(p).
+
+    Returns a length 2k+1 array where index d+k holds
+    P(B_k(q) - B_k(p) = d), d in [-k, k].
+    """
+    pmf_p = binomial_pmf_vector(k, p)
+    pmf_q = binomial_pmf_vector(k, q)
+    # index m = i_q + (k - i_p) runs over 0..2k, so d = m - k.
+    return np.convolve(pmf_q, pmf_p[::-1])
 
 
 @pytest.fixture(scope="session")

@@ -165,6 +165,52 @@ class TestSimulateCommand:
         assert "trials" in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "lines, needle",
+        [
+            ("n = 64.0", "n must be an integer"),
+            ("n = 64\nell = 4.0", "ell must be an integer"),
+            ("n = 64\nseed = x", "seed must be an integer"),
+            ("n = 64\ndelta = abc", "delta must be a real number"),
+            ("n = 64\nc_sample = abc", "c_sample must be a real number"),
+            ("n = 64\nmax_rounds = 2.5", "max_rounds must be an integer"),
+            ("n = 64\nsource_opinion = one", "source_opinion must be an integer"),
+            ("n = 64\nbackned = agent", "backned"),
+        ],
+        ids=["n_float", "ell_float", "seed_str", "delta_str", "c_sample_str",
+             "max_rounds_float", "source_str", "unknown_key"],
+    )
+    def test_bad_config_is_usage_error(self, capsys, tmp_path, lines, needle):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(lines + "\n")
+        code, out, err = run_cli(
+            capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path / "out")
+        )
+        assert code == 2
+        assert err.startswith("error:") and needle in err
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_fraction_preset_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("n = 64\n")
+        code, _, err = run_cli(
+            capsys, "simulate", "--config", str(cfg), "--preset", "fraction:abc",
+            "--out", str(tmp_path / "out"),
+        )
+        assert code == 2
+        assert err.startswith("error: fraction preset")
+
+    def test_trial_csv_ends_at_consensus(self, capsys, tmp_path):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("n = 64\nseed = 5\npreset = all_wrong_max_counters\ntrials = 3\n")
+        run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        for t, converged in enumerate(summary["converged_round_per_trial"]):
+            with (tmp_path / "out" / f"trial_{t}.csv").open() as fh:
+                rows = list(csv.DictReader(fh))
+            assert int(rows[-1]["round"]) == converged == len(rows) - 1
+            assert rows[-1]["x_t"] == "1.0"
+
     def test_output_determinism(self, capsys, tmp_path):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text(
@@ -223,3 +269,28 @@ class TestVerifyCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "line, needle",
+        [
+            ("green_delta = abc", "delta must be a real number"),
+            ("green_trails = 3", "green_trails"),
+            ("trails = 3", "trails"),
+            ("green_n_list = 64,128", "green_n_list"),
+        ],
+        ids=["delta_str", "misspelt_param", "misspelt_global", "param_under_wrong_lemma"],
+    )
+    def test_bad_config_is_usage_error(self, capsys, tmp_path, line, needle):
+        cfg = tmp_path / "verify.cfg"
+        cfg.write_text(line + "\n")
+        code, out, err = run_cli(capsys, "verify", "--lemma", "green", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and needle in err
+
+    def test_key_for_another_lemma_is_accepted(self, capsys, tmp_path):
+        cfg = tmp_path / "verify.cfg"
+        cfg.write_text("trials = 20\nyellow_n_list = 64,128\ncyan_epsilon = 0.5\n")
+        code, out, _ = run_cli(capsys, "verify", "--lemma", "green", "--config", str(cfg))
+        assert code == 0
+        assert json.loads(out) == {"green": "PASS"}

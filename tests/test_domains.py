@@ -1,5 +1,6 @@
 """Domain partition classifier, Yellow' sub-areas, and the audit."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,8 +9,12 @@ from fetsim.domains import (
     DomainLabel,
     GridPoint,
     YellowLabel,
+    _first_true,
+    _in_box,
+    _yellow_area_tests,
     audit_partition,
     classify,
+    classify_array,
     classify_yellow,
     in_yellow_prime,
     matching_domains,
@@ -35,6 +40,13 @@ class TestClassify:
         for n in (64, 128, 512):
             c = consts(n)
             assert classify((1.0 / n, 1.0 / n), n, c) is DomainLabel.CYAN1
+
+    def test_cyan_needs_only_one_coordinate_below_threshold(self):
+        # min(x_t, x_{t+1}) < 1/ln n: here x_t = 0.1875 < 0.206 < x_{t+1}.
+        n = 128
+        c = consts(n)
+        assert classify((24 / n, 28 / n), n, c) is DomainLabel.CYAN1
+        assert classify((1 - 24 / n, 1 - 28 / n), n, c) is DomainLabel.CYAN0
 
     def test_absorbing_corner_is_mirrored_cyan(self):
         c = consts(128)
@@ -168,14 +180,25 @@ class TestAudit:
             assert report.mirror_symmetric
 
     def test_agrees_with_pointwise_classifier(self):
-        n = 32
-        c = consts(n)
-        report = audit_partition(n, c)
-        histogram = {label: 0 for label in report.label_histogram}
-        for kx in range(n + 1):
-            for ky in range(n + 1):
-                histogram[classify((kx / n, ky / n), n, c).value] += 1
-        assert histogram == report.label_histogram
+        # The array path (audit, classify_array, the A/B/C tests on whole
+        # grids) and the scalar classifiers read the same definitions and
+        # must agree at every grid point.
+        for n, delta in [(32, 0.05), (64, 0.05), (128, 0.1), (97, 0.2)]:
+            c = consts(n, delta=delta)
+            report = audit_partition(n, c)
+            histogram = {label: 0 for label in report.label_histogram}
+            frac = np.arange(n + 1) / n
+            x, y = np.meshgrid(frac, frac, indexing="ij")
+            domains = classify_array(x, y, c)
+            areas = np.where(_in_box(x, y, c), _first_true(_yellow_area_tests(x, y)), 6)
+            for kx in range(n + 1):
+                for ky in range(n + 1):
+                    point = (kx / n, ky / n)
+                    label = classify(point, n, c)
+                    histogram[label.value] += 1
+                    assert list(DomainLabel)[domains[kx, ky]] is label
+                    assert list(YellowLabel)[areas[kx, ky]] is classify_yellow(point, c)
+            assert histogram == report.label_histogram
 
     def test_multiply_covered_points_real(self):
         n = 128

@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_duel, oracle_pmf
+from conftest import difference_distribution, oracle_duel, oracle_pmf
 from fetsim.duel import (
     BERRY_ESSEEN_C,
     DuelProbs,
     advantage,
     binomial_pmf,
     binomial_pmf_vector,
-    difference_distribution,
     exact_duel,
     hoeffding_duel_bound,
     normal_cdf,

@@ -23,8 +23,8 @@ from fetsim.harness import (
     verify_red,
     verify_yellow,
 )
-from fetsim.domains import DomainLabel
-from fetsim.dynamics import AnalysisConstants
+from fetsim.domains import DomainLabel, classify
+from fetsim.dynamics import AnalysisConstants, expected_next_fraction
 
 
 class TestPlanting:
@@ -85,6 +85,23 @@ class TestCyan:
         assert result["violations"] == 0
         assert result["grid_points_checked"] > 0
         assert result["worst_margin"] > 0
+
+    @pytest.mark.parametrize("n, delta", [(512, 0.05), (1024, 0.1)])
+    def test_expectation_grid_matches_pointwise_loop(self, n, delta):
+        # The band labelled in one array call visits the same Cyan1
+        # points as a loop over the band with the scalar classifier.
+        c = AnalysisConstants.for_population(n, delta=delta, c_sample=3.0)
+        ell, log_n, reach = c.ell, math.log(n), math.ceil(delta * n)
+        margins = []
+        for k_y in range(1, n // ell + 1):
+            for k_t in range(max(0, k_y - reach), min(math.ceil(n / log_n) - 1, k_y + reach) + 1):
+                if classify((k_t / n, k_y / n), n, c) is DomainLabel.CYAN1:
+                    g = expected_next_fraction(k_t / n, k_y / n, n, ell)
+                    margins.append(g - (c.K * (k_y / n) * log_n - 1.0 / n))
+        result = cyan_expectation_check(n, delta=delta, c_sample=3.0)
+        assert result["grid_points_checked"] == len(margins) > 0
+        assert result["worst_margin"] == min(margins)
+        assert result["violations"] == sum(m < 0 for m in margins)
 
 
 class TestSweeps:

@@ -7,19 +7,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import oracle_pmf_vector
+from conftest import AgentState, agent_round, mirror_population, oracle_pmf_vector
 from fetsim.domains import DomainLabel
 from fetsim.dynamics import expected_next_fraction, flip_probs
 from fetsim.errors import DomainError, UsageError
 from fetsim.protocol import (
-    AgentState,
     Population,
     SimConfig,
     _step_class_counts,
-    agent_round,
     derive_rng,
     init_adversarial,
-    mirror_population,
     run_trial,
     step_agent_level,
     step_aggregate,
@@ -292,6 +289,12 @@ class TestInitPresets:
         with pytest.raises(UsageError):
             init_adversarial("nonsense", self.cfg(), derive_rng(2, "i"))
 
+    @pytest.mark.parametrize("preset", ["fraction:abc", "fraction:", "fraction:1.5",
+                                        ("fraction", "abc"), ("fraction",)])
+    def test_bad_fraction_is_usage_error(self, preset):
+        with pytest.raises(UsageError):
+            init_adversarial(preset, self.cfg(), derive_rng(2, "j"))
+
 
 class TestRunTrial:
     def test_all_correct_start_converges_at_zero(self):
@@ -314,6 +317,21 @@ class TestRunTrial:
         assert all(r.domain is not None for r in traj.rows[:-1])
         assert traj.rows[-1].domain is None
         assert traj.rows[0].domain is DomainLabel.CYAN1
+
+    @pytest.mark.parametrize("backend", ["agent", "aggregate"])
+    @pytest.mark.parametrize("source_opinion", [0, 1])
+    def test_trajectory_ends_at_consensus(self, backend, source_opinion):
+        # All-correct is absorbing, so the trial stops at the first
+        # consensus round and that row is the last.
+        config = SimConfig(
+            n=64, ell=8, seed=6, backend=backend, source_opinion=source_opinion
+        )
+        for t in range(5):
+            traj = run_trial(config, "all_wrong_max_counters", trial=t)
+            assert traj.converged_round is not None
+            assert len(traj.rows) == traj.converged_round + 1
+            assert traj.rows[-1].x == source_opinion
+            assert all(r.x != source_opinion for r in traj.rows[:-1])
 
     def test_cap_without_consensus_is_not_an_error(self):
         # The naive comparison variant with a hostile start may stall;
@@ -434,6 +452,16 @@ class TestConfigValidation:
             SimConfig(n=16, ell=4, backend="warp")
         with pytest.raises(UsageError):
             SimConfig(n=16, ell=4, source_opinion=2)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n", 64.0), ("ell", 4.0), ("max_rounds", 2.5), ("seed", "x"),
+         ("source_opinion", True), ("delta", "abc"), ("c_sample", None)],
+    )
+    def test_wrong_type_rejected(self, field, value):
+        kwargs = {"n": 16, "ell": 4, field: value}
+        with pytest.raises(UsageError, match=field):
+            SimConfig(**kwargs)
 
     def test_naive_variant_needs_agent_backend(self):
         # The aggregate backend only implements FET rounds.
