@@ -8,7 +8,6 @@ from .domains import DomainLabel, GridPoint, YellowLabel, audit_partition, class
 from .duel import (
     DuelProbs,
     advantage,
-    binomial_pmf,
     exact_duel,
     hoeffding_duel_bound,
     underdog_lower_bound,
@@ -53,7 +52,6 @@ __all__ = [
     "absorption_times",
     "advantage",
     "audit_partition",
-    "binomial_pmf",
     "build_kernel",
     "classify",
     "exact_duel",

@@ -149,12 +149,13 @@ def _cmd_simulate(args) -> int:
     config = _sim_config_from_settings(settings)
     preset = settings.get("preset", "all_wrong")
     out_dir = Path(args.out) if args.out else Path("simulate-out")
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     summary_rows = []
     domain_visits: dict[str, int] = {}
     for t in range(trials):
         traj = run_trial(config, preset, trial=t)
+        if t == 0:  # trial 0 has built the preset, so a bad one leaves no directory
+            out_dir.mkdir(parents=True, exist_ok=True)
         with (out_dir / f"trial_{t}.csv").open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["round", "x_t", "domain", "yellow_label"])

@@ -20,19 +20,29 @@ Example::
 
 from __future__ import annotations
 
+import math
 import numbers
 from pathlib import Path
 
 from .errors import UsageError
 
-__all__ = ["check_number", "parse_config_file", "parse_value"]
+__all__ = ["check_delta", "check_number", "parse_config_file", "parse_value"]
 
 
 def check_number(name: str, value, kind: type = numbers.Real) -> None:
-    """Raise a UsageError unless value is a number of kind (bools are not)."""
+    """Raise a UsageError unless value is a finite number of kind (bools are not)."""
     if isinstance(value, bool) or not isinstance(value, kind):
         noun = "an integer" if kind is numbers.Integral else "a real number"
         raise UsageError(f"{name} must be {noun}, got {value!r}")
+    if not isinstance(value, numbers.Integral) and not math.isfinite(value):
+        raise UsageError(f"{name} must be finite, got {value!r}")
+
+
+def check_delta(value) -> None:
+    """Raise a UsageError unless the partition margin delta is in (0, 1/2)."""
+    check_number("delta", value)
+    if not 0.0 < value < 0.5:
+        raise UsageError(f"delta must be in (0, 1/2), got {value!r}")
 
 
 def parse_value(raw: str):

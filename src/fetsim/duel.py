@@ -12,9 +12,13 @@ concurrent use.
 
 The exact triple is computed from the two probability mass functions,
 which are themselves evaluated in log space for numerical stability.
-Closed-form lower bounds on the favorite's and the underdog's win
-probability are provided alongside, expressed through the Hoeffding
-tail and a Berry-Esseen normal correction respectively.
+``duel_table`` gives the triples for every pair of two count vectors at
+once, from one pmf table per vector and three matrix products; grids
+(the pair-state kernel, the Cyan expectation check) use it instead of
+one scalar duel per point.  Closed-form lower bounds on the favorite's
+and the underdog's win probability are provided alongside, expressed
+through the Hoeffding tail and a Berry-Esseen normal correction
+respectively.
 """
 
 from __future__ import annotations
@@ -26,14 +30,14 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import DomainError
+from .errors import DomainError, StructuralError
 
 __all__ = [
     "BERRY_ESSEEN_C",
     "DuelProbs",
     "advantage",
-    "binomial_pmf",
     "binomial_pmf_vector",
+    "duel_table",
     "exact_duel",
     "hoeffding_duel_bound",
     "normal_cdf",
@@ -122,25 +126,32 @@ def binomial_pmf_vector(k: int, p: float) -> np.ndarray:
     return np.exp(log_pmf)
 
 
-def binomial_pmf(k: int, p: float, i: int) -> float:
-    """P(Binomial(k, p) = i), evaluated stably in log space."""
-    k = _check_count("k", k)
-    p = _check_prob("p", p)
-    if not 0 <= i <= k:
-        raise DomainError(f"outcome count i must satisfy 0 <= i <= k, got {i!r}")
-    i = int(i)
-    if p == 0.0:
-        return 1.0 if i == 0 else 0.0
-    if p == 1.0:
-        return 1.0 if i == k else 0.0
+def _binomial_pmf_rows(k: int, p: np.ndarray) -> np.ndarray:
+    """Row r is the pmf of Binomial(k, p[r]), a (len(p), k+1) array.
+
+    The batched form of binomial_pmf_vector: the same log-space
+    formula, evaluated in the same order, with p = 0 and p = 1 rows set
+    to their point masses.  The logs come from math.log/math.log1p as
+    there: numpy's ufuncs differ from them in the last bit on a few
+    percent of inputs, and a kernel entry amplifies that ~100-fold.
+    """
+    i = np.arange(k + 1)
+    inner = (p > 0.0) & (p < 1.0)
+    safe = np.where(inner, p, 0.5).tolist()
+    log_p = np.array([math.log(v) for v in safe])[:, None]
+    log_q = np.array([math.log1p(-v) for v in safe])[:, None]
     log_pmf = (
-        math.lgamma(k + 1)
-        - math.lgamma(i + 1)
-        - math.lgamma(k - i + 1)
-        + i * math.log(p)
-        + (k - i) * math.log1p(-p)
+        gammaln(k + 1)
+        - gammaln(i + 1)
+        - gammaln(k - i + 1)
+        + i * log_p
+        + (k - i) * log_q
     )
-    return math.exp(log_pmf)
+    out = np.exp(log_pmf)
+    out[~inner] = 0.0
+    out[p == 0.0, 0] = 1.0
+    out[p == 1.0, k] = 1.0
+    return out
 
 
 def exact_duel(k: int, p: float, q: float) -> DuelProbs:
@@ -171,6 +182,35 @@ def exact_duel(k: int, p: float, q: float) -> DuelProbs:
 def exact_duel_cached(k: int, p: float, q: float) -> DuelProbs:
     """Memoized exact_duel for hot loops over repeated grid pairs."""
     return exact_duel(k, p, q)
+
+
+def duel_table(ell: int, a, b, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Duel triples of B_ell(a/n) against B_ell(b/n) for all count pairs.
+
+    a and b are vectors of counts in [0, n].  Returns the
+    (len(a), len(b)) arrays p_lt, p_eq, p_gt, entry [i, j] being the
+    exact_duel triple at (a[i]/n, b[j]/n): one Bin(ell, k/n) pmf table
+    per vector, then three matrix products with the table of b and its
+    CDF, clamped to [0, 1] as exact_duel clamps.  BLAS may sum in
+    another order than exact_duel's dot products, so entries can differ
+    from it in the last bits.
+    """
+    ell = _check_count("ell", ell, minimum=1)
+    n = _check_count("n", n, minimum=1)
+    a, b = np.asarray(a), np.asarray(b)
+    if np.any((a < 0) | (a > n)) or np.any((b < 0) | (b > n)):
+        raise DomainError(f"counts must lie in [0, n] = [0, {n}]")
+    pmf_a = _binomial_pmf_rows(ell, a / n)
+    pmf_b = _binomial_pmf_rows(ell, b / n)
+    cdf_b = np.cumsum(pmf_b, axis=1)
+    cdf_b_below = np.hstack([np.zeros((len(b), 1)), cdf_b[:, :-1]])
+    p_lt = np.clip(pmf_a @ (1.0 - cdf_b).T, 0.0, 1.0)
+    p_eq = np.clip(pmf_a @ pmf_b.T, 0.0, 1.0)
+    p_gt = np.clip(pmf_a @ cdf_b_below.T, 0.0, 1.0)
+    total = p_lt + p_eq + p_gt
+    if np.abs(total - 1.0).max(initial=0.0) > 1e-9:
+        raise StructuralError(f"duel triples sum to {total.min()!r}..{total.max()!r}, not 1")
+    return p_lt, p_eq, p_gt
 
 
 def hoeffding_duel_bound(k: int, p: float, q: float) -> float:

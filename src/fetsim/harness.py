@@ -15,6 +15,9 @@ properties: quantiles of the measured times are fitted against
 (ln n)^{5/2} on a log-log scale.  Only Yellow's verdict uses the fit
 (R^2 >= 0.9, slope <= SLOPE_TOLERANCE); convergence just reports it.
 
+The analytic part of the Cyan check evaluates the expectation map on
+its whole grid at once, from one batched duel table.
+
 All randomness flows through keyed Philox streams, so a report is a
 deterministic function of (parameters, seed).
 """
@@ -32,9 +35,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import check_number
+from .config import check_delta, check_number
 from .domains import DomainLabel, YellowLabel, classify, classify_array
-from .dynamics import AnalysisConstants, expected_next_fraction
+from .dynamics import AnalysisConstants, expected_next_fraction_table
 from .errors import PlantingError, UsageError
 from .protocol import SimConfig, derive_rng, run_trial, step_aggregate
 
@@ -59,7 +62,7 @@ LEMMAS = ("green", "purple", "red", "cyan", "yellow", "convergence")
 GREEN_DEFAULTS = {"n": 4096, "delta": 0.2, "trials": 400}
 PURPLE_DEFAULTS = {"n": 4096, "delta": 0.1, "trials": 400}
 RED_DEFAULTS = {"n": 8192, "delta": 0.1, "c_sample": 3.0, "trials": 400}
-CYAN_DEFAULTS = {"n": 4096, "delta": 0.05, "c_sample": 3.0, "trials": 400}
+CYAN_DEFAULTS = {"n": 4096, "delta": 0.05, "c_sample": 3.0, "trials": 400, "epsilon": 1.0}
 YELLOW_DEFAULTS = {
     "n_list": (1024, 2048, 4096, 8192),
     "delta": 0.05,
@@ -76,7 +79,7 @@ CONVERGENCE_DEFAULTS = {
     "presets": ("all_wrong_max_counters", "yellow_center", "cyan_corner"),
 }
 # Smallest accepted value of each integer parameter (per entry for n_list).
-_MINIMUMS = {"n": 2, "n_list": 2, "trials": 1, "max_rounds": 1}
+_MINIMUMS = {"n": 2, "n_list": 2, "ell": 1, "trials": 1, "max_rounds": 1}
 # Log-log slope above which a sweep no longer counts as "growing no
 # faster than C (ln n)^{5/2}" (slack over 1.0 absorbs quantile noise).
 SLOPE_TOLERANCE = 1.1
@@ -118,8 +121,9 @@ def _resolve(defaults: dict, **given) -> list:
     """The given parameters in order, each None replaced by its default.
 
     A given 0 or empty value is kept, not defaulted, so it fails here or
-    in SimConfig with a UsageError.  Counts, sweep lists and the reals
-    delta and c_sample are checked here; the rest where they are used.
+    in SimConfig with a UsageError.  Counts, sweep lists, delta (in
+    (0, 1/2)) and the positive reals c_sample and epsilon are checked
+    here; the rest where they are used.
     """
     values = []
     for key, value in given.items():
@@ -136,8 +140,12 @@ def _resolve(defaults: dict, **given) -> list:
                 check_number(key, item, numbers.Integral)
                 if item < _MINIMUMS[key]:
                     raise UsageError(f"{key} must be >= {_MINIMUMS[key]}, got {item}")
-        if key in ("delta", "c_sample"):
+        if key == "delta":
+            check_delta(value)
+        if key in ("c_sample", "epsilon"):
             check_number(key, value)
+            if not value > 0:
+                raise UsageError(f"{key} must be positive, got {value!r}")
         values.append(value)
     return values
 
@@ -236,7 +244,7 @@ def verify_green(
     start = time.perf_counter()
     n, delta, trials = _resolve(GREEN_DEFAULTS, n=n, delta=delta, trials=trials)
     needed = math.ceil((2.0 / delta**2) * math.log(n))
-    ell = needed if ell is None else ell
+    (ell,) = _resolve({"ell": needed}, ell=ell)
     if ell < needed:
         raise UsageError(f"verify_green needs ell >= (2/delta^2) ln n = {needed}, got {ell}")
 
@@ -278,8 +286,7 @@ def verify_purple(
     """
     start = time.perf_counter()
     n, delta, trials = _resolve(PURPLE_DEFAULTS, n=n, delta=delta, trials=trials)
-    if ell is None:
-        ell = math.ceil((2.0 / delta**2) * math.log(n))
+    (ell,) = _resolve({"ell": math.ceil((2.0 / delta**2) * math.log(n))}, ell=ell)
     constants = AnalysisConstants.for_population(n, delta=delta, ell=ell)
 
     def success(label: DomainLabel, y: float, x_next: float, c) -> bool:
@@ -405,34 +412,27 @@ def cyan_expectation_check(
     0 < x_{t+1} <= 1/ell, checks
     E[x_{t+2}] >= K x_{t+1} ln n - 1/n with K = c e^{-2c} / 2.
     Returns counts and the worst margin; zero violations expected.
+    Memory is that of a few arrays over the (k_t, k_y) box.
     """
     constants = AnalysisConstants.for_population(n, delta=delta, c_sample=c_sample)
     ell = constants.ell
     log_n = math.log(n)
-    k_t_max = math.ceil(n / log_n) - 1  # x_t < 1/ln n
-    k_y_max = math.floor(n / ell)  # x_{t+1} <= 1/ell
-    # The box 1 <= k_y <= k_y_max, 0 <= k_t <= k_t_max, labelled in one
-    # call on broadcast (k_y, k_t) axes; Cyan1's |x_{t+1} - x_t| < delta
+    k_t = np.arange(math.ceil(n / log_n))  # x_t < 1/ln n
+    k_y = np.arange(1, math.floor(n / ell) + 1)  # 0 < x_{t+1} <= 1/ell
+    # The whole (k_t, k_y) box is labelled in one classify_array call and
+    # its g computed from one duel table; Cyan1's |x_{t+1} - x_t| < delta
     # keeps only the diagonal band.
-    k_y, k_t = np.ogrid[1 : k_y_max + 1, 0 : k_t_max + 1]
     cyan1 = list(DomainLabel).index(DomainLabel.CYAN1)
-    cyan = classify_array(k_t / n, k_y / n, constants) == cyan1
-    violations = 0
-    worst_margin = math.inf
-    for ky, row in enumerate(cyan, start=1):
-        y = ky / n
-        for kt in np.flatnonzero(row).tolist():
-            g = expected_next_fraction(kt / n, y, n, ell)
-            required = constants.K * y * log_n - 1.0 / n
-            margin = g - required
-            worst_margin = min(worst_margin, margin)
-            if margin < 0:
-                violations += 1
+    cyan = classify_array(k_t[:, None] / n, k_y / n, constants) == cyan1
+    g = expected_next_fraction_table(k_t, k_y, n, ell)
+    margins = (g - (constants.K * (k_y / n) * log_n - 1.0 / n))[cyan]
+    violations = int((margins < 0).sum())
+    worst_margin = float(margins.min(initial=math.inf))
     return {
         "n": n,
         "ell": ell,
         "K": constants.K,
-        "grid_points_checked": int(cyan.sum()),
+        "grid_points_checked": int(margins.size),
         "violations": violations,
         "worst_margin": worst_margin,
     }
@@ -444,7 +444,7 @@ def verify_cyan(
     c_sample: float | None = None,
     trials: int | None = None,
     seed: int = 0,
-    epsilon: float = 1.0,
+    epsilon: float | None = None,
 ) -> LemmaReport:
     """Cyan bounce: simulated escape and the analytic growth inequality.
 
@@ -455,8 +455,8 @@ def verify_cyan(
     cyan_expectation_check must hold with zero violations.
     """
     start = time.perf_counter()
-    n, delta, c_sample, trials = _resolve(
-        CYAN_DEFAULTS, n=n, delta=delta, c_sample=c_sample, trials=trials
+    n, delta, c_sample, trials, epsilon = _resolve(
+        CYAN_DEFAULTS, n=n, delta=delta, c_sample=c_sample, trials=trials, epsilon=epsilon
     )
     config = SimConfig(
         n=n, c_sample=c_sample, delta=delta, seed=seed, max_rounds=1000

@@ -5,9 +5,10 @@ rounds (source opinion fixed to 1), the next count is distributed as
 
     k_{t+2} ~ 1 + Bin(k_t1 - 1, p_keep_one) + Bin(n - k_t1, p_gain_one)
 
-with flip probabilities evaluated at (k_t/n, k_t1/n).  This module
-builds that transition kernel by exact convolution of binomial pmfs,
-vectorized over k_t, solves the first-step equations for expected
+with flip probabilities evaluated at (k_t/n, k_t1/n), all taken from one
+``duel.duel_table`` over the counts 0..n.  This module builds that
+transition kernel by exact convolution of binomial pmfs, vectorized
+over k_t, solves the first-step equations for expected
 hitting times of the absorbing state (n, n) iteratively (BiCGSTAB,
 gated on the recomputed residual), and cross-validates both simulation
 backends against the solver.
@@ -28,9 +29,8 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.linalg import bicgstab
-from scipy.special import gammaln
 
-from .duel import binomial_pmf_vector
+from .duel import _binomial_pmf_rows, binomial_pmf_vector, duel_table
 from .errors import StructuralError, UsageError
 from .protocol import (
     Population,
@@ -93,45 +93,9 @@ class Kernel:
     def state_of_index(self, idx: int) -> PairState:
         return PairState(idx // self.n, idx % self.n + 1)
 
-    def next_count_distribution(self, k_t: int, k_t1: int) -> np.ndarray:
-        """Distribution of k_{t+2} over 1..n from the pair (k_t, k_t1)."""
-        row = self.matrix.getrow(self.state_index(k_t, k_t1))
-        out = np.zeros(self.n)
-        for idx, p in zip(row.indices, row.data):
-            out[idx % self.n] += p
-        return out
-
     @property
     def absorbing_index(self) -> int:
         return self.state_index(self.n, self.n)
-
-
-def _binomial_pmf_rows(k: int, p: np.ndarray) -> np.ndarray:
-    """Row r is the pmf of Binomial(k, p[r]), a (len(p), k+1) array.
-
-    The batched form of duel.binomial_pmf_vector: the same log-space
-    formula, evaluated in the same order, with p = 0 and p = 1 rows set
-    to their point masses.  The logs come from math.log/math.log1p as
-    there: numpy's ufuncs differ from them in the last bit on a few
-    percent of inputs, and a kernel entry amplifies that ~100-fold.
-    """
-    i = np.arange(k + 1)
-    inner = (p > 0.0) & (p < 1.0)
-    safe = np.where(inner, p, 0.5).tolist()
-    log_p = np.array([math.log(v) for v in safe])[:, None]
-    log_q = np.array([math.log1p(-v) for v in safe])[:, None]
-    log_pmf = (
-        gammaln(k + 1)
-        - gammaln(i + 1)
-        - gammaln(k - i + 1)
-        + i * log_p
-        + (k - i) * log_q
-    )
-    out = np.exp(log_pmf)
-    out[~inner] = 0.0
-    out[p == 0.0, 0] = 1.0
-    out[p == 1.0, k] = 1.0
-    return out
 
 
 def _convolve_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -152,10 +116,9 @@ def _convolve_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 def build_kernel(n: int, ell: int) -> Kernel:
     """Exact kernel over all pairs (k_t, k_t1) with k_t1 >= 1.
 
-    The duel triples for every pair come from two products of the
-    Bin(ell, k/n) pmf table with itself and its CDF; then, per k_t1,
-    the two binomial row pmfs and their convolution are computed for
-    all k_t at once and pruned.  The kept entries are assembled once;
+    The duel triples for every pair come from one duel_table over the
+    counts 0..n; then, per k_t1, the two binomial row pmfs and their
+    convolution are computed for all k_t at once and pruned.  The kept entries are assembled once;
     within a row they stay in successor order, which keeps the matrix
     deterministic.
     """
@@ -163,16 +126,9 @@ def build_kernel(n: int, ell: int) -> Kernel:
         raise UsageError(f"build_kernel supports n <= 256 (cost control), got {n}")
     if not 1 <= ell <= n:
         raise UsageError(f"need 1 <= ell <= n, got ell={ell}, n={n}")
-    pmf = _binomial_pmf_rows(ell, np.arange(n + 1) / n)  # row a: Bin(ell, a/n)
-    cdf = np.cumsum(pmf, axis=1)
-    cdf_below = np.hstack([np.zeros((n + 1, 1)), cdf[:, :-1]])
-    # Duel of B(a/n) against B(b/n) at [a, b], clamped as in duel.exact_duel.
-    p_lt = np.clip(pmf @ (1.0 - cdf).T, 0.0, 1.0)
-    p_eq = np.clip(pmf @ pmf.T, 0.0, 1.0)
-    p_gt = np.clip(pmf @ cdf_below.T, 0.0, 1.0)
-    total = p_lt + p_eq + p_gt
-    if np.abs(total - 1.0).max() > 1e-9:
-        raise StructuralError(f"duel triples sum to {total.min()!r}..{total.max()!r}, not 1")
+    # Duel of B(a/n) against B(b/n) at [a, b].
+    counts = np.arange(n + 1)
+    p_lt, p_eq, _ = duel_table(ell, counts, counts, n)
     gain = p_lt  # P(B(k_t1/n) > B(k_t/n))
     keep = np.minimum(gain + p_eq, 1.0)
     # block[a, j]: P(k_{t+2} = j + 1 | (a, b)), the row of state a*n + b - 1.

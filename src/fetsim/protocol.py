@@ -40,7 +40,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import check_number
+from .config import check_delta, check_number
 from .domains import DomainLabel, YellowLabel, classify, classify_yellow
 from .duel import binomial_pmf_vector
 from .dynamics import AnalysisConstants, flip_probs
@@ -108,7 +108,7 @@ class SimConfig:
             check_number(name, getattr(self, name), numbers.Integral)
         if self.ell is not None:
             check_number("ell", self.ell, numbers.Integral)
-        check_number("delta", self.delta)
+        check_delta(self.delta)
         check_number("c_sample", self.c_sample)
         if self.n < 2:
             raise UsageError(f"population size must be >= 2, got {self.n}")
@@ -381,13 +381,10 @@ def run_trial(
         pop = _check_population(initial, config)
     else:
         pop = init_adversarial(initial, config, rng)
-    try:
-        constants = config.constants()
-    except DomainError:
-        # The partition constants need ln n > 1; below that every pair
-        # is reported Unclassified rather than erroring.
-        constants = None
     n = config.n
+    # The partition constants need ln n > 1; below that (n = 2) every
+    # pair is reported Unclassified rather than erroring.
+    constants = config.constants() if math.log(n) > 1.0 else None
     target = 1.0 if config.source_opinion == 1 else 0.0
 
     xs: list[float] = [pop.fraction_ones()]

@@ -6,8 +6,9 @@ double sum, so agreement with the package is a genuine cross-check.
 The pair-state kernel oracle is the exception: it builds each row
 separately through the scalar duel path, as a reference for the
 vectorized markov.build_kernel.  The single-agent FET rule
-(``agent_round``), the population mirror and the duel difference
-distribution are kept here as references for the tests only.
+(``agent_round``), the population mirror, the duel difference
+distribution, the scalar log-space ``binomial_pmf`` and the kernel row
+reader ``next_count_distribution`` are kept here for the tests only.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from fetsim.duel import binomial_pmf_vector
+from fetsim.duel import _check_count, _check_prob, binomial_pmf_vector
 from fetsim.dynamics import flip_probs
 from fetsim.errors import DomainError
-from fetsim.markov import PRUNE_THRESHOLD
+from fetsim.markov import PRUNE_THRESHOLD, Kernel
 from fetsim.protocol import Population
 
 
@@ -33,6 +34,27 @@ def oracle_pmf(k: int, p: float, i: int) -> float:
 
 def oracle_pmf_vector(k: int, p: float) -> np.ndarray:
     return np.array([oracle_pmf(k, p, i) for i in range(k + 1)])
+
+
+def binomial_pmf(k: int, p: float, i: int) -> float:
+    """P(Binomial(k, p) = i), evaluated stably in log space."""
+    k = _check_count("k", k)
+    p = _check_prob("p", p)
+    if not 0 <= i <= k:
+        raise DomainError(f"outcome count i must satisfy 0 <= i <= k, got {i!r}")
+    i = int(i)
+    if p == 0.0:
+        return 1.0 if i == 0 else 0.0
+    if p == 1.0:
+        return 1.0 if i == k else 0.0
+    log_pmf = (
+        math.lgamma(k + 1)
+        - math.lgamma(i + 1)
+        - math.lgamma(k - i + 1)
+        + i * math.log(p)
+        + (k - i) * math.log1p(-p)
+    )
+    return math.exp(log_pmf)
 
 
 def oracle_duel(k: int, p: float, q: float) -> tuple[float, float, float]:
@@ -75,6 +97,15 @@ def oracle_kernel(n: int, ell: int) -> tuple[sparse.csr_matrix, float]:
         shape=(size, size),
     )
     return matrix, pruned
+
+
+def next_count_distribution(kernel: Kernel, k_t: int, k_t1: int) -> np.ndarray:
+    """Distribution of k_{t+2} over 1..n from the pair (k_t, k_t1)."""
+    row = kernel.matrix.getrow(kernel.state_index(k_t, k_t1))
+    out = np.zeros(kernel.n)
+    for idx, p in zip(row.indices, row.data):
+        out[idx % kernel.n] += p
+    return out
 
 
 def plant_pair_population(
@@ -155,3 +186,15 @@ def difference_distribution(k: int, p: float, q: float) -> np.ndarray:
 def prob_grid():
     """The 0.05-step probability grid used by the acceptance checks."""
     return [round(0.05 * i, 10) for i in range(21)]
+
+
+@pytest.fixture(scope="session")
+def count_vectors():
+    """(n, ell, a, b): random count vectors that include 0 and n in both."""
+    rng = np.random.default_rng(20261018)
+    cases = []
+    for n, ell in [(2, 1), (16, 4), (97, 13), (4096, 25), (8192, 80)]:
+        a = np.concatenate([[0, n], rng.integers(0, n + 1, size=30)])
+        b = np.concatenate([[n, 0], rng.integers(0, n + 1, size=20)])
+        cases.append((n, ell, a, b))
+    return cases

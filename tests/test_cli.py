@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from fetsim import harness
 from fetsim.cli import main
 from fetsim.config import parse_config_file, parse_value
 from fetsim.errors import UsageError
@@ -172,13 +173,16 @@ class TestSimulateCommand:
             ("n = 64\nell = 4.0", "ell must be an integer"),
             ("n = 64\nseed = x", "seed must be an integer"),
             ("n = 64\ndelta = abc", "delta must be a real number"),
+            ("n = 64\ndelta = 0.7", "delta must be in (0, 1/2)"),
             ("n = 64\nc_sample = abc", "c_sample must be a real number"),
+            ("n = 64\nc_sample = nan", "c_sample must be finite"),
+            ("n = 64\nc_sample = inf", "c_sample must be finite"),
             ("n = 64\nmax_rounds = 2.5", "max_rounds must be an integer"),
             ("n = 64\nsource_opinion = one", "source_opinion must be an integer"),
             ("n = 64\nbackned = agent", "backned"),
         ],
-        ids=["n_float", "ell_float", "seed_str", "delta_str", "c_sample_str",
-             "max_rounds_float", "source_str", "unknown_key"],
+        ids=["n_float", "ell_float", "seed_str", "delta_str", "delta_range", "c_sample_str",
+             "c_sample_nan", "c_sample_inf", "max_rounds_float", "source_str", "unknown_key"],
     )
     def test_bad_config_is_usage_error(self, capsys, tmp_path, lines, needle):
         cfg = tmp_path / "sim.cfg"
@@ -189,6 +193,18 @@ class TestSimulateCommand:
         assert code == 2
         assert err.startswith("error:") and needle in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("preset", ["nonsense", "fraction:abc"])
+    def test_bad_preset_leaves_no_output_directory(self, capsys, tmp_path, preset):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("n = 64\n")
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(
+            capsys, "simulate", "--config", str(cfg), "--preset", preset, "--out", str(out_dir)
+        )
+        assert code == 2
+        assert err.startswith("error:")
+        assert not out_dir.exists()
 
     def test_bad_fraction_preset_is_usage_error(self, capsys, tmp_path):
         cfg = tmp_path / "sim.cfg"
@@ -274,16 +290,43 @@ class TestVerifyCommand:
         "line, needle",
         [
             ("green_delta = abc", "delta must be a real number"),
+            ("green_delta = 0", "delta must be in (0, 1/2)"),
+            ("green_ell = abc", "ell must be an integer"),
             ("green_trails = 3", "green_trails"),
             ("trails = 3", "trails"),
             ("green_n_list = 64,128", "green_n_list"),
         ],
-        ids=["delta_str", "misspelt_param", "misspelt_global", "param_under_wrong_lemma"],
+        ids=["delta_str", "delta_zero", "ell_str", "misspelt_param", "misspelt_global", "param_under_wrong_lemma"],
     )
     def test_bad_config_is_usage_error(self, capsys, tmp_path, line, needle):
         cfg = tmp_path / "verify.cfg"
         cfg.write_text(line + "\n")
         code, out, err = run_cli(capsys, "verify", "--lemma", "green", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and needle in err
+
+    @pytest.mark.parametrize(
+        "lemma, line, needle",
+        [
+            ("purple", "purple_ell = abc", "ell must be an integer"),
+            ("purple", "purple_ell = 0", "ell must be >= 1"),
+            ("cyan", "cyan_epsilon = abc", "epsilon must be a real number"),
+            ("cyan", "cyan_epsilon = -1", "epsilon must be positive"),
+        ],
+        ids=["purple_ell_str", "purple_ell_zero", "cyan_epsilon_str", "cyan_epsilon_negative"],
+    )
+    def test_bad_parameter_rejected_before_any_trial(
+        self, capsys, tmp_path, monkeypatch, lemma, line, needle
+    ):
+        def no_trials(*_args, **_kwargs):
+            raise AssertionError("a trial ran before the parameters were checked")
+
+        monkeypatch.setattr(harness, "run_trial", no_trials)
+        monkeypatch.setattr(harness, "step_aggregate", no_trials)
+        cfg = tmp_path / "verify.cfg"
+        cfg.write_text(line + "\n")
+        code, out, err = run_cli(capsys, "verify", "--lemma", lemma, "--config", str(cfg))
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and needle in err

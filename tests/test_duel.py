@@ -7,19 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import difference_distribution, oracle_duel, oracle_pmf
+from conftest import binomial_pmf, difference_distribution, oracle_duel, oracle_pmf
 from fetsim.duel import (
     BERRY_ESSEEN_C,
     DuelProbs,
     advantage,
-    binomial_pmf,
     binomial_pmf_vector,
+    duel_table,
     exact_duel,
     hoeffding_duel_bound,
     normal_cdf,
     underdog_lower_bound,
 )
-from fetsim.errors import DomainError
+from fetsim import duel
+from fetsim.errors import DomainError, StructuralError
 
 probs = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -109,6 +110,37 @@ class TestExactDuel:
             exact_duel(0, 0.5, 0.5)
         with pytest.raises(DomainError):
             exact_duel(4, -0.1, 0.5)
+
+
+class TestDuelTable:
+    def test_matches_scalar_duel(self, count_vectors):
+        for n, ell, a, b in count_vectors:
+            table = duel_table(ell, a, b, n)
+            for arr in table:
+                assert arr.shape == (len(a), len(b))
+            for i, ka in enumerate(a):
+                for j, kb in enumerate(b):
+                    d = exact_duel(ell, ka / n, kb / n)
+                    for arr, exact in zip(table, (d.p_lt, d.p_eq, d.p_gt)):
+                        assert abs(arr[i, j] - exact) <= 1e-15
+
+    def test_empty_vector_gives_empty_table(self):
+        for arr in duel_table(4, [], [0, 3, 8], 8):
+            assert arr.shape == (0, 3)
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(DomainError):
+            duel_table(0, [1], [1], 8)
+        with pytest.raises(DomainError):
+            duel_table(4, [0, 9], [1], 8)
+        with pytest.raises(DomainError):
+            duel_table(4, [1], [-1], 8)
+
+    def test_triples_not_summing_to_one_are_structural_errors(self, monkeypatch):
+        rows = duel._binomial_pmf_rows
+        monkeypatch.setattr(duel, "_binomial_pmf_rows", lambda k, p: 0.5 * rows(k, p))
+        with pytest.raises(StructuralError):
+            duel_table(4, [1, 2], [3], 8)
 
 
 class TestHoeffdingBound:

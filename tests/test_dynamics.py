@@ -12,6 +12,7 @@ from fetsim.dynamics import (
     AnalysisConstants,
     FlipProbs,
     expected_next_fraction,
+    expected_next_fraction_table,
     fixed_point_f,
     flip_probs,
     speed,
@@ -78,6 +79,21 @@ class TestExpectedNextFraction:
         g = expected_next_fraction(x, y, n, ell)
         assert fp.p_gain_one - 1.0 / n <= g + 1e-12
         assert g <= fp.p_keep_one + 1.0 / n + 1e-12
+
+
+class TestExpectedNextFractionTable:
+    def test_matches_scalar_map(self, count_vectors):
+        for n, ell, k_t, k_t1 in count_vectors:
+            table = expected_next_fraction_table(k_t, k_t1, n, ell)
+            assert table.shape == (len(k_t), len(k_t1))
+            for i, a in enumerate(k_t):
+                for j, b in enumerate(k_t1):
+                    g = expected_next_fraction(a / n, b / n, n, ell)
+                    assert abs(table[i, j] - g) <= 1e-15
+
+    def test_population_size_checked(self):
+        with pytest.raises(DomainError):
+            expected_next_fraction_table([0, 1], [1], 1, 1)
 
 
 class TestSpeed:

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -102,6 +103,21 @@ class TestCyan:
         assert result["grid_points_checked"] == len(margins) > 0
         assert result["worst_margin"] == min(margins)
         assert result["violations"] == sum(m < 0 for m in margins)
+
+
+    def test_expectation_grid_memory_bounded(self):
+        # One duel table for the whole box: 4.2 MB peak measured at
+        # n = 4096 (46,781 Cyan1 points).  A scalar duel per point, with
+        # the LRU cache filling, peaked at 17.7 MB; gathering per-point
+        # pmf rows would need about 10 MB per table.
+        tracemalloc.start()
+        try:
+            result = cyan_expectation_check(4096, delta=0.05, c_sample=3.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result["grid_points_checked"] == 46_781
+        assert peak < 8e6
 
 
 class TestSweeps:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import AgentState, agent_round, mirror_population, oracle_pmf_vector
-from fetsim.domains import DomainLabel
+from fetsim.domains import DomainLabel, YellowLabel
 from fetsim.dynamics import expected_next_fraction, flip_probs
 from fetsim.errors import DomainError, UsageError
 from fetsim.protocol import (
@@ -332,6 +332,15 @@ class TestRunTrial:
             assert len(traj.rows) == traj.converged_round + 1
             assert traj.rows[-1].x == source_opinion
             assert all(r.x != source_opinion for r in traj.rows[:-1])
+
+    def test_two_agents_are_unclassified(self):
+        # ln 2 < 1 leaves the partition constants undefined, so pairs are
+        # labelled Unclassified instead of raising.
+        traj = run_trial(SimConfig(n=2, ell=1), "all_wrong")
+        assert traj.converged_round is not None
+        for row in traj.rows[:-1]:
+            assert row.domain is DomainLabel.UNCLASSIFIED
+            assert row.yellow is YellowLabel.OUTSIDE
 
     def test_cap_without_consensus_is_not_an_error(self):
         # The naive comparison variant with a hostile start may stall;
