@@ -17,12 +17,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
 from . import __version__
-from .config import parse_config_file
-from .domains import audit_partition, classify, classify_yellow
+from .config import check_delta, parse_config_file
+from .domains import audit_partition, classify, classify_yellow, label_path
 from .duel import exact_duel, hoeffding_duel_bound, underdog_lower_bound
 from .dynamics import (
     AnalysisConstants,
@@ -77,6 +78,7 @@ def _cmd_duel(args) -> int:
 
 
 def _cmd_dynamics(args) -> int:
+    check_delta(args.delta)
     fp = flip_probs(args.x, args.y, args.ell)
     payload = {
         "x_t": args.x,
@@ -97,6 +99,9 @@ def _cmd_dynamics(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    for flag, value in (("--x", args.x), ("--y", args.y)):
+        if not (math.isfinite(value) and 0.0 <= value <= 1.0):
+            raise UsageError(f"{flag} must be a fraction in [0, 1], got {value!r}")
     constants = AnalysisConstants.for_population(
         args.n, delta=args.delta, c_sample=args.c_sample
     )
@@ -156,23 +161,18 @@ def _cmd_simulate(args) -> int:
         traj = run_trial(config, preset, trial=t)
         if t == 0:  # trial 0 has built the preset, so a bad one leaves no directory
             out_dir.mkdir(parents=True, exist_ok=True)
+        domains, yellows = label_path(traj.counts, config.n, config.delta, config.ell)
+        # Row t holds x_t and the labels of the pair (x_t, x_{t+1}); the
+        # final row has no successor, so its labels are empty.
         with (out_dir / f"trial_{t}.csv").open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["round", "x_t", "domain", "yellow_label"])
-            for row in traj.rows:
-                writer.writerow(
-                    [
-                        row.round,
-                        repr(row.x),
-                        row.domain.value if row.domain else "",
-                        row.yellow.value if row.yellow else "",
-                    ]
-                )
-        for row in traj.rows[:-1]:
-            if row.domain is not None:
-                domain_visits[row.domain.value] = (
-                    domain_visits.get(row.domain.value, 0) + 1
-                )
+            domain_names = [label.value for label in domains] + [""]
+            yellow_names = [label.value for label in yellows] + [""]
+            for r, k in enumerate(traj.counts):
+                writer.writerow([r, repr(k / config.n), domain_names[r], yellow_names[r]])
+        for label in domains:
+            domain_visits[label.value] = domain_visits.get(label.value, 0) + 1
         summary_rows.append(traj.converged_round)
 
     converged = [r for r in summary_rows if r is not None]

@@ -61,9 +61,15 @@ def parse_value(raw: str):
 
 
 def parse_config_file(path) -> dict:
+    """Settings of a config file; an unreadable file or a repeated key is a UsageError."""
     path = Path(path)
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read config file {path}: {exc}") from None
     settings: dict = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    first_line: dict[str, int] = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -73,5 +79,11 @@ def parse_config_file(path) -> dict:
         key = key.strip()
         if not key:
             raise UsageError(f"{path}:{lineno}: empty key")
+        if key in first_line:
+            raise UsageError(
+                f"{path}:{lineno}: key {key!r} is given twice, on lines {first_line[key]} "
+                f"and {lineno}"
+            )
+        first_line[key] = lineno
         settings[key] = parse_value(raw)
     return settings

@@ -30,11 +30,14 @@ applies the fixed precedence Green > Purple > Red > Cyan > Yellow with
 the 1-variant before the 0-variant, and ``audit_partition`` quantifies
 every gap and overlap instead of hiding them.  Each definition is
 written once and evaluated on floats by the pointwise classifiers and
-on arrays by ``classify_array`` and the audit.
+on arrays by ``classify_array``, ``label_path`` and the audit.
+``label_path`` labels a simulated trial, a path of opinion-1 counts,
+pair by pair.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -52,7 +55,7 @@ __all__ = [
     "classify",
     "classify_array",
     "classify_yellow",
-    "matching_domains",
+    "label_path",
 ]
 
 
@@ -111,12 +114,6 @@ class GridPoint:
 
     def mirrored(self) -> "GridPoint":
         return GridPoint(1.0 - self.x_t, 1.0 - self.x_t1)
-
-    def on_grid(self, n: int, tol: float = 1e-12) -> bool:
-        return (
-            abs(self.x_t * n - round(self.x_t * n)) <= tol * n
-            and abs(self.x_t1 * n - round(self.x_t1 * n)) <= tol * n
-        )
 
 
 def _coords(point) -> tuple[float, float]:
@@ -212,12 +209,6 @@ def _first_true(tests) -> np.ndarray:
     return np.select(tests, range(len(tests)), len(tests))
 
 
-def matching_domains(point, n: int, constants: AnalysisConstants) -> list[DomainLabel]:
-    """All domain definitions a point satisfies, in precedence order."""
-    x, y = _coords(point)
-    return [label for label, hit in zip(DomainLabel, _domain_tests(x, y, constants)) if hit]
-
-
 def classify(point, n: int, constants: AnalysisConstants) -> DomainLabel:
     """First matching domain under the fixed precedence, or Unclassified."""
     if constants.n != n:
@@ -239,11 +230,6 @@ def classify_array(x: np.ndarray, y: np.ndarray, constants: AnalysisConstants) -
     return _first_true(_domain_tests(x, y, constants))
 
 
-def in_yellow_prime(point, constants: AnalysisConstants) -> bool:
-    """Membership in the square box Yellow' = [1/2-4d, 1/2+4d]^2."""
-    return _in_box(*_coords(point), constants)
-
-
 def classify_yellow(point, constants: AnalysisConstants) -> YellowLabel:
     """A/B/C sub-area of Yellow', with precedence A > B > C, 1-variant first."""
     x, y = _coords(point)
@@ -254,6 +240,31 @@ def classify_yellow(point, constants: AnalysisConstants) -> YellowLabel:
             return label
     # The six conditions tile the box; reaching here would be a logic bug.
     raise AssertionError(f"point {(x, y)} in Yellow' matched no A/B/C area")
+
+
+def label_path(
+    counts, n: int, delta: float, ell: int
+) -> tuple[list[DomainLabel], list[YellowLabel]]:
+    """Domain and Yellow' area of each consecutive pair of a count path.
+
+    Pair t is (counts[t]/n, counts[t+1]/n), so a path of T+1 counts has
+    T labels of each kind; the partition constants are those of
+    (n, delta, ell).  They need ln n > 1: at n = 2 every pair is
+    Unclassified and outside Yellow'.
+    """
+    pairs = len(counts) - 1
+    if math.log(n) <= 1.0:
+        return [DomainLabel.UNCLASSIFIED] * pairs, [YellowLabel.OUTSIDE] * pairs
+    constants = AnalysisConstants.for_population(n, delta=delta, ell=ell)
+    k = np.asarray(counts, dtype=np.int64)
+    x, y = k[:-1] / n, k[1:] / n
+    outside = len(YellowLabel) - 1
+    areas = np.where(_in_box(x, y, constants), _first_true(_yellow_area_tests(x, y)), outside)
+    domains, yellows = tuple(DomainLabel), tuple(YellowLabel)
+    return (
+        [domains[i] for i in classify_array(x, y, constants)],
+        [yellows[i] for i in areas],
+    )
 
 
 @dataclass

@@ -83,20 +83,6 @@ class DuelProbs:
         if abs(total - 1.0) > 1e-9:
             raise DomainError(f"DuelProbs does not sum to 1: {total!r}")
 
-    @property
-    def p_geq(self) -> float:
-        """P(first >= second)."""
-        return self.p_gt + self.p_eq
-
-    @property
-    def p_leq(self) -> float:
-        """P(first <= second)."""
-        return self.p_lt + self.p_eq
-
-    def swapped(self) -> "DuelProbs":
-        """The duel with the two binomial parameters exchanged."""
-        return DuelProbs(p_lt=self.p_gt, p_eq=self.p_eq, p_gt=self.p_lt)
-
 
 def binomial_pmf_vector(k: int, p: float) -> np.ndarray:
     """Full pmf of Binomial(k, p) as a length k+1 array.

@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import check_delta, check_number
-from .domains import DomainLabel, YellowLabel, classify, classify_array
+from .domains import DomainLabel, YellowLabel, classify, classify_array, label_path
 from .dynamics import AnalysisConstants, expected_next_fraction_table
 from .errors import PlantingError, UsageError
 from .protocol import SimConfig, derive_rng, run_trial, step_aggregate
@@ -185,6 +185,30 @@ def plant_pair(
     return k_x, k_y
 
 
+def _point_row(
+    k_x: int,
+    k_y: int,
+    n: int,
+    label: DomainLabel,
+    trials: int,
+    failures: int,
+    threshold: float,
+) -> dict:
+    """One pointwise report row; PASS iff the failure fraction is <= threshold."""
+    frac = failures / trials
+    return {
+        "point_x": k_x / n,
+        "point_y": k_y / n,
+        "domain": label.value,
+        "trials": trials,
+        "failures": failures,
+        "failure_fraction": frac,
+        "threshold": threshold,
+        "empirical_exponent_floor": _empirical_exponent(failures, trials, n),
+        "verdict": "PASS" if frac <= threshold else "FAIL",
+    }
+
+
 def _one_round_points(
     lemma: str,
     n: int,
@@ -195,37 +219,24 @@ def _one_round_points(
     planted: list[tuple[float, float, DomainLabel]],
     success_fn,
 ) -> tuple[list[dict], bool]:
-    """Shared loop for the one-round lemmas (Green, Purple)."""
+    """Shared loop for the one-round lemmas (Green, Purple).
+
+    success_fn(label, k_y, k_next) judges one round from the planted
+    pair (k_x, k_y) to the next opinion-1 count k_next.
+    """
     constants = AnalysisConstants.for_population(n, delta=delta, ell=ell)
     config = SimConfig(n=n, ell=ell, delta=delta, seed=seed)
     gate = _whp_threshold(n, trials)
     rows = []
-    all_pass = True
     for x, y, label in planted:
         k_x, k_y = plant_pair(n, constants, x, y, label)
         rng = derive_rng(seed, lemma, k_x, k_y)
         failures = 0
         for _ in range(trials):
-            x_next = step_aggregate(k_x / n, k_y / n, config, rng)
-            if not success_fn(label, k_y / n, x_next, constants):
+            if not success_fn(label, k_y, step_aggregate(k_x, k_y, config, rng)):
                 failures += 1
-        frac = failures / trials
-        verdict = "PASS" if frac <= gate else "FAIL"
-        all_pass &= verdict == "PASS"
-        rows.append(
-            {
-                "point_x": k_x / n,
-                "point_y": k_y / n,
-                "domain": label.value,
-                "trials": trials,
-                "failures": failures,
-                "failure_fraction": frac,
-                "threshold": gate,
-                "empirical_exponent_floor": _empirical_exponent(failures, trials, n),
-                "verdict": verdict,
-            }
-        )
-    return rows, all_pass
+        rows.append(_point_row(k_x, k_y, n, label, trials, failures, gate))
+    return rows, all(row["verdict"] == "PASS" for row in rows)
 
 
 def verify_green(
@@ -248,10 +259,8 @@ def verify_green(
     if ell < needed:
         raise UsageError(f"verify_green needs ell >= (2/delta^2) ln n = {needed}, got {ell}")
 
-    def success(label: DomainLabel, _y: float, x_next: float, _c) -> bool:
-        if label is DomainLabel.GREEN1:
-            return x_next == 1.0
-        return x_next == 1.0 / n
+    def success(label: DomainLabel, _k_y: int, k_next: int) -> bool:
+        return k_next == (n if label is DomainLabel.GREEN1 else 1)
 
     planted = [
         (0.2, 0.5, DomainLabel.GREEN1),
@@ -289,9 +298,9 @@ def verify_purple(
     (ell,) = _resolve({"ell": math.ceil((2.0 / delta**2) * math.log(n))}, ell=ell)
     constants = AnalysisConstants.for_population(n, delta=delta, ell=ell)
 
-    def success(label: DomainLabel, y: float, x_next: float, c) -> bool:
+    def success(label: DomainLabel, k_y: int, k_next: int) -> bool:
         target = DomainLabel.GREEN1 if label is DomainLabel.PURPLE1 else DomainLabel.GREEN0
-        return classify((y, x_next), n, c) is target
+        return classify((k_y / n, k_next / n), n, constants) is target
 
     boundary_x = math.ceil(n / math.log(n)) / n
     planted = [
@@ -348,40 +357,24 @@ def verify_red(
         (0.83, 0.88, DomainLabel.RED0),
     ]
     rows = []
-    all_pass = True
     exit_tally: dict[str, int] = {}
     for x, y, label in planted:
         k_x, k_y = plant_pair(n, constants, x, y, label)
         rng = derive_rng(seed, "red", k_x, k_y)
         failures = 0
         for _ in range(trials):
-            pair = (k_x / n, k_y / n)
+            pair = (k_x, k_y)
             rounds = 0
-            current = classify(pair, n, constants)
+            current = label
             while current in red and rounds < 10 * math.ceil(bound):
-                x_next = step_aggregate(pair[0], pair[1], config, rng)
-                pair = (pair[1], x_next)
-                current = classify(pair, n, constants)
+                pair = (pair[1], step_aggregate(*pair, config, rng))
+                current = classify((pair[0] / n, pair[1] / n), n, constants)
                 rounds += 1
             exit_tally[current.value] = exit_tally.get(current.value, 0) + 1
             if rounds >= bound or current in forbidden:
                 failures += 1
-        frac = failures / trials
-        verdict = "PASS" if failures == 0 else "FAIL"
-        all_pass &= verdict == "PASS"
-        rows.append(
-            {
-                "point_x": k_x / n,
-                "point_y": k_y / n,
-                "domain": label.value,
-                "trials": trials,
-                "failures": failures,
-                "failure_fraction": frac,
-                "threshold": 0.0,
-                "empirical_exponent_floor": _empirical_exponent(failures, trials, n),
-                "verdict": verdict,
-            }
-        )
+        rows.append(_point_row(k_x, k_y, n, label, trials, failures, 0.0))
+    all_pass = all(row["verdict"] == "PASS" for row in rows)
     return LemmaReport(
         lemma="red",
         params={
@@ -471,9 +464,8 @@ def verify_cyan(
     gamma_crossed = 0
     gamma_then_above_half = 0
     for t in range(trials):
-        traj = run_trial(config, "cyan_corner", trial=t)
-        labels = [row.domain for row in traj.rows[:-1]]
-        xs = [row.x for row in traj.rows]
+        counts = run_trial(config, "cyan_corner", trial=t).counts
+        labels, _ = label_path(counts, n, delta, config.ell)
         t0 = next((i for i, lab in enumerate(labels) if lab is DomainLabel.CYAN1), None)
         if t0 is None:
             failures += 1
@@ -493,20 +485,16 @@ def verify_cyan(
         # already exceeds gamma, and how often x_{t+2} > 1/2 follows.
         # At desk scale gamma is tiny, so the observed frequency is data
         # for the report, not a verdict input.
-        crossings = [i for i in range(t0, t1) if xs[i + 1] > gamma]
+        crossings = [i for i in range(t0, t1) if counts[i + 1] / n > gamma]
         if crossings:
             gamma_crossed += 1
             first = crossings[0]
-            if first + 2 < len(xs) and xs[first + 2] > 0.5:
+            if first + 2 < len(counts) and counts[first + 2] / n > 0.5:
                 gamma_then_above_half += 1
     gate = _whp_threshold(n, trials, epsilon)
-    frac = failures / trials
-    sim_ok = frac <= gate
-
+    row = _point_row(1, 1, n, DomainLabel.CYAN1, trials, failures, gate)
     analytic = cyan_expectation_check(n, delta=delta, c_sample=c_sample)
-    analytic_ok = analytic["violations"] == 0
-
-    corner = 1.0 / n
+    ok = row["verdict"] == "PASS" and analytic["violations"] == 0
     return LemmaReport(
         lemma="cyan",
         params={
@@ -519,19 +507,7 @@ def verify_cyan(
             "exit_round_bound": bound,
         },
         kind="pointwise",
-        points=[
-            {
-                "point_x": corner,
-                "point_y": corner,
-                "domain": DomainLabel.CYAN1.value,
-                "trials": trials,
-                "failures": failures,
-                "failure_fraction": frac,
-                "threshold": gate,
-                "empirical_exponent_floor": _empirical_exponent(failures, trials, n),
-                "verdict": "PASS" if sim_ok else "FAIL",
-            }
-        ],
+        points=[row],
         details={
             "exit_label_tally": exit_tally,
             "max_exit_rounds": max(exit_rounds) if exit_rounds else None,
@@ -542,7 +518,7 @@ def verify_cyan(
                 "next_fraction_above_half_after_first_crossing": gamma_then_above_half,
             },
         },
-        verdict="PASS" if (sim_ok and analytic_ok) else "FAIL",
+        verdict="PASS" if ok else "FAIL",
         runtime_s=time.perf_counter() - start,
     )
 
@@ -608,8 +584,8 @@ def verify_yellow(
         escapes = []
         b_dwells = []
         for t in range(trials):
-            traj = run_trial(config, "yellow_center", trial=t)
-            yellows = [row.yellow for row in traj.rows[:-1]]
+            counts = run_trial(config, "yellow_center", trial=t).counts
+            _, yellows = label_path(counts, n, delta, config.ell)
             esc = next(
                 (i for i, lab in enumerate(yellows) if lab is YellowLabel.OUTSIDE),
                 None,
@@ -619,7 +595,7 @@ def verify_yellow(
                 esc = max_rounds
             escapes.append(esc)
             longest = current = 0
-            for lab in yellows[: esc if esc is not None else len(yellows)]:
+            for lab in yellows[:esc]:
                 if lab in (YellowLabel.B1, YellowLabel.B0):
                     current += 1
                     longest = max(longest, current)

@@ -11,7 +11,9 @@ transition kernel by exact convolution of binomial pmfs, vectorized
 over k_t, solves the first-step equations for expected
 hitting times of the absorbing state (n, n) iteratively (BiCGSTAB,
 gated on the recomputed residual), and cross-validates both simulation
-backends against the solver.
+backends against the solver.  The simulations run the protocol's own
+rounds: ``step_agent_level`` on a batch of populations, and
+``run_trial`` for the aggregate backend.
 
 The pair-state chain assumes the stored counters are i.i.d.
 Bin(ell, k_t/n), which holds after any round but not for an adversarial
@@ -32,13 +34,7 @@ from scipy.sparse.linalg import bicgstab
 
 from .duel import _binomial_pmf_rows, binomial_pmf_vector, duel_table
 from .errors import StructuralError, UsageError
-from .protocol import (
-    Population,
-    SimConfig,
-    _step_class_counts,
-    derive_rng,
-    step_aggregate,
-)
+from .protocol import Population, SimConfig, derive_rng, run_trial, step_agent_level
 
 __all__ = [
     "Kernel",
@@ -246,53 +242,38 @@ def _simulate_hitting_times(
 ) -> np.ndarray:
     """Consensus rounds from the all-wrong start, one entry per trial.
 
-    Agent-level trials run in lockstep as one vectorized batch; the
-    aggregate backend draws its first round from the class counts and
-    then steps pairs.
+    Agent-level trials run in lockstep: step_agent_level advances the
+    (active trials, n) population on one stream, and converged trials
+    leave the batch.  Aggregate trials are run_trial's, on its
+    per-trial streams.
     """
     config = SimConfig(n=n, ell=ell, backend=backend, seed=seed, max_rounds=max_rounds)
-    if backend == "agent":
-        rng = derive_rng(seed, "hitting", backend)
-        opinions = np.zeros((trials, n), dtype=np.uint8)
-        opinions[:, 0] = 1
-        counters = np.zeros((trials, n), dtype=np.int32)
-        times = np.full(trials, -1, dtype=np.int64)
-        active = np.arange(trials)
-        for round_idx in range(1, max_rounds + 1):
-            m = active.size
-            if m == 0:
-                break
-            idx = rng.integers(0, n, size=(m, n, 2 * ell))
-            obs = opinions[active][np.arange(m)[:, None, None], idx]
-            c_fresh = obs[:, :, :ell].sum(axis=2, dtype=np.int32)
-            c_store = obs[:, :, ell:].sum(axis=2, dtype=np.int32)
-            prev = counters[active]
-            cur = opinions[active]
-            new_op = np.where(c_fresh > prev, 1, np.where(c_fresh < prev, 0, cur))
-            new_op = new_op.astype(np.uint8)
-            new_op[:, 0] = 1
-            opinions[active] = new_op
-            counters[active] = c_store
-            done = new_op.sum(axis=1) == n
-            times[active[done]] = round_idx
-            active = active[~done]
-        if active.size:
-            raise StructuralError(
-                f"{active.size} agent-level trial(s) did not converge in {max_rounds} rounds"
-            )
+    if backend == "aggregate":
+        times = np.empty(trials, dtype=np.int64)
+        for t in range(trials):
+            converged = run_trial(config, "all_wrong", trial=t).converged_round
+            if converged is None:
+                raise StructuralError(f"aggregate trial {t} did not converge")
+            times[t] = converged
         return times
-    times = np.empty(trials, dtype=np.int64)
-    opinions = np.zeros(n, dtype=np.uint8)
-    opinions[0] = 1
-    all_wrong = Population(opinions, np.zeros(n, dtype=np.int32))
-    for t in range(trials):
-        rng = derive_rng(seed, "hitting", backend, t)
-        xs = [1.0 / n, _step_class_counts(all_wrong, config, rng) / n]
-        while xs[-1] != 1.0 and len(xs) <= max_rounds:
-            xs.append(step_aggregate(xs[-2], xs[-1], config, rng))
-        if xs[-1] != 1.0:
-            raise StructuralError(f"aggregate trial {t} did not converge")
-        times[t] = len(xs) - 1  # first round with fraction exactly 1
+    rng = derive_rng(seed, "hitting", backend)
+    opinions = np.zeros((trials, n), dtype=np.uint8)
+    opinions[:, 0] = 1
+    pop = Population(opinions, np.zeros((trials, n), dtype=np.int32))
+    times = np.full(trials, -1, dtype=np.int64)
+    active = np.arange(trials)
+    for round_idx in range(1, max_rounds + 1):
+        if active.size == 0:
+            break
+        pop = step_agent_level(pop, config, rng)
+        done = pop.opinions.sum(axis=1) == n
+        times[active[done]] = round_idx
+        active = active[~done]
+        pop = Population(pop.opinions[~done], pop.prev_counts[~done])
+    if active.size:
+        raise StructuralError(
+            f"{active.size} agent-level trial(s) did not converge in {max_rounds} rounds"
+        )
     return times
 
 

@@ -14,17 +14,22 @@ then store the fresh c'' for the next round.  The source agent ignores
 the rule and keeps the correct opinion throughout.
 
 Two backends are provided.  The agent-level backend executes the rule
-faithfully, including arbitrary adversarial counter memory.  The
-aggregate backend reads the agents only once, to bin them for round 1.
-Agents sample with replacement, so given the population an agent's two
+faithfully, including arbitrary adversarial counter memory, on one
+population or on a batch of them (leading trial axes).  The aggregate
+backend reads the agents only once, to bin them for round 1.  Agents
+sample with replacement, so given the population an agent's two
 half-counts are independent Bin(ell, x_t) draws: the histogram of
 non-source agents over (opinion, stored counter), 2(ell+1) integers,
 is an exact sufficient statistic for one round, adversarial counters
 included.  The first round is drawn from that histogram.  Afterwards
 every stored counter is an independent Bin(ell, x_t) draw, so each
-later round is two binomial draws over the pair of fractions
-(x_t, x_{t+1}); the test suite checks both laws against the agent
+later round is two binomial draws over the pair of opinion-1 counts
+(k_t, k_{t+1}); the test suite checks both laws against the agent
 level.
+
+A trial is the path of opinion-1 counts, one integer per round.
+Labelling its pairs with the domain partition is the caller's business
+(``domains.label_path``).
 
 Randomness is drawn from counter-based Philox streams keyed by hashes
 of (seed, trial, ...), so parallel trials are reproducible
@@ -36,12 +41,12 @@ from __future__ import annotations
 import hashlib
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+import operator
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import check_delta, check_number
-from .domains import DomainLabel, YellowLabel, classify, classify_yellow
 from .duel import binomial_pmf_vector
 from .dynamics import AnalysisConstants, flip_probs
 from .errors import DomainError, UsageError
@@ -50,7 +55,6 @@ __all__ = [
     "Population",
     "SimConfig",
     "Trajectory",
-    "TrajectoryRow",
     "derive_rng",
     "init_adversarial",
     "run_trial",
@@ -136,10 +140,14 @@ class SimConfig:
 
 @dataclass
 class Population:
-    """Vectorized population state; agent 0 is the source."""
+    """Vectorized population state; agent 0 is the source.
 
-    opinions: np.ndarray  # uint8, shape (n,)
-    prev_counts: np.ndarray  # int32, shape (n,)
+    The last axis runs over agents; any leading axes index independent
+    trials, so a (trials, n) state steps a batch of populations at once.
+    """
+
+    opinions: np.ndarray  # uint8, shape (..., n)
+    prev_counts: np.ndarray  # int32, shape (..., n)
 
     def __post_init__(self) -> None:
         self.opinions = np.asarray(self.opinions, dtype=np.uint8)
@@ -149,10 +157,8 @@ class Population:
 
     @property
     def n(self) -> int:
-        return self.opinions.shape[0]
-
-    def fraction_ones(self) -> float:
-        return float(self.opinions.sum()) / self.n
+        """Agents per trial."""
+        return self.opinions.shape[-1]
 
 
 def step_agent_level(
@@ -162,32 +168,31 @@ def step_agent_level(
 ) -> Population:
     """One synchronous round: all reads against the pre-step population.
 
-    Each agent draws its samples uniformly with replacement over all n
-    agents (itself included).  The 2*ell draws are i.i.d., so taking
-    the first ell as S' and the rest as S'' is distributionally the
-    same as a uniformly random split of the multiset.
+    Each agent draws its samples uniformly with replacement over the n
+    agents of its own trial (itself included), one
+    ``rng.integers(0, n, size=(*trials, n, 2*ell))`` call for the whole
+    batch.  The 2*ell draws are i.i.d., so taking the first ell as S'
+    and the rest as S'' is distributionally the same as a uniformly
+    random split of the multiset.
     """
     n = pop.n
     ell = config.ell
-    if config.variant == "naive":
-        # Comparison variant with a single shared sample per round: the
-        # fresh count is both compared and stored, which correlates
-        # consecutive opinions.  Excluded from all acceptance checks.
-        idx = rng.integers(0, n, size=(n, ell))
-        counts = pop.opinions[idx].sum(axis=1, dtype=np.int32)
-        c_fresh = counts
-        c_store = counts
-    else:
-        idx = rng.integers(0, n, size=(n, 2 * ell))
-        obs = pop.opinions[idx]
-        c_fresh = obs[:, :ell].sum(axis=1, dtype=np.int32)
-        c_store = obs[:, ell:].sum(axis=1, dtype=np.int32)
+    # The naive comparison variant has a single shared sample per round:
+    # the fresh count is both compared and stored, which correlates
+    # consecutive opinions.  Excluded from all acceptance checks.
+    width = ell if config.variant == "naive" else 2 * ell
+    idx = rng.integers(0, n, size=(*pop.opinions.shape, width))
+    obs = np.take_along_axis(
+        pop.opinions, idx.reshape(*pop.opinions.shape[:-1], -1), axis=-1
+    ).reshape(idx.shape)
+    c_fresh = obs[..., :ell].sum(axis=-1, dtype=np.int32)
+    c_store = obs[..., -ell:].sum(axis=-1, dtype=np.int32)
     new_op = np.where(
         c_fresh > pop.prev_counts,
         1,
         np.where(c_fresh < pop.prev_counts, 0, pop.opinions),
     ).astype(np.uint8)
-    new_op[SOURCE_INDEX] = config.source_opinion
+    new_op[..., SOURCE_INDEX] = config.source_opinion
     return Population(new_op, c_store)
 
 
@@ -221,39 +226,37 @@ def _step_class_counts(
     return int(rng.binomial(hist, probs).sum()) + config.source_opinion
 
 
-def _count_from_fraction(x: float, n: int, what: str) -> int:
-    k = x * n
-    if abs(k - round(k)) > 1e-9:
-        raise DomainError(f"{what}={x} is not on the grid of multiples of 1/{n}")
-    return int(round(k))
-
-
 def step_aggregate(
-    x_t: float,
-    x_t1: float,
+    k_t: int,
+    k_t1: int,
     config: SimConfig,
     rng: np.random.Generator,
-) -> float:
+) -> int:
     """One round at the pair level: two binomial draws over flip counts.
 
-    With source opinion 1 the next count is
-    1 + Bin(n*x_{t+1} - 1, p_keep_one) + Bin(n*(1 - x_{t+1}), p_gain_one);
-    source opinion 0 runs the mirrored computation.
+    k_t and k_t1 are the opinion-1 counts of rounds t and t+1.  With
+    source opinion 1 the next count is
+    1 + Bin(k_t1 - 1, p_keep_one) + Bin(n - k_t1, p_gain_one), the flip
+    probabilities taken at (k_t/n, k_t1/n); with source opinion 0 the
+    same draw runs on the 0-opinion counts n - k.
     """
     n = config.n
-    if config.source_opinion == 0:
-        mirrored = replace(config, source_opinion=1)
-        return 1.0 - step_aggregate(1.0 - x_t, 1.0 - x_t1, mirrored, rng)
-    k_t = _count_from_fraction(x_t, n, "x_t")
-    k_t1 = _count_from_fraction(x_t1, n, "x_t1")
+    try:
+        k_t, k_t1 = operator.index(k_t), operator.index(k_t1)
+    except TypeError:
+        raise DomainError(f"counts must be integers, got k_t={k_t!r}, k_t1={k_t1!r}") from None
+    if not (0 <= k_t <= n and 0 <= k_t1 <= n):
+        raise DomainError(f"counts must lie in [0, n={n}], got k_t={k_t}, k_t1={k_t1}")
+    mirror = config.source_opinion == 0
+    if mirror:
+        k_t, k_t1 = n - k_t, n - k_t1
     if k_t1 < 1:
-        raise DomainError(
-            "x_t1 must count the source's opinion: need x_t1 >= 1/n with source opinion 1"
-        )
+        raise DomainError("k_t1 must count the source: at least one agent holds its opinion")
     fp = flip_probs(k_t / n, k_t1 / n, config.ell)
     ones_keep = int(rng.binomial(k_t1 - 1, fp.p_keep_one)) if k_t1 > 1 else 0
     ones_gain = int(rng.binomial(n - k_t1, fp.p_gain_one)) if k_t1 < n else 0
-    return (1 + ones_keep + ones_gain) / n
+    k_next = 1 + ones_keep + ones_gain
+    return n - k_next if mirror else k_next
 
 
 def _check_population(pop: Population, config: SimConfig) -> Population:
@@ -337,25 +340,17 @@ def init_adversarial(
     raise UsageError(f"unknown preset {preset!r}; known: {PRESETS}, fraction:X, explicit")
 
 
-@dataclass(frozen=True)
-class TrajectoryRow:
-    round: int
-    x: float
-    domain: DomainLabel | None
-    yellow: YellowLabel | None
-
-
 @dataclass
 class Trajectory:
-    """One trial's fraction path with per-pair domain labels.
+    """One trial's path of opinion-1 counts.
 
-    Row t carries x_t and the labels of the pair (x_t, x_{t+1}); the
-    final row's labels are None since it has no successor.
-    converged_round is the first round at which every opinion equals
-    the source's, and the final row's round when set.
+    counts[t] is the number of agents holding opinion 1 at round t, a
+    Python int.  The path ends at the first round at which every opinion
+    equals the source's, which is then converged_round, or at the round
+    cap with converged_round None.
     """
 
-    rows: list[TrajectoryRow] = field(default_factory=list)
+    counts: list[int] = field(default_factory=list)
     converged_round: int | None = None
 
 
@@ -370,8 +365,8 @@ def run_trial(
     Population, checked like an ("explicit", ...) preset.  The agent
     backend runs every round agent-level; the aggregate backend draws
     round 1 from the (opinion, stored counter) class counts and steps
-    the pair state from round 2 on.  The trial stops at the first
-    round whose fraction equals the source's opinion: all-correct is
+    the pair of counts from round 2 on.  The trial stops at the first
+    round whose count equals the source's consensus: all-correct is
     absorbing, so no later round can change it.  Hitting the cap
     without consensus yields a trajectory with converged_round = None,
     not an error.
@@ -381,29 +376,15 @@ def run_trial(
         pop = _check_population(initial, config)
     else:
         pop = init_adversarial(initial, config, rng)
-    n = config.n
-    # The partition constants need ln n > 1; below that (n = 2) every
-    # pair is reported Unclassified rather than erroring.
-    constants = config.constants() if math.log(n) > 1.0 else None
-    target = 1.0 if config.source_opinion == 1 else 0.0
+    target = config.n if config.source_opinion == 1 else 0
 
-    xs: list[float] = [pop.fraction_ones()]
-    while xs[-1] != target and len(xs) <= config.max_rounds:
+    counts = [int(pop.opinions.sum())]
+    while counts[-1] != target and len(counts) <= config.max_rounds:
         if config.backend == "agent":
             pop = step_agent_level(pop, config, rng)
-            xs.append(pop.fraction_ones())
-        elif len(xs) == 1:
-            xs.append(_step_class_counts(pop, config, rng) / n)
+            counts.append(int(pop.opinions.sum()))
+        elif len(counts) == 1:
+            counts.append(_step_class_counts(pop, config, rng))
         else:
-            xs.append(step_aggregate(xs[-2], xs[-1], config, rng))
-
-    rows = []
-    for t, pair in enumerate(zip(xs, xs[1:])):
-        if constants is None:
-            domain, yellow = DomainLabel.UNCLASSIFIED, YellowLabel.OUTSIDE
-        else:
-            domain = classify(pair, n, constants)
-            yellow = classify_yellow(pair, constants)
-        rows.append(TrajectoryRow(round=t, x=pair[0], domain=domain, yellow=yellow))
-    rows.append(TrajectoryRow(round=len(xs) - 1, x=xs[-1], domain=None, yellow=None))
-    return Trajectory(rows, converged_round=len(xs) - 1 if xs[-1] == target else None)
+            counts.append(step_aggregate(counts[-2], counts[-1], config, rng))
+    return Trajectory(counts, converged_round=len(counts) - 1 if counts[-1] == target else None)

@@ -7,8 +7,10 @@ The pair-state kernel oracle is the exception: it builds each row
 separately through the scalar duel path, as a reference for the
 vectorized markov.build_kernel.  The single-agent FET rule
 (``agent_round``), the population mirror, the duel difference
-distribution, the scalar log-space ``binomial_pmf`` and the kernel row
-reader ``next_count_distribution`` are kept here for the tests only.
+distribution, the scalar log-space ``binomial_pmf``, the kernel row
+reader ``next_count_distribution``, the population fraction, the
+swapped duel, the grid and Yellow' membership tests and the list of
+every matching domain are kept here for the tests only.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from fetsim.duel import _check_count, _check_prob, binomial_pmf_vector
-from fetsim.dynamics import flip_probs
+from fetsim.domains import DomainLabel, GridPoint, _coords, _domain_tests, _in_box
+from fetsim.duel import DuelProbs, _check_count, _check_prob, binomial_pmf_vector
+from fetsim.dynamics import AnalysisConstants, flip_probs
 from fetsim.errors import DomainError
 from fetsim.markov import PRUNE_THRESHOLD, Kernel
 from fetsim.protocol import Population
@@ -163,6 +166,35 @@ def agent_round(
     else:
         opinion = state.opinion
     return AgentState(opinion, c_store, False)
+
+
+def fraction_ones(pop: Population) -> float:
+    """Fraction of agents holding opinion 1 in a single population."""
+    return float(pop.opinions.sum()) / pop.n
+
+
+def swapped(duel: DuelProbs) -> DuelProbs:
+    """The duel with the two binomial parameters exchanged."""
+    return DuelProbs(p_lt=duel.p_gt, p_eq=duel.p_eq, p_gt=duel.p_lt)
+
+
+def on_grid(point: GridPoint, n: int, tol: float = 1e-12) -> bool:
+    """Whether both coordinates are multiples of 1/n within tol."""
+    return (
+        abs(point.x_t * n - round(point.x_t * n)) <= tol * n
+        and abs(point.x_t1 * n - round(point.x_t1 * n)) <= tol * n
+    )
+
+
+def matching_domains(point, n: int, constants: AnalysisConstants) -> list[DomainLabel]:
+    """All domain definitions a point satisfies, in precedence order."""
+    x, y = _coords(point)
+    return [label for label, hit in zip(DomainLabel, _domain_tests(x, y, constants)) if hit]
+
+
+def in_yellow_prime(point, constants: AnalysisConstants) -> bool:
+    """Membership in the square box Yellow' = [1/2-4d, 1/2+4d]^2."""
+    return _in_box(*_coords(point), constants)
 
 
 def mirror_population(pop: Population, ell: int) -> Population:

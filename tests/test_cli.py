@@ -52,6 +52,31 @@ class TestConfigParsing:
             parse_config_file(cfg)
 
 
+def _unreadable_config(tmp_path, kind):
+    """A --config path that cannot be read as a text config file."""
+    path = tmp_path / "run.cfg"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "undecodable":
+        path.write_bytes(b"n = 64\n\xff\xfe\x80\n")
+    return path
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize("kind", ["missing", "directory", "undecodable"])
+def test_unusable_config_is_usage_error(capsys, tmp_path, command, kind):
+    cfg = _unreadable_config(tmp_path, kind)
+    out_dir = tmp_path / "out"
+    extra = ["--lemma", "green"] if command == "verify" else []
+    code, out, err = run_cli(
+        capsys, command, *extra, "--config", str(cfg), "--out", str(out_dir)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot read config file {cfg}")
+    assert not out_dir.exists()
+
+
 class TestDuelCommand:
     def test_triple(self, capsys):
         code, out, _ = run_cli(capsys, "duel", "--k", "2", "--p", "0.5", "--q", "0.5")
@@ -94,6 +119,16 @@ class TestDynamicsCommand:
         assert payload["fixed_point"] is not None
         assert payload["fixed_point"] >= 0.52
 
+    @pytest.mark.parametrize("delta", ["0.7", "0", "nan"])
+    def test_bad_delta_is_usage_error(self, capsys, delta):
+        code, out, err = run_cli(
+            capsys, "dynamics", "--x", "0.52", "--y", "0.52", "--n", "4096",
+            "--ell", "64", "--delta", delta,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: delta")
+
 
 class TestClassifyCommand:
     def test_labels(self, capsys):
@@ -104,6 +139,19 @@ class TestClassifyCommand:
         payload = json.loads(out)
         assert payload["domain"] == "Yellow"
         assert payload["yellow"] == "A1"
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--x", "nan"), ("--x", "1.5"), ("--y", "inf"), ("--y", "-0.1")],
+    )
+    def test_coordinate_outside_unit_interval_is_usage_error(self, capsys, flag, value):
+        coords = {"--x": "0.5", "--y": "0.5", flag: value}
+        code, out, err = run_cli(
+            capsys, "classify", "--x", coords["--x"], "--y", coords["--y"], "--n", "128"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {flag} must be a fraction in [0, 1]")
 
 
 class TestAuditCommand:
@@ -180,9 +228,11 @@ class TestSimulateCommand:
             ("n = 64\nmax_rounds = 2.5", "max_rounds must be an integer"),
             ("n = 64\nsource_opinion = one", "source_opinion must be an integer"),
             ("n = 64\nbackned = agent", "backned"),
+            ("n = 64\nn = 128", "key 'n' is given twice, on lines 1 and 2"),
         ],
         ids=["n_float", "ell_float", "seed_str", "delta_str", "delta_range", "c_sample_str",
-             "c_sample_nan", "c_sample_inf", "max_rounds_float", "source_str", "unknown_key"],
+             "c_sample_nan", "c_sample_inf", "max_rounds_float", "source_str", "unknown_key",
+             "repeated_key"],
     )
     def test_bad_config_is_usage_error(self, capsys, tmp_path, lines, needle):
         cfg = tmp_path / "sim.cfg"
@@ -226,6 +276,26 @@ class TestSimulateCommand:
                 rows = list(csv.DictReader(fh))
             assert int(rows[-1]["round"]) == converged == len(rows) - 1
             assert rows[-1]["x_t"] == "1.0"
+
+    def test_source_zero_rows_on_the_grid(self, capsys, tmp_path):
+        # Every x_t is k/n for an integer k, printed as repr(k / n), and
+        # labels are taken at that exact grid point: (67/100, 62/100) lies
+        # on Green0's boundary x_{t+1} = x_t - delta, so a last-bit error
+        # in either coordinate can move it into Purple0.
+        n = 100
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"n = {n}\nseed = 5\npreset = half_half\nsource_opinion = 0\n")
+        out_dir = tmp_path / "out"
+        code, _, _ = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(out_dir))
+        assert code == 0
+        with (out_dir / "trial_0.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        for row in rows:
+            k = round(float(row["x_t"]) * n)
+            assert row["x_t"] == repr(k / n)
+        pairs = {(a["x_t"], b["x_t"]): a["domain"] for a, b in zip(rows, rows[1:])}
+        assert pairs[(repr(67 / n), repr(62 / n))] == "Green0"
+        assert rows[-1]["x_t"] == "0.0"
 
     def test_output_determinism(self, capsys, tmp_path):
         cfg = tmp_path / "sim.cfg"
@@ -295,8 +365,10 @@ class TestVerifyCommand:
             ("green_trails = 3", "green_trails"),
             ("trails = 3", "trails"),
             ("green_n_list = 64,128", "green_n_list"),
+            ("seed = 1\n# comment\nseed = 2", "key 'seed' is given twice, on lines 1 and 3"),
         ],
-        ids=["delta_str", "delta_zero", "ell_str", "misspelt_param", "misspelt_global", "param_under_wrong_lemma"],
+        ids=["delta_str", "delta_zero", "ell_str", "misspelt_param", "misspelt_global",
+             "param_under_wrong_lemma", "repeated_key"],
     )
     def test_bad_config_is_usage_error(self, capsys, tmp_path, line, needle):
         cfg = tmp_path / "verify.cfg"

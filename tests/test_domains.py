@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import in_yellow_prime, matching_domains, on_grid
 from fetsim.domains import (
     DomainLabel,
     GridPoint,
@@ -16,8 +17,6 @@ from fetsim.domains import (
     classify,
     classify_array,
     classify_yellow,
-    in_yellow_prime,
-    matching_domains,
 )
 from fetsim.dynamics import AnalysisConstants
 from fetsim.errors import UsageError
@@ -136,8 +135,8 @@ class TestClassifyYellow:
 
 class TestGridPoint:
     def test_on_grid(self):
-        assert GridPoint(3 / 64, 5 / 64).on_grid(64)
-        assert not GridPoint(0.3333, 0.5).on_grid(64)
+        assert on_grid(GridPoint(3 / 64, 5 / 64), 64)
+        assert not on_grid(GridPoint(0.3333, 0.5), 64)
 
     def test_mirror(self):
         m = GridPoint(0.2, 0.7).mirrored()

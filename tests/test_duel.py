@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import binomial_pmf, difference_distribution, oracle_duel, oracle_pmf
+from conftest import binomial_pmf, difference_distribution, oracle_duel, oracle_pmf, swapped
 from fetsim.duel import (
     BERRY_ESSEEN_C,
     DuelProbs,
@@ -103,7 +103,7 @@ class TestExactDuel:
         s = exact_duel(k, q, p)
         assert d.p_lt == pytest.approx(s.p_gt, abs=1e-12)
         assert d.p_eq == pytest.approx(s.p_eq, abs=1e-12)
-        assert s.swapped().p_lt == s.p_gt
+        assert swapped(s).p_lt == s.p_gt
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(DomainError):

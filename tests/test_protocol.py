@@ -7,8 +7,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import AgentState, agent_round, mirror_population, oracle_pmf_vector
-from fetsim.domains import DomainLabel, YellowLabel
+from conftest import (
+    AgentState,
+    agent_round,
+    fraction_ones,
+    mirror_population,
+    oracle_pmf_vector,
+)
+from fetsim.domains import DomainLabel, YellowLabel, label_path
 from fetsim.dynamics import expected_next_fraction, flip_probs
 from fetsim.errors import DomainError, UsageError
 from fetsim.protocol import (
@@ -21,6 +27,17 @@ from fetsim.protocol import (
     step_agent_level,
     step_aggregate,
 )
+
+
+class _FixedRng:
+    """Stands in for a Generator whose next integers() call returns idx."""
+
+    def __init__(self, idx):
+        self.idx = idx
+
+    def integers(self, low, high, size):
+        assert size == self.idx.shape
+        return self.idx
 
 
 class TestAgentRound:
@@ -58,7 +75,7 @@ class TestStepAgentLevel:
         pop = Population(np.ones(32, dtype=np.uint8), np.full(32, 2, dtype=np.int32))
         for _ in range(20):
             pop = step_agent_level(pop, config, rng)
-            assert pop.fraction_ones() == 1.0
+            assert fraction_ones(pop) == 1.0
 
     def test_all_correct_absorbing_source_zero(self):
         config = SimConfig(n=32, ell=4, seed=1, backend="agent", source_opinion=0)
@@ -66,7 +83,7 @@ class TestStepAgentLevel:
         pop = Population(np.zeros(32, dtype=np.uint8), np.full(32, 3, dtype=np.int32))
         for _ in range(20):
             pop = step_agent_level(pop, config, rng)
-            assert pop.fraction_ones() == 0.0
+            assert fraction_ones(pop) == 0.0
 
     def test_two_agents_reach_source_opinion(self):
         # Source + one agent holding the wrong opinion with maximally
@@ -114,15 +131,6 @@ class TestStepAgentLevel:
             derive_rng(9, "ctr").integers(0, ell + 1, size=n).astype(np.int32),
         )
         pop.opinions[0] = 1
-
-        class _FixedRng:
-            def __init__(self, idx):
-                self.idx = idx
-
-            def integers(self, low, high, size):
-                assert size == self.idx.shape
-                return self.idx
-
         idx = derive_rng(9, "samples").integers(0, n, size=(n, 2 * ell))
         stepped = step_agent_level(pop, config, _FixedRng(idx))
         for agent in range(n):
@@ -136,12 +144,37 @@ class TestStepAgentLevel:
             assert stepped.opinions[agent] == expected.opinion
             assert stepped.prev_counts[agent] == expected.prev_count
 
+    @pytest.mark.parametrize("variant", ["fet", "naive"])
+    def test_batched_step_matches_one_trial_steps(self, variant):
+        # A (trials, n) population steps each trial on its own agents:
+        # every row of the batched step equals that trial stepped alone
+        # with the same sample indices.
+        trials, n, ell = 3, 16, 3
+        config = SimConfig(n=n, ell=ell, seed=9, backend="agent", variant=variant)
+        opinions = derive_rng(9, "batch-ops").integers(0, 2, size=(trials, n))
+        opinions[:, 0] = 1
+        counters = derive_rng(9, "batch-ctr").integers(0, ell + 1, size=(trials, n))
+        batch = Population(opinions, counters)
+        width = ell if variant == "naive" else 2 * ell
+        idx = derive_rng(9, "batch-samples").integers(0, n, size=(trials, n, width))
+        stepped = step_agent_level(batch, config, _FixedRng(idx))
+        assert stepped.n == n
+        assert stepped.opinions.shape == stepped.prev_counts.shape == (trials, n)
+        for t in range(trials):
+            alone = step_agent_level(
+                Population(opinions[t], counters[t]), config, _FixedRng(idx[t])
+            )
+            assert np.array_equal(stepped.opinions[t], alone.opinions)
+            assert np.array_equal(stepped.prev_counts[t], alone.prev_counts)
+
 
 class TestStepAggregate:
     def test_absorbing_state(self):
         config = SimConfig(n=64, ell=8, seed=0)
         rng = derive_rng(0, "agg")
-        assert step_aggregate(1.0, 1.0, config, rng) == 1.0
+        assert step_aggregate(64, 64, config, rng) == 64
+        mirrored = SimConfig(n=64, ell=8, seed=0, source_opinion=0)
+        assert step_aggregate(0, 0, mirrored, rng) == 0
 
     def test_mean_matches_expectation_map(self):
         n, ell = 100, 2
@@ -157,15 +190,22 @@ class TestStepAggregate:
                + (n - k1) * fp.p_gain_one * (1 - fp.p_gain_one)) / n**2
         assert abs(sample_mean - g) <= 3 * math.sqrt(var / trials)
 
-    def test_off_grid_rejected(self):
+    @pytest.mark.parametrize(
+        "k_t, k_t1",
+        [(1.0, 1.0), (21, 32.0), (-1, 32), (32, 65)],
+        ids=["floats", "float_k_t1", "negative", "above_n"],
+    )
+    def test_bad_counts_rejected(self, k_t, k_t1):
+        # Counts are integers in [0, n]; a float is not read as a count,
+        # even when it is integral.
         config = SimConfig(n=64, ell=8, seed=0)
         with pytest.raises(DomainError):
-            step_aggregate(0.33, 0.5, config, derive_rng(0, "x"))
+            step_aggregate(k_t, k_t1, config, derive_rng(0, "x"))
 
     def test_source_must_be_counted(self):
         config = SimConfig(n=64, ell=8, seed=0)
         with pytest.raises(DomainError):
-            step_aggregate(0.5, 0.0, config, derive_rng(0, "y"))
+            step_aggregate(32, 0, config, derive_rng(0, "y"))
 
 
 class TestClassCountRound:
@@ -234,7 +274,7 @@ class TestClassCountRound:
 
         # Exact law: agent i holds 1 afterwards with probability
         # P(c' > c_i) + [o_i = 1] P(c' = c_i), c' ~ Bin(ell, x_0).
-        pmf = oracle_pmf_vector(ell, pop.fraction_ones())
+        pmf = oracle_pmf_vector(ell, fraction_ones(pop))
         p_gt = np.array([pmf[c + 1 :].sum() for c in range(ell + 1)])
         ops, ctr = pop.opinions[1:], pop.prev_counts[1:]
         p_one = p_gt[ctr] + (ops == 1) * pmf[ctr]
@@ -255,31 +295,31 @@ class TestInitPresets:
 
     def test_all_wrong(self):
         pop = init_adversarial("all_wrong", self.cfg(), derive_rng(2, "a"))
-        assert pop.fraction_ones() == 1 / 64
+        assert fraction_ones(pop) == 1 / 64
         assert pop.prev_counts.max() == 0
 
     def test_all_wrong_max_counters(self):
         pop = init_adversarial("all_wrong_max_counters", self.cfg(), derive_rng(2, "b"))
-        assert pop.fraction_ones() == 1 / 64
+        assert fraction_ones(pop) == 1 / 64
         assert np.all(pop.prev_counts == 8)
 
     def test_cyan_corner(self):
         pop = init_adversarial("cyan_corner", self.cfg(n=100), derive_rng(2, "c"))
-        assert pop.fraction_ones() == 1 / 100
+        assert fraction_ones(pop) == 1 / 100
 
     def test_half_half_counting_convention(self):
         pop = init_adversarial("half_half", self.cfg(), derive_rng(2, "d"))
-        assert pop.fraction_ones() == pytest.approx(33 / 64)
+        assert fraction_ones(pop) == pytest.approx(33 / 64)
 
     def test_yellow_center(self):
         pop = init_adversarial("yellow_center", self.cfg(), derive_rng(2, "e"))
-        assert pop.fraction_ones() == pytest.approx(0.5)
+        assert fraction_ones(pop) == pytest.approx(0.5)
 
     def test_fraction_and_explicit(self):
         pop = init_adversarial(("fraction", 0.25), self.cfg(), derive_rng(2, "f"))
-        assert pop.fraction_ones() == pytest.approx(0.25)
+        assert fraction_ones(pop) == pytest.approx(0.25)
         pop2 = init_adversarial("fraction:0.25", self.cfg(), derive_rng(2, "g"))
-        assert pop2.fraction_ones() == pytest.approx(0.25)
+        assert fraction_ones(pop2) == pytest.approx(0.25)
         explicit = init_adversarial(
             ("explicit", pop.opinions, pop.prev_counts), self.cfg(), derive_rng(2, "h")
         )
@@ -310,13 +350,15 @@ class TestRunTrial:
         c = run_trial(config, "all_wrong_max_counters", trial=4)
         assert a != c
 
-    def test_trajectory_rows_labelled(self):
+    def test_trajectory_pairs_labelled(self):
         config = SimConfig(n=128, c_sample=3.0, seed=12)
         traj = run_trial(config, "all_wrong_max_counters")
-        assert traj.rows[0].x == pytest.approx(1 / 128)
-        assert all(r.domain is not None for r in traj.rows[:-1])
-        assert traj.rows[-1].domain is None
-        assert traj.rows[0].domain is DomainLabel.CYAN1
+        domains, yellows = label_path(traj.counts, 128, config.delta, config.ell)
+        assert traj.counts[0] / 128 == pytest.approx(1 / 128)
+        # One label per consecutive pair: every round but the last.
+        assert len(domains) == len(yellows) == len(traj.counts) - 1
+        assert all(isinstance(k, int) for k in traj.counts)
+        assert domains[0] is DomainLabel.CYAN1
 
     @pytest.mark.parametrize("backend", ["agent", "aggregate"])
     @pytest.mark.parametrize("source_opinion", [0, 1])
@@ -328,19 +370,23 @@ class TestRunTrial:
         )
         for t in range(5):
             traj = run_trial(config, "all_wrong_max_counters", trial=t)
+            consensus = 64 * source_opinion
             assert traj.converged_round is not None
-            assert len(traj.rows) == traj.converged_round + 1
-            assert traj.rows[-1].x == source_opinion
-            assert all(r.x != source_opinion for r in traj.rows[:-1])
+            assert len(traj.counts) == traj.converged_round + 1
+            assert traj.counts[-1] == consensus
+            assert all(k != consensus for k in traj.counts[:-1])
 
     def test_two_agents_are_unclassified(self):
         # ln 2 < 1 leaves the partition constants undefined, so pairs are
         # labelled Unclassified instead of raising.
-        traj = run_trial(SimConfig(n=2, ell=1), "all_wrong")
+        config = SimConfig(n=2, ell=1)
+        traj = run_trial(config, "all_wrong")
         assert traj.converged_round is not None
-        for row in traj.rows[:-1]:
-            assert row.domain is DomainLabel.UNCLASSIFIED
-            assert row.yellow is YellowLabel.OUTSIDE
+        domains, yellows = label_path(traj.counts, 2, config.delta, config.ell)
+        assert len(domains) == len(yellows) == traj.converged_round
+        for domain, yellow in zip(domains, yellows):
+            assert domain is DomainLabel.UNCLASSIFIED
+            assert yellow is YellowLabel.OUTSIDE
 
     def test_cap_without_consensus_is_not_an_error(self):
         # The naive comparison variant with a hostile start may stall;
@@ -361,9 +407,9 @@ class TestRunTrial:
         pop0 = mirror_population(pop1, config1.ell)
         t1 = run_trial(config1, pop1, trial=9)
         t0 = run_trial(config0, pop0, trial=9)
-        assert len(t1.rows) == len(t0.rows)
-        for r1, r0 in zip(t1.rows, t0.rows):
-            assert r1.x == pytest.approx(1.0 - r0.x, abs=1e-12)
+        assert len(t1.counts) == len(t0.counts)
+        for k1, k0 in zip(t1.counts, t0.counts):
+            assert k1 == 64 - k0
         assert t1.converged_round == t0.converged_round
 
     def test_aggregate_mirror_symmetry_distributional(self):
@@ -430,7 +476,7 @@ class TestRunTrial:
     def test_naive_variant_runs(self):
         config = SimConfig(n=64, ell=8, seed=8, backend="agent", variant="naive")
         traj = run_trial(config, "half_half")
-        assert traj.rows  # comparison variant only needs to execute
+        assert traj.counts  # comparison variant only needs to execute
 
     def test_cyan_start_passes_through_upward_domains(self):
         # From a wrong-consensus corner the domain sequence visits
@@ -441,10 +487,8 @@ class TestRunTrial:
         for t in range(trials):
             traj = run_trial(config, "cyan_corner", trial=t)
             assert traj.converged_round is not None
-            pre = traj.rows[: traj.converged_round]
-            if any(
-                r.domain in (DomainLabel.PURPLE1, DomainLabel.GREEN1) for r in pre
-            ):
+            domains, _ = label_path(traj.counts, 4096, config.delta, config.ell)
+            if any(d in (DomainLabel.PURPLE1, DomainLabel.GREEN1) for d in domains):
                 through += 1
         assert through / trials >= 0.95
 
