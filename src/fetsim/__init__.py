@@ -27,7 +27,7 @@ from .protocol import (
     SimConfig,
     Trajectory,
     init_adversarial,
-    run_trial,
+    run_trials,
     step_agent_level,
     step_aggregate,
 )
@@ -60,7 +60,7 @@ __all__ = [
     "flip_probs",
     "hoeffding_duel_bound",
     "init_adversarial",
-    "run_trial",
+    "run_trials",
     "simulate_exact_check",
     "speed",
     "step_agent_level",

@@ -35,7 +35,7 @@ from .dynamics import (
 from .errors import DomainError, FetsimError, UsageError
 from .harness import LEMMAS, _resolve, emit, run_all, run_lemma
 from .markov import absorption_times, build_kernel
-from .protocol import SimConfig, run_trial
+from .protocol import SimConfig, run_trials
 
 SIM_CONFIG_KEYS = (
     "n",
@@ -157,10 +157,9 @@ def _cmd_simulate(args) -> int:
 
     summary_rows = []
     domain_visits: dict[str, int] = {}
-    for t in range(trials):
-        traj = run_trial(config, preset, trial=t)
-        if t == 0:  # trial 0 has built the preset, so a bad one leaves no directory
-            out_dir.mkdir(parents=True, exist_ok=True)
+    trajectories = run_trials(config, preset, trials)  # first, so a bad preset leaves no directory
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for t, traj in enumerate(trajectories):
         domains, yellows = label_path(traj.counts, config.n, config.delta, config.ell)
         # Row t holds x_t and the labels of the pair (x_t, x_{t+1}); the
         # final row has no successor, so its labels are empty.

@@ -72,24 +72,6 @@ class DomainLabel(str, Enum):
     YELLOW = "Yellow"
     UNCLASSIFIED = "Unclassified"
 
-    def mirrored(self) -> "DomainLabel":
-        """Label of the point reflection through (1/2, 1/2)."""
-        return _MIRROR[self]
-
-
-_MIRROR = {
-    DomainLabel.GREEN1: DomainLabel.GREEN0,
-    DomainLabel.GREEN0: DomainLabel.GREEN1,
-    DomainLabel.PURPLE1: DomainLabel.PURPLE0,
-    DomainLabel.PURPLE0: DomainLabel.PURPLE1,
-    DomainLabel.RED1: DomainLabel.RED0,
-    DomainLabel.RED0: DomainLabel.RED1,
-    DomainLabel.CYAN1: DomainLabel.CYAN0,
-    DomainLabel.CYAN0: DomainLabel.CYAN1,
-    DomainLabel.YELLOW: DomainLabel.YELLOW,
-    DomainLabel.UNCLASSIFIED: DomainLabel.UNCLASSIFIED,
-}
-
 
 class YellowLabel(str, Enum):
     A1 = "A1"
@@ -111,9 +93,6 @@ class GridPoint:
 
     x_t: float
     x_t1: float
-
-    def mirrored(self) -> "GridPoint":
-        return GridPoint(1.0 - self.x_t, 1.0 - self.x_t1)
 
 
 def _coords(point) -> tuple[float, float]:

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln
@@ -36,7 +35,6 @@ __all__ = [
     "BERRY_ESSEEN_C",
     "DuelProbs",
     "advantage",
-    "binomial_pmf_vector",
     "duel_table",
     "exact_duel",
     "hoeffding_duel_bound",
@@ -84,42 +82,15 @@ class DuelProbs:
             raise DomainError(f"DuelProbs does not sum to 1: {total!r}")
 
 
-def binomial_pmf_vector(k: int, p: float) -> np.ndarray:
-    """Full pmf of Binomial(k, p) as a length k+1 array.
-
-    Each entry is evaluated in log space (lgamma for the binomial
-    coefficient) so no intermediate quantity over- or underflows for k
-    up to the supported ~10^4; entries sum to 1 within a few k*eps.
-    """
-    k = _check_count("k", k)
-    p = _check_prob("p", p)
-    if p == 0.0:
-        out = np.zeros(k + 1)
-        out[0] = 1.0
-        return out
-    if p == 1.0:
-        out = np.zeros(k + 1)
-        out[k] = 1.0
-        return out
-    i = np.arange(k + 1)
-    log_pmf = (
-        gammaln(k + 1)
-        - gammaln(i + 1)
-        - gammaln(k - i + 1)
-        + i * math.log(p)
-        + (k - i) * math.log1p(-p)
-    )
-    return np.exp(log_pmf)
-
-
 def _binomial_pmf_rows(k: int, p: np.ndarray) -> np.ndarray:
     """Row r is the pmf of Binomial(k, p[r]), a (len(p), k+1) array.
 
-    The batched form of binomial_pmf_vector: the same log-space
-    formula, evaluated in the same order, with p = 0 and p = 1 rows set
-    to their point masses.  The logs come from math.log/math.log1p as
-    there: numpy's ufuncs differ from them in the last bit on a few
-    percent of inputs, and a kernel entry amplifies that ~100-fold.
+    Each entry is evaluated in log space (lgamma for the binomial
+    coefficient), so nothing over- or underflows for k up to ~10^4;
+    rows sum to 1 within a few k*eps.  Rows with p = 0 or p = 1 are
+    their point masses.  The logs come from math.log/math.log1p:
+    numpy's ufuncs differ from them in the last bit on a few percent of
+    inputs, and a kernel entry amplifies that ~100-fold.
     """
     i = np.arange(k + 1)
     inner = (p > 0.0) & (p < 1.0)
@@ -149,8 +120,7 @@ def exact_duel(k: int, p: float, q: float) -> DuelProbs:
     not an enforced one.
     """
     k = _check_count("k", k, minimum=1)
-    pmf_p = binomial_pmf_vector(k, p)
-    pmf_q = binomial_pmf_vector(k, q)
+    pmf_p, pmf_q = _binomial_pmf_rows(k, np.array([_check_prob("p", p), _check_prob("q", q)]))
     cdf_q = np.cumsum(pmf_q)
     # P(B(q) <= i - 1), i.e. the strictly-below mass seen from outcome i.
     cdf_q_below = np.concatenate(([0.0], cdf_q[:-1]))
@@ -162,12 +132,6 @@ def exact_duel(k: int, p: float, q: float) -> DuelProbs:
         return min(max(v, 0.0), 1.0)
 
     return DuelProbs(p_lt=_clamp(p_lt), p_eq=_clamp(p_eq), p_gt=_clamp(p_gt))
-
-
-@lru_cache(maxsize=1 << 16)
-def exact_duel_cached(k: int, p: float, q: float) -> DuelProbs:
-    """Memoized exact_duel for hot loops over repeated grid pairs."""
-    return exact_duel(k, p, q)
 
 
 def duel_table(ell: int, a, b, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duel import duel_table, exact_duel_cached
+from .duel import duel_table, exact_duel
 from .errors import DomainError
 
 __all__ = [
@@ -105,8 +105,8 @@ class AnalysisConstants:
             raise DomainError(f"population size must be >= 2, got {n!r}")
         log_n = math.log(n)
         c = ell / log_n if ell is not None else float(c_sample)
-        if c <= 0:
-            raise DomainError(f"c_sample must be positive, got {c!r}")
+        if not 0 < c < math.inf:
+            raise DomainError(f"c_sample must be positive and finite, got {c!r}")
         return cls(
             n=n,
             delta=delta,
@@ -140,7 +140,7 @@ def flip_probs(x_t: float, x_t1: float, ell: int) -> FlipProbs:
     'gain' probability is P(B_ell(x_{t+1}) > B_ell(x_t)) and keeping an
     existing 1 additionally wins ties.
     """
-    duel = exact_duel_cached(int(ell), float(x_t), float(x_t1))
+    duel = exact_duel(int(ell), float(x_t), float(x_t1))
     gain = duel.p_lt  # P(B(x_t) < B(x_t1)) == P(B(x_t1) > B(x_t))
     return FlipProbs(p_keep_one=min(gain + duel.p_eq, 1.0), p_gain_one=gain)
 
@@ -157,7 +157,7 @@ def expected_next_fraction(x_t: float, x_t1: float, n: int, ell: int) -> float:
     """The expectation map g(x_t, x_{t+1}) of the next opinion-1 fraction."""
     if n < 2:
         raise DomainError(f"population size must be >= 2, got {n!r}")
-    duel = exact_duel_cached(int(ell), float(x_t), float(x_t1))
+    duel = exact_duel(int(ell), float(x_t), float(x_t1))
     # duel.p_lt = P(B(x_t) < B(x_t1)) = P(B(x_t1) > B(x_t))
     return _expectation(duel.p_lt, duel.p_eq, float(x_t1), n)
 

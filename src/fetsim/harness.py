@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import csv
 import inspect
+from collections import Counter
 import json
 import math
 import numbers
@@ -39,7 +40,7 @@ from .config import check_delta, check_number
 from .domains import DomainLabel, YellowLabel, classify, classify_array, label_path
 from .dynamics import AnalysisConstants, expected_next_fraction_table
 from .errors import PlantingError, UsageError
-from .protocol import SimConfig, derive_rng, run_trial, step_aggregate
+from .protocol import SimConfig, derive_rng, run_trials, step_aggregate
 
 __all__ = [
     "LemmaReport",
@@ -78,6 +79,7 @@ CONVERGENCE_DEFAULTS = {
     "max_rounds": 10_000,
     "presets": ("all_wrong_max_counters", "yellow_center", "cyan_corner"),
 }
+_LABELS = tuple(DomainLabel)  # classify_array positions
 # Smallest accepted value of each integer parameter (per entry for n_list).
 _MINIMUMS = {"n": 2, "n_list": 2, "ell": 1, "trials": 1, "max_rounds": 1}
 # Log-log slope above which a sweep no longer counts as "growing no
@@ -221,8 +223,9 @@ def _one_round_points(
 ) -> tuple[list[dict], bool]:
     """Shared loop for the one-round lemmas (Green, Purple).
 
-    success_fn(label, k_y, k_next) judges one round from the planted
-    pair (k_x, k_y) to the next opinion-1 count k_next.
+    Each planted pair (k_x, k_y) steps all its trials in one batched
+    round; success_fn(label, k_y, k_next) judges them from the array of
+    next opinion-1 counts k_next, returning a boolean array.
     """
     constants = AnalysisConstants.for_population(n, delta=delta, ell=ell)
     config = SimConfig(n=n, ell=ell, delta=delta, seed=seed)
@@ -231,10 +234,8 @@ def _one_round_points(
     for x, y, label in planted:
         k_x, k_y = plant_pair(n, constants, x, y, label)
         rng = derive_rng(seed, lemma, k_x, k_y)
-        failures = 0
-        for _ in range(trials):
-            if not success_fn(label, k_y, step_aggregate(k_x, k_y, config, rng)):
-                failures += 1
+        k_next = step_aggregate(np.full(trials, k_x), np.full(trials, k_y), config, rng)
+        failures = int(trials - success_fn(label, k_y, k_next).sum())
         rows.append(_point_row(k_x, k_y, n, label, trials, failures, gate))
     return rows, all(row["verdict"] == "PASS" for row in rows)
 
@@ -259,7 +260,7 @@ def verify_green(
     if ell < needed:
         raise UsageError(f"verify_green needs ell >= (2/delta^2) ln n = {needed}, got {ell}")
 
-    def success(label: DomainLabel, _k_y: int, k_next: int) -> bool:
+    def success(label: DomainLabel, _k_y: int, k_next: np.ndarray) -> np.ndarray:
         return k_next == (n if label is DomainLabel.GREEN1 else 1)
 
     planted = [
@@ -298,9 +299,9 @@ def verify_purple(
     (ell,) = _resolve({"ell": math.ceil((2.0 / delta**2) * math.log(n))}, ell=ell)
     constants = AnalysisConstants.for_population(n, delta=delta, ell=ell)
 
-    def success(label: DomainLabel, k_y: int, k_next: int) -> bool:
+    def success(label: DomainLabel, k_y: int, k_next: np.ndarray) -> np.ndarray:
         target = DomainLabel.GREEN1 if label is DomainLabel.PURPLE1 else DomainLabel.GREEN0
-        return classify((k_y / n, k_next / n), n, constants) is target
+        return classify_array(k_y / n, k_next / n, constants) == _LABELS.index(target)
 
     boundary_x = math.ceil(n / math.log(n)) / n
     planted = [
@@ -347,8 +348,9 @@ def verify_red(
     config = SimConfig(n=n, c_sample=c_sample, delta=delta, seed=seed)
     constants = config.constants()
     bound = math.log(n) ** (0.5 + 2.0 * delta)
-    red = {DomainLabel.RED1, DomainLabel.RED0}
-    forbidden = red | {DomainLabel.YELLOW}
+    red = [_LABELS.index(DomainLabel.RED1), _LABELS.index(DomainLabel.RED0)]
+    forbidden = red + [_LABELS.index(DomainLabel.YELLOW)]
+    cap = 10 * math.ceil(bound)
 
     planted = [
         (0.18, 0.12, DomainLabel.RED1),
@@ -357,22 +359,23 @@ def verify_red(
         (0.83, 0.88, DomainLabel.RED0),
     ]
     rows = []
-    exit_tally: dict[str, int] = {}
+    exit_tally: Counter[str] = Counter()
     for x, y, label in planted:
         k_x, k_y = plant_pair(n, constants, x, y, label)
         rng = derive_rng(seed, "red", k_x, k_y)
-        failures = 0
-        for _ in range(trials):
-            pair = (k_x, k_y)
-            rounds = 0
-            current = label
-            while current in red and rounds < 10 * math.ceil(bound):
-                pair = (pair[1], step_aggregate(*pair, config, rng))
-                current = classify((pair[0] / n, pair[1] / n), n, constants)
-                rounds += 1
-            exit_tally[current.value] = exit_tally.get(current.value, 0) + 1
-            if rounds >= bound or current in forbidden:
-                failures += 1
+        # The trials still in Red step together until each leaves or hits the cap.
+        k_t, k_t1 = np.full(trials, k_x), np.full(trials, k_y)
+        current = np.full(trials, _LABELS.index(label))
+        rounds = np.zeros(trials, dtype=np.int64)
+        live = np.arange(trials)
+        while live.size:
+            k_next = step_aggregate(k_t[live], k_t1[live], config, rng)
+            k_t[live], k_t1[live] = k_t1[live], k_next
+            current[live] = classify_array(k_t[live] / n, k_next / n, constants)
+            rounds[live] += 1
+            live = live[np.isin(current[live], red) & (rounds[live] < cap)]
+        exit_tally.update(_LABELS[position].value for position in current.tolist())
+        failures = int(((rounds >= bound) | np.isin(current, forbidden)).sum())
         rows.append(_point_row(k_x, k_y, n, label, trials, failures, 0.0))
     all_pass = all(row["verdict"] == "PASS" for row in rows)
     return LemmaReport(
@@ -388,7 +391,7 @@ def verify_red(
         },
         kind="pointwise",
         points=rows,
-        details={"exit_label_tally": exit_tally},
+        details={"exit_label_tally": dict(exit_tally)},
         verdict="PASS" if all_pass else "FAIL",
         runtime_s=time.perf_counter() - start,
     )
@@ -463,8 +466,8 @@ def verify_cyan(
     exit_rounds: list[int] = []
     gamma_crossed = 0
     gamma_then_above_half = 0
-    for t in range(trials):
-        counts = run_trial(config, "cyan_corner", trial=t).counts
+    for traj in run_trials(config, "cyan_corner", trials):
+        counts = traj.counts
         labels, _ = label_path(counts, n, delta, config.ell)
         t0 = next((i for i, lab in enumerate(labels) if lab is DomainLabel.CYAN1), None)
         if t0 is None:
@@ -583,9 +586,8 @@ def verify_yellow(
         )
         escapes = []
         b_dwells = []
-        for t in range(trials):
-            counts = run_trial(config, "yellow_center", trial=t).counts
-            _, yellows = label_path(counts, n, delta, config.ell)
+        for traj in run_trials(config, "yellow_center", trials):
+            _, yellows = label_path(traj.counts, n, delta, config.ell)
             esc = next(
                 (i for i, lab in enumerate(yellows) if lab is YellowLabel.OUTSIDE),
                 None,
@@ -606,7 +608,7 @@ def verify_yellow(
         q50 = float(np.percentile(arr, 50))
         q99 = float(np.percentile(arr, 99))
         q99s.append(q99)
-        c4 = 1.0 / (4.0 * 9.0)
+        c4 = 1.0 / (4.0 * config.constants().alpha)
         b_scale = math.sqrt(c_sample) / c4 * math.log(n) ** 1.5
         b_dwell_stats[str(n)] = {
             "mean_longest_b_dwell": float(np.mean(b_dwells)),
@@ -679,8 +681,7 @@ def verify_convergence(
         )
         for preset in presets:
             cell = []
-            for t in range(trials):
-                traj = run_trial(config, preset, trial=t)
+            for traj in run_trials(config, preset, trials):
                 if traj.converged_round is None:
                     all_converged = False
                     cell.append(max_rounds)

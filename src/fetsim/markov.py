@@ -11,9 +11,8 @@ transition kernel by exact convolution of binomial pmfs, vectorized
 over k_t, solves the first-step equations for expected
 hitting times of the absorbing state (n, n) iteratively (BiCGSTAB,
 gated on the recomputed residual), and cross-validates both simulation
-backends against the solver.  The simulations run the protocol's own
-rounds: ``step_agent_level`` on a batch of populations, and
-``run_trial`` for the aggregate backend.
+backends against the solver.  Both simulations are the protocol's own
+trial driver, ``run_trials``, on the agent or the aggregate backend.
 
 The pair-state chain assumes the stored counters are i.i.d.
 Bin(ell, k_t/n), which holds after any round but not for an adversarial
@@ -32,9 +31,9 @@ from scipy import sparse
 from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.linalg import bicgstab
 
-from .duel import _binomial_pmf_rows, binomial_pmf_vector, duel_table
+from .duel import _binomial_pmf_rows, duel_table
 from .errors import StructuralError, UsageError
-from .protocol import Population, SimConfig, derive_rng, run_trial, step_agent_level
+from .protocol import SimConfig, run_trials
 
 __all__ = [
     "Kernel",
@@ -120,6 +119,8 @@ def build_kernel(n: int, ell: int) -> Kernel:
     """
     if n > 256:
         raise UsageError(f"build_kernel supports n <= 256 (cost control), got {n}")
+    if n < 2:
+        raise UsageError(f"population size must be >= 2, got {n}")
     if not 1 <= ell <= n:
         raise UsageError(f"need 1 <= ell <= n, got ell={ell}, n={n}")
     # Duel of B(a/n) against B(b/n) at [a, b].
@@ -227,7 +228,7 @@ def expected_consensus_time_all_wrong(kernel: Kernel, times: np.ndarray) -> floa
     """
     n, ell = kernel.n, kernel.ell
     p_flip = 1.0 - (1.0 - 1.0 / n) ** ell
-    weights = binomial_pmf_vector(n - 1, p_flip)  # over k_1 - 1
+    weights = _binomial_pmf_rows(n - 1, np.array([p_flip]))[0]  # over k_1 - 1
     start = kernel.state_index(1, 1)  # states (1, 1) .. (1, n) are contiguous
     return float(weights @ times[start : start + n])
 
@@ -242,39 +243,16 @@ def _simulate_hitting_times(
 ) -> np.ndarray:
     """Consensus rounds from the all-wrong start, one entry per trial.
 
-    Agent-level trials run in lockstep: step_agent_level advances the
-    (active trials, n) population on one stream, and converged trials
-    leave the batch.  Aggregate trials are run_trial's, on its
-    per-trial streams.
+    The trials run through run_trials on the chosen backend; a trial
+    that hits max_rounds is a StructuralError.
     """
     config = SimConfig(n=n, ell=ell, backend=backend, seed=seed, max_rounds=max_rounds)
-    if backend == "aggregate":
-        times = np.empty(trials, dtype=np.int64)
-        for t in range(trials):
-            converged = run_trial(config, "all_wrong", trial=t).converged_round
-            if converged is None:
-                raise StructuralError(f"aggregate trial {t} did not converge")
-            times[t] = converged
-        return times
-    rng = derive_rng(seed, "hitting", backend)
-    opinions = np.zeros((trials, n), dtype=np.uint8)
-    opinions[:, 0] = 1
-    pop = Population(opinions, np.zeros((trials, n), dtype=np.int32))
-    times = np.full(trials, -1, dtype=np.int64)
-    active = np.arange(trials)
-    for round_idx in range(1, max_rounds + 1):
-        if active.size == 0:
-            break
-        pop = step_agent_level(pop, config, rng)
-        done = pop.opinions.sum(axis=1) == n
-        times[active[done]] = round_idx
-        active = active[~done]
-        pop = Population(pop.opinions[~done], pop.prev_counts[~done])
-    if active.size:
+    times = [traj.converged_round for traj in run_trials(config, "all_wrong", trials)]
+    if None in times:
         raise StructuralError(
-            f"{active.size} agent-level trial(s) did not converge in {max_rounds} rounds"
+            f"{times.count(None)} {backend} trial(s) did not converge in {max_rounds} rounds"
         )
-    return times
+    return np.array(times, dtype=np.int64)
 
 
 def simulate_exact_check(

@@ -29,11 +29,16 @@ level.
 
 A trial is the path of opinion-1 counts, one integer per round.
 Labelling its pairs with the domain partition is the caller's business
-(``domains.label_path``).
+(``domains.label_path``).  ``run_trials`` is the one trial driver: it
+advances a block of trials in lockstep, the agent backend as a stacked
+(trials, n) population and the aggregate backend as integer count
+arrays, and a trial leaves its block at its first consensus round.
 
 Randomness is drawn from counter-based Philox streams keyed by hashes
-of (seed, trial, ...), so parallel trials are reproducible
-independently of scheduling.
+of (seed, labels).  Each block of trials has its own stream, keyed by
+(seed, n, preset, block index) with a fixed block size, so a trial's
+path depends on (config, preset, seed, its index) and not on how many
+trials run after it.
 """
 
 from __future__ import annotations
@@ -41,14 +46,13 @@ from __future__ import annotations
 import hashlib
 import math
 import numbers
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import check_delta, check_number
-from .duel import binomial_pmf_vector
-from .dynamics import AnalysisConstants, flip_probs
+from .duel import _binomial_pmf_rows, duel_table
+from .dynamics import AnalysisConstants
 from .errors import DomainError, UsageError
 
 __all__ = [
@@ -57,7 +61,7 @@ __all__ = [
     "Trajectory",
     "derive_rng",
     "init_adversarial",
-    "run_trial",
+    "run_trials",
     "step_agent_level",
     "step_aggregate",
 ]
@@ -70,6 +74,12 @@ PRESETS = (
     "yellow_center",
     "cyan_corner",
 )
+# Presets that draw nothing: one build serves a whole block.
+FIXED_PRESETS = ("all_wrong", "all_wrong_max_counters", "cyan_corner")
+# Trials per aggregate block, and the cap on one agent-level round's
+# sample indices per block (2^22 int64 entries, 32 MiB).
+BLOCK = 64
+AGENT_BLOCK_INDICES = 1 << 22
 
 
 def derive_rng(seed: int, *stream: object) -> np.random.Generator:
@@ -196,66 +206,79 @@ def step_agent_level(
     return Population(new_op, c_store)
 
 
-def _step_class_counts(
-    pop: Population,
-    config: SimConfig,
-    rng: np.random.Generator,
-) -> int:
-    """One FET round drawn from class counts; returns the new number of ones.
+def _class_counts(pop: Population, ell: int) -> np.ndarray:
+    """Non-source agents of one population binned by (opinion, stored counter).
 
-    Non-source agents are binned by (opinion, stored counter).  Every
-    agent's fresh count c' is an independent Bin(ell, x) draw with x the
-    current fraction of ones, so an agent in class (o, c) holds opinion 1
-    after the round with probability P(c' > c) + [o = 1] P(c' = c), and
-    each class contributes one binomial draw.  Same law as
-    step_agent_level, at O(ell) cost after the O(n) binning.
+    Row o of the (2, ell+1) result counts the agents holding opinion o
+    by their stored counter.
     """
-    ell = config.ell
     opinions = pop.opinions[SOURCE_INDEX + 1 :]
     counters = pop.prev_counts[SOURCE_INDEX + 1 :]
-    hist = np.stack(
+    return np.stack(
         [
             np.bincount(counters[opinions == 0], minlength=ell + 1),
             np.bincount(counters[opinions == 1], minlength=ell + 1),
         ]
     )
-    ones = int(hist[1].sum()) + int(pop.opinions[SOURCE_INDEX])
-    pmf = binomial_pmf_vector(ell, ones / pop.n)
-    gt = np.clip(1.0 - np.cumsum(pmf), 0.0, 1.0)  # P(c' > c)
-    probs = np.stack([gt, np.clip(gt + pmf, 0.0, 1.0)])
-    return int(rng.binomial(hist, probs).sum()) + config.source_opinion
+
+
+def _class_round(
+    hist: np.ndarray,
+    config: SimConfig,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """One FET round drawn from class counts; returns the new numbers of ones.
+
+    hist is a (trials, 2, ell+1) stack of _class_counts.  Every agent's
+    fresh count c' is an independent Bin(ell, x) draw with x the current
+    fraction of ones (source included), so an agent in class (o, c)
+    holds opinion 1 after the round with probability
+    P(c' > c) + [o = 1] P(c' = c), and each class contributes one
+    binomial draw: one rng.binomial over the whole stack.  Same law as
+    step_agent_level, at O(ell) cost per trial.
+    """
+    ones = hist[:, 1].sum(axis=1) + config.source_opinion
+    distinct, inverse = np.unique(ones, return_inverse=True)
+    pmf = _binomial_pmf_rows(config.ell, distinct / config.n)[inverse]
+    gt = np.clip(1.0 - np.cumsum(pmf, axis=1), 0.0, 1.0)  # P(c' > c)
+    probs = np.stack([gt, np.clip(gt + pmf, 0.0, 1.0)], axis=1)
+    return rng.binomial(hist, probs).sum(axis=(1, 2)) + config.source_opinion
 
 
 def step_aggregate(
-    k_t: int,
-    k_t1: int,
+    k_t,
+    k_t1,
     config: SimConfig,
     rng: np.random.Generator,
-) -> int:
-    """One round at the pair level: two binomial draws over flip counts.
+) -> np.ndarray:
+    """One round at the pair level for arrays of trials: two binomial draws each.
 
-    k_t and k_t1 are the opinion-1 counts of rounds t and t+1.  With
-    source opinion 1 the next count is
-    1 + Bin(k_t1 - 1, p_keep_one) + Bin(n - k_t1, p_gain_one), the flip
-    probabilities taken at (k_t/n, k_t1/n); with source opinion 0 the
-    same draw runs on the 0-opinion counts n - k.
+    k_t and k_t1 are integer arrays of the opinion-1 counts of rounds t
+    and t+1, one entry per trial.  With source opinion 1 the next count
+    is 1 + Bin(k_t1 - 1, p_keep_one) + Bin(n - k_t1, p_gain_one), the
+    flip probabilities taken at (k_t/n, k_t1/n) from one duel_table
+    over the distinct counts; with source opinion 0 the same draws run
+    on the 0-opinion counts n - k.  All keep draws come first, then all
+    gain draws.
     """
     n = config.n
-    try:
-        k_t, k_t1 = operator.index(k_t), operator.index(k_t1)
-    except TypeError:
-        raise DomainError(f"counts must be integers, got k_t={k_t!r}, k_t1={k_t1!r}") from None
-    if not (0 <= k_t <= n and 0 <= k_t1 <= n):
+    k_t, k_t1 = np.asarray(k_t), np.asarray(k_t1)
+    if not (np.issubdtype(k_t.dtype, np.integer) and np.issubdtype(k_t1.dtype, np.integer)):
+        raise DomainError(f"counts must be integers, got k_t={k_t!r}, k_t1={k_t1!r}")
+    if np.any((k_t < 0) | (k_t > n) | (k_t1 < 0) | (k_t1 > n)):
         raise DomainError(f"counts must lie in [0, n={n}], got k_t={k_t}, k_t1={k_t1}")
     mirror = config.source_opinion == 0
     if mirror:
         k_t, k_t1 = n - k_t, n - k_t1
-    if k_t1 < 1:
+    if np.any(k_t1 < 1):
         raise DomainError("k_t1 must count the source: at least one agent holds its opinion")
-    fp = flip_probs(k_t / n, k_t1 / n, config.ell)
-    ones_keep = int(rng.binomial(k_t1 - 1, fp.p_keep_one)) if k_t1 > 1 else 0
-    ones_gain = int(rng.binomial(n - k_t1, fp.p_gain_one)) if k_t1 < n else 0
-    k_next = 1 + ones_keep + ones_gain
+    distinct, inverse = np.unique(np.stack([k_t, k_t1]), return_inverse=True)
+    inverse = inverse.reshape(2, *k_t.shape)
+    p_lt, p_eq, _ = duel_table(config.ell, distinct, distinct, n)
+    gain = p_lt[inverse[0], inverse[1]]  # P(B(k_t1/n) > B(k_t/n))
+    keep = np.minimum(gain + p_eq[inverse[0], inverse[1]], 1.0)
+    ones_keep = rng.binomial(k_t1 - 1, keep)
+    k_next = 1 + ones_keep + rng.binomial(n - k_t1, gain)
     return n - k_next if mirror else k_next
 
 
@@ -280,7 +303,8 @@ def init_adversarial(
     """Build a per-agent initial condition for a named adversarial preset.
 
     Accepted presets: the names in PRESETS, a tuple ("fraction", x0),
-    a string "fraction:X", or ("explicit", opinions, prev_counts).
+    a string "fraction:X", ("explicit", opinions, prev_counts) or a
+    Population; explicit states are checked against config.
     Counter conventions: all_wrong stores 0, all_wrong_max_counters and
     cyan_corner store ell (maximally misleading memory), the remaining
     presets store uniformly random counters in [0, ell].
@@ -290,6 +314,8 @@ def init_adversarial(
 
     name = preset
     arg = None
+    if isinstance(preset, Population):
+        return _check_population(preset, config)
     if isinstance(preset, tuple):
         name, *rest = preset
         if name == "explicit":
@@ -354,37 +380,71 @@ class Trajectory:
     converged_round: int | None = None
 
 
-def run_trial(
-    config: SimConfig,
-    initial,
-    trial: int = 0,
-) -> Trajectory:
-    """Run one trial to consensus or the round cap.
+def run_trials(config: SimConfig, initial, trials: int) -> list[Trajectory]:
+    """Run ``trials`` trials to consensus or the round cap, in lockstep blocks.
 
-    ``initial`` is a preset accepted by init_adversarial or an explicit
-    Population, checked like an ("explicit", ...) preset.  The agent
-    backend runs every round agent-level; the aggregate backend draws
-    round 1 from the (opinion, stored counter) class counts and steps
-    the pair of counts from round 2 on.  The trial stops at the first
-    round whose count equals the source's consensus: all-correct is
-    absorbing, so no later round can change it.  Hitting the cap
-    without consensus yields a trajectory with converged_round = None,
-    not an error.
+    ``initial`` is a preset accepted by init_adversarial.  Blocks hold
+    BLOCK aggregate trials, or as many agent-level trials as keep one
+    round's sample indices within AGENT_BLOCK_INDICES (at least one).
+    Block b draws from derive_rng(seed, "trials", n, label, b), label
+    being the preset string or "explicit": first its presets in trial
+    order, then its rounds.  So a trial's path depends on (config,
+    preset, seed, its index), not on how many trials follow it.  A
+    trial leaves its block at its first consensus round (all-correct is
+    absorbing); one that hits the round cap has converged_round None.
     """
-    rng = derive_rng(config.seed, "trial", trial)
-    if isinstance(initial, Population):
-        pop = _check_population(initial, config)
-    else:
-        pop = init_adversarial(initial, config, rng)
-    target = config.n if config.source_opinion == 1 else 0
+    explicit = isinstance(initial, Population) or (
+        isinstance(initial, tuple) and initial[:1] == ("explicit",)
+    )
+    label = "explicit" if explicit else str(initial)
+    fixed = label in ("explicit", *FIXED_PRESETS)
+    size = BLOCK
+    if config.backend == "agent":
+        size = max(1, AGENT_BLOCK_INDICES // (config.n * 2 * config.ell))
+    out = []
+    for block, first in enumerate(range(0, trials, size)):
+        rng = derive_rng(config.seed, "trials", config.n, label, block)
+        out += _run_block(config, initial, min(size, trials - first), fixed, rng)
+    return out
 
-    counts = [int(pop.opinions.sum())]
-    while counts[-1] != target and len(counts) <= config.max_rounds:
-        if config.backend == "agent":
-            pop = step_agent_level(pop, config, rng)
-            counts.append(int(pop.opinions.sum()))
-        elif len(counts) == 1:
-            counts.append(_step_class_counts(pop, config, rng))
+
+def _run_block(
+    config: SimConfig, initial, trials: int, fixed: bool, rng: np.random.Generator
+) -> list[Trajectory]:
+    """One lockstep block; a fixed preset draws nothing, so it is built once."""
+    target = config.n if config.source_opinion == 1 else 0
+    agent = config.backend == "agent"
+    copies = trials if fixed else 1
+    builds = range(trials // copies)
+    if agent:
+        pops = [init_adversarial(initial, config, rng) for _ in builds]
+        state = Population(
+            np.repeat([p.opinions for p in pops], copies, axis=0),
+            np.repeat([p.prev_counts for p in pops], copies, axis=0),
+        )
+        counts = state.opinions.sum(axis=1, dtype=np.int64)
+    else:
+        # Each population is binned, and dropped, before the next is built.
+        hists = [
+            _class_counts(init_adversarial(initial, config, rng), config.ell) for _ in builds
+        ]
+        state = np.repeat(hists, copies, axis=0)
+        counts = state[:, 1].sum(axis=1) + config.source_opinion
+    paths = [[k] for k in counts.tolist()]
+    live, prev, going = np.arange(trials), None, counts != target
+    for round_ in range(config.max_rounds):
+        live, counts = live[going], counts[going]
+        if live.size == 0:
+            break
+        if agent:
+            state = Population(state.opinions[going], state.prev_counts[going])
+            state = step_agent_level(state, config, rng)
+            new = state.opinions.sum(axis=1, dtype=np.int64)
+        elif round_ == 0:
+            new = _class_round(state[going], config, rng)
         else:
-            counts.append(step_aggregate(counts[-2], counts[-1], config, rng))
-    return Trajectory(counts, converged_round=len(counts) - 1 if counts[-1] == target else None)
+            new = step_aggregate(prev[going], counts, config, rng)
+        for t, k in zip(live.tolist(), new.tolist()):
+            paths[t].append(k)
+        prev, counts, going = counts, new, new != target
+    return [Trajectory(p, len(p) - 1 if p[-1] == target else None) for p in paths]

@@ -7,10 +7,11 @@ The pair-state kernel oracle is the exception: it builds each row
 separately through the scalar duel path, as a reference for the
 vectorized markov.build_kernel.  The single-agent FET rule
 (``agent_round``), the population mirror, the duel difference
-distribution, the scalar log-space ``binomial_pmf``, the kernel row
-reader ``next_count_distribution``, the population fraction, the
-swapped duel, the grid and Yellow' membership tests and the list of
-every matching domain are kept here for the tests only.
+distribution, the scalar log-space ``binomial_pmf`` and
+``binomial_pmf_vector``, the kernel row reader
+``next_count_distribution``, the population fraction, the swapped duel,
+the label and point mirrors, the grid and Yellow' membership tests and
+the list of every matching domain are kept here for the tests only.
 """
 
 from __future__ import annotations
@@ -22,8 +23,10 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from scipy.special import gammaln
+
 from fetsim.domains import DomainLabel, GridPoint, _coords, _domain_tests, _in_box
-from fetsim.duel import DuelProbs, _check_count, _check_prob, binomial_pmf_vector
+from fetsim.duel import DuelProbs, _check_count, _check_prob
 from fetsim.dynamics import AnalysisConstants, flip_probs
 from fetsim.errors import DomainError
 from fetsim.markov import PRUNE_THRESHOLD, Kernel
@@ -37,6 +40,33 @@ def oracle_pmf(k: int, p: float, i: int) -> float:
 
 def oracle_pmf_vector(k: int, p: float) -> np.ndarray:
     return np.array([oracle_pmf(k, p, i) for i in range(k + 1)])
+
+
+def binomial_pmf_vector(k: int, p: float) -> np.ndarray:
+    """Full pmf of Binomial(k, p) as a length k+1 array, in log space.
+
+    The scalar form of duel._binomial_pmf_rows (same formula, same
+    order of operations), for the kernel oracle and the test oracles.
+    """
+    k = _check_count("k", k)
+    p = _check_prob("p", p)
+    if p == 0.0:
+        out = np.zeros(k + 1)
+        out[0] = 1.0
+        return out
+    if p == 1.0:
+        out = np.zeros(k + 1)
+        out[k] = 1.0
+        return out
+    i = np.arange(k + 1)
+    log_pmf = (
+        gammaln(k + 1)
+        - gammaln(i + 1)
+        - gammaln(k - i + 1)
+        + i * math.log(p)
+        + (k - i) * math.log1p(-p)
+    )
+    return np.exp(log_pmf)
 
 
 def binomial_pmf(k: int, p: float, i: int) -> float:
@@ -195,6 +225,30 @@ def matching_domains(point, n: int, constants: AnalysisConstants) -> list[Domain
 def in_yellow_prime(point, constants: AnalysisConstants) -> bool:
     """Membership in the square box Yellow' = [1/2-4d, 1/2+4d]^2."""
     return _in_box(*_coords(point), constants)
+
+
+_MIRROR = {
+    DomainLabel.GREEN1: DomainLabel.GREEN0,
+    DomainLabel.GREEN0: DomainLabel.GREEN1,
+    DomainLabel.PURPLE1: DomainLabel.PURPLE0,
+    DomainLabel.PURPLE0: DomainLabel.PURPLE1,
+    DomainLabel.RED1: DomainLabel.RED0,
+    DomainLabel.RED0: DomainLabel.RED1,
+    DomainLabel.CYAN1: DomainLabel.CYAN0,
+    DomainLabel.CYAN0: DomainLabel.CYAN1,
+    DomainLabel.YELLOW: DomainLabel.YELLOW,
+    DomainLabel.UNCLASSIFIED: DomainLabel.UNCLASSIFIED,
+}
+
+
+def mirrored_label(label: DomainLabel) -> DomainLabel:
+    """Label of the point reflection through (1/2, 1/2)."""
+    return _MIRROR[label]
+
+
+def mirrored_point(point: GridPoint) -> GridPoint:
+    """The point reflection of a grid point through (1/2, 1/2)."""
+    return GridPoint(1.0 - point.x_t, 1.0 - point.x_t1)
 
 
 def mirror_population(pop: Population, ell: int) -> Population:

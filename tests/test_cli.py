@@ -2,12 +2,14 @@
 
 import csv
 import json
+import math
 
 import pytest
 
 from fetsim import harness
 from fetsim.cli import main
 from fetsim.config import parse_config_file, parse_value
+from fetsim.domains import DomainLabel, label_path
 from fetsim.errors import UsageError
 
 
@@ -167,6 +169,22 @@ class TestAuditCommand:
         assert "yellow_reading" in payload
 
 
+    @pytest.mark.parametrize("command", ["audit", "classify"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0"])
+    def test_bad_c_sample_is_error(self, capsys, tmp_path, command, value):
+        # A NaN c_sample used to pass into the partition constants.
+        argv = [command, "--n", "16", "--c-sample", value]
+        if command == "classify":
+            argv += ["--x", "0.5", "--y", "0.5"]
+        else:
+            argv += ["--out", str(tmp_path / "audit.json")]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: c_sample must be positive and finite")
+        assert not (tmp_path / "audit.json").exists()
+
+
 class TestSimulateCommand:
     def test_trials_and_summary(self, capsys, tmp_path):
         cfg = tmp_path / "sim.cfg"
@@ -281,7 +299,8 @@ class TestSimulateCommand:
         # Every x_t is k/n for an integer k, printed as repr(k / n), and
         # labels are taken at that exact grid point: (67/100, 62/100) lies
         # on Green0's boundary x_{t+1} = x_t - delta, so a last-bit error
-        # in either coordinate can move it into Purple0.
+        # in either coordinate can move it into Purple0.  The pair is
+        # labelled directly, so the check does not depend on the draws.
         n = 100
         cfg = tmp_path / "sim.cfg"
         cfg.write_text(f"n = {n}\nseed = 5\npreset = half_half\nsource_opinion = 0\n")
@@ -293,9 +312,9 @@ class TestSimulateCommand:
         for row in rows:
             k = round(float(row["x_t"]) * n)
             assert row["x_t"] == repr(k / n)
-        pairs = {(a["x_t"], b["x_t"]): a["domain"] for a, b in zip(rows, rows[1:])}
-        assert pairs[(repr(67 / n), repr(62 / n))] == "Green0"
         assert rows[-1]["x_t"] == "0.0"
+        domains, _ = label_path([67, 62], n, 0.05, math.ceil(3 * math.log(n)))
+        assert domains == [DomainLabel.GREEN0]
 
     def test_output_determinism(self, capsys, tmp_path):
         cfg = tmp_path / "sim.cfg"
@@ -320,6 +339,12 @@ class TestChainCommand:
         payload = json.loads(out_file.read_text())
         assert payload["expected_rounds_from_state"] > 0
         assert payload["expected_rounds_from_corner"] == payload["expected_rounds_from_state"]
+
+    def test_population_below_two_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "chain", "--n", "1", "--ell", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: population size must be >= 2")
 
     @pytest.mark.parametrize("state", ["3", "x,y", "1,2,3", "", "9,1", "4,0"])
     def test_bad_from_state_is_usage_error(self, capsys, state):
@@ -394,7 +419,7 @@ class TestVerifyCommand:
         def no_trials(*_args, **_kwargs):
             raise AssertionError("a trial ran before the parameters were checked")
 
-        monkeypatch.setattr(harness, "run_trial", no_trials)
+        monkeypatch.setattr(harness, "run_trials", no_trials)
         monkeypatch.setattr(harness, "step_aggregate", no_trials)
         cfg = tmp_path / "verify.cfg"
         cfg.write_text(line + "\n")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import in_yellow_prime, matching_domains, on_grid
+from conftest import in_yellow_prime, matching_domains, mirrored_label, mirrored_point, on_grid
 from fetsim.domains import (
     DomainLabel,
     GridPoint,
@@ -89,7 +89,7 @@ class TestClassify:
         c = consts(n)
         point = (kx / n, ky / n)
         mirror = (1.0 - kx / n, 1.0 - ky / n)
-        assert classify(point, n, c) is classify(mirror, n, c).mirrored()
+        assert classify(point, n, c) is mirrored_label(classify(mirror, n, c))
 
 
 class TestClassifyYellow:
@@ -139,7 +139,7 @@ class TestGridPoint:
         assert not on_grid(GridPoint(0.3333, 0.5), 64)
 
     def test_mirror(self):
-        m = GridPoint(0.2, 0.7).mirrored()
+        m = mirrored_point(GridPoint(0.2, 0.7))
         assert m.x_t == pytest.approx(0.8, abs=1e-15)
         assert m.x_t1 == pytest.approx(0.3, abs=1e-15)
 

@@ -7,12 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import binomial_pmf, difference_distribution, oracle_duel, oracle_pmf, swapped
+from conftest import (
+    binomial_pmf,
+    binomial_pmf_vector,
+    difference_distribution,
+    oracle_duel,
+    oracle_pmf,
+    swapped,
+)
 from fetsim.duel import (
     BERRY_ESSEEN_C,
     DuelProbs,
+    _binomial_pmf_rows,
     advantage,
-    binomial_pmf_vector,
     duel_table,
     exact_duel,
     hoeffding_duel_bound,
@@ -43,6 +50,17 @@ class TestBinomialPmf:
     @pytest.mark.parametrize("p", [0.0, 0.05, 0.3, 0.5, 0.97, 1.0])
     def test_sums_to_one(self, k, p):
         assert abs(binomial_pmf_vector(k, p).sum() - 1.0) < 1e-12
+
+    def test_rows_match_scalar_pmf_bitwise(self):
+        # The library's batched pmf and the scalar oracle evaluate the
+        # same formula in the same order: equal to the last bit,
+        # point-mass rows included.
+        rng = np.random.default_rng(7)
+        for k in [1, 2, 3, 8, 17, 64, 500, 4095, 8191]:
+            p = np.concatenate([[0.0, 1.0, 0.5, 1 / k], rng.random(40)])
+            rows = _binomial_pmf_rows(k, p)
+            for r, value in enumerate(p):
+                assert np.array_equal(rows[r], binomial_pmf_vector(k, float(value)))
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):

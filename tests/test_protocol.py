@@ -16,14 +16,18 @@ from conftest import (
 )
 from fetsim.domains import DomainLabel, YellowLabel, label_path
 from fetsim.dynamics import expected_next_fraction, flip_probs
+from fetsim import protocol
 from fetsim.errors import DomainError, UsageError
 from fetsim.protocol import (
+    BLOCK,
+    PRESETS,
     Population,
     SimConfig,
-    _step_class_counts,
+    _class_counts,
+    _class_round,
     derive_rng,
     init_adversarial,
-    run_trial,
+    run_trials,
     step_agent_level,
     step_aggregate,
 )
@@ -89,7 +93,7 @@ class TestStepAgentLevel:
         # Source + one agent holding the wrong opinion with maximally
         # misleading memory still converges.
         config = SimConfig(n=2, ell=1, seed=5, backend="agent", max_rounds=500)
-        traj = run_trial(config, "all_wrong_max_counters")
+        traj = run_trials(config, "all_wrong_max_counters", 1)[0]
         assert traj.converged_round is not None
 
     def test_source_invariance_every_round(self):
@@ -207,6 +211,24 @@ class TestStepAggregate:
         with pytest.raises(DomainError):
             step_aggregate(32, 0, config, derive_rng(0, "y"))
 
+    @pytest.mark.parametrize("source_opinion", [1, 0])
+    def test_batched_step_mean_matches_expectation_map(self, source_opinion):
+        # One call steps 10^5 trials of the pair (30, 50) at n = 100 (its
+        # mirror (70, 50) for source opinion 0); the mean next count is
+        # n g(0.3, 0.5) within 3 SE.
+        n, ell, trials = 100, 4, 100_000
+        config = SimConfig(n=n, ell=ell, source_opinion=source_opinion)
+        k_t, k_t1 = (30, 50) if source_opinion == 1 else (70, 50)
+        k_next = step_aggregate(
+            np.full(trials, k_t), np.full(trials, k_t1), config, derive_rng(0, "batch-mean")
+        )
+        assert k_next.shape == (trials,)
+        correct = k_next if source_opinion == 1 else n - k_next
+        fp = flip_probs(0.3, 0.5, ell)
+        var = 49 * fp.p_keep_one * (1 - fp.p_keep_one) + 50 * fp.p_gain_one * (1 - fp.p_gain_one)
+        expected = n * expected_next_fraction(0.3, 0.5, n, ell)
+        assert abs(correct.mean() - expected) <= 3 * math.sqrt(var / trials)
+
 
 class TestClassCountRound:
     """The class-count first round against an agent-level oracle.
@@ -270,7 +292,8 @@ class TestClassCountRound:
         src = config.source_opinion
         agent = self._agent_oracle(pop, ell, src, trials, derive_rng(0, "class-law-agent", name))
         rng = derive_rng(0, "class-law-classes", name)
-        classes = np.array([_step_class_counts(pop, config, rng) for _ in range(trials)])
+        hist = np.broadcast_to(_class_counts(pop, ell), (trials, 2, ell + 1))
+        classes = _class_round(hist, config, rng)
 
         # Exact law: agent i holds 1 afterwards with probability
         # P(c' > c_i) + [o_i = 1] P(c' = c_i), c' ~ Bin(ell, x_0).
@@ -339,20 +362,53 @@ class TestInitPresets:
 class TestRunTrial:
     def test_all_correct_start_converges_at_zero(self):
         config = SimConfig(n=64, ell=8, seed=4)
-        traj = run_trial(config, ("fraction", 1.0))
+        (traj,) = run_trials(config, ("fraction", 1.0), 1)
         assert traj.converged_round == 0
 
     def test_determinism_byte_for_byte(self):
         config = SimConfig(n=128, c_sample=3.0, seed=77, backend="aggregate")
-        a = run_trial(config, "all_wrong_max_counters", trial=3)
-        b = run_trial(config, "all_wrong_max_counters", trial=3)
+        a = run_trials(config, "all_wrong_max_counters", 5)
+        b = run_trials(config, "all_wrong_max_counters", 5)
         assert a == b
-        c = run_trial(config, "all_wrong_max_counters", trial=4)
-        assert a != c
+        assert a[3] != a[4]
+
+    @pytest.mark.parametrize("preset", ["all_wrong_max_counters", "yellow_center"])
+    def test_first_block_independent_of_trial_count(self, preset):
+        # Each block has its own stream, so the trials of block 0 are the
+        # same whether or not a second block follows.
+        config = SimConfig(n=256, c_sample=3.0, seed=3)
+        assert run_trials(config, preset, 2 * BLOCK)[:BLOCK] == run_trials(config, preset, BLOCK)
+
+    def test_presets_with_equal_populations_draw_apart(self):
+        # cyan_corner builds the same population as all_wrong_max_counters,
+        # but the preset is part of the stream key: the paths differ.
+        config = SimConfig(n=1024, c_sample=3.0, seed=0)
+        cyan = run_trials(config, "cyan_corner", 20)
+        maxed = run_trials(config, "all_wrong_max_counters", 20)
+        assert [t.counts[0] for t in cyan] == [t.counts[0] for t in maxed]
+        assert sum(a != b for a, b in zip(cyan, maxed)) >= 15
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_preset_built_per_trial_unless_it_draws_nothing(self, monkeypatch, preset):
+        # A block builds a drawing preset once per trial and a preset
+        # that draws nothing once.
+        config = SimConfig(n=64, ell=8, seed=1)
+        rng = derive_rng(0, "draws")
+        init_adversarial(preset, config, rng)
+        draws = rng.random() != derive_rng(0, "draws").random()
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return init_adversarial(*args)
+
+        monkeypatch.setattr(protocol, "init_adversarial", counting)
+        run_trials(config, preset, 5)
+        assert len(calls) == (5 if draws else 1)
 
     def test_trajectory_pairs_labelled(self):
         config = SimConfig(n=128, c_sample=3.0, seed=12)
-        traj = run_trial(config, "all_wrong_max_counters")
+        (traj,) = run_trials(config, "all_wrong_max_counters", 1)
         domains, yellows = label_path(traj.counts, 128, config.delta, config.ell)
         assert traj.counts[0] / 128 == pytest.approx(1 / 128)
         # One label per consecutive pair: every round but the last.
@@ -368,8 +424,7 @@ class TestRunTrial:
         config = SimConfig(
             n=64, ell=8, seed=6, backend=backend, source_opinion=source_opinion
         )
-        for t in range(5):
-            traj = run_trial(config, "all_wrong_max_counters", trial=t)
+        for traj in run_trials(config, "all_wrong_max_counters", 5):
             consensus = 64 * source_opinion
             assert traj.converged_round is not None
             assert len(traj.counts) == traj.converged_round + 1
@@ -380,7 +435,7 @@ class TestRunTrial:
         # ln 2 < 1 leaves the partition constants undefined, so pairs are
         # labelled Unclassified instead of raising.
         config = SimConfig(n=2, ell=1)
-        traj = run_trial(config, "all_wrong")
+        (traj,) = run_trials(config, "all_wrong", 1)
         assert traj.converged_round is not None
         domains, yellows = label_path(traj.counts, 2, config.delta, config.ell)
         assert len(domains) == len(yellows) == traj.converged_round
@@ -392,7 +447,7 @@ class TestRunTrial:
         # The naive comparison variant with a hostile start may stall;
         # a capped trajectory simply has no converged_round.
         config = SimConfig(n=16, ell=2, seed=5, max_rounds=3, backend="agent")
-        traj = run_trial(config, "all_wrong_max_counters")
+        (traj,) = run_trials(config, "all_wrong_max_counters", 1)
         assert traj.converged_round is None or traj.converged_round <= 3
 
     def test_exact_mirror_symmetry_agent_level(self):
@@ -405,28 +460,25 @@ class TestRunTrial:
         rng = derive_rng(31, "mirror-init")
         pop1 = init_adversarial("all_wrong", config1, rng)
         pop0 = mirror_population(pop1, config1.ell)
-        t1 = run_trial(config1, pop1, trial=9)
-        t0 = run_trial(config0, pop0, trial=9)
-        assert len(t1.counts) == len(t0.counts)
-        for k1, k0 in zip(t1.counts, t0.counts):
-            assert k1 == 64 - k0
-        assert t1.converged_round == t0.converged_round
+        for t1, t0 in zip(run_trials(config1, pop1, 10), run_trials(config0, pop0, 10)):
+            assert len(t1.counts) == len(t0.counts)
+            for k1, k0 in zip(t1.counts, t0.counts):
+                assert k1 == 64 - k0
+            assert t1.converged_round == t0.converged_round
 
     def test_aggregate_mirror_symmetry_distributional(self):
         # The aggregate backend mirrors in distribution: run the exact
         # mirrored initial condition under the mirrored source opinion
         # and compare mean convergence times at 3 combined SE.
         trials = 300
-        times1, times0 = [], []
         c1 = SimConfig(n=256, c_sample=3.0, seed=13, backend="aggregate")
         c0 = SimConfig(
             n=256, c_sample=3.0, seed=13, backend="aggregate", source_opinion=0
         )
         base = init_adversarial("all_wrong_max_counters", c1, derive_rng(13, "mi"))
         mirrored = mirror_population(base, c1.ell)
-        for t in range(trials):
-            times1.append(run_trial(c1, base, trial=t).converged_round)
-            times0.append(run_trial(c0, mirrored, trial=t).converged_round)
+        times1 = [t.converged_round for t in run_trials(c1, base, trials)]
+        times0 = [t.converged_round for t in run_trials(c0, mirrored, trials)]
         a, b = np.array(times1, float), np.array(times0, float)
         se = math.hypot(a.std(ddof=1) / math.sqrt(trials), b.std(ddof=1) / math.sqrt(trials))
         assert abs(a.mean() - b.mean()) <= 3 * se
@@ -439,23 +491,37 @@ class TestRunTrial:
         config = SimConfig(n=n, seed=0)
         tracemalloc.start()
         try:
-            traj = run_trial(config, "all_wrong_max_counters")
+            (traj,) = run_trials(config, "all_wrong_max_counters", 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert traj.converged_round is not None
         assert peak / n < 64
 
+    def test_block_holds_one_preset_at_a_time(self):
+        # Each drawn preset is binned and dropped before the next is
+        # built, so a block of three peaks no higher than one trial.
+        config = SimConfig(n=1 << 18, seed=0)
+        peaks = []
+        for trials in (1, 3):
+            tracemalloc.start()
+            try:
+                run_trials(config, "yellow_center", trials)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.1 * peaks[0]
+
     def test_explicit_population_wrong_size_rejected(self):
         pop = init_adversarial("all_wrong", SimConfig(n=32, ell=4), derive_rng(0, "p"))
         with pytest.raises(UsageError):
-            run_trial(SimConfig(n=64, ell=4), pop)
+            run_trials(SimConfig(n=64, ell=4), pop, 1)
 
     def test_explicit_population_source_opinion_checked(self):
         config = SimConfig(n=32, ell=4, source_opinion=0)
         pop = Population(np.ones(32, dtype=np.uint8), np.zeros(32, dtype=np.int32))
         with pytest.raises(UsageError):
-            run_trial(config, pop)
+            run_trials(config, pop, 1)
 
     @pytest.mark.parametrize("bad", [-1, 5])
     def test_explicit_population_counters_checked(self, bad):
@@ -464,18 +530,18 @@ class TestRunTrial:
         counters[7] = bad
         pop = Population(np.ones(32, dtype=np.uint8), counters)
         with pytest.raises(UsageError):
-            run_trial(config, pop)
+            run_trials(config, pop, 1)
 
     def test_explicit_population_opinions_must_be_bits(self):
         config = SimConfig(n=32, ell=4)
         opinions = np.ones(32, dtype=np.uint8)
         opinions[3] = 2
         with pytest.raises(UsageError):
-            run_trial(config, Population(opinions, np.zeros(32, dtype=np.int32)))
+            run_trials(config, Population(opinions, np.zeros(32, dtype=np.int32)), 1)
 
     def test_naive_variant_runs(self):
         config = SimConfig(n=64, ell=8, seed=8, backend="agent", variant="naive")
-        traj = run_trial(config, "half_half")
+        (traj,) = run_trials(config, "half_half", 1)
         assert traj.counts  # comparison variant only needs to execute
 
     def test_cyan_start_passes_through_upward_domains(self):
@@ -484,8 +550,7 @@ class TestRunTrial:
         # trials (the escape route goes up through those areas).
         config = SimConfig(n=4096, c_sample=3.0, seed=17, backend="aggregate")
         trials, through = 100, 0
-        for t in range(trials):
-            traj = run_trial(config, "cyan_corner", trial=t)
+        for traj in run_trials(config, "cyan_corner", trials):
             assert traj.converged_round is not None
             domains, _ = label_path(traj.counts, 4096, config.delta, config.ell)
             if any(d in (DomainLabel.PURPLE1, DomainLabel.GREEN1) for d in domains):
