@@ -26,7 +26,6 @@ from .protocol import (
     Population,
     SimConfig,
     Trajectory,
-    init_adversarial,
     run_trials,
     step_agent_level,
     step_aggregate,
@@ -59,7 +58,6 @@ __all__ = [
     "fixed_point_f",
     "flip_probs",
     "hoeffding_duel_bound",
-    "init_adversarial",
     "run_trials",
     "simulate_exact_check",
     "speed",

@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import check_delta, parse_config_file
-from .domains import audit_partition, classify, classify_yellow, label_path
+from .domains import audit_partition, classify, classify_yellow, label_paths
 from .duel import exact_duel, hoeffding_duel_bound, underdog_lower_bound
 from .dynamics import (
     AnalysisConstants,
@@ -159,8 +159,8 @@ def _cmd_simulate(args) -> int:
     domain_visits: dict[str, int] = {}
     trajectories = run_trials(config, preset, trials)  # first, so a bad preset leaves no directory
     out_dir.mkdir(parents=True, exist_ok=True)
-    for t, traj in enumerate(trajectories):
-        domains, yellows = label_path(traj.counts, config.n, config.delta, config.ell)
+    labels = label_paths([t.counts for t in trajectories], config.n, config.delta, config.ell)
+    for t, (traj, (domains, yellows)) in enumerate(zip(trajectories, labels)):
         # Row t holds x_t and the labels of the pair (x_t, x_{t+1}); the
         # final row has no successor, so its labels are empty.
         with (out_dir / f"trial_{t}.csv").open("w", newline="") as fh:

@@ -30,9 +30,9 @@ applies the fixed precedence Green > Purple > Red > Cyan > Yellow with
 the 1-variant before the 0-variant, and ``audit_partition`` quantifies
 every gap and overlap instead of hiding them.  Each definition is
 written once and evaluated on floats by the pointwise classifiers and
-on arrays by ``classify_array``, ``label_path`` and the audit.
-``label_path`` labels a simulated trial, a path of opinion-1 counts,
-pair by pair.
+on arrays by ``classify_array``, ``label_paths`` and the audit.
+``label_paths`` labels simulated trials, paths of opinion-1 counts,
+pair by pair, every pair of a batch of paths in one pass.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ __all__ = [
     "classify",
     "classify_array",
     "classify_yellow",
-    "label_path",
+    "label_paths",
 ]
 
 
@@ -221,29 +221,37 @@ def classify_yellow(point, constants: AnalysisConstants) -> YellowLabel:
     raise AssertionError(f"point {(x, y)} in Yellow' matched no A/B/C area")
 
 
-def label_path(
-    counts, n: int, delta: float, ell: int
-) -> tuple[list[DomainLabel], list[YellowLabel]]:
-    """Domain and Yellow' area of each consecutive pair of a count path.
+def label_paths(
+    paths, n: int, delta: float, ell: int
+) -> list[tuple[list[DomainLabel], list[YellowLabel]]]:
+    """Domain and Yellow' area of each consecutive pair of each count path.
 
-    Pair t is (counts[t]/n, counts[t+1]/n), so a path of T+1 counts has
-    T labels of each kind; the partition constants are those of
-    (n, delta, ell).  They need ln n > 1: at n = 2 every pair is
-    Unclassified and outside Yellow'.
+    Pair t of a path is (counts[t]/n, counts[t+1]/n), so a path of T+1
+    counts gets T labels of each kind; the partition constants are those
+    of (n, delta, ell).  Every pair of every path is labelled in one
+    array pass, and the pairs that straddle two paths are dropped.  The
+    constants need ln n > 1: at n = 2 every pair is Unclassified and
+    outside Yellow'.
     """
-    pairs = len(counts) - 1
-    if math.log(n) <= 1.0:
-        return [DomainLabel.UNCLASSIFIED] * pairs, [YellowLabel.OUTSIDE] * pairs
-    constants = AnalysisConstants.for_population(n, delta=delta, ell=ell)
-    k = np.asarray(counts, dtype=np.int64)
+    k = np.array([c for path in paths for c in path], dtype=np.int64)
     x, y = k[:-1] / n, k[1:] / n
     outside = len(YellowLabel) - 1
-    areas = np.where(_in_box(x, y, constants), _first_true(_yellow_area_tests(x, y)), outside)
-    domains, yellows = tuple(DomainLabel), tuple(YellowLabel)
-    return (
-        [domains[i] for i in classify_array(x, y, constants)],
-        [yellows[i] for i in areas],
-    )
+    if math.log(n) <= 1.0:
+        domains = np.full(x.shape, len(DomainLabel) - 1)
+        areas = np.full(x.shape, outside)
+    else:
+        constants = AnalysisConstants.for_population(n, delta=delta, ell=ell)
+        domains = classify_array(x, y, constants)
+        areas = np.where(_in_box(x, y, constants), _first_true(_yellow_area_tests(x, y)), outside)
+    # Slot t holds the pair (t, t+1) of the concatenation; each path's
+    # last slot, a straddling pair or the padding, is cut off.
+    domains = np.append(np.array(tuple(DomainLabel), dtype=object)[domains], None)
+    areas = np.append(np.array(tuple(YellowLabel), dtype=object)[areas], None)
+    sizes = [len(path) for path in paths]
+    return [
+        (domains[end - size : end - 1].tolist(), areas[end - size : end - 1].tolist())
+        for end, size in zip(np.cumsum(sizes).tolist(), sizes)
+    ]
 
 
 @dataclass

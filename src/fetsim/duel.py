@@ -140,10 +140,10 @@ def duel_table(ell: int, a, b, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     a and b are vectors of counts in [0, n].  Returns the
     (len(a), len(b)) arrays p_lt, p_eq, p_gt, entry [i, j] being the
     exact_duel triple at (a[i]/n, b[j]/n): one Bin(ell, k/n) pmf table
-    per vector, then three matrix products with the table of b and its
-    CDF, clamped to [0, 1] as exact_duel clamps.  BLAS may sum in
-    another order than exact_duel's dot products, so entries can differ
-    from it in the last bits.
+    per vector (one in all when b is a), then three matrix products with
+    the table of b and its CDF, clamped to [0, 1] as exact_duel clamps.
+    BLAS may sum in another order than exact_duel's dot products, so
+    entries can differ from it in the last bits.
     """
     ell = _check_count("ell", ell, minimum=1)
     n = _check_count("n", n, minimum=1)
@@ -151,7 +151,9 @@ def duel_table(ell: int, a, b, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     if np.any((a < 0) | (a > n)) or np.any((b < 0) | (b > n)):
         raise DomainError(f"counts must lie in [0, n] = [0, {n}]")
     pmf_a = _binomial_pmf_rows(ell, a / n)
-    pmf_b = _binomial_pmf_rows(ell, b / n)
+    # A copy, not pmf_a itself: BLAS computes pmf_a @ pmf_a.T by its
+    # symmetric product, which rounds differently in the last bits.
+    pmf_b = pmf_a.copy() if b is a else _binomial_pmf_rows(ell, b / n)
     cdf_b = np.cumsum(pmf_b, axis=1)
     cdf_b_below = np.hstack([np.zeros((len(b), 1)), cdf_b[:, :-1]])
     p_lt = np.clip(pmf_a @ (1.0 - cdf_b).T, 0.0, 1.0)

@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import check_delta, check_number
-from .domains import DomainLabel, YellowLabel, classify, classify_array, label_path
+from .domains import DomainLabel, YellowLabel, classify, classify_array, label_paths
 from .dynamics import AnalysisConstants, expected_next_fraction_table
 from .errors import PlantingError, UsageError
 from .protocol import SimConfig, derive_rng, run_trials, step_aggregate
@@ -466,9 +466,8 @@ def verify_cyan(
     exit_rounds: list[int] = []
     gamma_crossed = 0
     gamma_then_above_half = 0
-    for traj in run_trials(config, "cyan_corner", trials):
-        counts = traj.counts
-        labels, _ = label_path(counts, n, delta, config.ell)
+    paths = [traj.counts for traj in run_trials(config, "cyan_corner", trials)]
+    for counts, (labels, _) in zip(paths, label_paths(paths, n, delta, config.ell)):
         t0 = next((i for i, lab in enumerate(labels) if lab is DomainLabel.CYAN1), None)
         if t0 is None:
             failures += 1
@@ -586,8 +585,8 @@ def verify_yellow(
         )
         escapes = []
         b_dwells = []
-        for traj in run_trials(config, "yellow_center", trials):
-            _, yellows = label_path(traj.counts, n, delta, config.ell)
+        paths = [traj.counts for traj in run_trials(config, "yellow_center", trials)]
+        for _, yellows in label_paths(paths, n, delta, config.ell):
             esc = next(
                 (i for i, lab in enumerate(yellows) if lab is YellowLabel.OUTSIDE),
                 None,

@@ -15,13 +15,16 @@ the rule and keeps the correct opinion throughout.
 
 Two backends are provided.  The agent-level backend executes the rule
 faithfully, including arbitrary adversarial counter memory, on one
-population or on a batch of them (leading trial axes).  The aggregate
-backend reads the agents only once, to bin them for round 1.  Agents
-sample with replacement, so given the population an agent's two
-half-counts are independent Bin(ell, x_t) draws: the histogram of
-non-source agents over (opinion, stored counter), 2(ell+1) integers,
-is an exact sufficient statistic for one round, adversarial counters
-included.  The first round is drawn from that histogram.  Afterwards
+population or on a batch of them (leading trial axes).  Agents sample
+with replacement, so given the population an agent's two half-counts
+are independent Bin(ell, x_t) draws: the histogram of non-source
+agents over (opinion, stored counter), 2(ell+1) integers, is an exact
+sufficient statistic for one round, adversarial counters included.
+Every initial condition is therefore defined by that histogram: a
+named preset is built directly as class counts at O(ell) cost, never
+as n agents, and the agent backend expands the counts into agents
+(explicit per-agent states are binned, and stepped as given).  The
+aggregate backend draws the first round from the histogram.  Afterwards
 every stored counter is an independent Bin(ell, x_t) draw, so each
 later round is two binomial draws over the pair of opinion-1 counts
 (k_t, k_{t+1}); the test suite checks both laws against the agent
@@ -29,7 +32,7 @@ level.
 
 A trial is the path of opinion-1 counts, one integer per round.
 Labelling its pairs with the domain partition is the caller's business
-(``domains.label_path``).  ``run_trials`` is the one trial driver: it
+(``domains.label_paths``).  ``run_trials`` is the one trial driver: it
 advances a block of trials in lockstep, the agent backend as a stacked
 (trials, n) population and the aggregate backend as integer count
 arrays, and a trial leaves its block at its first consensus round.
@@ -38,7 +41,8 @@ Randomness is drawn from counter-based Philox streams keyed by hashes
 of (seed, labels).  Each block of trials has its own stream, keyed by
 (seed, n, preset, block index) with a fixed block size, so a trial's
 path depends on (config, preset, seed, its index) and not on how many
-trials run after it.
+trials run after it.  A block's random presets are one multinomial
+draw, made before its rounds.
 """
 
 from __future__ import annotations
@@ -60,7 +64,6 @@ __all__ = [
     "SimConfig",
     "Trajectory",
     "derive_rng",
-    "init_adversarial",
     "run_trials",
     "step_agent_level",
     "step_aggregate",
@@ -74,8 +77,6 @@ PRESETS = (
     "yellow_center",
     "cyan_corner",
 )
-# Presets that draw nothing: one build serves a whole block.
-FIXED_PRESETS = ("all_wrong", "all_wrong_max_counters", "cyan_corner")
 # Trials per aggregate block, and the cap on one agent-level round's
 # sample indices per block (2^22 int64 entries, 32 MiB).
 BLOCK = 64
@@ -206,22 +207,6 @@ def step_agent_level(
     return Population(new_op, c_store)
 
 
-def _class_counts(pop: Population, ell: int) -> np.ndarray:
-    """Non-source agents of one population binned by (opinion, stored counter).
-
-    Row o of the (2, ell+1) result counts the agents holding opinion o
-    by their stored counter.
-    """
-    opinions = pop.opinions[SOURCE_INDEX + 1 :]
-    counters = pop.prev_counts[SOURCE_INDEX + 1 :]
-    return np.stack(
-        [
-            np.bincount(counters[opinions == 0], minlength=ell + 1),
-            np.bincount(counters[opinions == 1], minlength=ell + 1),
-        ]
-    )
-
-
 def _class_round(
     hist: np.ndarray,
     config: SimConfig,
@@ -229,7 +214,7 @@ def _class_round(
 ) -> np.ndarray:
     """One FET round drawn from class counts; returns the new numbers of ones.
 
-    hist is a (trials, 2, ell+1) stack of _class_counts.  Every agent's
+    hist is a (trials, 2, ell+1) stack of class counts.  Every agent's
     fresh count c' is an independent Bin(ell, x) draw with x the current
     fraction of ones (source included), so an agent in class (o, c)
     holds opinion 1 after the round with probability
@@ -295,75 +280,80 @@ def _check_population(pop: Population, config: SimConfig) -> Population:
     return pop
 
 
-def init_adversarial(
-    preset,
-    config: SimConfig,
-    rng: np.random.Generator,
-) -> Population:
-    """Build a per-agent initial condition for a named adversarial preset.
+def _explicit(initial, config: SimConfig) -> Population | None:
+    """The checked per-agent state of an explicit initial condition, else None."""
+    if isinstance(initial, tuple) and initial[:1] == ("explicit",):
+        _, opinions, counters = initial
+        initial = Population(np.array(opinions), np.array(counters))
+    return _check_population(initial, config) if isinstance(initial, Population) else None
 
-    Accepted presets: the names in PRESETS, a tuple ("fraction", x0),
-    a string "fraction:X", ("explicit", opinions, prev_counts) or a
-    Population; explicit states are checked against config.
+
+def _preset_counts(preset, config: SimConfig, rng: np.random.Generator, trials: int) -> np.ndarray:
+    """Class counts of ``trials`` initial states, shape (trials, 2, ell+1), int64.
+
+    Entry [t, o, c] counts trial t's non-source agents holding opinion o
+    and stored counter c, so set-up costs O(ell) per trial whatever n.
+    Accepted presets: the names in PRESETS, a tuple ("fraction", x0), a
+    string "fraction:X", ("explicit", opinions, prev_counts) or a
+    Population; explicit states are checked against config and binned.
     Counter conventions: all_wrong stores 0, all_wrong_max_counters and
-    cyan_corner store ell (maximally misleading memory), the remaining
-    presets store uniformly random counters in [0, ell].
+    cyan_corner store ell (maximally misleading memory), and these draw
+    nothing.  The remaining presets store uniformly random counters in
+    [0, ell]: one multinomial per (trial, opinion), drawn in trial
+    order, opinion 0 first, by one rng.multinomial call.
     """
     n, ell, src = config.n, config.ell, config.source_opinion
-    wrong = 1 - src
-
-    name = preset
-    arg = None
-    if isinstance(preset, Population):
-        return _check_population(preset, config)
+    hist = np.zeros((trials, 2, ell + 1), dtype=np.int64)
+    pop = _explicit(preset, config)
+    if pop is not None:
+        counters, opinions = pop.prev_counts[SOURCE_INDEX + 1 :], pop.opinions[SOURCE_INDEX + 1 :]
+        for o in (0, 1):
+            hist[:, o] = np.bincount(counters[opinions == o], minlength=ell + 1)
+        return hist
+    name, arg = preset, None
     if isinstance(preset, tuple):
         name, *rest = preset
-        if name == "explicit":
-            opinions, counters = rest
-            pop = Population(np.array(opinions), np.array(counters))
-            return _check_population(pop, config)
         arg = rest[0] if rest else None
     elif isinstance(preset, str) and preset.startswith("fraction:"):
         name, arg = "fraction", preset.split(":", 1)[1]
 
-    opinions = np.full(n, wrong, dtype=np.uint8)
-    opinions[SOURCE_INDEX] = src
-
-    def random_counters() -> np.ndarray:
-        return rng.integers(0, ell + 1, size=n).astype(np.int32)
-
-    def with_ones(total_ones: int, counters: np.ndarray) -> Population:
-        total_ones = int(min(max(total_ones, 1 if src == 1 else 0), n))
-        op = np.zeros(n, dtype=np.uint8)
-        if src == 1:
-            op[SOURCE_INDEX] = 1
-            op[1 : total_ones] = 1
-        else:
-            op[1 : 1 + total_ones] = 1
-        return Population(op, counters)
-
-    if name == "all_wrong":
-        return Population(opinions, np.zeros(n, dtype=np.int32))
-    if name in ("all_wrong_max_counters", "cyan_corner"):
-        return Population(opinions, np.full(n, ell, dtype=np.int32))
+    if name in ("all_wrong", "all_wrong_max_counters", "cyan_corner"):
+        hist[:, 1 - src, 0 if name == "all_wrong" else ell] = n - 1
+        return hist
     if name == "half_half":
         # Half the non-source agents (round half up) hold opinion 1,
         # plus the source: n = 64 gives x_0 = 33/64 with source opinion 1.
-        non_source_ones = math.floor((n - 1) / 2 + 0.5)
-        total = non_source_ones + (1 if src == 1 else 0)
-        return with_ones(total, random_counters())
-    if name == "yellow_center":
+        total = math.floor((n - 1) / 2 + 0.5) + src
+    elif name == "yellow_center":
         total = math.floor(n / 2 + 0.5)
-        return with_ones(total, random_counters())
-    if name == "fraction":
+    elif name == "fraction":
         try:
             x0 = float(arg)
         except (TypeError, ValueError):
             x0 = math.nan
         if not 0.0 <= x0 <= 1.0:
             raise UsageError(f"fraction preset needs x0 in [0,1], got {arg!r}")
-        return with_ones(int(round(x0 * n)), random_counters())
-    raise UsageError(f"unknown preset {preset!r}; known: {PRESETS}, fraction:X, explicit")
+        total = int(round(x0 * n))
+    else:
+        raise UsageError(f"unknown preset {preset!r}; known: {PRESETS}, fraction:X, explicit")
+    ones = min(max(total - src, 0), n - 1)  # non-source agents holding opinion 1
+    uniform = np.full(ell + 1, 1.0 / (ell + 1))
+    return rng.multinomial([n - 1 - ones, ones], uniform, size=(trials, 2))
+
+
+def _population(hist: np.ndarray, config: SimConfig) -> Population:
+    """One trial's (2, ell+1) class counts as agents: the source, then class by class.
+
+    Agents are exchangeable under uniform sampling, so their order does
+    not change the law of a round.  The source stores agent 1's counter.
+    """
+    classes = np.arange(hist.size)
+    opinions = np.repeat(classes // (config.ell + 1), hist.ravel())
+    counters = np.repeat(classes % (config.ell + 1), hist.ravel())
+    return Population(
+        np.concatenate([[config.source_opinion], opinions]),
+        np.concatenate([counters[:1], counters]),
+    )
 
 
 @dataclass
@@ -383,52 +373,48 @@ class Trajectory:
 def run_trials(config: SimConfig, initial, trials: int) -> list[Trajectory]:
     """Run ``trials`` trials to consensus or the round cap, in lockstep blocks.
 
-    ``initial`` is a preset accepted by init_adversarial.  Blocks hold
+    ``initial`` is a preset accepted by _preset_counts.  Blocks hold
     BLOCK aggregate trials, or as many agent-level trials as keep one
     round's sample indices within AGENT_BLOCK_INDICES (at least one).
     Block b draws from derive_rng(seed, "trials", n, label, b), label
-    being the preset string or "explicit": first its presets in trial
-    order, then its rounds.  So a trial's path depends on (config,
+    being the preset string or "explicit": first its presets' class
+    counts, then its rounds.  So a trial's path depends on (config,
     preset, seed, its index), not on how many trials follow it.  A
     trial leaves its block at its first consensus round (all-correct is
     absorbing); one that hits the round cap has converged_round None.
     """
-    explicit = isinstance(initial, Population) or (
-        isinstance(initial, tuple) and initial[:1] == ("explicit",)
-    )
-    label = "explicit" if explicit else str(initial)
-    fixed = label in ("explicit", *FIXED_PRESETS)
+    explicit = _explicit(initial, config)
+    label = str(initial) if explicit is None else "explicit"
+    start = initial if explicit is None else explicit
     size = BLOCK
     if config.backend == "agent":
         size = max(1, AGENT_BLOCK_INDICES // (config.n * 2 * config.ell))
     out = []
     for block, first in enumerate(range(0, trials, size)):
         rng = derive_rng(config.seed, "trials", config.n, label, block)
-        out += _run_block(config, initial, min(size, trials - first), fixed, rng)
+        out += _run_block(config, start, min(size, trials - first), rng)
     return out
 
 
 def _run_block(
-    config: SimConfig, initial, trials: int, fixed: bool, rng: np.random.Generator
+    config: SimConfig, initial, trials: int, rng: np.random.Generator
 ) -> list[Trajectory]:
-    """One lockstep block; a fixed preset draws nothing, so it is built once."""
+    """One lockstep block, started from the presets' class counts.
+
+    The agent backend expands each trial's counts into agents; an
+    explicit population is stepped as given.
+    """
     target = config.n if config.source_opinion == 1 else 0
     agent = config.backend == "agent"
-    copies = trials if fixed else 1
-    builds = range(trials // copies)
+    state = _preset_counts(initial, config, rng, trials)
     if agent:
-        pops = [init_adversarial(initial, config, rng) for _ in builds]
+        explicit = isinstance(initial, Population)
+        pops = [initial] * trials if explicit else [_population(h, config) for h in state]
         state = Population(
-            np.repeat([p.opinions for p in pops], copies, axis=0),
-            np.repeat([p.prev_counts for p in pops], copies, axis=0),
+            np.stack([p.opinions for p in pops]), np.stack([p.prev_counts for p in pops])
         )
         counts = state.opinions.sum(axis=1, dtype=np.int64)
     else:
-        # Each population is binned, and dropped, before the next is built.
-        hists = [
-            _class_counts(init_adversarial(initial, config, rng), config.ell) for _ in builds
-        ]
-        state = np.repeat(hists, copies, axis=0)
         counts = state[:, 1].sum(axis=1) + config.source_opinion
     paths = [[k] for k in counts.tolist()]
     live, prev, going = np.arange(trials), None, counts != target

@@ -10,8 +10,9 @@ vectorized markov.build_kernel.  The single-agent FET rule
 distribution, the scalar log-space ``binomial_pmf`` and
 ``binomial_pmf_vector``, the kernel row reader
 ``next_count_distribution``, the population fraction, the swapped duel,
-the label and point mirrors, the grid and Yellow' membership tests and
-the list of every matching domain are kept here for the tests only.
+the label and point mirrors, the grid and Yellow' membership tests,
+the list of every matching domain and the one-population preset
+builder ``init_adversarial`` are kept here for the tests only.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from fetsim.duel import DuelProbs, _check_count, _check_prob
 from fetsim.dynamics import AnalysisConstants, flip_probs
 from fetsim.errors import DomainError
 from fetsim.markov import PRUNE_THRESHOLD, Kernel
-from fetsim.protocol import Population
+from fetsim.protocol import Population, SimConfig, _population, _preset_counts
 
 
 def oracle_pmf(k: int, p: float, i: int) -> float:
@@ -139,6 +140,11 @@ def next_count_distribution(kernel: Kernel, k_t: int, k_t1: int) -> np.ndarray:
     for idx, p in zip(row.indices, row.data):
         out[idx % kernel.n] += p
     return out
+
+
+def init_adversarial(preset, config: SimConfig, rng: np.random.Generator) -> Population:
+    """One per-agent initial condition of a preset, in the agent order of _population."""
+    return _population(_preset_counts(preset, config, rng, 1)[0], config)
 
 
 def plant_pair_population(

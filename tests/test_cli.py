@@ -9,7 +9,7 @@ import pytest
 from fetsim import harness
 from fetsim.cli import main
 from fetsim.config import parse_config_file, parse_value
-from fetsim.domains import DomainLabel, label_path
+from fetsim.domains import DomainLabel, label_paths
 from fetsim.errors import UsageError
 
 
@@ -313,8 +313,28 @@ class TestSimulateCommand:
             k = round(float(row["x_t"]) * n)
             assert row["x_t"] == repr(k / n)
         assert rows[-1]["x_t"] == "0.0"
-        domains, _ = label_path([67, 62], n, 0.05, math.ceil(3 * math.log(n)))
+        [(domains, _)] = label_paths([[67, 62]], n, 0.05, math.ceil(3 * math.log(n)))
         assert domains == [DomainLabel.GREEN0]
+
+    def test_two_to_the_forty_agents(self, capsys, tmp_path):
+        # Presets are built as class counts, so neither set-up nor the
+        # aggregate rounds hold n-length arrays: 2^40 agents run.
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("n = 1099511627776\nseed = 0\n")
+        out_dir = tmp_path / "out"
+        code, _, _ = run_cli(
+            capsys, "simulate", "--config", str(cfg), "--preset", "half_half",
+            "--trials", "2", "--out", str(out_dir),
+        )
+        assert code == 0
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert summary["converged_fraction"] == 1.0
+        assert sorted(p.name for p in out_dir.glob("*.csv")) == ["trial_0.csv", "trial_1.csv"]
+        for t, converged in enumerate(summary["converged_round_per_trial"]):
+            with (out_dir / f"trial_{t}.csv").open() as fh:
+                rows = list(csv.DictReader(fh))
+            assert int(rows[-1]["round"]) == converged == len(rows) - 1
+            assert rows[-1]["x_t"] == "1.0"
 
     def test_output_determinism(self, capsys, tmp_path):
         cfg = tmp_path / "sim.cfg"

@@ -17,6 +17,7 @@ from fetsim.domains import (
     classify,
     classify_array,
     classify_yellow,
+    label_paths,
 )
 from fetsim.dynamics import AnalysisConstants
 from fetsim.errors import UsageError
@@ -215,3 +216,38 @@ class TestAudit:
 
         payload = audit_partition(16, consts(16)).to_dict()
         assert json.loads(json.dumps(payload)) == payload
+
+
+class TestLabelPaths:
+    @pytest.mark.parametrize("n", [2, 4096])
+    def test_batch_equals_one_path_at_a_time(self, n):
+        # Paths of 1, 2 and many counts, labelled together, get the labels
+        # each gets alone: no pair straddles two paths.  At n = 4096 each
+        # label is also the pointwise classifier's.
+        rng = np.random.default_rng(11)
+        paths = [
+            [n // 2],
+            rng.integers(0, n + 1, size=40).tolist(),
+            [1, n],
+            [n],
+            rng.integers(0, n + 1, size=2).tolist(),
+            rng.integers(0, n + 1, size=25).tolist(),
+            [n // 2, n // 2 + n // 400, n // 2 - n // 300, n // 2],  # inside Yellow'
+        ]
+        batch = label_paths(paths, n, 0.05, 1 if n == 2 else 25)
+        assert len(batch) == len(paths)
+        for path, labels in zip(paths, batch):
+            assert labels == label_paths([path], n, 0.05, 1 if n == 2 else 25)[0]
+            domains, yellows = labels
+            assert len(domains) == len(yellows) == len(path) - 1
+            if n == 2:
+                assert set(domains) <= {DomainLabel.UNCLASSIFIED}
+                assert set(yellows) <= {YellowLabel.OUTSIDE}
+                continue
+            c = AnalysisConstants.for_population(n, delta=0.05, ell=25)
+            for (k0, k1), domain, yellow in zip(zip(path, path[1:]), domains, yellows):
+                assert domain is classify((k0 / n, k1 / n), n, c)
+                assert yellow is classify_yellow((k0 / n, k1 / n), c)
+
+    def test_no_paths(self):
+        assert label_paths([], 64, 0.05, 13) == []

@@ -142,6 +142,19 @@ class TestDuelTable:
                     for arr, exact in zip(table, (d.p_lt, d.p_eq, d.p_gt)):
                         assert abs(arr[i, j] - exact) <= 1e-15
 
+    def test_one_vector_as_both_sides_is_bitwise_the_same(self, monkeypatch, count_vectors):
+        # duel_table(ell, a, a, n) builds one pmf table and reuses it for b;
+        # the triples equal those from an equal copy bit for bit.
+        rows = duel._binomial_pmf_rows
+        calls = []
+        monkeypatch.setattr(duel, "_binomial_pmf_rows", lambda k, p: calls.append(p) or rows(k, p))
+        for n, ell, a, _ in count_vectors:
+            calls.clear()
+            shared = duel_table(ell, a, a, n)
+            assert len(calls) == 1
+            for arr, ref in zip(shared, duel_table(ell, a, a.copy(), n)):
+                assert arr.tobytes() == ref.tobytes()
+
     def test_empty_vector_gives_empty_table(self):
         for arr in duel_table(4, [], [0, 3, 8], 8):
             assert arr.shape == (0, 3)

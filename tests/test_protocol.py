@@ -6,27 +6,28 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from conftest import (
     AgentState,
     agent_round,
     fraction_ones,
+    init_adversarial,
     mirror_population,
     oracle_pmf_vector,
 )
-from fetsim.domains import DomainLabel, YellowLabel, label_path
+from fetsim.domains import DomainLabel, YellowLabel, label_paths
 from fetsim.dynamics import expected_next_fraction, flip_probs
-from fetsim import protocol
 from fetsim.errors import DomainError, UsageError
 from fetsim.protocol import (
     BLOCK,
     PRESETS,
     Population,
     SimConfig,
-    _class_counts,
     _class_round,
+    _population,
+    _preset_counts,
     derive_rng,
-    init_adversarial,
     run_trials,
     step_agent_level,
     step_aggregate,
@@ -292,7 +293,7 @@ class TestClassCountRound:
         src = config.source_opinion
         agent = self._agent_oracle(pop, ell, src, trials, derive_rng(0, "class-law-agent", name))
         rng = derive_rng(0, "class-law-classes", name)
-        hist = np.broadcast_to(_class_counts(pop, ell), (trials, 2, ell + 1))
+        hist = np.broadcast_to(_preset_counts(pop, config, rng, 1), (trials, 2, ell + 1))
         classes = _class_round(hist, config, rng)
 
         # Exact law: agent i holds 1 afterwards with probability
@@ -359,6 +360,67 @@ class TestInitPresets:
             init_adversarial(preset, self.cfg(), derive_rng(2, "j"))
 
 
+class TestPresetCounts:
+    # Opinion-1 totals (source included) of every preset at
+    # [n = 2, 3, 64, 65], by source opinion: round half up, clamped to
+    # [source, n - 1 + source], the source counted.
+    TOTALS = {
+        "all_wrong": {0: [1, 2, 63, 64], 1: [1, 1, 1, 1]},
+        "all_wrong_max_counters": {0: [1, 2, 63, 64], 1: [1, 1, 1, 1]},
+        "half_half": {0: [1, 1, 32, 32], 1: [2, 2, 33, 33]},
+        "yellow_center": {0: [1, 2, 32, 33], 1: [1, 2, 32, 33]},
+        "cyan_corner": {0: [1, 2, 63, 64], 1: [1, 1, 1, 1]},
+        "fraction:0.3": {0: [1, 1, 19, 20], 1: [1, 1, 19, 20]},
+        "fraction:0": {0: [0, 0, 0, 0], 1: [1, 1, 1, 1]},
+        "fraction:1": {0: [1, 2, 63, 64], 1: [2, 3, 64, 65]},
+    }
+
+    @pytest.mark.parametrize("preset", TOTALS)
+    @pytest.mark.parametrize("source_opinion", [0, 1])
+    def test_opinion_totals(self, preset, source_opinion):
+        for n, total in zip([2, 3, 64, 65], self.TOTALS[preset][source_opinion]):
+            config = SimConfig(n=n, ell=1, source_opinion=source_opinion)
+            hist = _preset_counts(preset, config, derive_rng(0, "totals"), 3)
+            assert hist.shape == (3, 2, 2) and hist.dtype == np.int64
+            assert np.all(hist.sum(axis=(1, 2)) == n - 1)
+            assert np.all(hist[:, 1].sum(axis=1) + source_opinion == total)
+
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_block_draw_equals_one_trial_draws(self, preset):
+        # A block's counts are the one-trial draws in trial order on the
+        # same stream; a preset with fixed counters draws nothing.
+        config = SimConfig(n=1000, ell=8)
+        block = _preset_counts(preset, config, derive_rng(0, "block"), 5)
+        rng = derive_rng(0, "block")
+        one_by_one = np.concatenate([_preset_counts(preset, config, rng, 1) for _ in range(5)])
+        assert np.array_equal(block, one_by_one)
+        untouched = rng.random() == derive_rng(0, "block").random()
+        assert untouched == (preset in ("all_wrong", "all_wrong_max_counters", "cyan_corner"))
+
+    @pytest.mark.parametrize("preset", ["half_half", "yellow_center", "fraction:0.2"])
+    def test_random_counters_are_uniform(self, preset):
+        # Pooled stored counters of 64 trials at n = 1000 against the
+        # uniform law on [0, ell]: chi-square p-value above 1e-3.
+        config = SimConfig(n=1000, ell=8)
+        hist = _preset_counts(preset, config, derive_rng(0, "chi2", preset), BLOCK)
+        pooled = hist.sum(axis=(0, 1))
+        assert pooled.sum() == BLOCK * 999
+        assert stats.chisquare(pooled).pvalue > 1e-3
+
+    def test_population_expands_counts_class_by_class(self):
+        config = SimConfig(n=6, ell=2, source_opinion=0)
+        pop = _population(np.array([[0, 2, 0], [1, 0, 2]]), config)
+        assert pop.opinions.tolist() == [0, 0, 0, 1, 1, 1]
+        assert pop.prev_counts.tolist() == [1, 1, 1, 0, 2, 2]
+        assert np.array_equal(_preset_counts(pop, config, None, 1)[0], [[0, 2, 0], [1, 0, 2]])
+
+    def test_explicit_state_binned(self):
+        config = SimConfig(n=5, ell=3)
+        explicit = ("explicit", [1, 0, 1, 1, 0], [2, 3, 0, 3, 3])
+        hist = _preset_counts(explicit, config, derive_rng(0, "explicit"), 2)
+        assert hist.tolist() == [[[0, 0, 0, 2], [1, 0, 0, 1]]] * 2
+
+
 class TestRunTrial:
     def test_all_correct_start_converges_at_zero(self):
         config = SimConfig(n=64, ell=8, seed=4)
@@ -388,28 +450,10 @@ class TestRunTrial:
         assert [t.counts[0] for t in cyan] == [t.counts[0] for t in maxed]
         assert sum(a != b for a, b in zip(cyan, maxed)) >= 15
 
-    @pytest.mark.parametrize("preset", PRESETS)
-    def test_preset_built_per_trial_unless_it_draws_nothing(self, monkeypatch, preset):
-        # A block builds a drawing preset once per trial and a preset
-        # that draws nothing once.
-        config = SimConfig(n=64, ell=8, seed=1)
-        rng = derive_rng(0, "draws")
-        init_adversarial(preset, config, rng)
-        draws = rng.random() != derive_rng(0, "draws").random()
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return init_adversarial(*args)
-
-        monkeypatch.setattr(protocol, "init_adversarial", counting)
-        run_trials(config, preset, 5)
-        assert len(calls) == (5 if draws else 1)
-
     def test_trajectory_pairs_labelled(self):
         config = SimConfig(n=128, c_sample=3.0, seed=12)
         (traj,) = run_trials(config, "all_wrong_max_counters", 1)
-        domains, yellows = label_path(traj.counts, 128, config.delta, config.ell)
+        [(domains, yellows)] = label_paths([traj.counts], 128, config.delta, config.ell)
         assert traj.counts[0] / 128 == pytest.approx(1 / 128)
         # One label per consecutive pair: every round but the last.
         assert len(domains) == len(yellows) == len(traj.counts) - 1
@@ -437,7 +481,7 @@ class TestRunTrial:
         config = SimConfig(n=2, ell=1)
         (traj,) = run_trials(config, "all_wrong", 1)
         assert traj.converged_round is not None
-        domains, yellows = label_path(traj.counts, 2, config.delta, config.ell)
+        [(domains, yellows)] = label_paths([traj.counts], 2, config.delta, config.ell)
         assert len(domains) == len(yellows) == traj.converged_round
         for domain, yellow in zip(domains, yellows):
             assert domain is DomainLabel.UNCLASSIFIED
@@ -498,19 +542,38 @@ class TestRunTrial:
         assert traj.converged_round is not None
         assert peak / n < 64
 
-    def test_block_holds_one_preset_at_a_time(self):
-        # Each drawn preset is binned and dropped before the next is
-        # built, so a block of three peaks no higher than one trial.
-        config = SimConfig(n=1 << 18, seed=0)
-        peaks = []
-        for trials in (1, 3):
-            tracemalloc.start()
-            try:
-                run_trials(config, "yellow_center", trials)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[1] < 1.1 * peaks[0]
+    @pytest.mark.parametrize("preset", PRESETS)
+    def test_block_memory_does_not_grow_with_n(self, preset):
+        # Presets are class counts and rounds are integer counts, so one
+        # block of 2^40 agents per trial runs to consensus in a few
+        # hundred KiB: no array has an agent axis.
+        config = SimConfig(n=1 << 40, seed=0)
+        tracemalloc.start()
+        try:
+            trajectories = run_trials(config, preset, BLOCK)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(t.converged_round is not None for t in trajectories)
+        assert peak < 2 << 20
+
+    def test_explicit_population_stepped_as_given(self):
+        # An explicit agent-level state is stepped in its own agent order,
+        # not re-expanded from its class counts: the trial is
+        # step_agent_level on that state with the block's stream.
+        n = 32
+        config = SimConfig(n=n, ell=4, seed=3, backend="agent")
+        rng = derive_rng(3, "order")
+        opinions = rng.integers(0, 2, n)
+        opinions[0] = 1
+        pop = Population(opinions, rng.integers(0, 5, n))
+        (traj,) = run_trials(config, pop, 1)
+        state, path = Population(pop.opinions[None], pop.prev_counts[None]), [int(opinions.sum())]
+        rng = derive_rng(3, "trials", n, "explicit", 0)
+        while path[-1] != n:
+            state = step_agent_level(state, config, rng)
+            path.append(int(state.opinions.sum()))
+        assert traj.counts == path
 
     def test_explicit_population_wrong_size_rejected(self):
         pop = init_adversarial("all_wrong", SimConfig(n=32, ell=4), derive_rng(0, "p"))
@@ -550,9 +613,10 @@ class TestRunTrial:
         # trials (the escape route goes up through those areas).
         config = SimConfig(n=4096, c_sample=3.0, seed=17, backend="aggregate")
         trials, through = 100, 0
-        for traj in run_trials(config, "cyan_corner", trials):
+        trajectories = run_trials(config, "cyan_corner", trials)
+        labels = label_paths([t.counts for t in trajectories], 4096, config.delta, config.ell)
+        for traj, (domains, _) in zip(trajectories, labels):
             assert traj.converged_round is not None
-            domains, _ = label_path(traj.counts, 4096, config.delta, config.ell)
             if any(d in (DomainLabel.PURPLE1, DomainLabel.GREEN1) for d in domains):
                 through += 1
         assert through / trials >= 0.95
