@@ -4,7 +4,7 @@
 
 __version__ = "0.1.0"
 
-from .domains import DomainLabel, GridPoint, YellowLabel, audit_partition, classify
+from .domains import DomainLabel, YellowLabel, audit_partition, classify
 from .duel import (
     DuelProbs,
     advantage,
@@ -21,7 +21,7 @@ from .dynamics import (
     speed,
 )
 from .errors import DomainError, FetsimError, PlantingError, StructuralError, UsageError
-from .markov import Kernel, PairState, absorption_times, build_kernel, simulate_exact_check
+from .markov import Kernel, absorption_times, build_kernel, simulate_exact_check
 from .protocol import (
     Population,
     SimConfig,
@@ -38,9 +38,7 @@ __all__ = [
     "DuelProbs",
     "FetsimError",
     "FlipProbs",
-    "GridPoint",
     "Kernel",
-    "PairState",
     "PlantingError",
     "Population",
     "SimConfig",

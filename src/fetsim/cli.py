@@ -33,7 +33,7 @@ from .dynamics import (
     speed,
 )
 from .errors import DomainError, FetsimError, UsageError
-from .harness import LEMMAS, _resolve, emit, run_all, run_lemma
+from .harness import LEMMAS, _check, emit, run_all, run_lemma
 from .markov import absorption_times, build_kernel
 from .protocol import SimConfig, run_trials
 
@@ -150,7 +150,8 @@ def _cmd_simulate(args) -> int:
         settings["preset"] = args.preset
     if args.trials is not None:
         settings["trials"] = args.trials
-    (trials,) = _resolve({"trials": 1}, trials=settings.get("trials"))
+    trials = settings.get("trials", 1)
+    _check(trials=trials)
     config = _sim_config_from_settings(settings)
     preset = settings.get("preset", "all_wrong")
     out_dir = Path(args.out) if args.out else Path("simulate-out")
@@ -241,8 +242,7 @@ def _cmd_verify(args) -> int:
         return 0 if all(v == "PASS" for v in summary.values()) else 1
     report = run_lemma(args.lemma, settings)
     if out_dir is not None:
-        emit(report, "csv", out_dir / f"{args.lemma}.csv")
-        emit(report, "json", out_dir / f"{args.lemma}.json")
+        emit(report, out_dir)
     _print_json({args.lemma: report.verdict})
     print(f"runtime: {report.runtime_s:.2f}s", file=sys.stderr)
     return 0 if report.verdict == "PASS" else 1

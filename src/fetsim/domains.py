@@ -48,7 +48,6 @@ from .errors import UsageError
 
 __all__ = [
     "DomainLabel",
-    "GridPoint",
     "PartitionAudit",
     "YellowLabel",
     "audit_partition",
@@ -83,21 +82,8 @@ class YellowLabel(str, Enum):
     OUTSIDE = "OutsideYellowPrime"
 
 
-@dataclass(frozen=True)
-class GridPoint:
-    """A pair (x_t, x_{t+1}) of consecutive opinion-1 fractions.
-
-    Simulation paths produce coordinates that are exact multiples of
-    1/n; analysis paths may carry arbitrary reals in [0, 1].
-    """
-
-    x_t: float
-    x_t1: float
-
-
 def _coords(point) -> tuple[float, float]:
-    if isinstance(point, GridPoint):
-        return point.x_t, point.x_t1
+    """The fractions (x_t, x_{t+1}) of a point given as any pair of reals."""
     x, y = point
     return float(x), float(y)
 

@@ -101,8 +101,11 @@ class AnalysisConstants:
         If an explicit sample size ell is given, the effective c is
         ell / ln n so that gamma and K stay consistent with it.
         """
-        if n < 2:
-            raise DomainError(f"population size must be >= 2, got {n!r}")
+        if n < 3:
+            raise DomainError(
+                f"population size n must be >= 3 for the domain partition, which needs "
+                f"ln n > 1, got n = {n!r}"
+            )
         log_n = math.log(n)
         c = ell / log_n if ell is not None else float(c_sample)
         if not 0 < c < math.inf:

@@ -1,19 +1,24 @@
 """Statistical verification suite for the per-domain escape lemmas and
 the polylogarithmic convergence claim, at desk scale.
 
-Each ``verify_*`` function plants initial states (validated by the
-classifier before use), observes the protocol without modifying its
-semantics, and reduces the observed counts to a PASS/FAIL verdict that
-is recomputable from the emitted raw numbers.  High-probability claims
-are tested as "failure fraction <= 1/n^epsilon + 3 standard errors"
-with epsilon = 1 by default; the underlying exponents are unspecified
-constants, so epsilon is a knob and every report carries the raw
-counts.
+Each ``verify_*`` function's signature holds the documented parameter
+point of its lemma, which ``run_lemma`` overrides from settings.  A
+check plants initial states (validated by the classifier before use),
+observes the protocol without modifying its semantics, and reduces the
+observed counts to a PASS/FAIL verdict that is recomputable from the
+emitted raw numbers.  High-probability claims are tested as "failure
+fraction <= 1/n^epsilon + 3 standard errors" with epsilon = 1 by
+default; the underlying exponents are unspecified constants, so
+epsilon is a knob and every report carries the raw counts.
+
+Green, Purple and Red share one planted-pair runner: the trials of a
+planted pair step together, one round or until they leave its domain.
 
 Scaling claims (Yellow escape, end-to-end convergence) are tested as
 properties: quantiles of the measured times are fitted against
 (ln n)^{5/2} on a log-log scale.  Only Yellow's verdict uses the fit
-(R^2 >= 0.9, slope <= SLOPE_TOLERANCE); convergence just reports it.
+(at least two sizes, R^2 >= 0.9, slope <= SLOPE_TOLERANCE); convergence
+just reports it.
 
 The analytic part of the Cyan check evaluates the expectation map on
 its whole grid at once, from one batched duel table.
@@ -56,29 +61,6 @@ __all__ = [
 ]
 
 LEMMAS = ("green", "purple", "red", "cyan", "yellow", "convergence")
-
-# Documented parameter points for each lemma check.  Green and Purple
-# need ell >= (2/delta^2) ln n, which forces a larger delta than the
-# sweep default to keep ell practical.
-GREEN_DEFAULTS = {"n": 4096, "delta": 0.2, "trials": 400}
-PURPLE_DEFAULTS = {"n": 4096, "delta": 0.1, "trials": 400}
-RED_DEFAULTS = {"n": 8192, "delta": 0.1, "c_sample": 3.0, "trials": 400}
-CYAN_DEFAULTS = {"n": 4096, "delta": 0.05, "c_sample": 3.0, "trials": 400, "epsilon": 1.0}
-YELLOW_DEFAULTS = {
-    "n_list": (1024, 2048, 4096, 8192),
-    "delta": 0.05,
-    "c_sample": 3.0,
-    "trials": 200,
-    "max_rounds": 10_000,
-}
-CONVERGENCE_DEFAULTS = {
-    "n_list": (1024, 2048, 4096, 8192),
-    "delta": 0.05,
-    "c_sample": 3.0,
-    "trials": 200,
-    "max_rounds": 10_000,
-    "presets": ("all_wrong_max_counters", "yellow_center", "cyan_corner"),
-}
 _LABELS = tuple(DomainLabel)  # classify_array positions
 # Smallest accepted value of each integer parameter (per entry for n_list).
 _MINIMUMS = {"n": 2, "n_list": 2, "ell": 1, "trials": 1, "max_rounds": 1}
@@ -93,75 +75,57 @@ class LemmaReport:
 
     kind selects the CSV schema: "pointwise" rows are
     (point_x, point_y, trials, failures, verdict); "sweep" rows are
-    (n, quantile50, quantile99, fit_C, fit_r2).  runtime_s is kept for
-    interactive display but excluded from emitted files so that equal
-    (config, seed) runs are byte-identical.
+    (n, quantile50, quantile99, fit_C, fit_r2).  runtime_s is set by
+    run_lemma for interactive display but excluded from emitted files so
+    that equal (config, seed) runs are byte-identical.
     """
 
     lemma: str
     params: dict
     kind: str
+    verdict: str = "FAIL"
     points: list[dict] = field(default_factory=list)
     sweep: list[dict] = field(default_factory=list)
     details: dict = field(default_factory=dict)
-    verdict: str = "FAIL"
     runtime_s: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "lemma": self.lemma,
-            "params": self.params,
-            "kind": self.kind,
-            "verdict": self.verdict,
-            "points": self.points,
-            "sweep": self.sweep,
-            "details": self.details,
-        }
+        """Every field but runtime_s, in field order (the emitted JSON's key order)."""
+        return {key: value for key, value in vars(self).items() if key != "runtime_s"}
 
 
-def _resolve(defaults: dict, **given) -> list:
-    """The given parameters in order, each None replaced by its default.
+def _check(**given) -> None:
+    """Raise a UsageError naming the first invalid given parameter.
 
-    A given 0 or empty value is kept, not defaulted, so it fails here or
-    in SimConfig with a UsageError.  Counts, sweep lists, delta (in
-    (0, 1/2)) and the positive reals c_sample and epsilon are checked
-    here; the rest where they are used.
+    Counts, sweep lists (non-empty; n_list without a repeated size),
+    delta (in (0, 1/2)) and the positive reals c_sample and epsilon are
+    checked here; the rest where they are used.
     """
-    values = []
     for key, value in given.items():
-        value = defaults[key] if value is None else value
-        if key in ("n_list", "presets"):
-            if not isinstance(value, (list, tuple)) or not value:
-                raise UsageError(
-                    f"{key} must be a non-empty comma-separated list, got {value!r}; "
-                    "end a single entry with a comma"
-                )
-            value = list(value)
+        if key in ("n_list", "presets") and (not isinstance(value, (list, tuple)) or not value):
+            raise UsageError(
+                f"{key} must be a non-empty comma-separated list, got {value!r}; "
+                "end a single entry with a comma"
+            )
         if key in _MINIMUMS:
             for item in value if key == "n_list" else [value]:
                 check_number(key, item, numbers.Integral)
                 if item < _MINIMUMS[key]:
                     raise UsageError(f"{key} must be >= {_MINIMUMS[key]}, got {item}")
+        if key == "n_list" and len(set(value)) < len(value):
+            raise UsageError(f"n_list must not repeat a population size, got {list(value)}")
         if key == "delta":
             check_delta(value)
         if key in ("c_sample", "epsilon"):
             check_number(key, value)
             if not value > 0:
                 raise UsageError(f"{key} must be positive, got {value!r}")
-        values.append(value)
-    return values
 
 
 def _whp_threshold(n: int, trials: int, epsilon: float = 1.0) -> float:
     """Failure-fraction gate: 1/n^epsilon plus 3 binomial standard errors."""
     p0 = 1.0 / n**epsilon
     return p0 + 3.0 * math.sqrt(p0 * (1.0 - p0) / trials)
-
-
-def _empirical_exponent(failures: int, trials: int, n: int) -> float:
-    """Observed e with failure fraction ~ 1/n^e; a floor when failure-free."""
-    frac = max(failures, 1) / trials
-    return math.log(1.0 / frac) / math.log(n)
 
 
 def plant_pair(
@@ -206,164 +170,32 @@ def _point_row(
         "failures": failures,
         "failure_fraction": frac,
         "threshold": threshold,
-        "empirical_exponent_floor": _empirical_exponent(failures, trials, n),
+        # Observed e with failure fraction ~ 1/n^e; a floor when failure-free.
+        "empirical_exponent_floor": math.log(1.0 / (max(failures, 1) / trials)) / math.log(n),
         "verdict": "PASS" if frac <= threshold else "FAIL",
     }
 
 
-def _one_round_points(
-    lemma: str,
-    n: int,
-    delta: float,
-    ell: int,
-    trials: int,
-    seed: int,
-    planted: list[tuple[float, float, DomainLabel]],
-    success_fn,
-) -> tuple[list[dict], bool]:
-    """Shared loop for the one-round lemmas (Green, Purple).
+def _planted_rows(
+    lemma: str, config: SimConfig, trials: int, planted: list, gate: float, failed,
+    stay: tuple[DomainLabel, ...] = (), cap: int = 1,
+) -> list[dict]:
+    """One report row per planted (x, y, label) pair, judged against gate.
 
-    Each planted pair (k_x, k_y) steps all its trials in one batched
-    round; success_fn(label, k_y, k_next) judges them from the array of
-    next opinion-1 counts k_next, returning a boolean array.
+    The trials of a pair (k_x, k_y) step together on the stream
+    derive_rng(seed, lemma, k_x, k_y) while their pair's domain is in
+    stay and they have taken fewer than cap rounds; with stay=() every
+    trial steps exactly once.  failed(label, k_last, current, rounds)
+    returns the boolean array of failed trials from the last opinion-1
+    counts, the classify_array positions of the last pairs and the
+    rounds taken.
     """
-    constants = AnalysisConstants.for_population(n, delta=delta, ell=ell)
-    config = SimConfig(n=n, ell=ell, delta=delta, seed=seed)
-    gate = _whp_threshold(n, trials)
+    n, constants = config.n, config.constants()
+    stay = [_LABELS.index(label) for label in stay]
     rows = []
     for x, y, label in planted:
         k_x, k_y = plant_pair(n, constants, x, y, label)
-        rng = derive_rng(seed, lemma, k_x, k_y)
-        k_next = step_aggregate(np.full(trials, k_x), np.full(trials, k_y), config, rng)
-        failures = int(trials - success_fn(label, k_y, k_next).sum())
-        rows.append(_point_row(k_x, k_y, n, label, trials, failures, gate))
-    return rows, all(row["verdict"] == "PASS" for row in rows)
-
-
-def verify_green(
-    n: int | None = None,
-    ell: int | None = None,
-    delta: float | None = None,
-    trials: int | None = None,
-    seed: int = 0,
-) -> LemmaReport:
-    """One-round consensus from the Green area.
-
-    From a Green1 pair every non-source agent must adopt 1 in one round
-    (fraction hits 1 exactly); mirrored for Green0 (fraction hits 1/n,
-    the pinned source).  Requires ell >= (2/delta^2) ln n.
-    """
-    start = time.perf_counter()
-    n, delta, trials = _resolve(GREEN_DEFAULTS, n=n, delta=delta, trials=trials)
-    needed = math.ceil((2.0 / delta**2) * math.log(n))
-    (ell,) = _resolve({"ell": needed}, ell=ell)
-    if ell < needed:
-        raise UsageError(f"verify_green needs ell >= (2/delta^2) ln n = {needed}, got {ell}")
-
-    def success(label: DomainLabel, _k_y: int, k_next: np.ndarray) -> np.ndarray:
-        return k_next == (n if label is DomainLabel.GREEN1 else 1)
-
-    planted = [
-        (0.2, 0.5, DomainLabel.GREEN1),
-        (0.25, 0.5, DomainLabel.GREEN1),
-        (0.0, 1.0, DomainLabel.GREEN1),
-        (0.8, 0.5, DomainLabel.GREEN0),
-        (0.75, 0.5, DomainLabel.GREEN0),
-        (1.0, 1.0 / n, DomainLabel.GREEN0),
-    ]
-    rows, ok = _one_round_points("green", n, delta, ell, trials, seed, planted, success)
-    return LemmaReport(
-        lemma="green",
-        params={"n": n, "ell": ell, "delta": delta, "trials": trials, "seed": seed},
-        kind="pointwise",
-        points=rows,
-        verdict="PASS" if ok else "FAIL",
-        runtime_s=time.perf_counter() - start,
-    )
-
-
-def verify_purple(
-    n: int | None = None,
-    ell: int | None = None,
-    delta: float | None = None,
-    trials: int | None = None,
-    seed: int = 0,
-) -> LemmaReport:
-    """One-round transition Purple -> Green.
-
-    From a Purple1 pair, the successor pair (x_{t+1}, x_{t+2}) must be
-    in Green1 w.h.p.; mirrored for Purple0.
-    """
-    start = time.perf_counter()
-    n, delta, trials = _resolve(PURPLE_DEFAULTS, n=n, delta=delta, trials=trials)
-    (ell,) = _resolve({"ell": math.ceil((2.0 / delta**2) * math.log(n))}, ell=ell)
-    constants = AnalysisConstants.for_population(n, delta=delta, ell=ell)
-
-    def success(label: DomainLabel, k_y: int, k_next: np.ndarray) -> np.ndarray:
-        target = DomainLabel.GREEN1 if label is DomainLabel.PURPLE1 else DomainLabel.GREEN0
-        return classify_array(k_y / n, k_next / n, constants) == _LABELS.index(target)
-
-    boundary_x = math.ceil(n / math.log(n)) / n
-    planted = [
-        (0.15, 0.2, DomainLabel.PURPLE1),
-        (boundary_x, boundary_x + delta / 2, DomainLabel.PURPLE1),
-        (0.85, 0.8, DomainLabel.PURPLE0),
-        (1.0 - boundary_x, 1.0 - boundary_x - delta / 2, DomainLabel.PURPLE0),
-    ]
-    rows, ok = _one_round_points("purple", n, delta, ell, trials, seed, planted, success)
-    return LemmaReport(
-        lemma="purple",
-        params={
-            "n": n,
-            "ell": ell,
-            "delta": delta,
-            "trials": trials,
-            "seed": seed,
-            "lambda_n": constants.lambda_n,
-        },
-        kind="pointwise",
-        points=rows,
-        verdict="PASS" if ok else "FAIL",
-        runtime_s=time.perf_counter() - start,
-    )
-
-
-def verify_red(
-    n: int | None = None,
-    delta: float | None = None,
-    c_sample: float | None = None,
-    trials: int | None = None,
-    seed: int = 0,
-) -> LemmaReport:
-    """Exit time and exit target from the Red area.
-
-    The in-Red decay x_{t+1} < (1 - lambda_n) x_t holds by membership,
-    so the check is that every trial leaves Red within
-    (ln n)^{1/2 + 2 delta} rounds and never exits into Yellow or Red.
-    """
-    start = time.perf_counter()
-    n, delta, c_sample, trials = _resolve(
-        RED_DEFAULTS, n=n, delta=delta, c_sample=c_sample, trials=trials
-    )
-    config = SimConfig(n=n, c_sample=c_sample, delta=delta, seed=seed)
-    constants = config.constants()
-    bound = math.log(n) ** (0.5 + 2.0 * delta)
-    red = [_LABELS.index(DomainLabel.RED1), _LABELS.index(DomainLabel.RED0)]
-    forbidden = red + [_LABELS.index(DomainLabel.YELLOW)]
-    cap = 10 * math.ceil(bound)
-
-    planted = [
-        (0.18, 0.12, DomainLabel.RED1),
-        (0.17, 0.12, DomainLabel.RED1),
-        (0.82, 0.88, DomainLabel.RED0),
-        (0.83, 0.88, DomainLabel.RED0),
-    ]
-    rows = []
-    exit_tally: Counter[str] = Counter()
-    for x, y, label in planted:
-        k_x, k_y = plant_pair(n, constants, x, y, label)
-        rng = derive_rng(seed, "red", k_x, k_y)
-        # The trials still in Red step together until each leaves or hits the cap.
+        rng = derive_rng(config.seed, lemma, k_x, k_y)
         k_t, k_t1 = np.full(trials, k_x), np.full(trials, k_y)
         current = np.full(trials, _LABELS.index(label))
         rounds = np.zeros(trials, dtype=np.int64)
@@ -373,28 +205,143 @@ def verify_red(
             k_t[live], k_t1[live] = k_t1[live], k_next
             current[live] = classify_array(k_t[live] / n, k_next / n, constants)
             rounds[live] += 1
-            live = live[np.isin(current[live], red) & (rounds[live] < cap)]
-        exit_tally.update(_LABELS[position].value for position in current.tolist())
-        failures = int(((rounds >= bound) | np.isin(current, forbidden)).sum())
-        rows.append(_point_row(k_x, k_y, n, label, trials, failures, 0.0))
-    all_pass = all(row["verdict"] == "PASS" for row in rows)
+            live = live[np.isin(current[live], stay) & (rounds[live] < cap)]
+        failures = int(failed(label, k_t1, current, rounds).sum())
+        rows.append(_point_row(k_x, k_y, n, label, trials, failures, gate))
+    return rows
+
+
+def _point_params(config: SimConfig, trials: int, **extra) -> dict:
+    """A pointwise report's params: the population's, then the lemma's own."""
+    return {
+        "n": config.n, "ell": config.ell, "delta": config.delta, "trials": trials,
+        "seed": config.seed, **extra,
+    }
+
+
+def _pointwise(
+    lemma: str, params: dict, rows: list[dict], details: dict | None = None, ok: bool = True
+) -> LemmaReport:
+    """A pointwise report; PASS iff ok holds and every row passed."""
+    ok = ok and all(row["verdict"] == "PASS" for row in rows)
     return LemmaReport(
-        lemma="red",
-        params={
-            "n": n,
-            "ell": config.ell,
-            "delta": delta,
-            "trials": trials,
-            "seed": seed,
-            "exit_round_bound": bound,
-            "lambda_n": constants.lambda_n,
-        },
+        lemma=lemma,
+        params=params,
         kind="pointwise",
         points=rows,
-        details={"exit_label_tally": dict(exit_tally)},
-        verdict="PASS" if all_pass else "FAIL",
-        runtime_s=time.perf_counter() - start,
+        details=details or {},
+        verdict="PASS" if ok else "FAIL",
     )
+
+
+def verify_green(
+    n: int = 4096,
+    ell: int | None = None,
+    delta: float = 0.2,
+    trials: int = 400,
+    seed: int = 0,
+) -> LemmaReport:
+    """One-round consensus from the Green area.
+
+    From a Green1 pair every non-source agent must adopt 1 in one round
+    (fraction hits 1 exactly); mirrored for Green0 (fraction hits 1/n,
+    the pinned source).  Requires ell >= (2/delta^2) ln n, the default
+    ell; that forces a larger delta than the sweep default 0.05 to keep
+    ell practical.
+    """
+    _check(n=n, delta=delta, trials=trials)
+    needed = math.ceil((2.0 / delta**2) * math.log(n))
+    ell = needed if ell is None else ell
+    _check(ell=ell)
+    if ell < needed:
+        raise UsageError(f"verify_green needs ell >= (2/delta^2) ln n = {needed}, got {ell}")
+    config = SimConfig(n=n, ell=ell, delta=delta, seed=seed)
+
+    def failed(label: DomainLabel, k_last: np.ndarray, *_) -> np.ndarray:
+        return k_last != (n if label is DomainLabel.GREEN1 else 1)
+
+    planted = [
+        (0.2, 0.5, DomainLabel.GREEN1),
+        (0.25, 0.5, DomainLabel.GREEN1),
+        (0.0, 1.0, DomainLabel.GREEN1),
+        (0.8, 0.5, DomainLabel.GREEN0),
+        (0.75, 0.5, DomainLabel.GREEN0),
+        (1.0, 1.0 / n, DomainLabel.GREEN0),
+    ]
+    rows = _planted_rows("green", config, trials, planted, _whp_threshold(n, trials), failed)
+    return _pointwise("green", _point_params(config, trials), rows)
+
+
+def verify_purple(
+    n: int = 4096,
+    ell: int | None = None,
+    delta: float = 0.1,
+    trials: int = 400,
+    seed: int = 0,
+) -> LemmaReport:
+    """One-round transition Purple -> Green.
+
+    From a Purple1 pair, the successor pair (x_{t+1}, x_{t+2}) must be
+    in Green1 w.h.p.; mirrored for Purple0.  The default ell is Green's
+    (2/delta^2) ln n, so delta is again larger than the sweep default.
+    """
+    _check(n=n, delta=delta, trials=trials)
+    ell = math.ceil((2.0 / delta**2) * math.log(n)) if ell is None else ell
+    _check(ell=ell)
+    config = SimConfig(n=n, ell=ell, delta=delta, seed=seed)
+
+    def failed(label: DomainLabel, _k_last, current: np.ndarray, _rounds) -> np.ndarray:
+        target = DomainLabel.GREEN1 if label is DomainLabel.PURPLE1 else DomainLabel.GREEN0
+        return current != _LABELS.index(target)
+
+    boundary_x = math.ceil(n / math.log(n)) / n
+    planted = [
+        (0.15, 0.2, DomainLabel.PURPLE1),
+        (boundary_x, boundary_x + delta / 2, DomainLabel.PURPLE1),
+        (0.85, 0.8, DomainLabel.PURPLE0),
+        (1.0 - boundary_x, 1.0 - boundary_x - delta / 2, DomainLabel.PURPLE0),
+    ]
+    rows = _planted_rows("purple", config, trials, planted, _whp_threshold(n, trials), failed)
+    params = _point_params(config, trials, lambda_n=config.constants().lambda_n)
+    return _pointwise("purple", params, rows)
+
+
+def verify_red(
+    n: int = 8192,
+    delta: float = 0.1,
+    c_sample: float = 3.0,
+    trials: int = 400,
+    seed: int = 0,
+) -> LemmaReport:
+    """Exit time and exit target from the Red area.
+
+    The in-Red decay x_{t+1} < (1 - lambda_n) x_t holds by membership,
+    so the check is that every trial leaves Red within
+    (ln n)^{1/2 + 2 delta} rounds and never exits into Yellow or Red.
+    """
+    _check(n=n, delta=delta, c_sample=c_sample, trials=trials)
+    config = SimConfig(n=n, c_sample=c_sample, delta=delta, seed=seed)
+    bound = math.log(n) ** (0.5 + 2.0 * delta)
+    red = (DomainLabel.RED1, DomainLabel.RED0)
+    forbidden = [_LABELS.index(label) for label in red + (DomainLabel.YELLOW,)]
+    exit_tally: Counter[str] = Counter()
+
+    def failed(_label, _k_last, current: np.ndarray, rounds: np.ndarray) -> np.ndarray:
+        exit_tally.update(_LABELS[position].value for position in current.tolist())
+        return (rounds >= bound) | np.isin(current, forbidden)
+
+    planted = [
+        (0.18, 0.12, DomainLabel.RED1),
+        (0.17, 0.12, DomainLabel.RED1),
+        (0.82, 0.88, DomainLabel.RED0),
+        (0.83, 0.88, DomainLabel.RED0),
+    ]
+    rows = _planted_rows(
+        "red", config, trials, planted, 0.0, failed, stay=red, cap=10 * math.ceil(bound)
+    )
+    lambda_n = config.constants().lambda_n
+    params = _point_params(config, trials, exit_round_bound=bound, lambda_n=lambda_n)
+    return _pointwise("red", params, rows, {"exit_label_tally": dict(exit_tally)})
 
 
 def cyan_expectation_check(
@@ -435,12 +382,12 @@ def cyan_expectation_check(
 
 
 def verify_cyan(
-    n: int | None = None,
-    delta: float | None = None,
-    c_sample: float | None = None,
-    trials: int | None = None,
+    n: int = 4096,
+    delta: float = 0.05,
+    c_sample: float = 3.0,
+    trials: int = 400,
     seed: int = 0,
-    epsilon: float | None = None,
+    epsilon: float = 1.0,
 ) -> LemmaReport:
     """Cyan bounce: simulated escape and the analytic growth inequality.
 
@@ -450,13 +397,8 @@ def verify_cyan(
     1/n^epsilon + 3 SE.  (ii) The expectation inequality of
     cyan_expectation_check must hold with zero violations.
     """
-    start = time.perf_counter()
-    n, delta, c_sample, trials, epsilon = _resolve(
-        CYAN_DEFAULTS, n=n, delta=delta, c_sample=c_sample, trials=trials, epsilon=epsilon
-    )
-    config = SimConfig(
-        n=n, c_sample=c_sample, delta=delta, seed=seed, max_rounds=1000
-    )
+    _check(n=n, delta=delta, c_sample=c_sample, trials=trials, epsilon=epsilon)
+    config = SimConfig(n=n, c_sample=c_sample, delta=delta, seed=seed, max_rounds=1000)
     bound = math.log(n) / math.log(math.log(n))
     good_exits = {DomainLabel.GREEN1, DomainLabel.PURPLE1}
 
@@ -496,33 +438,18 @@ def verify_cyan(
     gate = _whp_threshold(n, trials, epsilon)
     row = _point_row(1, 1, n, DomainLabel.CYAN1, trials, failures, gate)
     analytic = cyan_expectation_check(n, delta=delta, c_sample=c_sample)
-    ok = row["verdict"] == "PASS" and analytic["violations"] == 0
-    return LemmaReport(
-        lemma="cyan",
-        params={
-            "n": n,
-            "ell": config.ell,
-            "delta": delta,
-            "trials": trials,
-            "seed": seed,
-            "epsilon": epsilon,
-            "exit_round_bound": bound,
+    params = _point_params(config, trials, epsilon=epsilon, exit_round_bound=bound)
+    details = {
+        "exit_label_tally": exit_tally,
+        "max_exit_rounds": max(exit_rounds) if exit_rounds else None,
+        "analytic": analytic,
+        "large_fraction_branch": {
+            "gamma": gamma,
+            "trials_crossing_gamma_inside_cyan": gamma_crossed,
+            "next_fraction_above_half_after_first_crossing": gamma_then_above_half,
         },
-        kind="pointwise",
-        points=[row],
-        details={
-            "exit_label_tally": exit_tally,
-            "max_exit_rounds": max(exit_rounds) if exit_rounds else None,
-            "analytic": analytic,
-            "large_fraction_branch": {
-                "gamma": gamma,
-                "trials_crossing_gamma_inside_cyan": gamma_crossed,
-                "next_fraction_above_half_after_first_crossing": gamma_then_above_half,
-            },
-        },
-        verdict="PASS" if ok else "FAIL",
-        runtime_s=time.perf_counter() - start,
-    )
+    }
+    return _pointwise("cyan", params, [row], details, ok=analytic["violations"] == 0)
 
 
 def _fit_loglog(ns: list[int], values: list[float]) -> dict:
@@ -542,47 +469,35 @@ def _fit_loglog(ns: list[int], values: list[float]) -> dict:
         ss_res = float(((w - pred) ** 2).sum())
         ss_tot = float(((w - w.mean()) ** 2).sum())
         r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    envelope = max(
-        v / math.log(n) ** 2.5 for n, v in zip(ns, values)
-    )
+    envelope = max(v / math.log(n) ** 2.5 for n, v in zip(ns, values))
     return {"C": float(envelope), "slope": float(slope), "r2": float(r2)}
 
 
 def verify_yellow(
-    n_list=None,
-    delta: float | None = None,
-    c_sample: float | None = None,
-    trials: int | None = None,
+    n_list=(1024, 2048, 4096, 8192),
+    delta: float = 0.05,
+    c_sample: float = 3.0,
+    trials: int = 200,
     seed: int = 0,
-    max_rounds: int | None = None,
+    max_rounds: int = 10_000,
 ) -> LemmaReport:
     """Escape time of the central box Yellow' across a population sweep.
 
     From centered starts, measures the first round the pair leaves
     Yellow', then checks the 99th-percentile escape time grows no
-    faster than C (ln n)^{5/2}: log-log fit with r2 >= 0.9 and slope
-    <= SLOPE_TOLERANCE.  Also tallies the longest consecutive stay in
-    the B sub-areas per trial (reported qualitatively against the
+    faster than C (ln n)^{5/2}: log-log fit over at least two sizes
+    with r2 >= 0.9 and slope <= SLOPE_TOLERANCE (one size fits no
+    scaling, so it is FAIL).  Also tallies the longest consecutive stay
+    in the B sub-areas per trial (reported qualitatively against the
     (sqrt(c)/c4) (ln n)^{3/2} scale, c4 = 1/(4 alpha)).
     """
-    start = time.perf_counter()
-    n_list, delta, c_sample, trials, max_rounds = _resolve(
-        YELLOW_DEFAULTS,
-        n_list=n_list,
-        delta=delta,
-        c_sample=c_sample,
-        trials=trials,
-        max_rounds=max_rounds,
-    )
-
+    _check(n_list=n_list, delta=delta, c_sample=c_sample, trials=trials, max_rounds=max_rounds)
     sweep = []
     q99s = []
     b_dwell_stats = {}
     all_escaped = True
     for n in n_list:
-        config = SimConfig(
-            n=n, c_sample=c_sample, delta=delta, seed=seed, max_rounds=max_rounds
-        )
+        config = SimConfig(n=n, c_sample=c_sample, delta=delta, seed=seed, max_rounds=max_rounds)
         escapes = []
         b_dwells = []
         paths = [traj.counts for traj in run_trials(config, "yellow_center", trials)]
@@ -620,11 +535,12 @@ def verify_yellow(
     for row in sweep:
         row["fit_C"] = fit["C"]
         row["fit_r2"] = fit["r2"]
-    ok = all_escaped and fit["r2"] >= 0.9 and fit["slope"] <= SLOPE_TOLERANCE
+    fits = len(n_list) >= 2 and fit["r2"] >= 0.9 and fit["slope"] <= SLOPE_TOLERANCE
+    ok = all_escaped and fits
     return LemmaReport(
         lemma="yellow",
         params={
-            "n_list": n_list,
+            "n_list": list(n_list),
             "delta": delta,
             "c_sample": c_sample,
             "trials": trials,
@@ -640,18 +556,17 @@ def verify_yellow(
             "slope_tolerance": SLOPE_TOLERANCE,
         },
         verdict="PASS" if ok else "FAIL",
-        runtime_s=time.perf_counter() - start,
     )
 
 
 def verify_convergence(
-    n_list=None,
-    presets=None,
-    delta: float | None = None,
-    c_sample: float | None = None,
-    trials: int | None = None,
+    n_list=(1024, 2048, 4096, 8192),
+    presets=("all_wrong_max_counters", "yellow_center", "cyan_corner"),
+    delta: float = 0.05,
+    c_sample: float = 3.0,
+    trials: int = 200,
     seed: int = 0,
-    max_rounds: int | None = None,
+    max_rounds: int = 10_000,
 ) -> LemmaReport:
     """End-to-end convergence times from adversarial presets.
 
@@ -661,23 +576,14 @@ def verify_convergence(
     within max_rounds.  The log-log fit of the pooled 99th-percentile
     times is reported alongside for scaling checks.
     """
-    start = time.perf_counter()
-    n_list, presets, delta, c_sample, trials, max_rounds = _resolve(
-        CONVERGENCE_DEFAULTS,
-        n_list=n_list,
-        presets=presets,
-        delta=delta,
-        c_sample=c_sample,
-        trials=trials,
+    _check(
+        n_list=n_list, presets=presets, delta=delta, c_sample=c_sample, trials=trials,
         max_rounds=max_rounds,
     )
-
     times: dict[tuple[str, int], list[int]] = {}
     all_converged = True
     for n in n_list:
-        config = SimConfig(
-            n=n, c_sample=c_sample, delta=delta, seed=seed, max_rounds=max_rounds
-        )
+        config = SimConfig(n=n, c_sample=c_sample, delta=delta, seed=seed, max_rounds=max_rounds)
         for preset in presets:
             cell = []
             for traj in run_trials(config, preset, trials):
@@ -728,8 +634,8 @@ def verify_convergence(
     return LemmaReport(
         lemma="convergence",
         params={
-            "n_list": n_list,
-            "presets": presets,
+            "n_list": list(n_list),
+            "presets": list(presets),
             "delta": delta,
             "c_sample": c_sample,
             "trials": trials,
@@ -745,7 +651,6 @@ def verify_convergence(
             "all_converged": all_converged,
         },
         verdict="PASS" if ok else "FAIL",
-        runtime_s=time.perf_counter() - start,
     )
 
 
@@ -753,29 +658,23 @@ POINT_FIELDS = ("point_x", "point_y", "trials", "failures", "verdict")
 SWEEP_FIELDS = ("n", "quantile50", "quantile99", "fit_C", "fit_r2")
 
 
-def emit(report: LemmaReport, fmt: str, path) -> Path:
-    """Write a report as CSV or JSON with a stable schema.
+def emit(report: LemmaReport, out_dir) -> None:
+    """Write <lemma>.csv and <lemma>.json under out_dir with stable schemas.
 
     Volatile fields (runtime) are excluded so identical (config, seed)
     runs produce byte-identical files.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    if fmt == "json":
-        path.write_text(json.dumps(report.to_dict(), indent=2) + "\n")
-    elif fmt == "csv":
-        if report.kind == "pointwise":
-            fields, rows = POINT_FIELDS, report.points
-        else:
-            fields, rows = SWEEP_FIELDS, report.sweep
-        with path.open("w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fields, extrasaction="ignore")
-            writer.writeheader()
-            for row in rows:
-                writer.writerow(row)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / f"{report.lemma}.json").write_text(json.dumps(report.to_dict(), indent=2) + "\n")
+    if report.kind == "pointwise":
+        fields, rows = POINT_FIELDS, report.points
     else:
-        raise UsageError(f"unknown emit format {fmt!r} (use 'csv' or 'json')")
-    return path
+        fields, rows = SWEEP_FIELDS, report.sweep
+    with (out_dir / f"{report.lemma}.csv").open("w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=fields, extrasaction="ignore")
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 _RUNNERS = {
@@ -789,12 +688,12 @@ _RUNNERS = {
 
 
 def run_lemma(lemma: str, settings: dict | None = None) -> LemmaReport:
-    """Run one lemma check with documented defaults plus overrides.
+    """Run one lemma check at its signature's defaults plus overrides.
 
     settings may carry a global "seed" and "trials" as well as
     lemma-prefixed keys like "green_trials" or "yellow_n_list".  A key
     that names no parameter of any lemma is rejected; one for another
-    lemma is ignored.
+    lemma is ignored.  The report's runtime_s is the check's wall time.
     """
     if lemma not in _RUNNERS:
         raise UsageError(f"unknown lemma {lemma!r}; choose from {LEMMAS}")
@@ -817,7 +716,10 @@ def run_lemma(lemma: str, settings: dict | None = None) -> LemmaReport:
     for key, value in settings.items():
         if key.startswith(prefix) and key[len(prefix):] in accepted:
             kwargs[key[len(prefix):]] = value
-    return runner(**kwargs)
+    start = time.perf_counter()
+    report = runner(**kwargs)
+    report.runtime_s = time.perf_counter() - start
+    return report
 
 
 def run_all(settings: dict | None = None, out_dir=None) -> dict[str, LemmaReport]:
@@ -826,14 +728,10 @@ def run_all(settings: dict | None = None, out_dir=None) -> dict[str, LemmaReport
     When out_dir is given, writes <lemma>.csv, <lemma>.json and a
     summary.json of verdicts.
     """
-    reports = {}
-    for lemma in LEMMAS:
-        reports[lemma] = run_lemma(lemma, settings)
+    reports = {lemma: run_lemma(lemma, settings) for lemma in LEMMAS}
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        for lemma, report in reports.items():
-            emit(report, "csv", out_dir / f"{lemma}.csv")
-            emit(report, "json", out_dir / f"{lemma}.json")
+        for report in reports.values():
+            emit(report, out_dir)
         summary = {lemma: report.verdict for lemma, report in reports.items()}
-        (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+        (Path(out_dir) / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     return reports

@@ -37,7 +37,6 @@ from .protocol import SimConfig, run_trials
 
 __all__ = [
     "Kernel",
-    "PairState",
     "absorption_times",
     "build_kernel",
     "expected_consensus_time_all_wrong",
@@ -51,14 +50,6 @@ BRIDGE_NOTE = (
     "exactly from the (opinion, stored counter) class counts of the "
     "adversarial start, agent-level trials run every round per agent"
 )
-
-
-@dataclass(frozen=True)
-class PairState:
-    """Counts of 1-opinions at two consecutive rounds."""
-
-    k_t: int
-    k_t1: int
 
 
 @dataclass
@@ -85,8 +76,9 @@ class Kernel:
             raise UsageError(f"invalid pair state ({k_t}, {k_t1}) for n={self.n}")
         return k_t * self.n + (k_t1 - 1)
 
-    def state_of_index(self, idx: int) -> PairState:
-        return PairState(idx // self.n, idx % self.n + 1)
+    def state_of_index(self, idx: int) -> tuple[int, int]:
+        """The pair state (k_t, k_t1) at a state index."""
+        return idx // self.n, idx % self.n + 1
 
     @property
     def absorbing_index(self) -> int:

@@ -26,7 +26,7 @@ from scipy import sparse
 
 from scipy.special import gammaln
 
-from fetsim.domains import DomainLabel, GridPoint, _coords, _domain_tests, _in_box
+from fetsim.domains import DomainLabel, _coords, _domain_tests, _in_box
 from fetsim.duel import DuelProbs, _check_count, _check_prob
 from fetsim.dynamics import AnalysisConstants, flip_probs
 from fetsim.errors import DomainError
@@ -214,12 +214,9 @@ def swapped(duel: DuelProbs) -> DuelProbs:
     return DuelProbs(p_lt=duel.p_gt, p_eq=duel.p_eq, p_gt=duel.p_lt)
 
 
-def on_grid(point: GridPoint, n: int, tol: float = 1e-12) -> bool:
-    """Whether both coordinates are multiples of 1/n within tol."""
-    return (
-        abs(point.x_t * n - round(point.x_t * n)) <= tol * n
-        and abs(point.x_t1 * n - round(point.x_t1 * n)) <= tol * n
-    )
+def on_grid(point: tuple[float, float], n: int, tol: float = 1e-12) -> bool:
+    """Whether both coordinates of (x_t, x_{t+1}) are multiples of 1/n within tol."""
+    return all(abs(x * n - round(x * n)) <= tol * n for x in point)
 
 
 def matching_domains(point, n: int, constants: AnalysisConstants) -> list[DomainLabel]:
@@ -252,9 +249,10 @@ def mirrored_label(label: DomainLabel) -> DomainLabel:
     return _MIRROR[label]
 
 
-def mirrored_point(point: GridPoint) -> GridPoint:
-    """The point reflection of a grid point through (1/2, 1/2)."""
-    return GridPoint(1.0 - point.x_t, 1.0 - point.x_t1)
+def mirrored_point(point: tuple[float, float]) -> tuple[float, float]:
+    """The point reflection of a grid point (x_t, x_{t+1}) through (1/2, 1/2)."""
+    x_t, x_t1 = point
+    return 1.0 - x_t, 1.0 - x_t1
 
 
 def mirror_population(pop: Population, ell: int) -> Population:

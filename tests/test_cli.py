@@ -184,6 +184,21 @@ class TestAuditCommand:
         assert err.startswith("error: c_sample must be positive and finite")
         assert not (tmp_path / "audit.json").exists()
 
+    @pytest.mark.parametrize("command", ["audit", "classify"])
+    def test_population_of_two_names_n(self, capsys, tmp_path, command):
+        # At n = 2, ln n < 1 and the partition constants do not exist;
+        # the error used to name only the derived lambda_n.
+        argv = [command, "--n", "2"]
+        if command == "classify":
+            argv += ["--x", "0.5", "--y", "0.5"]
+        else:
+            argv += ["--out", str(tmp_path / "audit.json")]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: population size n must be >= 3") and "ln n > 1" in err
+        assert not (tmp_path / "audit.json").exists()
+
 
 class TestSimulateCommand:
     def test_trials_and_summary(self, capsys, tmp_path):
@@ -390,8 +405,12 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize(
         "lemma, line",
-        [("green", "trials = 0"), ("yellow", "yellow_n_list = 1024")],
-        ids=["zero_trials", "scalar_sweep"],
+        [
+            ("green", "trials = 0"),
+            ("yellow", "yellow_n_list = 1024"),
+            ("yellow", "yellow_n_list = 1024,1024"),
+        ],
+        ids=["zero_trials", "scalar_sweep", "repeated_sweep_size"],
     )
     def test_bad_parameter_is_usage_error(self, capsys, tmp_path, lemma, line):
         cfg = tmp_path / "verify.cfg"

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from conftest import in_yellow_prime, matching_domains, mirrored_label, mirrored_point, on_grid
 from fetsim.domains import (
     DomainLabel,
-    GridPoint,
     YellowLabel,
     _first_true,
     _in_box,
@@ -135,18 +134,20 @@ class TestClassifyYellow:
 
 
 class TestGridPoint:
+    """A grid point is an (x_t, x_{t+1}) tuple of opinion-1 fractions."""
+
     def test_on_grid(self):
-        assert on_grid(GridPoint(3 / 64, 5 / 64), 64)
-        assert not on_grid(GridPoint(0.3333, 0.5), 64)
+        assert on_grid((3 / 64, 5 / 64), 64)
+        assert not on_grid((0.3333, 0.5), 64)
 
     def test_mirror(self):
-        m = mirrored_point(GridPoint(0.2, 0.7))
-        assert m.x_t == pytest.approx(0.8, abs=1e-15)
-        assert m.x_t1 == pytest.approx(0.3, abs=1e-15)
+        x_t, x_t1 = mirrored_point((0.2, 0.7))
+        assert x_t == pytest.approx(0.8, abs=1e-15)
+        assert x_t1 == pytest.approx(0.3, abs=1e-15)
 
     def test_classify_accepts_gridpoint(self):
         c = consts(128)
-        assert classify(GridPoint(0.5, 0.5), 128, c) is DomainLabel.YELLOW
+        assert classify((0.5, 0.5), 128, c) is DomainLabel.YELLOW
 
 
 class TestAudit:

@@ -5,15 +5,16 @@ import json
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from fetsim.errors import PlantingError, UsageError
 from fetsim.harness import (
-    LemmaReport,
     POINT_FIELDS,
     SLOPE_TOLERANCE,
     SWEEP_FIELDS,
     _fit_loglog,
+    _planted_rows,
     cyan_expectation_check,
     emit,
     plant_pair,
@@ -26,6 +27,7 @@ from fetsim.harness import (
 )
 from fetsim.domains import DomainLabel, classify
 from fetsim.dynamics import AnalysisConstants, expected_next_fraction
+from fetsim.protocol import SimConfig, derive_rng, step_aggregate
 
 
 class TestPlanting:
@@ -40,6 +42,30 @@ class TestPlanting:
         c = AnalysisConstants.for_population(4096, delta=0.05, c_sample=3.0)
         with pytest.raises(PlantingError):
             plant_pair(4096, c, 0.3, 0.3 * (1 - c.lambda_n) * 0.9, DomainLabel.RED1)
+
+
+class TestPlantedRows:
+    def test_no_stay_steps_each_trial_once_on_the_pair_stream(self):
+        # stay=() is the one-round runner of Green and Purple: one
+        # step_aggregate call per planted pair on its keyed stream.
+        config = SimConfig(n=1024, delta=0.05, seed=7)
+        seen = {}
+
+        def failed(label, k_last, current, rounds):
+            seen.update(label=label, k_last=k_last.copy(), rounds=rounds.copy())
+            return k_last > 512
+
+        planted = [(0.5, 0.5, DomainLabel.YELLOW)]
+        (row,) = _planted_rows("probe", config, 60, planted, 1.0, failed)
+        expected = step_aggregate(
+            np.full(60, 512), np.full(60, 512), config, derive_rng(7, "probe", 512, 512)
+        )
+        assert seen["label"] is DomainLabel.YELLOW
+        assert seen["rounds"].tolist() == [1] * 60
+        assert seen["k_last"].tolist() == np.asarray(expected).tolist()
+        assert len(set(expected.tolist())) > 1  # a random round, not a forced one
+        assert row["failures"] == int((expected > 512).sum())
+        assert (row["point_x"], row["point_y"], row["trials"]) == (0.5, 0.5, 60)
 
 
 class TestGreen:
@@ -130,6 +156,21 @@ class TestSweeps:
         assert report.details["all_escaped"]
         assert "b_dwell" in report.details
 
+    def test_yellow_one_size_is_fail(self):
+        # One size fits no scaling; it used to PASS on a slope of 0 and
+        # an R^2 of 1 set by fiat.
+        report = verify_yellow(n_list=[1024], trials=50)
+        assert report.details["all_escaped"]
+        fit = report.details["fit"]
+        assert (fit["slope"], fit["r2"]) == (0.0, 1.0)
+        assert report.verdict == "FAIL"
+
+    def test_repeated_sweep_size_rejected(self):
+        with pytest.raises(UsageError, match="n_list"):
+            verify_yellow(n_list=[1024, 1024], trials=50)
+        with pytest.raises(UsageError, match="n_list"):
+            run_lemma("convergence", {"convergence_n_list": [128, 256, 128]})
+
     def test_convergence_reduced_sweep(self):
         # 100 trials is the smallest count where "99% within budget" is
         # reachable (one sample may exceed the interpolated quantile).
@@ -182,38 +223,34 @@ class TestScalingGate:
 class TestEmission:
     def test_pointwise_csv_schema(self, tmp_path):
         report = verify_green(trials=40, seed=3)
-        path = emit(report, "csv", tmp_path / "green.csv")
-        with path.open() as fh:
+        emit(report, tmp_path)
+        with (tmp_path / "green.csv").open() as fh:
             rows = list(csv.DictReader(fh))
         assert list(rows[0]) == list(POINT_FIELDS)
         assert len(rows) == len(report.points)
 
     def test_sweep_csv_schema(self, tmp_path):
         report = verify_yellow(n_list=(256,), trials=20, seed=3, max_rounds=4000)
-        path = emit(report, "csv", tmp_path / "yellow.csv")
-        with path.open() as fh:
+        emit(report, tmp_path)
+        with (tmp_path / "yellow.csv").open() as fh:
             rows = list(csv.DictReader(fh))
         assert list(rows[0]) == list(SWEEP_FIELDS)
 
     def test_json_round_trip_excludes_runtime(self, tmp_path):
-        report = verify_green(trials=40, seed=3)
+        report = run_lemma("green", {"trials": 40, "seed": 3})
         assert report.runtime_s > 0
-        path = emit(report, "json", tmp_path / "green.json")
-        payload = json.loads(path.read_text())
+        emit(report, tmp_path)
+        payload = json.loads((tmp_path / "green.json").read_text())
         assert payload["verdict"] == report.verdict
         assert "runtime_s" not in json.dumps(payload)
 
-    def test_unknown_format(self, tmp_path):
-        with pytest.raises(UsageError):
-            emit(LemmaReport("x", {}, "pointwise"), "yaml", tmp_path / "x.yaml")
-
     def test_reports_byte_deterministic(self, tmp_path):
-        a = emit(verify_green(trials=40, seed=9), "json", tmp_path / "a.json")
-        b = emit(verify_green(trials=40, seed=9), "json", tmp_path / "b.json")
-        assert a.read_bytes() == b.read_bytes()
-        c = emit(verify_cyan(trials=30, seed=9), "csv", tmp_path / "c.csv")
-        d = emit(verify_cyan(trials=30, seed=9), "csv", tmp_path / "d.csv")
-        assert c.read_bytes() == d.read_bytes()
+        for name in ("a", "b"):
+            emit(verify_green(trials=40, seed=9), tmp_path / name)
+        for name in ("c", "d"):
+            emit(verify_cyan(trials=30, seed=9), tmp_path / name)
+        assert (tmp_path / "a/green.json").read_bytes() == (tmp_path / "b/green.json").read_bytes()
+        assert (tmp_path / "c/cyan.csv").read_bytes() == (tmp_path / "d/cyan.csv").read_bytes()
 
 
 class TestRunLemma:
