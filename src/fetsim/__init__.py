@@ -25,7 +25,6 @@ from .markov import Kernel, absorption_times, build_kernel, simulate_exact_check
 from .protocol import (
     Population,
     SimConfig,
-    Trajectory,
     run_trials,
     step_agent_level,
     step_aggregate,
@@ -43,7 +42,6 @@ __all__ = [
     "Population",
     "SimConfig",
     "StructuralError",
-    "Trajectory",
     "UsageError",
     "YellowLabel",
     "absorption_times",

@@ -21,6 +21,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .config import check_delta, parse_config_file
 from .domains import audit_partition, classify, classify_yellow, label_paths
@@ -33,7 +35,7 @@ from .dynamics import (
     speed,
 )
 from .errors import DomainError, FetsimError, UsageError
-from .harness import LEMMAS, _check, emit, run_all, run_lemma
+from .harness import LEMMAS, _AREAS, _LABELS, emit, run_all, run_lemma
 from .markov import absorption_times, build_kernel
 from .protocol import SimConfig, run_trials
 
@@ -151,47 +153,45 @@ def _cmd_simulate(args) -> int:
     if args.trials is not None:
         settings["trials"] = args.trials
     trials = settings.get("trials", 1)
-    _check(trials=trials)
     config = _sim_config_from_settings(settings)
     preset = settings.get("preset", "all_wrong")
     out_dir = Path(args.out) if args.out else Path("simulate-out")
 
-    summary_rows = []
-    domain_visits: dict[str, int] = {}
-    trajectories = run_trials(config, preset, trials)  # first, so a bad preset leaves no directory
+    counts, lengths = run_trials(config, preset, trials)  # before any output directory
     out_dir.mkdir(parents=True, exist_ok=True)
-    labels = label_paths([t.counts for t in trajectories], config.n, config.delta, config.ell)
-    for t, (traj, (domains, yellows)) in enumerate(zip(trajectories, labels)):
+    domains, yellows = label_paths(counts, config.n, config.delta, config.ell)
+    ends = np.cumsum(lengths)
+    for t, (start, end) in enumerate(zip((ends - lengths).tolist(), ends.tolist())):
         # Row t holds x_t and the labels of the pair (x_t, x_{t+1}); the
         # final row has no successor, so its labels are empty.
+        domain_names = [_LABELS[p].value for p in domains[start : end - 1].tolist()] + [""]
+        yellow_names = [_AREAS[p].value for p in yellows[start : end - 1].tolist()] + [""]
         with (out_dir / f"trial_{t}.csv").open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["round", "x_t", "domain", "yellow_label"])
-            domain_names = [label.value for label in domains] + [""]
-            yellow_names = [label.value for label in yellows] + [""]
-            for r, k in enumerate(traj.counts):
+            for r, k in enumerate(counts[start:end].tolist()):
                 writer.writerow([r, repr(k / config.n), domain_names[r], yellow_names[r]])
-        for label in domains:
-            domain_visits[label.value] = domain_visits.get(label.value, 0) + 1
-        summary_rows.append(traj.converged_round)
-
-    converged = [r for r in summary_rows if r is not None]
+    # Every slot but each path's last is a pair of that path.
+    visits = np.bincount(np.delete(domains, ends[:-1] - 1), minlength=len(_LABELS))
+    converged = counts[ends - 1] == config.n * config.source_opinion
+    rounds = np.sort((lengths - 1)[converged]).tolist()
     quantiles = {}
-    if converged:
-        converged_sorted = sorted(converged)
-
+    if rounds:
         def q(frac: float) -> float:
-            idx = min(len(converged_sorted) - 1, int(frac * (len(converged_sorted) - 1)))
-            return float(converged_sorted[idx])
+            return float(rounds[min(len(rounds) - 1, int(frac * (len(rounds) - 1)))])
 
         quantiles = {"q50": q(0.5), "q90": q(0.9), "q99": q(0.99)}
     summary = {
         "preset": str(preset),
         "trials": trials,
-        "converged_round_per_trial": summary_rows,
-        "converged_fraction": len(converged) / trials,
+        "converged_round_per_trial": [
+            r if ok else None for r, ok in zip((lengths - 1).tolist(), converged.tolist())
+        ],
+        "converged_fraction": len(rounds) / trials,
         "quantiles": quantiles,
-        "domain_visit_counts": dict(sorted(domain_visits.items())),
+        "domain_visit_counts": dict(
+            sorted((label.value, int(v)) for label, v in zip(_LABELS, visits) if v)
+        ),
     }
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     print(f"{trials} trial file(s) + summary.json written to {out_dir}", file=sys.stderr)

@@ -31,8 +31,8 @@ the 1-variant before the 0-variant, and ``audit_partition`` quantifies
 every gap and overlap instead of hiding them.  Each definition is
 written once and evaluated on floats by the pointwise classifiers and
 on arrays by ``classify_array``, ``label_paths`` and the audit.
-``label_paths`` labels simulated trials, paths of opinion-1 counts,
-pair by pair, every pair of a batch of paths in one pass.
+``label_paths`` labels simulated trials, paths of opinion-1 counts
+stored end to end, every consecutive pair in one pass.
 """
 
 from __future__ import annotations
@@ -207,37 +207,26 @@ def classify_yellow(point, constants: AnalysisConstants) -> YellowLabel:
     raise AssertionError(f"point {(x, y)} in Yellow' matched no A/B/C area")
 
 
-def label_paths(
-    paths, n: int, delta: float, ell: int
-) -> list[tuple[list[DomainLabel], list[YellowLabel]]]:
-    """Domain and Yellow' area of each consecutive pair of each count path.
+def label_paths(counts, n: int, delta: float, ell: int) -> tuple[np.ndarray, np.ndarray]:
+    """Domain and Yellow' area of every consecutive pair of a count array.
 
-    Pair t of a path is (counts[t]/n, counts[t+1]/n), so a path of T+1
-    counts gets T labels of each kind; the partition constants are those
-    of (n, delta, ell).  Every pair of every path is labelled in one
-    array pass, and the pairs that straddle two paths are dropped.  The
-    constants need ln n > 1: at n = 2 every pair is Unclassified and
+    counts holds trial paths end to end, as run_trials returns them.
+    Slot j of each returned array labels the pair (counts[j]/n,
+    counts[j+1]/n) by its position in ``tuple(DomainLabel)`` and in
+    ``tuple(YellowLabel)``, all in one array pass; the partition
+    constants are those of (n, delta, ell).  The slot at each path's
+    last count pairs it with the next path's first, so callers skip it.
+    The constants need ln n > 1: at n = 2 every pair is Unclassified and
     outside Yellow'.
     """
-    k = np.array([c for path in paths for c in path], dtype=np.int64)
+    k = np.asarray(counts)
     x, y = k[:-1] / n, k[1:] / n
     outside = len(YellowLabel) - 1
     if math.log(n) <= 1.0:
-        domains = np.full(x.shape, len(DomainLabel) - 1)
-        areas = np.full(x.shape, outside)
-    else:
-        constants = AnalysisConstants.for_population(n, delta=delta, ell=ell)
-        domains = classify_array(x, y, constants)
-        areas = np.where(_in_box(x, y, constants), _first_true(_yellow_area_tests(x, y)), outside)
-    # Slot t holds the pair (t, t+1) of the concatenation; each path's
-    # last slot, a straddling pair or the padding, is cut off.
-    domains = np.append(np.array(tuple(DomainLabel), dtype=object)[domains], None)
-    areas = np.append(np.array(tuple(YellowLabel), dtype=object)[areas], None)
-    sizes = [len(path) for path in paths]
-    return [
-        (domains[end - size : end - 1].tolist(), areas[end - size : end - 1].tolist())
-        for end, size in zip(np.cumsum(sizes).tolist(), sizes)
-    ]
+        return np.full(x.shape, len(DomainLabel) - 1), np.full(x.shape, outside)
+    constants = AnalysisConstants.for_population(n, delta=delta, ell=ell)
+    areas = np.where(_in_box(x, y, constants), _first_true(_yellow_area_tests(x, y)), outside)
+    return classify_array(x, y, constants), areas
 
 
 @dataclass

@@ -13,6 +13,8 @@ epsilon is a knob and every report carries the raw counts.
 
 Green, Purple and Red share one planted-pair runner: the trials of a
 planted pair step together, one round or until they leave its domain.
+Cyan, Yellow and convergence reduce run_trials' end-to-end counts and
+their labels directly, each per-trial search one searchsorted (_first).
 
 Scaling claims (Yellow escape, end-to-end convergence) are tested as
 properties: quantiles of the measured times are fitted against
@@ -62,6 +64,7 @@ __all__ = [
 
 LEMMAS = ("green", "purple", "red", "cyan", "yellow", "convergence")
 _LABELS = tuple(DomainLabel)  # classify_array positions
+_AREAS = tuple(YellowLabel)  # label_paths area positions
 # Smallest accepted value of each integer parameter (per entry for n_list).
 _MINIMUMS = {"n": 2, "n_list": 2, "ell": 1, "trials": 1, "max_rounds": 1}
 # Log-log slope above which a sweep no longer counts as "growing no
@@ -120,6 +123,12 @@ def _check(**given) -> None:
             check_number(key, value)
             if not value > 0:
                 raise UsageError(f"{key} must be positive, got {value!r}")
+
+
+def _first(mask: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per trial, the first j in [lo, hi) with mask[j], else hi (hi <= mask.size)."""
+    hits = np.append(np.flatnonzero(mask), mask.size)
+    return np.minimum(hits[np.searchsorted(hits, lo)], hi)
 
 
 def _whp_threshold(n: int, trials: int, epsilon: float = 1.0) -> float:
@@ -400,53 +409,40 @@ def verify_cyan(
     _check(n=n, delta=delta, c_sample=c_sample, trials=trials, epsilon=epsilon)
     config = SimConfig(n=n, c_sample=c_sample, delta=delta, seed=seed, max_rounds=1000)
     bound = math.log(n) / math.log(math.log(n))
-    good_exits = {DomainLabel.GREEN1, DomainLabel.PURPLE1}
+    good_exits = [_LABELS.index(DomainLabel.GREEN1), _LABELS.index(DomainLabel.PURPLE1)]
 
     gamma = config.constants().gamma
-    failures = 0
-    exit_tally: dict[str, int] = {}
-    exit_rounds: list[int] = []
-    gamma_crossed = 0
-    gamma_then_above_half = 0
-    paths = [traj.counts for traj in run_trials(config, "cyan_corner", trials)]
-    for counts, (labels, _) in zip(paths, label_paths(paths, n, delta, config.ell)):
-        t0 = next((i for i, lab in enumerate(labels) if lab is DomainLabel.CYAN1), None)
-        if t0 is None:
-            failures += 1
-            continue
-        t1 = next(
-            (i for i in range(t0, len(labels)) if labels[i] is not DomainLabel.CYAN1),
-            None,
-        )
-        if t1 is None:
-            failures += 1
-            continue
-        exit_tally[labels[t1].value] = exit_tally.get(labels[t1].value, 0) + 1
-        exit_rounds.append(t1 - t0)
-        if not (t1 - t0 < bound and labels[t1] in good_exits):
-            failures += 1
-        # Large-fraction branch: rounds still in Cyan1 whose x_{t+1}
-        # already exceeds gamma, and how often x_{t+2} > 1/2 follows.
-        # At desk scale gamma is tiny, so the observed frequency is data
-        # for the report, not a verdict input.
-        crossings = [i for i in range(t0, t1) if counts[i + 1] / n > gamma]
-        if crossings:
-            gamma_crossed += 1
-            first = crossings[0]
-            if first + 2 < len(counts) and counts[first + 2] / n > 0.5:
-                gamma_then_above_half += 1
+    counts, lengths = run_trials(config, "cyan_corner", trials)
+    domains, _ = label_paths(counts, n, delta, config.ell)
+    ends = np.cumsum(lengths)
+    last = ends - 1  # a path's last slot pairs it with the next path
+    cyan = domains == _LABELS.index(DomainLabel.CYAN1)
+    t0 = _first(cyan, ends - lengths, last)
+    t1 = _first(~cyan, t0, last)
+    left = t1 < last  # entered Cyan1 and left it; every other trial fails
+    t0, t1 = t0[left], t1[left]
+    exits = domains[t1]
+    failures = trials - int(((t1 - t0 < bound) & np.isin(exits, good_exits)).sum())
+    exit_tally = Counter(_LABELS[position].value for position in exits.tolist())
+    # Large-fraction branch: rounds still in Cyan1 whose x_{t+1}
+    # already exceeds gamma, and how often x_{t+2} > 1/2 follows.
+    # At desk scale gamma is tiny, so the observed frequency is data
+    # for the report, not a verdict input.
+    first = _first(counts[1:] / n > gamma, t0, t1)
+    crossed = first < t1
+    above_half = int((counts[first[crossed] + 2] / n > 0.5).sum())
     gate = _whp_threshold(n, trials, epsilon)
     row = _point_row(1, 1, n, DomainLabel.CYAN1, trials, failures, gate)
     analytic = cyan_expectation_check(n, delta=delta, c_sample=c_sample)
     params = _point_params(config, trials, epsilon=epsilon, exit_round_bound=bound)
     details = {
-        "exit_label_tally": exit_tally,
-        "max_exit_rounds": max(exit_rounds) if exit_rounds else None,
+        "exit_label_tally": dict(exit_tally),
+        "max_exit_rounds": int((t1 - t0).max()) if t1.size else None,
         "analytic": analytic,
         "large_fraction_branch": {
             "gamma": gamma,
-            "trials_crossing_gamma_inside_cyan": gamma_crossed,
-            "next_fraction_above_half_after_first_crossing": gamma_then_above_half,
+            "trials_crossing_gamma_inside_cyan": int(crossed.sum()),
+            "next_fraction_above_half_after_first_crossing": above_half,
         },
     }
     return _pointwise("cyan", params, [row], details, ok=analytic["violations"] == 0)
@@ -457,19 +453,19 @@ def _fit_loglog(ns: list[int], values: list[float]) -> dict:
 
     C is the envelope constant max_n value / (ln n)^{5/2}, so
     "value <= C (ln n)^{5/2}" holds for every sweep point by
-    construction; slope and r2 carry the scaling content.
+    construction; slope and r2 carry the scaling content, and are None
+    below two sizes, where no line is fitted.
     """
+    envelope = max(v / math.log(n) ** 2.5 for n, v in zip(ns, values))
+    if len(ns) < 2:
+        return {"C": float(envelope), "slope": None, "r2": None}
     z = np.array([2.5 * math.log(math.log(n)) for n in ns])
     w = np.log(np.maximum(values, 1.0))
-    if len(ns) < 2:
-        slope, r2 = 0.0, 1.0
-    else:
-        slope, intercept = np.polyfit(z, w, 1)
-        pred = slope * z + intercept
-        ss_res = float(((w - pred) ** 2).sum())
-        ss_tot = float(((w - w.mean()) ** 2).sum())
-        r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    envelope = max(v / math.log(n) ** 2.5 for n, v in zip(ns, values))
+    slope, intercept = np.polyfit(z, w, 1)
+    pred = slope * z + intercept
+    ss_res = float(((w - pred) ** 2).sum())
+    ss_tot = float(((w - w.mean()) ** 2).sum())
+    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return {"C": float(envelope), "slope": float(slope), "r2": float(r2)}
 
 
@@ -498,29 +494,24 @@ def verify_yellow(
     all_escaped = True
     for n in n_list:
         config = SimConfig(n=n, c_sample=c_sample, delta=delta, seed=seed, max_rounds=max_rounds)
-        escapes = []
-        b_dwells = []
-        paths = [traj.counts for traj in run_trials(config, "yellow_center", trials)]
-        for _, yellows in label_paths(paths, n, delta, config.ell):
-            esc = next(
-                (i for i, lab in enumerate(yellows) if lab is YellowLabel.OUTSIDE),
-                None,
-            )
-            if esc is None:
-                all_escaped = False
-                esc = max_rounds
-            escapes.append(esc)
-            longest = current = 0
-            for lab in yellows[:esc]:
-                if lab in (YellowLabel.B1, YellowLabel.B0):
-                    current += 1
-                    longest = max(longest, current)
-                else:
-                    current = 0
-            b_dwells.append(longest)
-        arr = np.array(escapes)
-        q50 = float(np.percentile(arr, 50))
-        q99 = float(np.percentile(arr, 99))
+        counts, lengths = run_trials(config, "yellow_center", trials)
+        _, areas = label_paths(counts, n, delta, config.ell)
+        ends = np.cumsum(lengths)
+        starts, last = ends - lengths, ends - 1
+        esc = _first(areas == _AREAS.index(YellowLabel.OUTSIDE), starts, last)
+        all_escaped &= bool((esc < last).all())
+        escapes = np.where(esc < last, esc - starts, max_rounds)
+        # Longest run of B slots before the escape: each slot's run
+        # length restarts after every slot outside the window or B.
+        trial = np.repeat(np.arange(trials), lengths)[:-1]
+        slot = np.arange(1, areas.size + 1)
+        in_b = np.isin(areas, [_AREAS.index(YellowLabel.B1), _AREAS.index(YellowLabel.B0)])
+        in_b &= slot <= esc[trial]
+        runs = slot - np.maximum.accumulate(np.where(in_b, 0, slot))
+        b_dwells = np.zeros(trials, dtype=np.int64)
+        np.maximum.at(b_dwells, trial, runs)
+        q50 = float(np.percentile(escapes, 50))
+        q99 = float(np.percentile(escapes, 99))
         q99s.append(q99)
         c4 = 1.0 / (4.0 * config.constants().alpha)
         b_scale = math.sqrt(c_sample) / c4 * math.log(n) ** 1.5
@@ -580,19 +571,15 @@ def verify_convergence(
         n_list=n_list, presets=presets, delta=delta, c_sample=c_sample, trials=trials,
         max_rounds=max_rounds,
     )
-    times: dict[tuple[str, int], list[int]] = {}
+    times: dict[tuple[str, int], np.ndarray] = {}
     all_converged = True
     for n in n_list:
         config = SimConfig(n=n, c_sample=c_sample, delta=delta, seed=seed, max_rounds=max_rounds)
         for preset in presets:
-            cell = []
-            for traj in run_trials(config, preset, trials):
-                if traj.converged_round is None:
-                    all_converged = False
-                    cell.append(max_rounds)
-                else:
-                    cell.append(traj.converged_round)
-            times[(preset, n)] = cell
+            counts, lengths = run_trials(config, preset, trials)
+            # lengths - 1 is max_rounds for a trial that never reached consensus.
+            all_converged &= bool((counts[np.cumsum(lengths) - 1] == n).all())
+            times[(preset, n)] = lengths - 1
 
     pooled_q99 = []
     sweep = []
@@ -617,7 +604,7 @@ def verify_convergence(
     frac_ok = True
     for (preset, n), cell in times.items():
         budget = envelope_c * math.log(n) ** 2.5
-        frac = float(np.mean(np.array(cell) <= budget))
+        frac = float(np.mean(cell <= budget))
         cells[f"{preset}@{n}"] = {
             "trials": trials,
             "within_budget_fraction": frac,

@@ -239,12 +239,11 @@ def _simulate_hitting_times(
     that hits max_rounds is a StructuralError.
     """
     config = SimConfig(n=n, ell=ell, backend=backend, seed=seed, max_rounds=max_rounds)
-    times = [traj.converged_round for traj in run_trials(config, "all_wrong", trials)]
-    if None in times:
-        raise StructuralError(
-            f"{times.count(None)} {backend} trial(s) did not converge in {max_rounds} rounds"
-        )
-    return np.array(times, dtype=np.int64)
+    counts, lengths = run_trials(config, "all_wrong", trials)
+    stuck = int((counts[np.cumsum(lengths) - 1] != n).sum())
+    if stuck:
+        raise StructuralError(f"{stuck} {backend} trial(s) did not converge in {max_rounds} rounds")
+    return lengths - 1
 
 
 def simulate_exact_check(

@@ -31,11 +31,12 @@ later round is two binomial draws over the pair of opinion-1 counts
 level.
 
 A trial is the path of opinion-1 counts, one integer per round.
-Labelling its pairs with the domain partition is the caller's business
-(``domains.label_paths``).  ``run_trials`` is the one trial driver: it
-advances a block of trials in lockstep, the agent backend as a stacked
-(trials, n) population and the aggregate backend as integer count
-arrays, and a trial leaves its block at its first consensus round.
+``run_trials`` is the one trial driver: it advances a block of trials
+in lockstep, the agent backend as a stacked (trials, n) population and
+the aggregate backend as integer count arrays, and a trial leaves its
+block at its first consensus round.  It returns all paths end to end
+in one count array; labelling their pairs with the domain partition is
+the caller's business (``domains.label_paths``).
 
 Randomness is drawn from counter-based Philox streams keyed by hashes
 of (seed, labels).  Each block of trials has its own stream, keyed by
@@ -50,7 +51,7 @@ from __future__ import annotations
 import hashlib
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,7 +63,6 @@ from .errors import DomainError, UsageError
 __all__ = [
     "Population",
     "SimConfig",
-    "Trajectory",
     "derive_rng",
     "run_trials",
     "step_agent_level",
@@ -155,14 +155,16 @@ class Population:
 
     The last axis runs over agents; any leading axes index independent
     trials, so a (trials, n) state steps a batch of populations at once.
+    Values that the uint8 and int32 storage cannot hold exactly are a
+    UsageError.
     """
 
     opinions: np.ndarray  # uint8, shape (..., n)
     prev_counts: np.ndarray  # int32, shape (..., n)
 
     def __post_init__(self) -> None:
-        self.opinions = np.asarray(self.opinions, dtype=np.uint8)
-        self.prev_counts = np.asarray(self.prev_counts, dtype=np.int32)
+        self.opinions = _exact_cast("opinions", self.opinions, np.uint8)
+        self.prev_counts = _exact_cast("prev_counts", self.prev_counts, np.int32)
         if self.opinions.shape != self.prev_counts.shape:
             raise UsageError("opinions and prev_counts must have equal shape")
 
@@ -170,6 +172,19 @@ class Population:
     def n(self) -> int:
         """Agents per trial."""
         return self.opinions.shape[-1]
+
+
+def _exact_cast(name: str, values, dtype) -> np.ndarray:
+    """values as a dtype array; a UsageError if the cast would change a value."""
+    try:
+        with np.errstate(invalid="ignore"):
+            cast = np.asarray(values).astype(dtype, copy=False)
+        exact = np.array_equal(cast, values)
+    except (TypeError, ValueError, OverflowError):
+        exact = False
+    if not exact:
+        raise UsageError(f"{name} must be integers that {np.dtype(dtype).name} holds exactly")
+    return cast
 
 
 def step_agent_level(
@@ -280,22 +295,13 @@ def _check_population(pop: Population, config: SimConfig) -> Population:
     return pop
 
 
-def _explicit(initial, config: SimConfig) -> Population | None:
-    """The checked per-agent state of an explicit initial condition, else None."""
-    if isinstance(initial, tuple) and initial[:1] == ("explicit",):
-        _, opinions, counters = initial
-        initial = Population(np.array(opinions), np.array(counters))
-    return _check_population(initial, config) if isinstance(initial, Population) else None
-
-
 def _preset_counts(preset, config: SimConfig, rng: np.random.Generator, trials: int) -> np.ndarray:
     """Class counts of ``trials`` initial states, shape (trials, 2, ell+1), int64.
 
     Entry [t, o, c] counts trial t's non-source agents holding opinion o
     and stored counter c, so set-up costs O(ell) per trial whatever n.
-    Accepted presets: the names in PRESETS, a tuple ("fraction", x0), a
-    string "fraction:X", ("explicit", opinions, prev_counts) or a
-    Population; explicit states are checked against config and binned.
+    Accepted presets: the names in PRESETS, a string "fraction:X" or a
+    Population, which is checked against config and binned.
     Counter conventions: all_wrong stores 0, all_wrong_max_counters and
     cyan_corner store ell (maximally misleading memory), and these draw
     nothing.  The remaining presets store uniformly random counters in
@@ -304,120 +310,108 @@ def _preset_counts(preset, config: SimConfig, rng: np.random.Generator, trials: 
     """
     n, ell, src = config.n, config.ell, config.source_opinion
     hist = np.zeros((trials, 2, ell + 1), dtype=np.int64)
-    pop = _explicit(preset, config)
-    if pop is not None:
+    if isinstance(preset, Population):
+        pop = _check_population(preset, config)
         counters, opinions = pop.prev_counts[SOURCE_INDEX + 1 :], pop.opinions[SOURCE_INDEX + 1 :]
         for o in (0, 1):
             hist[:, o] = np.bincount(counters[opinions == o], minlength=ell + 1)
         return hist
-    name, arg = preset, None
-    if isinstance(preset, tuple):
-        name, *rest = preset
-        arg = rest[0] if rest else None
-    elif isinstance(preset, str) and preset.startswith("fraction:"):
-        name, arg = "fraction", preset.split(":", 1)[1]
-
-    if name in ("all_wrong", "all_wrong_max_counters", "cyan_corner"):
-        hist[:, 1 - src, 0 if name == "all_wrong" else ell] = n - 1
+    if preset in ("all_wrong", "all_wrong_max_counters", "cyan_corner"):
+        hist[:, 1 - src, 0 if preset == "all_wrong" else ell] = n - 1
         return hist
-    if name == "half_half":
+    if preset == "half_half":
         # Half the non-source agents (round half up) hold opinion 1,
         # plus the source: n = 64 gives x_0 = 33/64 with source opinion 1.
         total = math.floor((n - 1) / 2 + 0.5) + src
-    elif name == "yellow_center":
+    elif preset == "yellow_center":
         total = math.floor(n / 2 + 0.5)
-    elif name == "fraction":
+    elif isinstance(preset, str) and preset.startswith("fraction:"):
+        arg = preset.split(":", 1)[1]
         try:
             x0 = float(arg)
-        except (TypeError, ValueError):
+        except ValueError:
             x0 = math.nan
         if not 0.0 <= x0 <= 1.0:
             raise UsageError(f"fraction preset needs x0 in [0,1], got {arg!r}")
         total = int(round(x0 * n))
     else:
-        raise UsageError(f"unknown preset {preset!r}; known: {PRESETS}, fraction:X, explicit")
+        raise UsageError(f"unknown preset {preset!r}; known: {PRESETS}, fraction:X, a Population")
     ones = min(max(total - src, 0), n - 1)  # non-source agents holding opinion 1
     uniform = np.full(ell + 1, 1.0 / (ell + 1))
     return rng.multinomial([n - 1 - ones, ones], uniform, size=(trials, 2))
 
 
-def _population(hist: np.ndarray, config: SimConfig) -> Population:
-    """One trial's (2, ell+1) class counts as agents: the source, then class by class.
+def _populations(hist: np.ndarray, config: SimConfig) -> Population:
+    """A block's (trials, 2, ell+1) class counts as a (trials, n) agent state.
 
-    Agents are exchangeable under uniform sampling, so their order does
-    not change the law of a round.  The source stores agent 1's counter.
+    Each trial holds the source, then its agents class by class, all
+    from one np.repeat.  Agents are exchangeable under uniform sampling,
+    so their order does not change the law of a round.  The source
+    stores agent 1's counter.
     """
-    classes = np.arange(hist.size)
-    opinions = np.repeat(classes // (config.ell + 1), hist.ravel())
-    counters = np.repeat(classes % (config.ell + 1), hist.ravel())
-    return Population(
-        np.concatenate([[config.source_opinion], opinions]),
-        np.concatenate([counters[:1], counters]),
-    )
+    trials, width = len(hist), config.ell + 1
+    agents = np.repeat(np.tile(np.arange(2 * width), trials), hist.ravel())
+    agents = agents.reshape(trials, config.n - 1)
+    opinions, counters = agents // width, agents % width
+    source = np.full((trials, 1), config.source_opinion)
+    return Population(np.hstack([source, opinions]), np.hstack([counters[:, :1], counters]))
 
 
-@dataclass
-class Trajectory:
-    """One trial's path of opinion-1 counts.
-
-    counts[t] is the number of agents holding opinion 1 at round t, a
-    Python int.  The path ends at the first round at which every opinion
-    equals the source's, which is then converged_round, or at the round
-    cap with converged_round None.
-    """
-
-    counts: list[int] = field(default_factory=list)
-    converged_round: int | None = None
-
-
-def run_trials(config: SimConfig, initial, trials: int) -> list[Trajectory]:
+def run_trials(config: SimConfig, initial, trials: int) -> tuple[np.ndarray, np.ndarray]:
     """Run ``trials`` trials to consensus or the round cap, in lockstep blocks.
 
-    ``initial`` is a preset accepted by _preset_counts.  Blocks hold
-    BLOCK aggregate trials, or as many agent-level trials as keep one
-    round's sample indices within AGENT_BLOCK_INDICES (at least one).
-    Block b draws from derive_rng(seed, "trials", n, label, b), label
-    being the preset string or "explicit": first its presets' class
-    counts, then its rounds.  So a trial's path depends on (config,
-    preset, seed, its index), not on how many trials follow it.  A
-    trial leaves its block at its first consensus round (all-correct is
-    absorbing); one that hits the round cap has converged_round None.
+    Returns (counts, lengths): counts holds every trial's path of
+    opinion-1 counts end to end, in trial order, as one int64 array,
+    and lengths[i] is the number of counts in trial i's path.  A path
+    ends at its first consensus round (all-correct is absorbing) or at
+    max_rounds, so trial i took lengths[i] - 1 rounds and converged iff
+    its last count is n * source_opinion.  ``initial`` is a preset
+    accepted by _preset_counts.  Blocks hold BLOCK aggregate trials, or
+    as many agent-level trials as keep one round's sample indices within
+    AGENT_BLOCK_INDICES (at least one).  Block b draws from
+    derive_rng(seed, "trials", n, label, b), label being the preset
+    string or "explicit": first its presets' class counts, then its
+    rounds.  So a trial's path depends on (config, preset, seed, its
+    index), not on how many trials follow it.
     """
-    explicit = _explicit(initial, config)
-    label = str(initial) if explicit is None else "explicit"
-    start = initial if explicit is None else explicit
+    check_number("trials", trials, numbers.Integral)
+    if trials < 1:
+        raise UsageError(f"trials must be >= 1, got {trials}")
+    label = "explicit" if isinstance(initial, Population) else str(initial)
     size = BLOCK
     if config.backend == "agent":
         size = max(1, AGENT_BLOCK_INDICES // (config.n * 2 * config.ell))
-    out = []
-    for block, first in enumerate(range(0, trials, size)):
-        rng = derive_rng(config.seed, "trials", config.n, label, block)
-        out += _run_block(config, start, min(size, trials - first), rng)
-    return out
+    blocks = [
+        _run_block(config, initial, min(size, trials - first),
+                   derive_rng(config.seed, "trials", config.n, label, block))
+        for block, first in enumerate(range(0, trials, size))
+    ]
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
 def _run_block(
     config: SimConfig, initial, trials: int, rng: np.random.Generator
-) -> list[Trajectory]:
-    """One lockstep block, started from the presets' class counts.
+) -> tuple[np.ndarray, np.ndarray]:
+    """One lockstep block, started from the presets' class counts; run_trials' layout.
 
-    The agent backend expands each trial's counts into agents; an
-    explicit population is stepped as given.
+    Round r records the trials still going and their new counts; at the
+    end one scatter puts them at counts[starts[live] + r].  The agent
+    backend expands the block's counts into agents; an explicit
+    population is stepped as given.
     """
     target = config.n if config.source_opinion == 1 else 0
     agent = config.backend == "agent"
     state = _preset_counts(initial, config, rng, trials)
     if agent:
-        explicit = isinstance(initial, Population)
-        pops = [initial] * trials if explicit else [_population(h, config) for h in state]
+        pop = initial if isinstance(initial, Population) else _populations(state, config)
         state = Population(
-            np.stack([p.opinions for p in pops]), np.stack([p.prev_counts for p in pops])
+            *(np.broadcast_to(a, (trials, config.n)) for a in (pop.opinions, pop.prev_counts))
         )
         counts = state.opinions.sum(axis=1, dtype=np.int64)
     else:
         counts = state[:, 1].sum(axis=1) + config.source_opinion
-    paths = [[k] for k in counts.tolist()]
     live, prev, going = np.arange(trials), None, counts != target
+    lives, news = [live], [counts]
     for round_ in range(config.max_rounds):
         live, counts = live[going], counts[going]
         if live.size == 0:
@@ -430,7 +424,13 @@ def _run_block(
             new = _class_round(state[going], config, rng)
         else:
             new = step_aggregate(prev[going], counts, config, rng)
-        for t, k in zip(live.tolist(), new.tolist()):
-            paths[t].append(k)
+        lives.append(live)
+        news.append(new)
         prev, counts, going = counts, new, new != target
-    return [Trajectory(p, len(p) - 1 if p[-1] == target else None) for p in paths]
+    live = np.concatenate(lives)
+    lengths = np.bincount(live, minlength=trials)
+    starts = np.cumsum(lengths) - lengths
+    rounds = np.repeat(np.arange(len(lives)), [a.size for a in lives])
+    out = np.empty(live.size, dtype=np.int64)
+    out[starts[live] + rounds] = np.concatenate(news)
+    return out, lengths

@@ -11,8 +11,11 @@ distribution, the scalar log-space ``binomial_pmf`` and
 ``binomial_pmf_vector``, the kernel row reader
 ``next_count_distribution``, the population fraction, the swapped duel,
 the label and point mirrors, the grid and Yellow' membership tests,
-the list of every matching domain and the one-population preset
-builder ``init_adversarial`` are kept here for the tests only.
+the list of every matching domain, the one-population preset
+builder ``init_adversarial``, the path splitter ``split_paths`` and the
+per-trial Cyan and Yellow reductions (``cyan_oracle``,
+``yellow_oracle``, labelling pair by pair with the pointwise
+classifiers) are kept here for the tests only.
 """
 
 from __future__ import annotations
@@ -26,12 +29,20 @@ from scipy import sparse
 
 from scipy.special import gammaln
 
-from fetsim.domains import DomainLabel, _coords, _domain_tests, _in_box
+from fetsim.domains import (
+    DomainLabel,
+    YellowLabel,
+    _coords,
+    _domain_tests,
+    _in_box,
+    classify,
+    classify_yellow,
+)
 from fetsim.duel import DuelProbs, _check_count, _check_prob
 from fetsim.dynamics import AnalysisConstants, flip_probs
 from fetsim.errors import DomainError
 from fetsim.markov import PRUNE_THRESHOLD, Kernel
-from fetsim.protocol import Population, SimConfig, _population, _preset_counts
+from fetsim.protocol import Population, SimConfig, _populations, _preset_counts
 
 
 def oracle_pmf(k: int, p: float, i: int) -> float:
@@ -143,8 +154,79 @@ def next_count_distribution(kernel: Kernel, k_t: int, k_t1: int) -> np.ndarray:
 
 
 def init_adversarial(preset, config: SimConfig, rng: np.random.Generator) -> Population:
-    """One per-agent initial condition of a preset, in the agent order of _population."""
-    return _population(_preset_counts(preset, config, rng, 1)[0], config)
+    """One per-agent initial condition of a preset, in the agent order of _populations."""
+    pop = _populations(_preset_counts(preset, config, rng, 1), config)
+    return Population(pop.opinions[0], pop.prev_counts[0])
+
+
+def split_paths(counts: np.ndarray, lengths: np.ndarray) -> list[list[int]]:
+    """run_trials' end-to-end counts cut into one list of ints per trial."""
+    return [path.tolist() for path in np.split(counts, np.cumsum(lengths)[:-1])]
+
+
+def cyan_oracle(paths, n: int, constants: AnalysisConstants, bound: float) -> dict:
+    """verify_cyan's escape search and gamma branch, one trial and one pair at a time.
+
+    A trial fails unless it enters Cyan1, then leaves it within bound
+    rounds into Green1 or Purple1.
+    """
+    good_exits = {DomainLabel.GREEN1, DomainLabel.PURPLE1}
+    failures = 0
+    exit_tally: dict[str, int] = {}
+    exit_rounds: list[int] = []
+    gamma_crossed = 0
+    gamma_then_above_half = 0
+    for counts in paths:
+        labels = [classify((a / n, b / n), n, constants) for a, b in zip(counts, counts[1:])]
+        t0 = next((i for i, lab in enumerate(labels) if lab is DomainLabel.CYAN1), None)
+        if t0 is None:
+            failures += 1
+            continue
+        t1 = next(
+            (i for i in range(t0, len(labels)) if labels[i] is not DomainLabel.CYAN1),
+            None,
+        )
+        if t1 is None:
+            failures += 1
+            continue
+        exit_tally[labels[t1].value] = exit_tally.get(labels[t1].value, 0) + 1
+        exit_rounds.append(t1 - t0)
+        if not (t1 - t0 < bound and labels[t1] in good_exits):
+            failures += 1
+        crossings = [i for i in range(t0, t1) if counts[i + 1] / n > constants.gamma]
+        if crossings:
+            gamma_crossed += 1
+            first = crossings[0]
+            if first + 2 < len(counts) and counts[first + 2] / n > 0.5:
+                gamma_then_above_half += 1
+    return {
+        "failures": failures,
+        "exit_label_tally": exit_tally,
+        "max_exit_rounds": max(exit_rounds) if exit_rounds else None,
+        "trials_crossing_gamma_inside_cyan": gamma_crossed,
+        "next_fraction_above_half_after_first_crossing": gamma_then_above_half,
+    }
+
+
+def yellow_oracle(paths, n: int, constants: AnalysisConstants, max_rounds: int):
+    """verify_yellow's per-trial escape times and longest B runs, pair by pair.
+
+    A trial that never leaves Yellow' gets escape time max_rounds.
+    """
+    escapes, b_dwells = [], []
+    for counts in paths:
+        yellows = [classify_yellow((a / n, b / n), constants) for a, b in zip(counts, counts[1:])]
+        esc = next((i for i, lab in enumerate(yellows) if lab is YellowLabel.OUTSIDE), None)
+        escapes.append(max_rounds if esc is None else esc)
+        longest = current = 0
+        for lab in yellows[:esc]:
+            if lab in (YellowLabel.B1, YellowLabel.B0):
+                current += 1
+                longest = max(longest, current)
+            else:
+                current = 0
+        b_dwells.append(longest)
+    return escapes, b_dwells
 
 
 def plant_pair_population(

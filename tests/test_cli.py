@@ -328,8 +328,8 @@ class TestSimulateCommand:
             k = round(float(row["x_t"]) * n)
             assert row["x_t"] == repr(k / n)
         assert rows[-1]["x_t"] == "0.0"
-        [(domains, _)] = label_paths([[67, 62]], n, 0.05, math.ceil(3 * math.log(n)))
-        assert domains == [DomainLabel.GREEN0]
+        domains, _ = label_paths([67, 62], n, 0.05, math.ceil(3 * math.log(n)))
+        assert domains.tolist() == [tuple(DomainLabel).index(DomainLabel.GREEN0)]
 
     def test_two_to_the_forty_agents(self, capsys, tmp_path):
         # Presets are built as class counts, so neither set-up nor the

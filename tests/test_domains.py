@@ -222,9 +222,10 @@ class TestAudit:
 class TestLabelPaths:
     @pytest.mark.parametrize("n", [2, 4096])
     def test_batch_equals_one_path_at_a_time(self, n):
-        # Paths of 1, 2 and many counts, labelled together, get the labels
-        # each gets alone: no pair straddles two paths.  At n = 4096 each
-        # label is also the pointwise classifier's.
+        # Paths of 1, 2 and many counts, stored end to end, get in their
+        # own slots the labels each gets alone; the slot at each path's
+        # last count straddles two paths.  At n = 4096 each label is also
+        # the pointwise classifier's.
         rng = np.random.default_rng(11)
         paths = [
             [n // 2],
@@ -235,20 +236,24 @@ class TestLabelPaths:
             rng.integers(0, n + 1, size=25).tolist(),
             [n // 2, n // 2 + n // 400, n // 2 - n // 300, n // 2],  # inside Yellow'
         ]
-        batch = label_paths(paths, n, 0.05, 1 if n == 2 else 25)
-        assert len(batch) == len(paths)
-        for path, labels in zip(paths, batch):
-            assert labels == label_paths([path], n, 0.05, 1 if n == 2 else 25)[0]
-            domains, yellows = labels
-            assert len(domains) == len(yellows) == len(path) - 1
+        ell = 1 if n == 2 else 25
+        domains, yellows = label_paths(np.concatenate(paths), n, 0.05, ell)
+        assert len(domains) == len(yellows) == sum(map(len, paths)) - 1
+        end = 0
+        for path in paths:
+            end += len(path)
+            own = domains[end - len(path) : end - 1], yellows[end - len(path) : end - 1]
+            alone = label_paths(np.array(path), n, 0.05, ell)
+            assert all(np.array_equal(a, b) for a, b in zip(own, alone))
             if n == 2:
-                assert set(domains) <= {DomainLabel.UNCLASSIFIED}
-                assert set(yellows) <= {YellowLabel.OUTSIDE}
+                assert set(own[0].tolist()) <= {len(DomainLabel) - 1}
+                assert set(own[1].tolist()) <= {len(YellowLabel) - 1}
                 continue
             c = AnalysisConstants.for_population(n, delta=0.05, ell=25)
-            for (k0, k1), domain, yellow in zip(zip(path, path[1:]), domains, yellows):
-                assert domain is classify((k0 / n, k1 / n), n, c)
-                assert yellow is classify_yellow((k0 / n, k1 / n), c)
+            for (k0, k1), domain, yellow in zip(zip(path, path[1:]), *own):
+                assert tuple(DomainLabel)[domain] is classify((k0 / n, k1 / n), n, c)
+                assert tuple(YellowLabel)[yellow] is classify_yellow((k0 / n, k1 / n), c)
 
     def test_no_paths(self):
-        assert label_paths([], 64, 0.05, 13) == []
+        domains, yellows = label_paths(np.zeros(0, dtype=np.int64), 64, 0.05, 13)
+        assert domains.size == yellows.size == 0

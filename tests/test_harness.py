@@ -8,11 +8,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import cyan_oracle, split_paths, yellow_oracle
+from fetsim import harness
 from fetsim.errors import PlantingError, UsageError
 from fetsim.harness import (
     POINT_FIELDS,
     SLOPE_TOLERANCE,
     SWEEP_FIELDS,
+    _first,
     _fit_loglog,
     _planted_rows,
     cyan_expectation_check,
@@ -27,7 +30,7 @@ from fetsim.harness import (
 )
 from fetsim.domains import DomainLabel, classify
 from fetsim.dynamics import AnalysisConstants, expected_next_fraction
-from fetsim.protocol import SimConfig, derive_rng, step_aggregate
+from fetsim.protocol import SimConfig, derive_rng, run_trials, step_aggregate
 
 
 class TestPlanting:
@@ -157,13 +160,31 @@ class TestSweeps:
         assert "b_dwell" in report.details
 
     def test_yellow_one_size_is_fail(self):
-        # One size fits no scaling; it used to PASS on a slope of 0 and
-        # an R^2 of 1 set by fiat.
+        # One size fits no scaling: the fit has no slope or R^2, and the
+        # verdict is FAIL.
         report = verify_yellow(n_list=[1024], trials=50)
         assert report.details["all_escaped"]
         fit = report.details["fit"]
-        assert (fit["slope"], fit["r2"]) == (0.0, 1.0)
+        assert (fit["slope"], fit["r2"]) == (None, None)
         assert report.verdict == "FAIL"
+
+    def test_convergence_one_size_reports_no_fit(self, tmp_path):
+        # A one-size sweep fits no line: slope and R^2 are null in the
+        # JSON and fit_r2 is an empty CSV cell, where a slope of 0 and an
+        # R^2 of 1 would pass a slope gate.  The envelope C is still data.
+        report = run_lemma(
+            "convergence",
+            {"convergence_n_list": [128], "convergence_trials": 100,
+             "convergence_presets": ["all_wrong"]},
+        )
+        fit = report.details["fit_pooled_q99"]
+        assert (fit["slope"], fit["r2"]) == (None, None) and fit["C"] > 0
+        emit(report, tmp_path)
+        with (tmp_path / "convergence.csv").open() as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["fit_r2"] == "" and float(row["fit_C"]) > 0
+        payload = json.loads((tmp_path / "convergence.json").read_text())
+        assert payload["details"]["fit_pooled_q99"]["r2"] is None
 
     def test_repeated_sweep_size_rejected(self):
         with pytest.raises(UsageError, match="n_list"):
@@ -187,6 +208,111 @@ class TestSweeps:
         assert report.verdict == "PASS"
         for cell in report.details["cells"].values():
             assert cell["within_budget_fraction"] >= 0.99
+
+
+def _random_paths(n, centre, spread, trials, max_rounds, seed):
+    """Count paths of 1 to max_rounds + 1 counts, end to end, as run_trials lays them out.
+
+    Each count is centre + U[-spread, spread] clipped to [0, n] with
+    probability 3/5, else uniform on [0, n] or on [0, 4], so paths
+    wander in and out of any area near centre and of the corner.
+    """
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(1, max_rounds + 2, size=trials)
+    size = lengths.sum()
+    near = np.clip(centre + rng.integers(-spread, spread + 1, size=size), 0, n)
+    counts = np.stack([near, near, near, rng.integers(0, n + 1, size), rng.integers(0, 5, size)])
+    return counts[rng.integers(0, 5, size), np.arange(size)], lengths
+
+
+class TestTrialReductions:
+    """verify_cyan's and verify_yellow's array reductions against the per-trial oracles."""
+
+    def test_first_in_window(self):
+        mask = np.array([0, 1, 0, 0, 1, 1, 0, 1], dtype=bool)
+        lo, hi = np.array([0, 2, 2, 6, 8]), np.array([2, 5, 4, 8, 8])
+        assert _first(mask, lo, hi).tolist() == [1, 4, 4, 7, 8]
+
+    def test_first_on_one_count_paths(self):
+        # A one-count path has no pair of its own: its window is empty, so
+        # _first gives its upper end even where the straddling slot hits.
+        counts, lengths = run_trials(SimConfig(n=64, ell=8), "fraction:1.0", 3)
+        assert counts.tolist() == [64] * 3 and lengths.tolist() == [1] * 3
+        ends = np.cumsum(lengths)
+        mask = np.ones(counts.size - 1, dtype=bool)
+        assert _first(mask, ends - lengths, ends - 1).tolist() == (ends - 1).tolist()
+
+    @staticmethod
+    def _cyan_details(report):
+        details = dict(report.details, **report.details["large_fraction_branch"])
+        return {key: details[key] for key in (
+            "exit_label_tally", "max_exit_rounds", "trials_crossing_gamma_inside_cyan",
+            "next_fraction_above_half_after_first_crossing",
+        )} | {"failures": report.points[0]["failures"]}
+
+    def test_cyan_matches_oracle(self):
+        report = verify_cyan(n=256, trials=40, seed=5)
+        config = SimConfig(n=256, seed=5, max_rounds=1000)
+        paths = split_paths(*run_trials(config, "cyan_corner", 40))
+        bound = math.log(256) / math.log(math.log(256))
+        assert self._cyan_details(report) == cyan_oracle(paths, 256, config.constants(), bound)
+
+    def test_cyan_matches_oracle_on_wandering_paths(self, monkeypatch):
+        # Paths that never enter Cyan1, stay in it, leave it late or into
+        # Red, and cross gamma before or after x_{t+2} > 1/2.
+        n, trials = 4096, 300
+        counts, lengths = _random_paths(n, 450, 150, trials, 12, seed=1)
+        monkeypatch.setattr(harness, "run_trials", lambda *_: (counts, lengths))
+        report = verify_cyan(n=n, trials=trials)
+        bound = math.log(n) / math.log(math.log(n))
+        paths = split_paths(counts, lengths)
+        expected = cyan_oracle(paths, n, SimConfig(n=n).constants(), bound)
+        assert 0 < expected["failures"] < trials
+        assert len(expected["exit_label_tally"]) >= 3
+        assert expected["next_fraction_above_half_after_first_crossing"] > 0
+        assert self._cyan_details(report) == expected
+
+    @staticmethod
+    def _check_yellow(report, paths_by_n, delta, max_rounds) -> list[int]:
+        """Compare report with the oracle; returns every trial's escape time."""
+        all_escapes = []
+        for row, (n, paths) in zip(report.sweep, paths_by_n.items()):
+            constants = SimConfig(n=n, delta=delta).constants()
+            escapes, b_dwells = yellow_oracle(paths, n, constants, max_rounds)
+            all_escapes += escapes
+            assert row["quantile50"] == float(np.percentile(escapes, 50))
+            assert row["quantile99"] == float(np.percentile(escapes, 99))
+            stats = report.details["b_dwell"][str(n)]
+            assert stats["mean_longest_b_dwell"] == float(np.mean(b_dwells))
+            assert stats["q95_longest_b_dwell"] == float(np.percentile(b_dwells, 95))
+        assert report.details["all_escaped"] == (max(all_escapes) < max_rounds)
+        return all_escapes
+
+    @pytest.mark.parametrize("delta, max_rounds", [(0.05, 12), (0.15, 10_000)])
+    def test_yellow_matches_oracle(self, delta, max_rounds):
+        # At delta = 0.15 Yellow' covers the whole grid: no trial escapes.
+        n_list, trials = (256, 512), 40
+        report = verify_yellow(n_list=n_list, delta=delta, trials=trials, max_rounds=max_rounds)
+        paths_by_n = {
+            n: split_paths(*run_trials(
+                SimConfig(n=n, delta=delta, max_rounds=max_rounds), "yellow_center", trials
+            ))
+            for n in n_list
+        }
+        escapes = self._check_yellow(report, paths_by_n, delta, max_rounds)
+        escaped = [e < max_rounds for e in escapes]
+        assert all(escaped) if delta == 0.05 else not any(escaped)
+
+    def test_yellow_matches_oracle_on_wandering_paths(self, monkeypatch):
+        n_list, trials, max_rounds = (1024, 2048), 300, 20
+        fake = {n: _random_paths(n, n // 2 + n // 16, n // 32, trials, max_rounds, n)
+                for n in n_list}
+        monkeypatch.setattr(harness, "run_trials", lambda config, *_: fake[config.n])
+        report = verify_yellow(n_list=n_list, trials=trials, max_rounds=max_rounds)
+        paths_by_n = {n: split_paths(*fake[n]) for n in n_list}
+        escapes = self._check_yellow(report, paths_by_n, 0.05, max_rounds)
+        assert 0 < sum(e < max_rounds for e in escapes) < len(escapes)
+        assert max(stats["q95_longest_b_dwell"] for stats in report.details["b_dwell"].values()) > 1
 
 
 class TestScalingGate:

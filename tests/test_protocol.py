@@ -15,6 +15,7 @@ from conftest import (
     init_adversarial,
     mirror_population,
     oracle_pmf_vector,
+    split_paths,
 )
 from fetsim.domains import DomainLabel, YellowLabel, label_paths
 from fetsim.dynamics import expected_next_fraction, flip_probs
@@ -25,7 +26,7 @@ from fetsim.protocol import (
     Population,
     SimConfig,
     _class_round,
-    _population,
+    _populations,
     _preset_counts,
     derive_rng,
     run_trials,
@@ -94,8 +95,8 @@ class TestStepAgentLevel:
         # Source + one agent holding the wrong opinion with maximally
         # misleading memory still converges.
         config = SimConfig(n=2, ell=1, seed=5, backend="agent", max_rounds=500)
-        traj = run_trials(config, "all_wrong_max_counters", 1)[0]
-        assert traj.converged_round is not None
+        counts, _ = run_trials(config, "all_wrong_max_counters", 1)
+        assert counts[-1] == 2
 
     def test_source_invariance_every_round(self):
         config = SimConfig(n=64, ell=8, seed=3, backend="agent")
@@ -249,7 +250,7 @@ class TestClassCountRound:
             opinions = rng.integers(0, 2, size=n).astype(np.uint8)
             opinions[0] = 0
             counters = rng.integers(0, ell + 1, size=n)
-            return config, init_adversarial(("explicit", opinions, counters), config, rng)
+            return config, init_adversarial(Population(opinions, counters), config, rng)
         if name == "all_wrong_max_counters_mirror":
             base = SimConfig(n=n, ell=ell)
             pop = init_adversarial("all_wrong_max_counters", base, rng)
@@ -340,12 +341,10 @@ class TestInitPresets:
         assert fraction_ones(pop) == pytest.approx(0.5)
 
     def test_fraction_and_explicit(self):
-        pop = init_adversarial(("fraction", 0.25), self.cfg(), derive_rng(2, "f"))
+        pop = init_adversarial("fraction:0.25", self.cfg(), derive_rng(2, "f"))
         assert fraction_ones(pop) == pytest.approx(0.25)
-        pop2 = init_adversarial("fraction:0.25", self.cfg(), derive_rng(2, "g"))
-        assert fraction_ones(pop2) == pytest.approx(0.25)
         explicit = init_adversarial(
-            ("explicit", pop.opinions, pop.prev_counts), self.cfg(), derive_rng(2, "h")
+            Population(pop.opinions, pop.prev_counts), self.cfg(), derive_rng(2, "h")
         )
         assert np.array_equal(explicit.opinions, pop.opinions)
 
@@ -353,8 +352,7 @@ class TestInitPresets:
         with pytest.raises(UsageError):
             init_adversarial("nonsense", self.cfg(), derive_rng(2, "i"))
 
-    @pytest.mark.parametrize("preset", ["fraction:abc", "fraction:", "fraction:1.5",
-                                        ("fraction", "abc"), ("fraction",)])
+    @pytest.mark.parametrize("preset", ["fraction:abc", "fraction:", "fraction:1.5"])
     def test_bad_fraction_is_usage_error(self, preset):
         with pytest.raises(UsageError):
             init_adversarial(preset, self.cfg(), derive_rng(2, "j"))
@@ -408,15 +406,19 @@ class TestPresetCounts:
         assert stats.chisquare(pooled).pvalue > 1e-3
 
     def test_population_expands_counts_class_by_class(self):
+        # A block of two trials, each expanded source first, then class by class.
         config = SimConfig(n=6, ell=2, source_opinion=0)
-        pop = _population(np.array([[0, 2, 0], [1, 0, 2]]), config)
-        assert pop.opinions.tolist() == [0, 0, 0, 1, 1, 1]
-        assert pop.prev_counts.tolist() == [1, 1, 1, 0, 2, 2]
-        assert np.array_equal(_preset_counts(pop, config, None, 1)[0], [[0, 2, 0], [1, 0, 2]])
+        hist = np.array([[[0, 2, 0], [1, 0, 2]], [[3, 0, 0], [0, 1, 1]]])
+        pops = _populations(hist, config)
+        assert pops.opinions.tolist() == [[0, 0, 0, 1, 1, 1], [0, 0, 0, 0, 1, 1]]
+        assert pops.prev_counts.tolist() == [[1, 1, 1, 0, 2, 2], [0, 0, 0, 0, 1, 2]]
+        for t in range(2):
+            pop = Population(pops.opinions[t], pops.prev_counts[t])
+            assert np.array_equal(_preset_counts(pop, config, None, 1)[0], hist[t])
 
     def test_explicit_state_binned(self):
         config = SimConfig(n=5, ell=3)
-        explicit = ("explicit", [1, 0, 1, 1, 0], [2, 3, 0, 3, 3])
+        explicit = Population([1, 0, 1, 1, 0], [2, 3, 0, 3, 3])
         hist = _preset_counts(explicit, config, derive_rng(0, "explicit"), 2)
         assert hist.tolist() == [[[0, 0, 0, 2], [1, 0, 0, 1]]] * 2
 
@@ -424,75 +426,93 @@ class TestPresetCounts:
 class TestRunTrial:
     def test_all_correct_start_converges_at_zero(self):
         config = SimConfig(n=64, ell=8, seed=4)
-        (traj,) = run_trials(config, ("fraction", 1.0), 1)
-        assert traj.converged_round == 0
+        counts, lengths = run_trials(config, "fraction:1.0", 1)
+        assert counts.tolist() == [64] and lengths.tolist() == [1]
+
+    @pytest.mark.parametrize("trials", [0, -3, True, 2.0])
+    def test_trial_count_checked(self, trials):
+        with pytest.raises(UsageError, match="trials"):
+            run_trials(SimConfig(n=64, ell=8), "all_wrong", trials)
+
+    @pytest.mark.parametrize("backend", ["agent", "aggregate"])
+    def test_paths_stored_end_to_end(self, backend):
+        # One count array for all trials, blocks included: trial i's path
+        # is the lengths[i] counts after those of trials 0..i-1.
+        config = SimConfig(n=64, ell=8, seed=1, backend=backend)
+        trials = 2 * BLOCK + 3
+        counts, lengths = run_trials(config, "half_half", trials)
+        assert counts.dtype == np.int64 and lengths.shape == (trials,)
+        assert counts.size == lengths.sum() and lengths.min() >= 1
+        assert np.all(counts[np.cumsum(lengths) - 1] == 64)
 
     def test_determinism_byte_for_byte(self):
         config = SimConfig(n=128, c_sample=3.0, seed=77, backend="aggregate")
         a = run_trials(config, "all_wrong_max_counters", 5)
         b = run_trials(config, "all_wrong_max_counters", 5)
-        assert a == b
-        assert a[3] != a[4]
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        paths = split_paths(*a)
+        assert paths[3] != paths[4]
 
     @pytest.mark.parametrize("preset", ["all_wrong_max_counters", "yellow_center"])
     def test_first_block_independent_of_trial_count(self, preset):
         # Each block has its own stream, so the trials of block 0 are the
         # same whether or not a second block follows.
         config = SimConfig(n=256, c_sample=3.0, seed=3)
-        assert run_trials(config, preset, 2 * BLOCK)[:BLOCK] == run_trials(config, preset, BLOCK)
+        counts, lengths = run_trials(config, preset, 2 * BLOCK)
+        one_counts, one_lengths = run_trials(config, preset, BLOCK)
+        assert np.array_equal(lengths[:BLOCK], one_lengths)
+        assert np.array_equal(counts[: one_lengths.sum()], one_counts)
 
     def test_presets_with_equal_populations_draw_apart(self):
         # cyan_corner builds the same population as all_wrong_max_counters,
         # but the preset is part of the stream key: the paths differ.
         config = SimConfig(n=1024, c_sample=3.0, seed=0)
-        cyan = run_trials(config, "cyan_corner", 20)
-        maxed = run_trials(config, "all_wrong_max_counters", 20)
-        assert [t.counts[0] for t in cyan] == [t.counts[0] for t in maxed]
+        cyan = split_paths(*run_trials(config, "cyan_corner", 20))
+        maxed = split_paths(*run_trials(config, "all_wrong_max_counters", 20))
+        assert [path[0] for path in cyan] == [path[0] for path in maxed]
         assert sum(a != b for a, b in zip(cyan, maxed)) >= 15
 
     def test_trajectory_pairs_labelled(self):
         config = SimConfig(n=128, c_sample=3.0, seed=12)
-        (traj,) = run_trials(config, "all_wrong_max_counters", 1)
-        [(domains, yellows)] = label_paths([traj.counts], 128, config.delta, config.ell)
-        assert traj.counts[0] / 128 == pytest.approx(1 / 128)
+        counts, lengths = run_trials(config, "all_wrong_max_counters", 1)
+        domains, yellows = label_paths(counts, 128, config.delta, config.ell)
+        assert counts[0] / 128 == pytest.approx(1 / 128)
         # One label per consecutive pair: every round but the last.
-        assert len(domains) == len(yellows) == len(traj.counts) - 1
-        assert all(isinstance(k, int) for k in traj.counts)
-        assert domains[0] is DomainLabel.CYAN1
+        assert len(domains) == len(yellows) == lengths[0] - 1
+        assert domains[0] == tuple(DomainLabel).index(DomainLabel.CYAN1)
 
     @pytest.mark.parametrize("backend", ["agent", "aggregate"])
     @pytest.mark.parametrize("source_opinion", [0, 1])
     def test_trajectory_ends_at_consensus(self, backend, source_opinion):
         # All-correct is absorbing, so the trial stops at the first
-        # consensus round and that row is the last.
+        # consensus round and that count is the path's last.
         config = SimConfig(
             n=64, ell=8, seed=6, backend=backend, source_opinion=source_opinion
         )
-        for traj in run_trials(config, "all_wrong_max_counters", 5):
-            consensus = 64 * source_opinion
-            assert traj.converged_round is not None
-            assert len(traj.counts) == traj.converged_round + 1
-            assert traj.counts[-1] == consensus
-            assert all(k != consensus for k in traj.counts[:-1])
+        counts, lengths = run_trials(config, "all_wrong_max_counters", 5)
+        assert counts.size == lengths.sum()
+        consensus = 64 * source_opinion
+        for path in split_paths(counts, lengths):
+            assert path[-1] == consensus
+            assert all(k != consensus for k in path[:-1])
 
     def test_two_agents_are_unclassified(self):
         # ln 2 < 1 leaves the partition constants undefined, so pairs are
         # labelled Unclassified instead of raising.
         config = SimConfig(n=2, ell=1)
-        (traj,) = run_trials(config, "all_wrong", 1)
-        assert traj.converged_round is not None
-        [(domains, yellows)] = label_paths([traj.counts], 2, config.delta, config.ell)
-        assert len(domains) == len(yellows) == traj.converged_round
-        for domain, yellow in zip(domains, yellows):
-            assert domain is DomainLabel.UNCLASSIFIED
-            assert yellow is YellowLabel.OUTSIDE
+        counts, lengths = run_trials(config, "all_wrong", 1)
+        assert counts[-1] == 2
+        domains, yellows = label_paths(counts, 2, config.delta, config.ell)
+        assert len(domains) == len(yellows) == lengths[0] - 1
+        assert np.all(domains == tuple(DomainLabel).index(DomainLabel.UNCLASSIFIED))
+        assert np.all(yellows == tuple(YellowLabel).index(YellowLabel.OUTSIDE))
 
     def test_cap_without_consensus_is_not_an_error(self):
         # The naive comparison variant with a hostile start may stall;
-        # a capped trajectory simply has no converged_round.
+        # a capped path simply ends after max_rounds rounds.
         config = SimConfig(n=16, ell=2, seed=5, max_rounds=3, backend="agent")
-        (traj,) = run_trials(config, "all_wrong_max_counters", 1)
-        assert traj.converged_round is None or traj.converged_round <= 3
+        _, lengths = run_trials(config, "all_wrong_max_counters", 1)
+        assert lengths[0] - 1 <= 3
 
     def test_exact_mirror_symmetry_agent_level(self):
         # Mirrored initial condition with mirrored source opinion yields
@@ -504,11 +524,12 @@ class TestRunTrial:
         rng = derive_rng(31, "mirror-init")
         pop1 = init_adversarial("all_wrong", config1, rng)
         pop0 = mirror_population(pop1, config1.ell)
-        for t1, t0 in zip(run_trials(config1, pop1, 10), run_trials(config0, pop0, 10)):
-            assert len(t1.counts) == len(t0.counts)
-            for k1, k0 in zip(t1.counts, t0.counts):
+        paths1 = split_paths(*run_trials(config1, pop1, 10))
+        paths0 = split_paths(*run_trials(config0, pop0, 10))
+        for p1, p0 in zip(paths1, paths0):
+            assert len(p1) == len(p0)
+            for k1, k0 in zip(p1, p0):
                 assert k1 == 64 - k0
-            assert t1.converged_round == t0.converged_round
 
     def test_aggregate_mirror_symmetry_distributional(self):
         # The aggregate backend mirrors in distribution: run the exact
@@ -521,9 +542,9 @@ class TestRunTrial:
         )
         base = init_adversarial("all_wrong_max_counters", c1, derive_rng(13, "mi"))
         mirrored = mirror_population(base, c1.ell)
-        times1 = [t.converged_round for t in run_trials(c1, base, trials)]
-        times0 = [t.converged_round for t in run_trials(c0, mirrored, trials)]
-        a, b = np.array(times1, float), np.array(times0, float)
+        _, lengths1 = run_trials(c1, base, trials)
+        _, lengths0 = run_trials(c0, mirrored, trials)
+        a, b = (lengths1 - 1).astype(float), (lengths0 - 1).astype(float)
         se = math.hypot(a.std(ddof=1) / math.sqrt(trials), b.std(ddof=1) / math.sqrt(trials))
         assert abs(a.mean() - b.mean()) <= 3 * se
 
@@ -535,11 +556,11 @@ class TestRunTrial:
         config = SimConfig(n=n, seed=0)
         tracemalloc.start()
         try:
-            (traj,) = run_trials(config, "all_wrong_max_counters", 1)
+            counts, _ = run_trials(config, "all_wrong_max_counters", 1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert traj.converged_round is not None
+        assert counts[-1] == n
         assert peak / n < 64
 
     @pytest.mark.parametrize("preset", PRESETS)
@@ -550,11 +571,11 @@ class TestRunTrial:
         config = SimConfig(n=1 << 40, seed=0)
         tracemalloc.start()
         try:
-            trajectories = run_trials(config, preset, BLOCK)
+            counts, lengths = run_trials(config, preset, BLOCK)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert all(t.converged_round is not None for t in trajectories)
+        assert np.all(counts[np.cumsum(lengths) - 1] == config.n)
         assert peak < 2 << 20
 
     def test_explicit_population_stepped_as_given(self):
@@ -567,13 +588,13 @@ class TestRunTrial:
         opinions = rng.integers(0, 2, n)
         opinions[0] = 1
         pop = Population(opinions, rng.integers(0, 5, n))
-        (traj,) = run_trials(config, pop, 1)
+        counts, _ = run_trials(config, pop, 1)
         state, path = Population(pop.opinions[None], pop.prev_counts[None]), [int(opinions.sum())]
         rng = derive_rng(3, "trials", n, "explicit", 0)
         while path[-1] != n:
             state = step_agent_level(state, config, rng)
             path.append(int(state.opinions.sum()))
-        assert traj.counts == path
+        assert counts.tolist() == path
 
     def test_explicit_population_wrong_size_rejected(self):
         pop = init_adversarial("all_wrong", SimConfig(n=32, ell=4), derive_rng(0, "p"))
@@ -602,23 +623,39 @@ class TestRunTrial:
         with pytest.raises(UsageError):
             run_trials(config, Population(opinions, np.zeros(32, dtype=np.int32)), 1)
 
+    @pytest.mark.parametrize(
+        "agent, opinion, counter",
+        [(3, 256, 0), (3, 0.7, 0), (3, -1, 0), (3, 1, 2**32), (3, 1, 1.5), (0, 1, np.nan)],
+        ids=["opinion_256", "opinion_0.7", "opinion_-1", "counter_2^32", "counter_1.5",
+             "counter_nan"],
+    )
+    def test_population_rejects_lossy_casts(self, agent, opinion, counter):
+        # uint8 opinions and int32 counters must hold every given value
+        # exactly; a wrapped or truncated value never reaches a trial.
+        opinions, counters = [1, 0, 1, 0], [0, 0, 1, 2]
+        opinions[agent], counters[agent] = opinion, counter
+        with pytest.raises(UsageError):
+            Population(opinions, counters)
+        assert Population([1, 0, 1, 0], [0.0, 0.0, 1.0, 2.0]).prev_counts.dtype == np.int32
+
     def test_naive_variant_runs(self):
         config = SimConfig(n=64, ell=8, seed=8, backend="agent", variant="naive")
-        (traj,) = run_trials(config, "half_half", 1)
-        assert traj.counts  # comparison variant only needs to execute
+        counts, lengths = run_trials(config, "half_half", 1)
+        assert counts.size == lengths[0] >= 1  # comparison variant only needs to execute
 
     def test_cyan_start_passes_through_upward_domains(self):
         # From a wrong-consensus corner the domain sequence visits
         # Purple1 or Green1 before consensus in >= 95% of converging
         # trials (the escape route goes up through those areas).
         config = SimConfig(n=4096, c_sample=3.0, seed=17, backend="aggregate")
-        trials, through = 100, 0
-        trajectories = run_trials(config, "cyan_corner", trials)
-        labels = label_paths([t.counts for t in trajectories], 4096, config.delta, config.ell)
-        for traj, (domains, _) in zip(trajectories, labels):
-            assert traj.converged_round is not None
-            if any(d in (DomainLabel.PURPLE1, DomainLabel.GREEN1) for d in domains):
-                through += 1
+        trials = 100
+        counts, lengths = run_trials(config, "cyan_corner", trials)
+        domains, _ = label_paths(counts, 4096, config.delta, config.ell)
+        ends = np.cumsum(lengths)
+        assert np.all(counts[ends - 1] == 4096)
+        upward = [tuple(DomainLabel).index(d) for d in (DomainLabel.PURPLE1, DomainLabel.GREEN1)]
+        up = np.isin(domains, upward)
+        through = sum(up[end - size : end - 1].any() for end, size in zip(ends, lengths))
         assert through / trials >= 0.95
 
 
