@@ -21,7 +21,6 @@ from .dynamics import (
     speed,
 )
 from .errors import DomainError, FetsimError, PlantingError, StructuralError, UsageError
-from .markov import Kernel, absorption_times, build_kernel, simulate_exact_check
 from .protocol import (
     Population,
     SimConfig,
@@ -37,17 +36,14 @@ __all__ = [
     "DuelProbs",
     "FetsimError",
     "FlipProbs",
-    "Kernel",
     "PlantingError",
     "Population",
     "SimConfig",
     "StructuralError",
     "UsageError",
     "YellowLabel",
-    "absorption_times",
     "advantage",
     "audit_partition",
-    "build_kernel",
     "classify",
     "exact_duel",
     "expected_next_fraction",
@@ -55,7 +51,6 @@ __all__ = [
     "flip_probs",
     "hoeffding_duel_bound",
     "run_trials",
-    "simulate_exact_check",
     "speed",
     "step_agent_level",
     "step_aggregate",

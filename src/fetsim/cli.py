@@ -36,7 +36,6 @@ from .dynamics import (
 )
 from .errors import DomainError, FetsimError, UsageError
 from .harness import LEMMAS, _AREAS, _LABELS, emit, run_all, run_lemma
-from .markov import absorption_times, build_kernel
 from .protocol import SimConfig, run_trials
 
 SIM_CONFIG_KEYS = (
@@ -210,6 +209,8 @@ def _parse_pair_state(text: str, n: int) -> tuple[int, int]:
 
 
 def _cmd_chain(args) -> int:
+    from .markov import absorption_times, build_kernel  # scipy loads here only
+
     from_state = None if args.from_state is None else _parse_pair_state(args.from_state, args.n)
     kernel = build_kernel(args.n, args.ell)
     times = absorption_times(kernel)

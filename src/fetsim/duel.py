@@ -12,6 +12,9 @@ concurrent use.
 
 The exact triple is computed from the two probability mass functions,
 which are themselves evaluated in log space for numerical stability.
+Their log-factorials come from a port of Cephes ``lgam`` (the routine
+behind ``scipy.special.gammaln``) at integer arguments, equal to it in
+every bit, so importing this module loads numpy and nothing heavier.
 ``duel_table`` gives the triples for every pair of two count vectors at
 once, from one pmf table per vector and three matrix products; grids
 (the pair-state kernel, the Cyan expectation check) use it instead of
@@ -25,9 +28,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError, StructuralError
 
@@ -82,28 +85,64 @@ class DuelProbs:
             raise DomainError(f"DuelProbs does not sum to 1: {total!r}")
 
 
+# Cephes lgam's Stirling-series constants: log(sqrt(2 pi)) and the
+# correction polynomial A(1/x^2) used below x = 1000.
+_LS2PI = 0.91893853320467274178
+_LGAM_A = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
+
+
+@lru_cache(maxsize=32)
+def _log_factorials(size: int) -> np.ndarray:
+    """log m! for m < size: Cephes lgam(m + 1), bit for bit; read-only.
+
+    Below x = m + 1 = 13 Cephes takes the log of the exact float product
+    m!; from there the Stirling series
+    (x - 1/2) log x - x + log sqrt(2 pi) + A(1/x^2)/x, with its 5-term A
+    below 1000 and a 3-term tail from 1000 on.  Every log is math.log's.
+    """
+    f = np.empty(size)
+    small = min(size, 12)
+    f[:small] = [math.log(float(math.factorial(m))) for m in range(small)]
+    x = np.arange(13.0, size + 1.0)
+    if x.size:
+        p = 1.0 / (x * x)
+        q = (x - 0.5) * np.array([math.log(v) for v in x.tolist()]) - x + _LS2PI
+        series = _LGAM_A[0]
+        for coef in _LGAM_A[1:]:
+            series = series * p + coef
+        tail = (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p + (
+            0.0833333333333333333333
+        )
+        f[12:] = q + np.where(x < 1000.0, series, tail) / x
+    f.flags.writeable = False
+    return f
+
+
 def _binomial_pmf_rows(k: int, p: np.ndarray) -> np.ndarray:
     """Row r is the pmf of Binomial(k, p[r]), a (len(p), k+1) array.
 
-    Each entry is evaluated in log space (lgamma for the binomial
-    coefficient), so nothing over- or underflows for k up to ~10^4;
-    rows sum to 1 within a few k*eps.  Rows with p = 0 or p = 1 are
-    their point masses.  The logs come from math.log/math.log1p:
-    numpy's ufuncs differ from them in the last bit on a few percent of
-    inputs, and a kernel entry amplifies that ~100-fold.
+    Each entry is evaluated in log space, so nothing over- or underflows
+    for k up to ~10^4; rows sum to 1 within a few k*eps.  The binomial
+    coefficient is log k! - log i! - log (k-i)!, sliced from a cached
+    log-factorial table whose power-of-two size serves every smaller k.
+    Rows with p = 0 or p = 1 are their point masses.  The logs come from
+    math.log/math.log1p: numpy's ufuncs differ from them in the last bit
+    on a few percent of inputs, and a kernel entry amplifies that
+    ~100-fold.
     """
     i = np.arange(k + 1)
     inner = (p > 0.0) & (p < 1.0)
     safe = np.where(inner, p, 0.5).tolist()
     log_p = np.array([math.log(v) for v in safe])[:, None]
     log_q = np.array([math.log1p(-v) for v in safe])[:, None]
-    log_pmf = (
-        gammaln(k + 1)
-        - gammaln(i + 1)
-        - gammaln(k - i + 1)
-        + i * log_p
-        + (k - i) * log_q
-    )
+    f = _log_factorials(1 << int(k).bit_length())[: k + 1]
+    log_pmf = f[k] - f - f[::-1] + i * log_p + (k - i) * log_q
     out = np.exp(log_pmf)
     out[~inner] = 0.0
     out[p == 0.0, 0] = 1.0

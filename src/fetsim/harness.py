@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import numpy.ma  # noqa: F401  (np.percentile imports it on first call; do so at start-up)
 
 from .config import check_delta, check_number
 from .domains import DomainLabel, YellowLabel, classify, classify_array, label_paths

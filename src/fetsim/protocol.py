@@ -54,6 +54,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 from .config import check_delta, check_number
 from .duel import _binomial_pmf_rows, duel_table
@@ -83,7 +84,7 @@ BLOCK = 64
 AGENT_BLOCK_INDICES = 1 << 22
 
 
-def derive_rng(seed: int, *stream: object) -> np.random.Generator:
+def derive_rng(seed: int, *stream: object) -> Generator:
     """Philox generator keyed by a hash of (seed, stream labels).
 
     Distinct label tuples give independent counter-based streams, so
@@ -95,7 +96,7 @@ def derive_rng(seed: int, *stream: object) -> np.random.Generator:
         h.update(b"/")
         h.update(str(part).encode())
     key = np.frombuffer(h.digest(), dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return Generator(Philox(key=key))
 
 
 @dataclass
@@ -166,7 +167,10 @@ class Population:
         self.opinions = _exact_cast("opinions", self.opinions, np.uint8)
         self.prev_counts = _exact_cast("prev_counts", self.prev_counts, np.int32)
         if self.opinions.shape != self.prev_counts.shape:
-            raise UsageError("opinions and prev_counts must have equal shape")
+            raise UsageError(
+                f"opinions and prev_counts must have equal shape, got "
+                f"{self.opinions.shape} and {self.prev_counts.shape}"
+            )
 
     @property
     def n(self) -> int:
@@ -190,7 +194,7 @@ def _exact_cast(name: str, values, dtype) -> np.ndarray:
 def step_agent_level(
     pop: Population,
     config: SimConfig,
-    rng: np.random.Generator,
+    rng: Generator,
 ) -> Population:
     """One synchronous round: all reads against the pre-step population.
 
@@ -225,7 +229,7 @@ def step_agent_level(
 def _class_round(
     hist: np.ndarray,
     config: SimConfig,
-    rng: np.random.Generator,
+    rng: Generator,
 ) -> np.ndarray:
     """One FET round drawn from class counts; returns the new numbers of ones.
 
@@ -249,7 +253,7 @@ def step_aggregate(
     k_t,
     k_t1,
     config: SimConfig,
-    rng: np.random.Generator,
+    rng: Generator,
 ) -> np.ndarray:
     """One round at the pair level for arrays of trials: two binomial draws each.
 
@@ -284,6 +288,8 @@ def step_aggregate(
 
 def _check_population(pop: Population, config: SimConfig) -> Population:
     """Reject a per-agent state that does not fit ``config``."""
+    if pop.opinions.ndim != 1:
+        raise UsageError(f"an initial population must have shape (n,), got {pop.opinions.shape}")
     if pop.n != config.n:
         raise UsageError(f"population has {pop.n} agents, config has n={config.n}")
     if pop.opinions.max() > 1:
@@ -295,7 +301,7 @@ def _check_population(pop: Population, config: SimConfig) -> Population:
     return pop
 
 
-def _preset_counts(preset, config: SimConfig, rng: np.random.Generator, trials: int) -> np.ndarray:
+def _preset_counts(preset, config: SimConfig, rng: Generator, trials: int) -> np.ndarray:
     """Class counts of ``trials`` initial states, shape (trials, 2, ell+1), int64.
 
     Entry [t, o, c] counts trial t's non-source agents holding opinion o
@@ -390,7 +396,7 @@ def run_trials(config: SimConfig, initial, trials: int) -> tuple[np.ndarray, np.
 
 
 def _run_block(
-    config: SimConfig, initial, trials: int, rng: np.random.Generator
+    config: SimConfig, initial, trials: int, rng: Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """One lockstep block, started from the presets' class counts; run_trials' layout.
 

@@ -57,8 +57,10 @@ def oracle_pmf_vector(k: int, p: float) -> np.ndarray:
 def binomial_pmf_vector(k: int, p: float) -> np.ndarray:
     """Full pmf of Binomial(k, p) as a length k+1 array, in log space.
 
-    The scalar form of duel._binomial_pmf_rows (same formula, same
-    order of operations), for the kernel oracle and the test oracles.
+    The scalar form of duel._binomial_pmf_rows in the same order of
+    operations, but with scipy's gammaln in place of the library's
+    log-factorial port, so it checks that port independently; used by
+    the kernel oracle and the test oracles.
     """
     k = _check_count("k", k)
     p = _check_prob("p", p)

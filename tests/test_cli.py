@@ -3,9 +3,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fetsim
 from fetsim import harness
 from fetsim.cli import main
 from fetsim.config import parse_config_file, parse_value
@@ -387,6 +392,61 @@ class TestChainCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error: --from")
+
+
+# Runs in a fresh interpreter; prints the scipy modules loaded after
+# each stage, as one JSON line per stage, then the chain's payload.
+_IMPORT_DIET_SCRIPT = r"""
+import contextlib, io, json, sys
+from pathlib import Path
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+def quiet(argv):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+work = Path(sys.argv[1])
+import fetsim.cli as cli
+print(json.dumps(["import", 0, scipy_modules()]))
+(work / "verify.cfg").write_text(
+    "trials = 10\ncyan_n = 256\nyellow_n_list = 64, 128\nconvergence_n_list = 64, 128\n"
+)
+quiet(["verify", "--lemma", "all", "--config", str(work / "verify.cfg"),
+      "--out", str(work / "reports")])
+verdicts = json.loads((work / "reports" / "summary.json").read_text())
+print(json.dumps(["verify", len(verdicts), scipy_modules()]))
+(work / "sim.cfg").write_text("n = 4096\nseed = 3\n")
+code, _ = quiet(["simulate", "--config", str(work / "sim.cfg"), "--trials", "2",
+                 "--out", str(work / "sim")])
+print(json.dumps(["simulate", code, scipy_modules()]))
+code, out = quiet(["chain", "--n", "8", "--ell", "4"])
+print(json.dumps(["chain", code, json.loads(out)]))
+"""
+
+
+class TestImportDiet:
+    def test_scipy_loaded_only_for_the_chain(self, tmp_path):
+        # scipy costs more start-up than most commands compute; only the
+        # exact chain (fetsim.markov) may load it, and only when run.
+        src = str(Path(fetsim.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        result = subprocess.run(
+            [sys.executable, "-c", _IMPORT_DIET_SCRIPT, str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=300, check=True,
+        )
+        stages = [json.loads(line) for line in result.stdout.splitlines()]
+        assert [stage[:2] for stage in stages] == [
+            ["import", 0], ["verify", 6], ["simulate", 0], ["chain", 0]
+        ]
+        for name, _, loaded in stages[:3]:
+            assert loaded == [], f"scipy loaded by {name}: {loaded[:5]}"
+        chain = stages[3][2]
+        assert (chain["n"], chain["ell"]) == (8, 4)
+        assert chain["max_expected_rounds"] >= chain["expected_rounds_from_corner"] > 0
 
 
 class TestVerifyCommand:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from conftest import (
     binomial_pmf,
@@ -61,6 +62,20 @@ class TestBinomialPmf:
             rows = _binomial_pmf_rows(k, p)
             for r, value in enumerate(p):
                 assert np.array_equal(rows[r], binomial_pmf_vector(k, float(value)))
+
+    def test_log_factorials_match_gammaln_bitwise(self):
+        # The port of Cephes lgam equals scipy's gammaln at every
+        # integer, across the product/series switch at 13 and the
+        # series' change of tail at 1000.
+        m = np.arange(20_001)
+        table = duel._log_factorials(m.size)
+        assert np.array_equal(table, gammaln(m + 1))
+        assert not table.flags.writeable
+
+    @pytest.mark.parametrize("m", [11, 12, 13, 998, 999, 1000])
+    def test_log_factorials_branch_edges(self, m):
+        # Tables that end at each edge, so the edge is also the last entry.
+        assert np.array_equal(duel._log_factorials(m + 1), gammaln(np.arange(m + 1) + 1))
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):

@@ -624,6 +624,23 @@ class TestRunTrial:
             run_trials(config, Population(opinions, np.zeros(32, dtype=np.int32)), 1)
 
     @pytest.mark.parametrize(
+        "opinions_shape, counters_shape, message",
+        [
+            ((2, 8), (2, 8), r"shape \(n,\), got \(2, 8\)"),
+            ((1, 8), (1, 8), r"shape \(n,\), got \(1, 8\)"),
+            ((8,), (7,), r"equal shape, got \(8,\) and \(7,\)"),
+            ((8,), (2, 8), r"equal shape, got \(8,\) and \(2, 8\)"),
+        ],
+        ids=["two_trials", "one_trial_axis", "short_counters", "stacked_counters"],
+    )
+    def test_explicit_population_shape_checked(self, opinions_shape, counters_shape, message):
+        # An initial state is one population of n agents; anything else
+        # is a UsageError naming the shape, never a numpy traceback.
+        config = SimConfig(n=8, ell=2, backend="agent")
+        with pytest.raises(UsageError, match=message):
+            run_trials(config, Population(np.ones(opinions_shape), np.zeros(counters_shape)), 2)
+
+    @pytest.mark.parametrize(
         "agent, opinion, counter",
         [(3, 256, 0), (3, 0.7, 0), (3, -1, 0), (3, 1, 2**32), (3, 1, 1.5), (0, 1, np.nan)],
         ids=["opinion_256", "opinion_0.7", "opinion_-1", "counter_2^32", "counter_1.5",
