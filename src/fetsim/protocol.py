@@ -27,23 +27,23 @@ as n agents, and the agent backend expands the counts into agents
 aggregate backend draws the first round from the histogram.  Afterwards
 every stored counter is an independent Bin(ell, x_t) draw, so each
 later round is two binomial draws over the pair of opinion-1 counts
-(k_t, k_{t+1}); the test suite checks both laws against the agent
-level.
+(k_t, k_{t+1}), with flip probabilities summed pair by pair from pmf
+rows; the test suite checks both laws against the agent level.
 
 A trial is the path of opinion-1 counts, one integer per round.
-``run_trials`` is the one trial driver: it advances a block of trials
-in lockstep, the agent backend as a stacked (trials, n) population and
-the aggregate backend as integer count arrays, and a trial leaves its
-block at its first consensus round.  It returns all paths end to end
-in one count array; labelling their pairs with the domain partition is
-the caller's business (``domains.label_paths``).
+``run_trials`` is the one trial driver.  The agent backend steps one
+block of trials at a time as a stacked (trials, n) population; the
+aggregate backend steps the count arrays of all its blocks in one
+lockstep loop.  A trial leaves the loop at its first consensus round.
+All paths come back end to end in one count array; labelling their
+pairs is the caller's business (``domains.label_paths``).
 
 Randomness is drawn from counter-based Philox streams keyed by hashes
 of (seed, labels).  Each block of trials has its own stream, keyed by
-(seed, n, preset, block index) with a fixed block size, so a trial's
-path depends on (config, preset, seed, its index) and not on how many
-trials run after it.  A block's random presets are one multinomial
-draw, made before its rounds.
+(seed, n, preset, block index) with a fixed block size, and draws its
+random presets (one multinomial), then its rounds, in the same order
+whether blocks step alone or together.  So a trial's path depends on
+(config, preset, seed, its index), not on how many trials follow it.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .config import check_delta, check_number
-from .duel import _binomial_pmf_rows, duel_table
+from .duel import _binomial_pmf_rows
 from .dynamics import AnalysisConstants
 from .errors import DomainError, UsageError
 
@@ -212,11 +212,11 @@ def step_agent_level(
     # consecutive opinions.  Excluded from all acceptance checks.
     width = ell if config.variant == "naive" else 2 * ell
     idx = rng.integers(0, n, size=(*pop.opinions.shape, width))
-    obs = np.take_along_axis(
-        pop.opinions, idx.reshape(*pop.opinions.shape[:-1], -1), axis=-1
-    ).reshape(idx.shape)
-    c_fresh = obs[..., :ell].sum(axis=-1, dtype=np.int32)
-    c_store = obs[..., -ell:].sum(axis=-1, dtype=np.int32)
+    # Flat indices (trial j's agents start at j * n), a half at a time.
+    offsets = np.arange(0, pop.opinions.size, n).reshape(*pop.opinions.shape[:-1], 1, 1)
+    flat = pop.opinions.ravel()
+    c_fresh = flat[idx[..., :ell] + offsets].sum(axis=-1, dtype=np.int32)
+    c_store = flat[idx[..., -ell:] + offsets].sum(axis=-1, dtype=np.int32)
     new_op = np.where(
         c_fresh > pop.prev_counts,
         1,
@@ -249,21 +249,14 @@ def _class_round(
     return rng.binomial(hist, probs).sum(axis=(1, 2)) + config.source_opinion
 
 
-def step_aggregate(
-    k_t,
-    k_t1,
-    config: SimConfig,
-    rng: Generator,
-) -> np.ndarray:
+def step_aggregate(k_t, k_t1, config: SimConfig, rng: Generator) -> np.ndarray:
     """One round at the pair level for arrays of trials: two binomial draws each.
 
     k_t and k_t1 are integer arrays of the opinion-1 counts of rounds t
     and t+1, one entry per trial.  With source opinion 1 the next count
-    is 1 + Bin(k_t1 - 1, p_keep_one) + Bin(n - k_t1, p_gain_one), the
-    flip probabilities taken at (k_t/n, k_t1/n) from one duel_table
-    over the distinct counts; with source opinion 0 the same draws run
-    on the 0-opinion counts n - k.  All keep draws come first, then all
-    gain draws.
+    is 1 + Bin(k_t1 - 1, keep) + Bin(n - k_t1, gain), flip probabilities
+    from _flip_probs; with source opinion 0 the same draws run on the
+    0-opinion counts n - k.  All keep draws come first, then all gain.
     """
     n = config.n
     k_t, k_t1 = np.asarray(k_t), np.asarray(k_t1)
@@ -271,18 +264,38 @@ def step_aggregate(
         raise DomainError(f"counts must be integers, got k_t={k_t!r}, k_t1={k_t1!r}")
     if np.any((k_t < 0) | (k_t > n) | (k_t1 < 0) | (k_t1 > n)):
         raise DomainError(f"counts must lie in [0, n={n}], got k_t={k_t}, k_t1={k_t1}")
-    mirror = config.source_opinion == 0
-    if mirror:
-        k_t, k_t1 = n - k_t, n - k_t1
-    if np.any(k_t1 < 1):
+    if np.any((n - k_t1 if config.source_opinion == 0 else k_t1) < 1):
         raise DomainError("k_t1 must count the source: at least one agent holds its opinion")
-    distinct, inverse = np.unique(np.stack([k_t, k_t1]), return_inverse=True)
-    inverse = inverse.reshape(2, *k_t.shape)
-    p_lt, p_eq, _ = duel_table(config.ell, distinct, distinct, n)
-    gain = p_lt[inverse[0], inverse[1]]  # P(B(k_t1/n) > B(k_t/n))
-    keep = np.minimum(gain + p_eq[inverse[0], inverse[1]], 1.0)
-    ones_keep = rng.binomial(k_t1 - 1, keep)
-    k_next = 1 + ones_keep + rng.binomial(n - k_t1, gain)
+    return _pair_draws(k_t1, *_flip_probs(k_t, k_t1, config), config, rng)
+
+
+def _flip_probs(k_t, k_t1, config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Flip probabilities (keep, gain) of each pair of opinion-1 counts.
+
+    With B(k) ~ Bin(ell, k/n), gain = P(B(k_t1) > B(k_t)) and
+    keep = min(gain + P(B(k_t1) = B(k_t)), 1), taken on n - k for source
+    opinion 0.  One pmf row per distinct count and one row sum per
+    distinct pair, clipped to [0, 1]: no pair's values depend on others.
+    """
+    n, shape = config.n, np.shape(k_t)
+    if config.source_opinion == 0:
+        k_t, k_t1 = n - k_t, n - k_t1
+    distinct, index = np.unique(np.stack([k_t, k_t1]), return_inverse=True)
+    index = index.reshape(2, -1)
+    pairs, inverse = np.unique(index[0] * distinct.size + index[1], return_inverse=True)
+    i_t, i_t1 = np.divmod(pairs, distinct.size)
+    pmf = _binomial_pmf_rows(config.ell, distinct / n)
+    above = 1.0 - np.cumsum(pmf, axis=1)  # P(B > i)
+    gain = np.clip((pmf[i_t] * above[i_t1]).sum(axis=1), 0.0, 1.0)
+    p_eq = np.clip((pmf[i_t] * pmf[i_t1]).sum(axis=1), 0.0, 1.0)
+    return np.minimum(gain + p_eq, 1.0)[inverse].reshape(shape), gain[inverse].reshape(shape)
+
+
+def _pair_draws(k_t1, keep, gain, config: SimConfig, rng: Generator) -> np.ndarray:
+    """Next opinion-1 counts from step_aggregate's two draws, keep draws first."""
+    n, mirror = config.n, config.source_opinion == 0
+    held = n - k_t1 if mirror else k_t1  # agents holding the source's opinion
+    k_next = 1 + rng.binomial(held - 1, keep) + rng.binomial(n - held, gain)
     return n - k_next if mirror else k_next
 
 
@@ -374,69 +387,85 @@ def run_trials(config: SimConfig, initial, trials: int) -> tuple[np.ndarray, np.
     its last count is n * source_opinion.  ``initial`` is a preset
     accepted by _preset_counts.  Blocks hold BLOCK aggregate trials, or
     as many agent-level trials as keep one round's sample indices within
-    AGENT_BLOCK_INDICES (at least one).  Block b draws from
-    derive_rng(seed, "trials", n, label, b), label being the preset
-    string or "explicit": first its presets' class counts, then its
-    rounds.  So a trial's path depends on (config, preset, seed, its
-    index), not on how many trials follow it.
+    AGENT_BLOCK_INDICES (at least one), and agent blocks run one after
+    another.  Block b draws from derive_rng(seed, "trials", n, label, b),
+    label being the preset string or "explicit": first its presets'
+    class counts, then its rounds, in the same order when aggregate
+    blocks step together.  So a trial's path depends on (config, preset,
+    seed, its index), not on how many trials follow it.
     """
     check_number("trials", trials, numbers.Integral)
     if trials < 1:
         raise UsageError(f"trials must be >= 1, got {trials}")
     label = "explicit" if isinstance(initial, Population) else str(initial)
-    size = BLOCK
-    if config.backend == "agent":
-        size = max(1, AGENT_BLOCK_INDICES // (config.n * 2 * config.ell))
-    blocks = [
-        _run_block(config, initial, min(size, trials - first),
-                   derive_rng(config.seed, "trials", config.n, label, block))
-        for block, first in enumerate(range(0, trials, size))
-    ]
+    size = BLOCK if config.backend == "aggregate" else max(
+        1, AGENT_BLOCK_INDICES // (config.n * 2 * config.ell))
+    rngs = [derive_rng(config.seed, "trials", config.n, label, b)
+            for b in range(-(-trials // size))]
+    if config.backend == "aggregate":
+        return _paths(*_aggregate_rounds(config, initial, trials, rngs), trials)
+    firsts = range(0, trials, size)
+    blocks = [_agent_block(config, initial, min(size, trials - f), r) for f, r in zip(firsts, rngs)]
     return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
-def _run_block(
-    config: SimConfig, initial, trials: int, rng: Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """One lockstep block, started from the presets' class counts; run_trials' layout.
-
-    Round r records the trials still going and their new counts; at the
-    end one scatter puts them at counts[starts[live] + r].  The agent
-    backend expands the block's counts into agents; an explicit
-    population is stepped as given.
-    """
-    target = config.n if config.source_opinion == 1 else 0
-    agent = config.backend == "agent"
-    state = _preset_counts(initial, config, rng, trials)
-    if agent:
-        pop = initial if isinstance(initial, Population) else _populations(state, config)
-        state = Population(
-            *(np.broadcast_to(a, (trials, config.n)) for a in (pop.opinions, pop.prev_counts))
-        )
-        counts = state.opinions.sum(axis=1, dtype=np.int64)
-    else:
-        counts = state[:, 1].sum(axis=1) + config.source_opinion
-    live, prev, going = np.arange(trials), None, counts != target
-    lives, news = [live], [counts]
-    for round_ in range(config.max_rounds):
-        live, counts = live[going], counts[going]
-        if live.size == 0:
-            break
-        if agent:
-            state = Population(state.opinions[going], state.prev_counts[going])
-            state = step_agent_level(state, config, rng)
-            new = state.opinions.sum(axis=1, dtype=np.int64)
-        elif round_ == 0:
-            new = _class_round(state[going], config, rng)
-        else:
-            new = step_aggregate(prev[going], counts, config, rng)
-        lives.append(live)
-        news.append(new)
-        prev, counts, going = counts, new, new != target
+def _paths(lives: list, news: list, trials: int) -> tuple[np.ndarray, np.ndarray]:
+    """run_trials' layout by one scatter: round r took trials lives[r] to counts news[r]."""
     live = np.concatenate(lives)
     lengths = np.bincount(live, minlength=trials)
-    starts = np.cumsum(lengths) - lengths
     rounds = np.repeat(np.arange(len(lives)), [a.size for a in lives])
     out = np.empty(live.size, dtype=np.int64)
-    out[starts[live] + rounds] = np.concatenate(news)
+    out[(np.cumsum(lengths) - lengths)[live] + rounds] = np.concatenate(news)
     return out, lengths
+
+
+def _agent_block(config: SimConfig, initial, trials: int, rng: Generator):
+    """One agent-level block in run_trials' layout; an explicit population steps as given."""
+    target = config.n * config.source_opinion
+    hist = _preset_counts(initial, config, rng, trials)
+    pop = initial if isinstance(initial, Population) else _populations(hist, config)
+    state = Population(*(np.broadcast_to(a, (trials, config.n))
+                         for a in (pop.opinions, pop.prev_counts)))
+    lives, news = [np.arange(trials)], [state.opinions.sum(axis=1, dtype=np.int64)]
+    for _ in range(config.max_rounds):
+        going = news[-1] != target
+        if not going.any():
+            break
+        state = Population(state.opinions[going], state.prev_counts[going])
+        state = step_agent_level(state, config, rng)
+        lives.append(lives[-1][going])
+        news.append(state.opinions.sum(axis=1, dtype=np.int64))
+    return _paths(lives, news, trials)
+
+
+def _aggregate_rounds(config: SimConfig, initial, trials: int, rngs: list) -> tuple[list, list]:
+    """Round records of all aggregate blocks, stepped in one lockstep loop.
+
+    Each block draws its presets and class-count round, and its histograms
+    are dropped; each later round takes _flip_probs once over all live
+    pairs, then every block makes step_aggregate's draws on its stream.
+    """
+    target = config.n * config.source_opinion
+    lives, news = [[np.arange(trials)], []], [[], []]
+    for first, rng in zip(range(0, trials, BLOCK), rngs):
+        hist = _preset_counts(initial, config, rng, min(BLOCK, trials - first))
+        news[0].append(hist[:, 1].sum(axis=1) + config.source_opinion)
+        going = news[0][-1] != target
+        lives[1].append(first + np.flatnonzero(going))
+        news[1].append(_class_round(hist[going], config, rng))
+    lives, news = [np.concatenate(a) for a in lives], [np.concatenate(a) for a in news]
+    live, prev, counts = lives[1], news[0][lives[1]], news[1]
+    for _ in range(1, config.max_rounds):
+        going = counts != target
+        live, prev, counts = live[going], prev[going], counts[going]
+        if live.size == 0:
+            break
+        keep, gain = _flip_probs(prev, counts, config)
+        cuts, new = np.searchsorted(live, np.arange(len(rngs) + 1) * BLOCK), np.empty_like(counts)
+        for b in np.flatnonzero(np.diff(cuts)):
+            part = slice(cuts[b], cuts[b + 1])
+            new[part] = _pair_draws(counts[part], keep[part], gain[part], config, rngs[b])
+        lives.append(live)
+        news.append(new)
+        prev, counts = counts, new
+    return lives, news

@@ -54,8 +54,10 @@ class TestBinomialPmf:
 
     def test_rows_match_scalar_pmf_bitwise(self):
         # The library's batched pmf and the scalar oracle evaluate the
-        # same formula in the same order: equal to the last bit,
-        # point-mass rows included.
+        # same formula in the same order, but the oracle takes scipy's
+        # gammaln where the library takes its Cephes port, so this also
+        # checks the port: equal to the last bit, point-mass rows
+        # included.
         rng = np.random.default_rng(7)
         for k in [1, 2, 3, 8, 17, 64, 500, 4095, 8191]:
             p = np.concatenate([[0.0, 1.0, 0.5, 1 / k], rng.random(40)])

@@ -17,7 +17,9 @@ from conftest import (
     oracle_pmf_vector,
     split_paths,
 )
+from fetsim import protocol
 from fetsim.domains import DomainLabel, YellowLabel, label_paths
+from fetsim.duel import duel_table, exact_duel
 from fetsim.dynamics import expected_next_fraction, flip_probs
 from fetsim.errors import DomainError, UsageError
 from fetsim.protocol import (
@@ -26,6 +28,7 @@ from fetsim.protocol import (
     Population,
     SimConfig,
     _class_round,
+    _flip_probs,
     _populations,
     _preset_counts,
     derive_rng,
@@ -230,6 +233,35 @@ class TestStepAggregate:
         var = 49 * fp.p_keep_one * (1 - fp.p_keep_one) + 50 * fp.p_gain_one * (1 - fp.p_gain_one)
         expected = n * expected_next_fraction(0.3, 0.5, n, ell)
         assert abs(correct.mean() - expected) <= 3 * math.sqrt(var / trials)
+
+
+class TestFlipProbs:
+    @pytest.mark.parametrize("source_opinion", [1, 0])
+    def test_pair_values_do_not_depend_on_the_batch(self, source_opinion):
+        # Each pair's keep and gain are its own row sums, so a pair gives
+        # the same bits alone, as a scalar, or in any batch; and they are
+        # the duel_table and exact_duel triples within 1e-15.
+        n, ell = 1000, 21
+        config = SimConfig(n=n, ell=ell, source_opinion=source_opinion)
+        rng = derive_rng(5, "pairs")
+        k_t = np.concatenate([[0, 1, n - 1, n, 500], rng.integers(0, n + 1, 60)])
+        k_t1 = np.concatenate([[n - 1, n, 1, 0, 500], rng.integers(1, n, 60)])
+        keep, gain = _flip_probs(k_t, k_t1, config)
+        order = rng.permutation(k_t.size)
+        shuffled = _flip_probs(k_t[order], k_t1[order], config)
+        assert np.array_equal(shuffled[0], keep[order])
+        assert np.array_equal(shuffled[1], gain[order])
+        held_t, held_t1 = (k_t, k_t1) if source_opinion == 1 else (n - k_t, n - k_t1)
+        p_lt, p_eq, _ = duel_table(ell, held_t, held_t1, n)
+        for i in range(k_t.size):
+            one = _flip_probs(k_t[i : i + 1], k_t1[i : i + 1], config)
+            assert np.array_equal(one, (keep[i : i + 1], gain[i : i + 1]))
+            assert np.array_equal(_flip_probs(k_t[i], k_t1[i], config), (keep[i], gain[i]))
+            duel = exact_duel(ell, held_t[i] / n, held_t1[i] / n)
+            assert abs(gain[i] - p_lt[i, i]) <= 1e-15 and abs(gain[i] - duel.p_lt) <= 1e-15
+            table_keep = min(p_lt[i, i] + p_eq[i, i], 1.0)
+            assert abs(keep[i] - table_keep) <= 1e-15
+            assert abs(keep[i] - min(duel.p_lt + duel.p_eq, 1.0)) <= 1e-15
 
 
 class TestClassCountRound:
@@ -462,6 +494,63 @@ class TestRunTrial:
         one_counts, one_lengths = run_trials(config, preset, BLOCK)
         assert np.array_equal(lengths[:BLOCK], one_lengths)
         assert np.array_equal(counts[: one_lengths.sum()], one_counts)
+
+    @pytest.mark.parametrize("source_opinion", [1, 0])
+    @pytest.mark.parametrize("preset", ["yellow_center", "all_wrong_max_counters"])
+    def test_joint_rounds_do_not_mix_blocks(self, preset, source_opinion):
+        # Aggregate blocks step together, but each draws on its own
+        # stream: blocks 0 and 1 give the same paths in runs of one, two
+        # and three and a bit blocks, though trials leave at different
+        # rounds and so shift every later block's slice of a round.
+        config = SimConfig(n=1024, seed=2, source_opinion=source_opinion)
+        paths = split_paths(*run_trials(config, preset, 3 * BLOCK + 5))
+        two = split_paths(*run_trials(config, preset, 2 * BLOCK))
+        one = split_paths(*run_trials(config, preset, BLOCK))
+        assert len({len(path) for path in two}) > 1
+        assert paths[: 2 * BLOCK] == two
+        assert paths[:BLOCK] == one
+
+    @pytest.mark.parametrize("source_opinion", [1, 0])
+    def test_joint_rounds_equal_blocks_stepped_alone(self, source_opinion):
+        # Reference: each block on its own stream, its presets and class
+        # round, then step_aggregate on its live trials until they end.
+        config = SimConfig(n=1024, seed=4, source_opinion=source_opinion)
+        trials, target = 3 * BLOCK + 5, 1024 * source_opinion
+        expected = []
+        for block, first in enumerate(range(0, trials, BLOCK)):
+            rng = derive_rng(4, "trials", 1024, "yellow_center", block)
+            hist = _preset_counts("yellow_center", config, rng, min(BLOCK, trials - first))
+            paths = [[k] for k in (hist[:, 1].sum(axis=1) + source_opinion).tolist()]
+            live = [i for i, path in enumerate(paths) if path[-1] != target]
+            news = _class_round(hist[live], config, rng)
+            while live:
+                for i, k in zip(live, news.tolist()):
+                    paths[i].append(k)
+                live = [i for i in live if paths[i][-1] != target]
+                pairs = np.array([paths[i][-2:] for i in live], dtype=np.int64).reshape(-1, 2)
+                news = step_aggregate(pairs[:, 0], pairs[:, 1], config, rng)
+            expected += paths
+        joint = split_paths(*run_trials(config, "yellow_center", trials))
+        assert len({len(path) for path in joint}) > 1
+        assert joint == expected
+
+    def test_flip_probs_once_per_joint_round(self, monkeypatch):
+        # Four blocks share each round's flip probabilities: one call per
+        # round after the class-count round, as many as the longest
+        # trial needs, not one per block and round.
+        calls = []
+
+        def counted(k_t, k_t1, config):
+            calls.append(np.size(k_t))
+            return _flip_probs(k_t, k_t1, config)
+
+        monkeypatch.setattr(protocol, "_flip_probs", counted)
+        config = SimConfig(n=4096, seed=6)
+        counts, lengths = run_trials(config, "all_wrong_max_counters", 4 * BLOCK)
+        per_block = lengths.reshape(4, BLOCK).max(axis=1) - 2
+        assert len(calls) == lengths.max() - 2
+        assert len(calls) < per_block.sum()
+        assert calls[0] == np.count_nonzero(lengths > 2)
 
     def test_presets_with_equal_populations_draw_apart(self):
         # cyan_corner builds the same population as all_wrong_max_counters,
