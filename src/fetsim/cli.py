@@ -240,6 +240,10 @@ def _cmd_verify(args) -> int:
         reports = run_all(settings, out_dir)
         summary = {lemma: report.verdict for lemma, report in reports.items()}
         _print_json(summary)
+        for lemma, report in reports.items():
+            simulated, reused = report.trial_cells
+            print(f"runtime {lemma}: {report.runtime_s:.2f}s "
+                  f"(trial cells: {simulated} simulated, {reused} reused)", file=sys.stderr)
         return 0 if all(v == "PASS" for v in summary.values()) else 1
     report = run_lemma(args.lemma, settings)
     if out_dir is not None:

@@ -15,6 +15,9 @@ Green, Purple and Red share one planted-pair runner: the trials of a
 planted pair step together, one round or until they leave its domain.
 Cyan, Yellow and convergence reduce run_trials' end-to-end counts and
 their labels directly, each per-trial search one searchsorted (_first).
+Within one run_all call each of their cells (config, preset, trials)
+is simulated once and shared, read-only: Yellow's default sweep is
+exactly convergence's yellow_center cells.
 
 Scaling claims (Yellow escape, end-to-end convergence) are tested as
 properties: quantiles of the measured times are fitted against
@@ -32,6 +35,7 @@ deterministic function of (parameters, seed).
 from __future__ import annotations
 
 import csv
+import dataclasses
 import inspect
 from collections import Counter
 import json
@@ -71,6 +75,10 @@ _MINIMUMS = {"n": 2, "n_list": 2, "ell": 1, "trials": 1, "max_rounds": 1}
 # Log-log slope above which a sweep no longer counts as "growing no
 # faster than C (ln n)^{5/2}" (slack over 1.0 absorbs quantile noise).
 SLOPE_TOLERANCE = 1.1
+# run_all's trial cells by _run_cell key while it runs, else None, and
+# how many requests they served without simulating.
+_cells: dict | None = None
+_reused = 0
 
 
 @dataclass
@@ -79,9 +87,10 @@ class LemmaReport:
 
     kind selects the CSV schema: "pointwise" rows are
     (point_x, point_y, trials, failures, verdict); "sweep" rows are
-    (n, quantile50, quantile99, fit_C, fit_r2).  runtime_s is set by
-    run_lemma for interactive display but excluded from emitted files so
-    that equal (config, seed) runs are byte-identical.
+    (n, quantile50, quantile99, fit_C, fit_r2).  runtime_s (set by
+    run_lemma) and the trial cells its lemma simulated and reused (set
+    by run_all) are for interactive display and excluded from emitted
+    files, so that equal (config, seed) runs are byte-identical.
     """
 
     lemma: str
@@ -92,10 +101,11 @@ class LemmaReport:
     sweep: list[dict] = field(default_factory=list)
     details: dict = field(default_factory=dict)
     runtime_s: float = 0.0
+    trial_cells: tuple[int, int] = (0, 0)  # (simulated, reused)
 
     def to_dict(self) -> dict:
-        """Every field but runtime_s, in field order (the emitted JSON's key order)."""
-        return {key: value for key, value in vars(self).items() if key != "runtime_s"}
+        """The emitted fields: all but runtime_s and trial_cells, in field order."""
+        return {k: v for k, v in vars(self).items() if k not in ("runtime_s", "trial_cells")}
 
 
 def _check(**given) -> None:
@@ -124,6 +134,24 @@ def _check(**given) -> None:
             check_number(key, value)
             if not value > 0:
                 raise UsageError(f"{key} must be positive, got {value!r}")
+
+
+def _run_cell(config: SimConfig, preset: str, trials: int) -> tuple[np.ndarray, np.ndarray]:
+    """run_trials' arrays, read-only; within run_all, once per distinct cell.
+
+    A cell's key holds every SimConfig field (a SimConfig is not
+    hashable), the preset and the trial count.
+    """
+    global _reused
+    key = (dataclasses.astuple(config), preset, trials)
+    cells = {} if _cells is None else _cells
+    if key in cells:
+        _reused += 1
+    else:
+        cells[key] = run_trials(config, preset, trials)
+        for array in cells[key]:
+            array.flags.writeable = False
+    return cells[key]
 
 
 def _first(mask: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -413,7 +441,7 @@ def verify_cyan(
     good_exits = [_LABELS.index(DomainLabel.GREEN1), _LABELS.index(DomainLabel.PURPLE1)]
 
     gamma = config.constants().gamma
-    counts, lengths = run_trials(config, "cyan_corner", trials)
+    counts, lengths = _run_cell(config, "cyan_corner", trials)
     domains, _ = label_paths(counts, n, delta, config.ell)
     ends = np.cumsum(lengths)
     last = ends - 1  # a path's last slot pairs it with the next path
@@ -495,7 +523,7 @@ def verify_yellow(
     all_escaped = True
     for n in n_list:
         config = SimConfig(n=n, c_sample=c_sample, delta=delta, seed=seed, max_rounds=max_rounds)
-        counts, lengths = run_trials(config, "yellow_center", trials)
+        counts, lengths = _run_cell(config, "yellow_center", trials)
         _, areas = label_paths(counts, n, delta, config.ell)
         ends = np.cumsum(lengths)
         starts, last = ends - lengths, ends - 1
@@ -577,7 +605,7 @@ def verify_convergence(
     for n in n_list:
         config = SimConfig(n=n, c_sample=c_sample, delta=delta, seed=seed, max_rounds=max_rounds)
         for preset in presets:
-            counts, lengths = run_trials(config, preset, trials)
+            counts, lengths = _run_cell(config, preset, trials)
             # lengths - 1 is max_rounds for a trial that never reached consensus.
             all_converged &= bool((counts[np.cumsum(lengths) - 1] == n).all())
             times[(preset, n)] = lengths - 1
@@ -675,17 +703,16 @@ _RUNNERS = {
 }
 
 
-def run_lemma(lemma: str, settings: dict | None = None) -> LemmaReport:
-    """Run one lemma check at its signature's defaults plus overrides.
+def _lemma_kwargs(lemma: str, settings: dict) -> dict:
+    """The lemma's overrides from settings; every resolved parameter passes _check.
 
     settings may carry a global "seed" and "trials" as well as
     lemma-prefixed keys like "green_trials" or "yellow_n_list".  A key
     that names no parameter of any lemma is rejected; one for another
-    lemma is ignored.  The report's runtime_s is the check's wall time.
+    lemma is ignored.
     """
     if lemma not in _RUNNERS:
         raise UsageError(f"unknown lemma {lemma!r}; choose from {LEMMAS}")
-    settings = settings or {}
     known = {"seed", "trials"} | {
         f"{name}_{param}"
         for name, fn in _RUNNERS.items()
@@ -694,18 +721,30 @@ def run_lemma(lemma: str, settings: dict | None = None) -> LemmaReport:
     unknown = sorted(set(settings) - known)
     if unknown:
         raise UsageError(f"unknown verify config key(s) {unknown}; use <lemma>_<parameter>")
-    runner = _RUNNERS[lemma]
-    accepted = set(inspect.signature(runner).parameters)
+    signature = inspect.signature(_RUNNERS[lemma])
     kwargs = {}
     for key in ("seed", "trials"):
-        if key in settings and key in accepted:
+        if key in settings and key in signature.parameters:
             kwargs[key] = settings[key]
     prefix = lemma + "_"
     for key, value in settings.items():
-        if key.startswith(prefix) and key[len(prefix):] in accepted:
+        if key.startswith(prefix) and key[len(prefix):] in signature.parameters:
             kwargs[key[len(prefix):]] = value
+    bound = signature.bind(**kwargs)
+    bound.apply_defaults()
+    _check(**{key: value for key, value in bound.arguments.items() if value is not None})
+    return kwargs
+
+
+def run_lemma(lemma: str, settings: dict | None = None) -> LemmaReport:
+    """Run one lemma check at its signature's defaults plus overrides.
+
+    settings are read by _lemma_kwargs.  The report's runtime_s is the
+    check's wall time.
+    """
+    kwargs = _lemma_kwargs(lemma, settings or {})
     start = time.perf_counter()
-    report = runner(**kwargs)
+    report = _RUNNERS[lemma](**kwargs)
     report.runtime_s = time.perf_counter() - start
     return report
 
@@ -713,10 +752,22 @@ def run_lemma(lemma: str, settings: dict | None = None) -> LemmaReport:
 def run_all(settings: dict | None = None, out_dir=None) -> dict[str, LemmaReport]:
     """Run every lemma check; optionally emit CSV+JSON per lemma.
 
-    When out_dir is given, writes <lemma>.csv, <lemma>.json and a
-    summary.json of verdicts.
+    Every lemma's parameters are checked before the first trial, and a
+    trial cell is simulated once (_run_cell); each report's trial_cells
+    counts the cells its lemma simulated and reused.  When out_dir is
+    given, writes <lemma>.csv, <lemma>.json and a summary.json of verdicts.
     """
-    reports = {lemma: run_lemma(lemma, settings) for lemma in LEMMAS}
+    global _cells, _reused
+    for lemma in LEMMAS:
+        _lemma_kwargs(lemma, settings or {})
+    reports, _cells, _reused = {}, {}, 0
+    try:
+        for lemma in LEMMAS:
+            simulated, reused = len(_cells), _reused
+            reports[lemma] = run_lemma(lemma, settings)
+            reports[lemma].trial_cells = (len(_cells) - simulated, _reused - reused)
+    finally:
+        _cells = None
     if out_dir is not None:
         for report in reports.values():
             emit(report, out_dir)

@@ -321,8 +321,10 @@ def _preset_counts(preset, config: SimConfig, rng: Generator, trials: int) -> np
     and stored counter c, so set-up costs O(ell) per trial whatever n.
     Accepted presets: the names in PRESETS, a string "fraction:X" or a
     Population, which is checked against config and binned.
-    Counter conventions: all_wrong stores 0, all_wrong_max_counters and
-    cyan_corner store ell (maximally misleading memory), and these draw
+    Counter conventions: all_wrong stores 0.  all_wrong_max_counters and
+    cyan_corner store the maximally misleading counter, which no fresh
+    count c' can cross toward the source's opinion: ell for source
+    opinion 1 and its mirror 0 for source opinion 0.  These draw
     nothing.  The remaining presets store uniformly random counters in
     [0, ell]: one multinomial per (trial, opinion), drawn in trial
     order, opinion 0 first, by one rng.multinomial call.
@@ -336,7 +338,7 @@ def _preset_counts(preset, config: SimConfig, rng: Generator, trials: int) -> np
             hist[:, o] = np.bincount(counters[opinions == o], minlength=ell + 1)
         return hist
     if preset in ("all_wrong", "all_wrong_max_counters", "cyan_corner"):
-        hist[:, 1 - src, 0 if preset == "all_wrong" else ell] = n - 1
+        hist[:, 1 - src, 0 if preset == "all_wrong" else ell * src] = n - 1
         return hist
     if preset == "half_half":
         # Half the non-source agents (round half up) hold opinion 1,

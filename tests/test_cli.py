@@ -509,8 +509,11 @@ class TestVerifyCommand:
             ("purple", "purple_ell = 0", "ell must be >= 1"),
             ("cyan", "cyan_epsilon = abc", "epsilon must be a real number"),
             ("cyan", "cyan_epsilon = -1", "epsilon must be positive"),
+            ("all", "trials = 4000\nconvergence_trials = 0", "trials must be >= 1"),
+            ("all", "convergence_n_list = 64,1", "n_list must be >= 2"),
         ],
-        ids=["purple_ell_str", "purple_ell_zero", "cyan_epsilon_str", "cyan_epsilon_negative"],
+        ids=["purple_ell_str", "purple_ell_zero", "cyan_epsilon_str", "cyan_epsilon_negative",
+             "all_last_lemma_trials_zero", "all_last_lemma_n_list"],
     )
     def test_bad_parameter_rejected_before_any_trial(
         self, capsys, tmp_path, monkeypatch, lemma, line, needle
@@ -526,6 +529,22 @@ class TestVerifyCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and needle in err
+
+    def test_suite_prints_runtime_and_trial_cells_per_lemma(self, capsys, tmp_path):
+        # Yellow's sweep is convergence's yellow_center cells, so
+        # convergence simulates its other presets and reuses those.
+        cfg = tmp_path / "verify.cfg"
+        cfg.write_text(
+            "trials = 10\ncyan_n = 256\nyellow_n_list = 64,128\nconvergence_n_list = 64,128\n"
+        )
+        code, out, err = run_cli(capsys, "verify", "--lemma", "all", "--config", str(cfg))
+        assert code in (0, 1) and set(json.loads(out)) == set(harness.LEMMAS)
+        lines = err.splitlines()
+        assert [line.split(":")[0] for line in lines] == [f"runtime {x}" for x in harness.LEMMAS]
+        cells = [line.split("(trial cells: ")[1] for line in lines]
+        assert cells == ["0 simulated, 0 reused)"] * 3 + [
+            "1 simulated, 0 reused)", "2 simulated, 0 reused)", "4 simulated, 2 reused)"
+        ]
 
     def test_key_for_another_lemma_is_accepted(self, capsys, tmp_path):
         cfg = tmp_path / "verify.cfg"

@@ -1,9 +1,11 @@
 """Lemma verification harness: verdicts, emission, determinism."""
 
 import csv
+import dataclasses
 import json
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -399,6 +401,56 @@ class TestRunLemma:
             assert (tmp_path / f"{lemma}.csv").exists()
             assert (tmp_path / f"{lemma}.json").exists()
             assert summary[lemma] == reports[lemma].verdict
+
+    # Yellow's cells are exactly convergence's yellow_center cells here.
+    SHARED = {"trials": 20, "yellow_n_list": (256, 512), "convergence_n_list": (256, 512)}
+
+    def test_run_all_simulates_each_cell_once(self, monkeypatch):
+        calls = Counter()
+
+        def counting(config, preset, trials):
+            calls[(dataclasses.astuple(config), preset, trials)] += 1
+            return run_trials(config, preset, trials)
+
+        monkeypatch.setattr(harness, "run_trials", counting)
+        reports = harness.run_all(self.SHARED)
+        assert harness._cells is None
+        # Cyan's cell, Yellow's two, convergence's two other presets at two sizes.
+        assert len(calls) == 1 + 2 + 2 * 2 and set(calls.values()) == {1}
+        cells = {lemma: report.trial_cells for lemma, report in reports.items()}
+        assert cells == {
+            "green": (0, 0), "purple": (0, 0), "red": (0, 0),
+            "cyan": (1, 0), "yellow": (2, 0), "convergence": (4, 2),
+        }
+
+    def test_memo_cleared_when_the_suite_raises(self, monkeypatch):
+        calls = []
+
+        def counting(config, preset, trials):
+            calls.append(preset)
+            return run_trials(config, preset, trials)
+
+        monkeypatch.setattr(harness, "run_trials", counting)
+        settings = {**self.SHARED, "convergence_presets": ("yellow_center", "mauve")}
+        with pytest.raises(UsageError, match="unknown preset"):
+            harness.run_all(settings)
+        assert calls[-1] == "mauve" and "yellow_center" in calls
+        assert harness._cells is None
+
+    def test_memo_key_holds_every_config_field(self):
+        # Yellow's cells differ from convergence's in max_rounds only; a
+        # key without it would hand Yellow's capped paths to convergence.
+        settings = {**self.SHARED, "yellow_max_rounds": 3}
+        reports = harness.run_all(settings)
+        for lemma, report in reports.items():
+            assert report.to_dict() == run_lemma(lemma, settings).to_dict(), lemma
+
+    def test_shared_cells_are_read_only(self):
+        config = SimConfig(n=64, seed=3)
+        counts, lengths = harness._run_cell(config, "yellow_center", 5)
+        for array in (counts, lengths):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
 
     def test_whp_rows_carry_empirical_exponent(self):
         report = verify_green(trials=40, seed=5)

@@ -448,6 +448,22 @@ class TestPresetCounts:
             pop = Population(pops.opinions[t], pops.prev_counts[t])
             assert np.array_equal(_preset_counts(pop, config, None, 1)[0], hist[t])
 
+    @pytest.mark.parametrize("preset", ["all_wrong_max_counters", "cyan_corner"])
+    def test_misleading_counters_mirror_the_source(self, preset):
+        # The maximally misleading memory is ell for source opinion 1 and
+        # its mirror 0 for source opinion 0, so the two starts are mirror
+        # images.  Their first round keeps every opinion and later rounds
+        # draw mirrored, so the paths mirror trial by trial.
+        n, trials = 256, 500
+        one, zero = (SimConfig(n=n, seed=1, source_opinion=s) for s in (1, 0))
+        hist1, hist0 = (_preset_counts(preset, config, None, 2) for config in (one, zero))
+        assert np.all(hist0[:, 1, 0] == n - 1)
+        assert np.array_equal(hist0, hist1[:, ::-1, ::-1])
+        counts1, lengths1 = run_trials(one, preset, trials)
+        counts0, lengths0 = run_trials(zero, preset, trials)
+        assert np.array_equal(lengths0, lengths1)
+        assert np.array_equal(counts0, n - counts1)
+
     def test_explicit_state_binned(self):
         config = SimConfig(n=5, ell=3)
         explicit = Population([1, 0, 1, 1, 0], [2, 3, 0, 3, 3])
