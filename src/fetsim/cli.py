@@ -19,6 +19,7 @@ import csv
 import json
 import math
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -212,8 +213,13 @@ def _cmd_chain(args) -> int:
     from .markov import absorption_times, build_kernel  # scipy loads here only
 
     from_state = None if args.from_state is None else _parse_pair_state(args.from_state, args.n)
+    start = time.perf_counter()
     kernel = build_kernel(args.n, args.ell)
+    built = time.perf_counter()
+    print(f"build_kernel: {built - start:.3f}s, nnz {kernel.matrix.nnz}, "
+          f"pruned mass {kernel.pruned_mass:.3e}", file=sys.stderr)
     times = absorption_times(kernel)
+    print(f"absorption_times: {time.perf_counter() - built:.3f}s", file=sys.stderr)
     payload = {
         "n": args.n,
         "ell": args.ell,

@@ -52,7 +52,7 @@ from .config import check_delta, check_number
 from .domains import DomainLabel, YellowLabel, classify, classify_array, label_paths
 from .dynamics import AnalysisConstants, expected_next_fraction_table
 from .errors import PlantingError, UsageError
-from .protocol import SimConfig, derive_rng, run_trials, step_aggregate
+from .protocol import SimConfig, _preset_fraction, derive_rng, run_trials, step_aggregate
 
 __all__ = [
     "LemmaReport",
@@ -111,9 +111,9 @@ class LemmaReport:
 def _check(**given) -> None:
     """Raise a UsageError naming the first invalid given parameter.
 
-    Counts, sweep lists (non-empty; n_list without a repeated size),
-    delta (in (0, 1/2)) and the positive reals c_sample and epsilon are
-    checked here; the rest where they are used.
+    Counts, sweep lists (non-empty; n_list without a repeated size,
+    presets known), delta (in (0, 1/2)) and the positive reals
+    c_sample and epsilon are checked here; the rest where they are used.
     """
     for key, value in given.items():
         if key in ("n_list", "presets") and (not isinstance(value, (list, tuple)) or not value):
@@ -121,6 +121,9 @@ def _check(**given) -> None:
                 f"{key} must be a non-empty comma-separated list, got {value!r}; "
                 "end a single entry with a comma"
             )
+        if key == "presets":
+            for preset in value:
+                _preset_fraction(preset)
         if key in _MINIMUMS:
             for item in value if key == "n_list" else [value]:
                 check_number(key, item, numbers.Integral)

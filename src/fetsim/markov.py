@@ -7,12 +7,12 @@ rounds (source opinion fixed to 1), the next count is distributed as
 
 with flip probabilities evaluated at (k_t/n, k_t1/n), all taken from one
 ``duel.duel_table`` over the counts 0..n.  This module builds that
-transition kernel by exact convolution of binomial pmfs, vectorized
-over k_t, solves the first-step equations for expected
-hitting times of the absorbing state (n, n) iteratively (BiCGSTAB,
-gated on the recomputed residual), and cross-validates both simulation
-backends against the solver.  Both simulations are the protocol's own
-trial driver, ``run_trials``, on the agent or the aggregate backend.
+kernel by exact successor-major convolution of binomial pmfs over all
+k_t at once, pruned per k_t1 block and assembled straight into CSR;
+solves the first-step equations for the expected hitting times of the
+absorbing state (n, n) by BiCGSTAB, gated on the recomputed residual;
+and cross-validates against the solver both backends of the protocol's
+own trial driver, ``run_trials``: agent-level and aggregate.
 
 The pair-state chain assumes the stored counters are i.i.d.
 Bin(ell, k_t/n), which holds after any round but not for an adversarial
@@ -85,29 +85,15 @@ class Kernel:
         return self.state_index(self.n, self.n)
 
 
-def _convolve_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Row-wise full convolution of two row-aligned arrays.
-
-    A direct sum, looping over the shorter operand's columns; an FFT's
-    ~1e-17 noise would move entries across PRUNE_THRESHOLD.
-    """
-    if u.shape[1] > v.shape[1]:
-        u, v = v, u
-    width = v.shape[1]
-    out = np.zeros((u.shape[0], u.shape[1] + width - 1))
-    for i in range(u.shape[1]):
-        out[:, i : i + width] += u[:, i, None] * v
-    return out
-
-
 def build_kernel(n: int, ell: int) -> Kernel:
     """Exact kernel over all pairs (k_t, k_t1) with k_t1 >= 1.
 
-    The duel triples for every pair come from one duel_table over the
-    counts 0..n; then, per k_t1, the two binomial row pmfs and their
-    convolution are computed for all k_t at once and pruned.  The kept entries are assembled once;
-    within a row they stay in successor order, which keeps the matrix
-    deterministic.
+    Duel triples come from one duel_table over the counts 0..n.  Per
+    k_t1, both pmf tables are transposed to (outcome, k_t) and convolved
+    successor-major, a direct sum in contiguous slabs (FFT noise would
+    move entries across PRUNE_THRESHOLD).  Pruning each block as built
+    bounds memory by the kept entries; their counts per row give indptr,
+    and one gather puts them in row order, each row in successor order.
     """
     if n > 256:
         raise UsageError(f"build_kernel supports n <= 256 (cost control), got {n}")
@@ -120,26 +106,35 @@ def build_kernel(n: int, ell: int) -> Kernel:
     p_lt, p_eq, _ = duel_table(ell, counts, counts, n)
     gain = p_lt  # P(B(k_t1/n) > B(k_t/n))
     keep = np.minimum(gain + p_eq, 1.0)
-    # block[a, j]: P(k_{t+2} = j + 1 | (a, b)), the row of state a*n + b - 1.
-    # Pruning each block as it is built bounds memory by the kept entries.
-    rows, cols, vals = [], [], []
+    cols, vals = [], []
+    kept = np.empty((n, n + 1), dtype=np.int32)  # [b - 1, a]: kept entries of row (a, b)
     pruned = 0.0
     for b in range(1, n + 1):
-        block = _convolve_rows(
-            _binomial_pmf_rows(b - 1, keep[:, b]),
-            _binomial_pmf_rows(n - b, gain[:, b]),
-        )
+        u = np.ascontiguousarray(_binomial_pmf_rows(b - 1, keep[:, b]).T)
+        v = np.ascontiguousarray(_binomial_pmf_rows(n - b, gain[:, b]).T)
+        if len(u) > len(v):
+            u, v = v, u
+        block = np.zeros((n, n + 1))  # [j, a]: P(k_{t+2} = j + 1 | (a, b))
+        product = np.empty_like(v)
+        for i in range(len(u)):
+            block[i : i + len(v)] += np.multiply(u[i], v, out=product)
+        block = block.T  # a view: row a is the row of state a*n + b - 1
         mask = block >= PRUNE_THRESHOLD
         pruned += float(block[~mask].sum())
         a, succ = np.nonzero(mask)  # k_{t+2} = succ + 1
         vals.append(block[a, succ])
         # State indices stay below (n + 1) * n <= 65,792, so int32 holds them.
-        rows.append((a * n + b - 1).astype(np.int32))
         cols.append((b * n + succ).astype(np.int32))  # successor pair (k_t1, k_{t+2})
+        kept[b - 1] = mask.sum(axis=1)
     size = (n + 1) * n
+    row_kept = kept.T.ravel()  # row a*n + b - 1
+    indptr = np.cumsum(np.concatenate(([0], row_kept)), dtype=np.int32)
+    # Row (a, b) starts at block_start[b - 1, a] in the blocks' concatenation.
+    block_start = np.cumsum(kept, dtype=np.int32).reshape(n, n + 1) - kept
+    order = np.repeat(block_start.T.ravel() - indptr[:-1], row_kept)
+    order += np.arange(indptr[-1], dtype=np.int32)
     matrix = sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(size, size),
+        (np.concatenate(vals)[order], np.concatenate(cols)[order], indptr), shape=(size, size)
     )
     return Kernel(n=n, ell=ell, matrix=matrix, pruned_mass=pruned)
 
@@ -170,7 +165,9 @@ def _check_absorbing(kernel: Kernel) -> None:
     reached = breadth_first_order(
         kernel.matrix.T, absorbing, directed=True, return_predecessors=False
     )
-    missing = np.setdiff1d(np.arange(kernel.num_states), reached, assume_unique=False)
+    seen = np.zeros(kernel.num_states, dtype=bool)
+    seen[reached] = True
+    missing = np.flatnonzero(~seen)
     if missing.size:
         states = [kernel.state_of_index(int(i)) for i in missing[:10]]
         raise StructuralError(
@@ -193,21 +190,17 @@ def absorption_times(kernel: Kernel) -> np.ndarray:
     """
     _validate_rows(kernel)
     _check_absorbing(kernel)
-    size = kernel.num_states
-    absorbing = kernel.absorbing_index
-    transient = np.arange(size) != absorbing
-    q = kernel.matrix[transient][:, transient].tocsr()
-    ident = sparse.identity(q.shape[0], format="csr")
+    # (n, n) is the last state, so Q is the matrix less its last row and column.
+    q = kernel.matrix[:-1, :-1]
+    system = sparse.identity(q.shape[0], format="csr") - q
     rhs = np.ones(q.shape[0])
-    h_transient, info = bicgstab(ident - q, rhs, rtol=1e-12, atol=0.0)
-    residual = np.linalg.norm((ident - q) @ h_transient - rhs) / np.linalg.norm(rhs)
+    h_transient, info = bicgstab(system, rhs, rtol=1e-12, atol=0.0)
+    residual = np.linalg.norm(system @ h_transient - rhs) / np.linalg.norm(rhs)
     if info != 0 or not residual <= 1e-10:
         raise StructuralError(
             f"linear solve residual {residual:.3e} exceeds 1e-10 (bicgstab info {info})"
         )
-    h = np.zeros(size)
-    h[transient] = h_transient
-    return h
+    return np.append(h_transient, 0.0)
 
 
 def expected_consensus_time_all_wrong(kernel: Kernel, times: np.ndarray) -> float:

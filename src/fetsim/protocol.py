@@ -314,6 +314,22 @@ def _check_population(pop: Population, config: SimConfig) -> Population:
     return pop
 
 
+def _preset_fraction(preset) -> float | None:
+    """x0 of a "fraction:X" preset, None for a name in PRESETS; else a UsageError."""
+    if isinstance(preset, str) and preset.startswith("fraction:"):
+        arg = preset.split(":", 1)[1]
+        try:
+            x0 = float(arg)
+        except ValueError:
+            x0 = math.nan
+        if not 0.0 <= x0 <= 1.0:
+            raise UsageError(f"fraction preset needs x0 in [0,1], got {arg!r}")
+        return x0
+    if preset not in PRESETS:
+        raise UsageError(f"unknown preset {preset!r}; known: {PRESETS}, fraction:X, a Population")
+    return None
+
+
 def _preset_counts(preset, config: SimConfig, rng: Generator, trials: int) -> np.ndarray:
     """Class counts of ``trials`` initial states, shape (trials, 2, ell+1), int64.
 
@@ -337,6 +353,7 @@ def _preset_counts(preset, config: SimConfig, rng: Generator, trials: int) -> np
         for o in (0, 1):
             hist[:, o] = np.bincount(counters[opinions == o], minlength=ell + 1)
         return hist
+    x0 = _preset_fraction(preset)
     if preset in ("all_wrong", "all_wrong_max_counters", "cyan_corner"):
         hist[:, 1 - src, 0 if preset == "all_wrong" else ell * src] = n - 1
         return hist
@@ -346,17 +363,8 @@ def _preset_counts(preset, config: SimConfig, rng: Generator, trials: int) -> np
         total = math.floor((n - 1) / 2 + 0.5) + src
     elif preset == "yellow_center":
         total = math.floor(n / 2 + 0.5)
-    elif isinstance(preset, str) and preset.startswith("fraction:"):
-        arg = preset.split(":", 1)[1]
-        try:
-            x0 = float(arg)
-        except ValueError:
-            x0 = math.nan
-        if not 0.0 <= x0 <= 1.0:
-            raise UsageError(f"fraction preset needs x0 in [0,1], got {arg!r}")
-        total = int(round(x0 * n))
     else:
-        raise UsageError(f"unknown preset {preset!r}; known: {PRESETS}, fraction:X, a Population")
+        total = int(round(x0 * n))
     ones = min(max(total - src, 0), n - 1)  # non-source agents holding opinion 1
     uniform = np.full(ell + 1, 1.0 / (ell + 1))
     return rng.multinomial([n - 1 - ones, ones], uniform, size=(trials, 2))

@@ -3,9 +3,11 @@
 These deliberately avoid the library's own computation paths: pmfs come
 from exact integer binomial coefficients, duels from the full (k+1)^2
 double sum, so agreement with the package is a genuine cross-check.
-The pair-state kernel oracle is the exception: it builds each row
+The pair-state kernel oracles are the exception: one builds each row
 separately through the scalar duel path, as a reference for the
-vectorized markov.build_kernel.  The single-agent FET rule
+vectorized markov.build_kernel; the other (``reference_kernel`` with
+``reference_absorption_times``) is the earlier row-major build and
+solve, which the library must match bit for bit.  The single-agent FET rule
 (``agent_round``), the population mirror, the duel difference
 distribution, the scalar log-space ``binomial_pmf`` and
 ``binomial_pmf_vector``, the kernel row reader
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 from scipy import sparse
-
+from scipy.sparse.linalg import bicgstab
 from scipy.special import gammaln
 
 from fetsim.domains import (
@@ -38,7 +40,7 @@ from fetsim.domains import (
     classify,
     classify_yellow,
 )
-from fetsim.duel import DuelProbs, _check_count, _check_prob
+from fetsim.duel import DuelProbs, _binomial_pmf_rows, _check_count, _check_prob, duel_table
 from fetsim.dynamics import AnalysisConstants, flip_probs
 from fetsim.errors import DomainError
 from fetsim.markov import PRUNE_THRESHOLD, Kernel
@@ -144,6 +146,73 @@ def oracle_kernel(n: int, ell: int) -> tuple[sparse.csr_matrix, float]:
         shape=(size, size),
     )
     return matrix, pruned
+
+
+def _convolve_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise full convolution of two row-aligned arrays.
+
+    A direct sum, looping over the shorter operand's columns; an FFT's
+    ~1e-17 noise would move entries across PRUNE_THRESHOLD.
+    """
+    if u.shape[1] > v.shape[1]:
+        u, v = v, u
+    width = v.shape[1]
+    out = np.zeros((u.shape[0], u.shape[1] + width - 1))
+    for i in range(u.shape[1]):
+        out[:, i : i + width] += u[:, i, None] * v
+    return out
+
+
+def reference_kernel(n: int, ell: int) -> tuple[sparse.csr_matrix, float]:
+    """The row-major build: kernel matrix and pruned mass, bit for bit.
+
+    Per k_t1, the (k_t, outcome) pmf tables are convolved row by row,
+    each block pruned, and the kept entries assembled through COO; the
+    successor-major build with direct CSR assembly must give the same
+    data, indices, indptr and pruned mass in every bit.
+    """
+    counts = np.arange(n + 1)
+    p_lt, p_eq, _ = duel_table(ell, counts, counts, n)
+    gain = p_lt
+    keep = np.minimum(gain + p_eq, 1.0)
+    rows, cols, vals = [], [], []
+    pruned = 0.0
+    for b in range(1, n + 1):
+        block = _convolve_rows(
+            _binomial_pmf_rows(b - 1, keep[:, b]),
+            _binomial_pmf_rows(n - b, gain[:, b]),
+        )
+        mask = block >= PRUNE_THRESHOLD
+        pruned += float(block[~mask].sum())
+        a, succ = np.nonzero(mask)
+        vals.append(block[a, succ])
+        rows.append((a * n + b - 1).astype(np.int32))
+        cols.append((b * n + succ).astype(np.int32))
+    size = (n + 1) * n
+    matrix = sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(size, size),
+    )
+    return matrix, pruned
+
+
+def reference_absorption_times(matrix: sparse.csr_matrix, absorbing: int) -> np.ndarray:
+    """First-step solve with a boolean-mask Q and I - Q built twice.
+
+    Same BiCGSTAB call as markov.absorption_times, without its
+    structural checks, so the two must agree in every bit.
+    """
+    size = matrix.shape[0]
+    transient = np.arange(size) != absorbing
+    q = matrix[transient][:, transient].tocsr()
+    ident = sparse.identity(q.shape[0], format="csr")
+    rhs = np.ones(q.shape[0])
+    h_transient, info = bicgstab(ident - q, rhs, rtol=1e-12, atol=0.0)
+    residual = np.linalg.norm((ident - q) @ h_transient - rhs) / np.linalg.norm(rhs)
+    assert info == 0 and residual <= 1e-10
+    h = np.zeros(size)
+    h[transient] = h_transient
+    return h
 
 
 def next_count_distribution(kernel: Kernel, k_t: int, k_t1: int) -> np.ndarray:

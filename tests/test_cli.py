@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,7 @@ from fetsim.cli import main
 from fetsim.config import parse_config_file, parse_value
 from fetsim.domains import DomainLabel, label_paths
 from fetsim.errors import UsageError
+from fetsim.markov import absorption_times, build_kernel
 
 
 def run_cli(capsys, *argv):
@@ -380,6 +382,29 @@ class TestChainCommand:
         assert payload["expected_rounds_from_state"] > 0
         assert payload["expected_rounds_from_corner"] == payload["expected_rounds_from_state"]
 
+    def test_stage_timings_on_stderr_only(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "chain", "--n", "16", "--ell", "4", "--from", "1,1")
+        assert code == 0
+        kernel = build_kernel(16, 4)
+        times = absorption_times(kernel)
+        corner = float(times[kernel.state_index(1, 1)])
+        assert out == json.dumps({
+            "n": 16, "ell": 4, "pruned_mass": kernel.pruned_mass,
+            "max_expected_rounds": float(times.max()), "expected_rounds_from_corner": corner,
+            "from_state": [1, 1], "expected_rounds_from_state": corner,
+        }, indent=2) + "\n"
+        build, solve = err.splitlines()
+        assert re.fullmatch(r"build_kernel: \d+\.\d{3}s, nnz \d+, pruned mass \S+", build)
+        assert build.endswith(f"nnz {kernel.matrix.nnz}, pruned mass {kernel.pruned_mass:.3e}")
+        assert re.fullmatch(r"absorption_times: \d+\.\d{3}s", solve)
+        out_file = tmp_path / "chain.json"
+        code, out_file_run, err = run_cli(
+            capsys, "chain", "--n", "16", "--ell", "4", "--from", "1,1", "--out", str(out_file)
+        )
+        assert code == 0 and out_file_run == ""
+        assert out_file.read_text() == out
+        assert err.splitlines()[2] == f"chain report written to {out_file}"
+
     def test_population_below_two_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "chain", "--n", "1", "--ell", "1")
         assert code == 2
@@ -511,9 +536,13 @@ class TestVerifyCommand:
             ("cyan", "cyan_epsilon = -1", "epsilon must be positive"),
             ("all", "trials = 4000\nconvergence_trials = 0", "trials must be >= 1"),
             ("all", "convergence_n_list = 64,1", "n_list must be >= 2"),
+            ("all", "convergence_presets = mauve,", "unknown preset 'mauve'; known: ("),
+            ("convergence", "convergence_presets = yellow_center, fraction:2",
+             "fraction preset needs x0 in [0,1], got '2'"),
         ],
         ids=["purple_ell_str", "purple_ell_zero", "cyan_epsilon_str", "cyan_epsilon_negative",
-             "all_last_lemma_trials_zero", "all_last_lemma_n_list"],
+             "all_last_lemma_trials_zero", "all_last_lemma_n_list", "all_unknown_preset",
+             "convergence_fraction_out_of_range"],
     )
     def test_bad_parameter_rejected_before_any_trial(
         self, capsys, tmp_path, monkeypatch, lemma, line, needle

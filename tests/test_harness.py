@@ -428,14 +428,21 @@ class TestRunLemma:
 
         def counting(config, preset, trials):
             calls.append(preset)
+            if preset == "all_wrong_max_counters":  # convergence's own first cell
+                raise UsageError("raised mid-suite")
             return run_trials(config, preset, trials)
 
         monkeypatch.setattr(harness, "run_trials", counting)
-        settings = {**self.SHARED, "convergence_presets": ("yellow_center", "mauve")}
-        with pytest.raises(UsageError, match="unknown preset"):
-            harness.run_all(settings)
-        assert calls[-1] == "mauve" and "yellow_center" in calls
+        with pytest.raises(UsageError, match="mid-suite"):
+            harness.run_all(self.SHARED)
+        assert calls[-1] == "all_wrong_max_counters" and "yellow_center" in calls
         assert harness._cells is None
+        # An unknown preset is rejected before the first trial.
+        calls.clear()
+        settings = {**self.SHARED, "convergence_presets": ("yellow_center", "mauve")}
+        with pytest.raises(UsageError, match="unknown preset 'mauve'"):
+            harness.run_all(settings)
+        assert calls == [] and harness._cells is None
 
     def test_memo_key_holds_every_config_field(self):
         # Yellow's cells differ from convergence's in max_rounds only; a

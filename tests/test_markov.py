@@ -5,7 +5,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import next_count_distribution, oracle_kernel, plant_pair_population
+from conftest import (
+    next_count_distribution,
+    oracle_kernel,
+    plant_pair_population,
+    reference_absorption_times,
+    reference_kernel,
+)
 from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
@@ -74,11 +80,28 @@ class TestBuildKernel:
         assert abs(k.matrix - matrix).max() <= 1e-14
         assert k.pruned_mass == pytest.approx(pruned, abs=1e-14)
 
+    @pytest.mark.parametrize(
+        "n, ell", [(2, 1), (2, 2), (3, 3), (16, 4), (17, 9), (64, 13), (96, 14), (64, 64)]
+    )
+    def test_bit_identical_to_row_major_reference(self, n, ell):
+        # Odd and even n, equal-width operands (n odd, k_t1 = (n+1)/2)
+        # and ell = n; the successor-major sums add the same products in
+        # the same order, and the direct CSR keeps each row's order.
+        matrix, pruned = reference_kernel(n, ell)
+        k = build_kernel(n, ell)
+        assert k.absorbing_index == k.num_states - 1
+        assert np.array_equal(k.matrix.data, matrix.data)
+        assert np.array_equal(k.matrix.indices, matrix.indices)
+        assert np.array_equal(k.matrix.indptr, matrix.indptr)
+        assert k.pruned_mass == pruned
+        h = absorption_times(k)
+        assert h.tobytes() == reference_absorption_times(matrix, k.absorbing_index).tobytes()
+
     def test_peak_memory_bounded_by_kept_entries(self):
-        # Each k_t1 block is pruned as it is built: 26.5 MB measured at
-        # (128, 15) with 579,301 kept entries; holding the dense
-        # (n+1) x n x n block (16.9 MB) on top, as a whole-kernel prune
-        # does, measured 49.9 MB.
+        # Each k_t1 block is pruned as it is built: 19.9 MB measured at
+        # (128, 15) with 579,301 kept entries (26.3 MB with a COO copy
+        # of them); holding the dense (n+1) x n x n block (16.9 MB) on
+        # top, as a whole-kernel prune does, measured 49.9 MB.
         tracemalloc.start()
         try:
             k = build_kernel(128, 15)
