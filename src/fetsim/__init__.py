@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 from .domains import DomainLabel, YellowLabel, audit_partition, classify
 from .duel import (
     DuelProbs,
-    advantage,
     exact_duel,
     hoeffding_duel_bound,
     underdog_lower_bound,
@@ -42,7 +41,6 @@ __all__ = [
     "StructuralError",
     "UsageError",
     "YellowLabel",
-    "advantage",
     "audit_partition",
     "classify",
     "exact_duel",

@@ -37,7 +37,6 @@ from .errors import DomainError, StructuralError
 __all__ = [
     "BERRY_ESSEEN_C",
     "DuelProbs",
-    "advantage",
     "duel_table",
     "exact_duel",
     "hoeffding_duel_bound",
@@ -253,24 +252,3 @@ def underdog_lower_bound(k: int, p: float, q: float) -> float:
         - BERRY_ESSEEN_C / (sigma * math.sqrt(k))
     )
     return max(0.0, value)
-
-
-def advantage(d: int, p: float, q: float) -> float:
-    """Relative edge of the better coin given a lead of d heads.
-
-        ((q(1-p))^d - (p(1-q))^d) / ((q(1-p))^d + (p(1-q))^d)
-
-    Computed through the ratio r = p(1-q) / (q(1-p)) <= 1 as
-    (1 - r^d) / (1 + r^d), which cannot overflow and degrades
-    gracefully to 1.0 when r^d underflows.  Nondecreasing in d.
-    """
-    d = _check_count("d", d, minimum=1)
-    p = _check_prob("p", p)
-    q = _check_prob("q", q)
-    if not (0.0 < p <= q < 1.0):
-        raise DomainError(
-            f"advantage requires 0 < p <= q < 1 (denominator would vanish), got p={p}, q={q}"
-        )
-    r = (p * (1.0 - q)) / (q * (1.0 - p))
-    rd = r**d
-    return (1.0 - rd) / (1.0 + rd)

@@ -10,9 +10,10 @@ with flip probabilities evaluated at (k_t/n, k_t1/n), all taken from one
 kernel by exact successor-major convolution of binomial pmfs over all
 k_t at once, pruned per k_t1 block and assembled straight into CSR;
 solves the first-step equations for the expected hitting times of the
-absorbing state (n, n) by BiCGSTAB, gated on the recomputed residual;
-and cross-validates against the solver both backends of the protocol's
-own trial driver, ``run_trials``: agent-level and aggregate.
+absorbing state (n, n) by a port of scipy's BiCGSTAB (of scipy, only
+``scipy.sparse`` is imported: the chain needs no ``scipy.linalg``),
+gated on the recomputed residual; and cross-validates against the
+solver both backends of the protocol's own trial driver, ``run_trials``.
 
 The pair-state chain assumes the stored counters are i.i.d.
 Bin(ell, k_t/n), which holds after any round but not for an adversarial
@@ -28,8 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import breadth_first_order
-from scipy.sparse.linalg import bicgstab
 
 from .duel import _binomial_pmf_rows, duel_table
 from .errors import StructuralError, UsageError
@@ -150,8 +149,22 @@ def _validate_rows(kernel: Kernel, tol: float = 1e-10) -> None:
         )
 
 
+def _reaching(matrix: sparse.csr_matrix, target: int) -> np.ndarray:
+    """Mask of the states with a path of stored entries to target.
+
+    A fixed-point sweep: each pass adds every state with a stored successor
+    already seen.  Values are ignored, so cancelling entries hide no edge.
+    """
+    edges = np.ones(matrix.nnz, dtype=bool)
+    pattern = sparse.csr_matrix((edges, matrix.indices, matrix.indptr), shape=matrix.shape)
+    seen, grown = None, np.arange(matrix.shape[0]) == target
+    while not np.array_equal(seen, grown):
+        seen, grown = grown, grown | (pattern @ grown)
+    return seen
+
+
 def _check_absorbing(kernel: Kernel) -> None:
-    """Verify (n, n) is absorbing, unique, and reachable from every state."""
+    """Verify (n, n) is absorbing, unique, and reachable from all (sweep: O(diameter * nnz))."""
     absorbing = kernel.absorbing_index
     diag = kernel.matrix.diagonal()
     if abs(diag[absorbing] - 1.0) > 1e-12:
@@ -161,13 +174,7 @@ def _check_absorbing(kernel: Kernel) -> None:
     if others.size:
         states = [kernel.state_of_index(int(i)) for i in others[:10]]
         raise StructuralError(f"unexpandable self-loop states besides (n,n): {states}")
-    # Reverse reachability sweep: every state must reach the absorber.
-    reached = breadth_first_order(
-        kernel.matrix.T, absorbing, directed=True, return_predecessors=False
-    )
-    seen = np.zeros(kernel.num_states, dtype=bool)
-    seen[reached] = True
-    missing = np.flatnonzero(~seen)
+    missing = np.flatnonzero(~_reaching(kernel.matrix, absorbing))
     if missing.size:
         states = [kernel.state_of_index(int(i)) for i in missing[:10]]
         raise StructuralError(
@@ -175,18 +182,65 @@ def _check_absorbing(kernel: Kernel) -> None:
         )
 
 
+def _bicgstab(a: sparse.csr_matrix, b: np.ndarray) -> tuple[np.ndarray, int]:
+    """BiCGSTAB for a x = b: rtol 1e-12, atol 0, x0 = 0, no preconditioner.
+
+    A port of scipy 1.17.1's pure-Python ``bicgstab``, with r in place of its copy s:
+    the same numpy operations in order, so x and info (0, 10 * N, -10 or -11) match
+    scipy's bit for bit.
+    """
+    bnrm2 = np.linalg.norm(b)
+    atol = max(0.0, 1e-12 * float(bnrm2))
+    if bnrm2 == 0:
+        return b, 0
+    x = np.zeros(len(b))
+    rhotol = omegatol = np.finfo(np.float64).eps ** 2  # scipy's (Fortran-derived) choice
+    r, rtilde = b.copy(), b.copy()
+    for iteration in range(10 * len(b)):
+        if np.linalg.norm(r) < atol:
+            return x, 0
+        rho = np.dot(rtilde, r)
+        if np.abs(rho) < rhotol:
+            return x, -10
+        if iteration > 0:
+            if np.abs(omega) < omegatol:
+                return x, -11
+            beta = (rho / rho_prev) * (alpha / omega)
+            p -= omega * v
+            p *= beta
+            p += r
+        else:
+            p = r.copy()
+        v = a @ p
+        rv = np.dot(rtilde, v)
+        if rv == 0:
+            return x, -11
+        alpha = rho / rv
+        r -= alpha * v
+        if np.linalg.norm(r) < atol:
+            x += alpha * p
+            return x, 0
+        t = a @ r
+        omega = np.dot(t, r) / np.dot(t, t)
+        x += alpha * p
+        x += omega * r
+        r -= omega * t
+        rho_prev = rho
+    return x, 10 * len(b)
+
+
 def absorption_times(kernel: Kernel) -> np.ndarray:
     """Expected rounds to reach (n, n) from every pair state.
 
     Validates row normalization and absorbency, then solves the
     first-step linear system (I - Q) h = 1 over transient states with
-    unpreconditioned BiCGSTAB (relative tolerance 1e-12).  The true
-    relative residual is recomputed from the returned h and must be at
-    most 1e-10: on ill-conditioned chains (hitting times of 1e8 and
+    ``_bicgstab`` (relative tolerance 1e-12), a port of scipy 1.17.1's
+    BiCGSTAB that repeats its operations in order, so h is bit-identical
+    to scipy's.  The true relative residual is recomputed from h and must
+    be at most 1e-10: on ill-conditioned chains (hitting times of 1e8 and
     more, e.g. ell = 1) the solver can report convergence with a true
     residual far above that (7e-5 at n = 64, ell = 1), so its own flag
-    is not trusted alone.
-    Index the result with kernel.state_index.
+    is not trusted alone.  Index the result with kernel.state_index.
     """
     _validate_rows(kernel)
     _check_absorbing(kernel)
@@ -194,7 +248,7 @@ def absorption_times(kernel: Kernel) -> np.ndarray:
     q = kernel.matrix[:-1, :-1]
     system = sparse.identity(q.shape[0], format="csr") - q
     rhs = np.ones(q.shape[0])
-    h_transient, info = bicgstab(system, rhs, rtol=1e-12, atol=0.0)
+    h_transient, info = _bicgstab(system, rhs)
     residual = np.linalg.norm(system @ h_transient - rhs) / np.linalg.norm(rhs)
     if info != 0 or not residual <= 1e-10:
         raise StructuralError(

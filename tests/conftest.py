@@ -8,8 +8,7 @@ separately through the scalar duel path, as a reference for the
 vectorized markov.build_kernel; the other (``reference_kernel`` with
 ``reference_absorption_times``) is the earlier row-major build and
 solve, which the library must match bit for bit.  The single-agent FET rule
-(``agent_round``), the population mirror, the duel difference
-distribution, the scalar log-space ``binomial_pmf`` and
+(``agent_round``), the population mirror, the scalar log-space ``binomial_pmf`` and
 ``binomial_pmf_vector``, the kernel row reader
 ``next_count_distribution``, the population fraction, the swapped duel,
 the label and point mirrors, the grid and Yellow' membership tests,
@@ -411,18 +410,6 @@ def mirrored_point(point: tuple[float, float]) -> tuple[float, float]:
 def mirror_population(pop: Population, ell: int) -> Population:
     """Flip every opinion and reflect every counter (c -> ell - c)."""
     return Population(1 - pop.opinions, ell - pop.prev_counts)
-
-
-def difference_distribution(k: int, p: float, q: float) -> np.ndarray:
-    """pmf of the signed difference B_k(q) - B_k(p).
-
-    Returns a length 2k+1 array where index d+k holds
-    P(B_k(q) - B_k(p) = d), d in [-k, k].
-    """
-    pmf_p = binomial_pmf_vector(k, p)
-    pmf_q = binomial_pmf_vector(k, q)
-    # index m = i_q + (k - i_p) runs over 0..2k, so d = m - k.
-    return np.convolve(pmf_q, pmf_p[::-1])
 
 
 @pytest.fixture(scope="session")

@@ -448,14 +448,15 @@ code, _ = quiet(["simulate", "--config", str(work / "sim.cfg"), "--trials", "2",
                  "--out", str(work / "sim")])
 print(json.dumps(["simulate", code, scipy_modules()]))
 code, out = quiet(["chain", "--n", "8", "--ell", "4"])
-print(json.dumps(["chain", code, json.loads(out)]))
+print(json.dumps(["chain", code, json.loads(out), scipy_modules()]))
 """
 
 
 class TestImportDiet:
     def test_scipy_loaded_only_for_the_chain(self, tmp_path):
         # scipy costs more start-up than most commands compute; only the
-        # exact chain (fetsim.markov) may load it, and only when run.
+        # exact chain (fetsim.markov) may load it, and only when run, and
+        # then only its sparse matrices: no scipy.linalg and LAPACK.
         src = str(Path(fetsim.__file__).resolve().parent.parent)
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         env = dict(os.environ, PYTHONPATH=path)
@@ -469,9 +470,12 @@ class TestImportDiet:
         ]
         for name, _, loaded in stages[:3]:
             assert loaded == [], f"scipy loaded by {name}: {loaded[:5]}"
-        chain = stages[3][2]
+        chain, loaded = stages[3][2:]
         assert (chain["n"], chain["ell"]) == (8, 4)
         assert chain["max_expected_rounds"] >= chain["expected_rounds_from_corner"] > 0
+        assert "scipy.sparse" in loaded
+        for heavy in ("scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph"):
+            assert heavy not in loaded, f"chain loaded {heavy}"
 
 
 class TestVerifyCommand:

@@ -1,4 +1,4 @@
-"""Binomial duel core: exact triples, bounds, and the advantage identity."""
+"""Binomial duel core: exact triples and bounds."""
 
 import math
 
@@ -11,7 +11,6 @@ from scipy.special import gammaln
 from conftest import (
     binomial_pmf,
     binomial_pmf_vector,
-    difference_distribution,
     oracle_duel,
     oracle_pmf,
     swapped,
@@ -20,7 +19,6 @@ from fetsim.duel import (
     BERRY_ESSEEN_C,
     DuelProbs,
     _binomial_pmf_rows,
-    advantage,
     duel_table,
     exact_duel,
     hoeffding_duel_bound,
@@ -258,51 +256,6 @@ class TestUnderdogBound:
         assert normal_cdf(0.0) == pytest.approx(0.5, abs=1e-12)
         assert normal_cdf(1.0) == pytest.approx(0.8413447460685429, abs=1e-10)
         assert normal_cdf(-1.959963984540054) == pytest.approx(0.025, abs=1e-9)
-
-
-class TestAdvantage:
-    def test_identical_coins(self):
-        assert advantage(1, 0.5, 0.5) == 0.0
-
-    def test_direct_arithmetic(self):
-        # d=2, p=0.4, q=0.6: (0.36^2 - 0.16^2) / (0.36^2 + 0.16^2)
-        expected = (0.36**2 - 0.16**2) / (0.36**2 + 0.16**2)
-        assert advantage(2, 0.4, 0.6) == pytest.approx(expected, abs=1e-12)
-        assert advantage(2, 0.4, 0.6) == pytest.approx(0.6701, abs=5e-5)
-
-    @pytest.mark.parametrize("k,p,q", [(8, 0.3, 0.5), (16, 0.45, 0.55), (5, 0.2, 0.9)])
-    def test_advantage_identity(self, k, p, q):
-        # sum_d P(|B_k(q) - B_k(p)| = d) * advantage(d) == p_lt - p_gt
-        diff = difference_distribution(k, p, q)
-        total = 0.0
-        for d in range(1, k + 1):
-            mass = diff[k + d] + diff[k - d]
-            total += mass * advantage(d, p, q)
-        duel = exact_duel(k, p, q)
-        assert total == pytest.approx(duel.p_lt - duel.p_gt, abs=1e-10)
-
-    @settings(max_examples=150, deadline=None)
-    @given(
-        d=st.integers(1, 40),
-        p=st.floats(0.01, 0.99),
-        gap=st.floats(0.0, 0.5),
-    )
-    def test_nondecreasing_in_d(self, d, p, gap):
-        q = min(0.99, p + gap)
-        if p > q:
-            p, q = q, p
-        assert advantage(d + 1, p, q) >= advantage(d, p, q) - 1e-12
-
-    def test_extreme_lead_saturates(self):
-        assert advantage(10_000, 0.3, 0.7) == pytest.approx(1.0, abs=1e-12)
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            advantage(0, 0.4, 0.6)
-        with pytest.raises(DomainError):
-            advantage(2, 0.0, 0.6)
-        with pytest.raises(DomainError):
-            advantage(2, 0.4, 1.0)
 
 
 class TestNearTieBounds:

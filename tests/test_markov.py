@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import (
     next_count_distribution,
     oracle_kernel,
@@ -13,18 +15,23 @@ from conftest import (
     reference_kernel,
 )
 from scipy import sparse
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.csgraph import breadth_first_order
+from scipy.sparse.linalg import bicgstab, spsolve
 
 from fetsim.dynamics import expected_next_fraction
 from fetsim.errors import StructuralError, UsageError
 from fetsim.markov import (
     Kernel,
+    _bicgstab,
+    _reaching,
     absorption_times,
     build_kernel,
     expected_consensus_time_all_wrong,
     simulate_exact_check,
 )
 from fetsim.protocol import derive_rng
+
+REFERENCE_CASES = [(2, 1), (2, 2), (3, 3), (16, 4), (17, 9), (64, 13), (96, 14), (64, 64)]
 
 
 class TestBuildKernel:
@@ -80,9 +87,7 @@ class TestBuildKernel:
         assert abs(k.matrix - matrix).max() <= 1e-14
         assert k.pruned_mass == pytest.approx(pruned, abs=1e-14)
 
-    @pytest.mark.parametrize(
-        "n, ell", [(2, 1), (2, 2), (3, 3), (16, 4), (17, 9), (64, 13), (96, 14), (64, 64)]
-    )
+    @pytest.mark.parametrize("n, ell", REFERENCE_CASES)
     def test_bit_identical_to_row_major_reference(self, n, ell):
         # Odd and even n, equal-width operands (n odd, k_t1 = (n+1)/2)
         # and ell = n; the successor-major sums add the same products in
@@ -190,6 +195,106 @@ class TestAbsorptionTimes:
         corrupted = Kernel(n=n, ell=2, matrix=bad.tocsr(), pruned_mass=0.0)
         with pytest.raises(StructuralError):
             absorption_times(corrupted)
+
+    def test_reachable_only_through_forced_chain(self):
+        # (2,3) -> (3,5) -> (5,7) -> (7,8) -> (8,8), each step forced: (2,3)
+        # reaches (n,n) only after four sweep passes, and in exactly 4 rounds.
+        n = 8
+        k = build_kernel(n, 2)
+        bad = k.matrix.tolil()
+        chain = [(2, 3), (3, 5), (5, 7), (7, 8), (8, 8)]
+        for state, succ in zip(chain, chain[1:]):
+            bad[k.state_index(*state), :] = 0.0
+            bad[k.state_index(*state), k.state_index(*succ)] = 1.0
+        forced = Kernel(n=n, ell=2, matrix=bad.tocsr(), pruned_mass=0.0)
+        h = absorption_times(forced)
+        for steps, state in enumerate(reversed(chain)):
+            assert h[k.state_index(*state)] == pytest.approx(steps, abs=1e-9)
+
+    def test_unreachable_set_matches_breadth_first_search(self):
+        # States (1,1) and (1,2) only lead to each other.
+        n = 8
+        k = build_kernel(n, 2)
+        bad = k.matrix.tolil()
+        trap = [k.state_index(1, 1), k.state_index(1, 2)]
+        for state, succ in zip(trap, trap[::-1]):
+            bad[state, :] = 0.0
+            bad[state, succ] = 1.0
+        corrupted = Kernel(n=n, ell=2, matrix=bad.tocsr(), pruned_mass=0.0)
+        assert not _reached_by_bfs(corrupted.matrix, k.absorbing_index)[trap].any()
+        self._check_reaching(corrupted)
+        with pytest.raises(StructuralError, match="cannot reach"):
+            absorption_times(corrupted)
+
+    def test_cancelling_entries_hide_no_edge(self):
+        # s -> {x: 0.5, y: -0.5, t: 1}, t -> s, x and y forced onto (n,n):
+        # x and y are seen in the same pass, where their values sum to 0.
+        n = 8
+        k = build_kernel(n, 2)
+        bad = k.matrix.tolil()
+        s, t, x, y = (k.state_index(*p) for p in [(2, 3), (3, 1), (7, 8), (6, 8)])
+        for row, succs in [(s, {x: 0.5, y: -0.5, t: 1.0}), (t, {s: 1.0}),
+                           (x, {k.absorbing_index: 1.0}), (y, {k.absorbing_index: 1.0})]:
+            bad[row, :] = 0.0
+            for col, value in succs.items():
+                bad[row, col] = value
+        corrupted = Kernel(n=n, ell=2, matrix=bad.tocsr(), pruned_mass=0.0)
+        assert _reaching(corrupted.matrix, k.absorbing_index)[[s, t]].all()
+        self._check_reaching(corrupted)
+
+    @pytest.mark.parametrize("n, ell", [(16, 4), (64, 1), (96, 14)])
+    def test_reaching_matches_breadth_first_search(self, n, ell):
+        self._check_reaching(build_kernel(n, ell))
+
+    @staticmethod
+    def _check_reaching(kernel):
+        expected = _reached_by_bfs(kernel.matrix, kernel.absorbing_index)
+        assert np.array_equal(_reaching(kernel.matrix, kernel.absorbing_index), expected)
+
+
+def _reached_by_bfs(matrix, target):
+    """Mask of the states from which target is reached, by scipy's BFS."""
+    reached = breadth_first_order(matrix.T, target, directed=True, return_predecessors=False)
+    mask = np.zeros(matrix.shape[0], dtype=bool)
+    mask[reached] = True
+    return mask
+
+
+def _first_step_system(n, ell):
+    q = build_kernel(n, ell).matrix[:-1, :-1]
+    return sparse.identity(q.shape[0], format="csr") - q, np.ones(q.shape[0])
+
+
+def _assert_same_solve(a, b):
+    x, info = _bicgstab(a, b)
+    x_ref, info_ref = bicgstab(a, b, rtol=1e-12, atol=0.0)
+    assert info == info_ref
+    assert x.tobytes() == x_ref.tobytes()
+    return info
+
+
+class TestBicgstabPort:
+    @pytest.mark.parametrize("n, ell", REFERENCE_CASES + [(64, 1)])
+    def test_matches_scipy_on_first_step_systems(self, n, ell):
+        assert _assert_same_solve(*_first_step_system(n, ell)) == 0
+
+    def test_zero_matrix_breaks_down_like_scipy(self):
+        a = sparse.csr_matrix((3, 3))
+        assert _assert_same_solve(a, np.array([1.0, -2.0, 0.5])) == -11
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        size=st.integers(1, 6),
+        entries=st.lists(
+            st.one_of(st.just(0.0), st.floats(-4.0, 4.0)), min_size=36, max_size=36
+        ),
+        rhs=st.lists(st.floats(-4.0, 4.0), min_size=6, max_size=6),
+    )
+    def test_matches_scipy_on_small_nonsymmetric_systems(self, size, entries, rhs):
+        a = sparse.csr_matrix(np.reshape(entries, (6, 6))[:size, :size])
+        # Singular draws can divide 0 by 0; both solvers must do so alike.
+        with np.errstate(all="ignore"):
+            _assert_same_solve(a, np.array(rhs[:size]))
 
 
 class TestExpectedConsensusTime:
