@@ -15,10 +15,11 @@ which are themselves evaluated in log space for numerical stability.
 Their log-factorials come from a port of Cephes ``lgam`` (the routine
 behind ``scipy.special.gammaln``) at integer arguments, equal to it in
 every bit, so importing this module loads numpy and nothing heavier.
-``duel_table`` gives the triples for every pair of two count vectors at
-once, from one pmf table per vector and three matrix products; grids
-(the pair-state kernel, the Cyan expectation check) use it instead of
-one scalar duel per point.  Closed-form lower bounds on the favorite's
+``duels`` is the one evaluator: it takes broadcast arrays of
+probabilities and gives each pair p_lt and p_eq from its own dot
+products, so a pair has the same bits alone, in a batch or in a grid.
+The scalar triple, the pair-state kernel, the aggregate backend and
+the expectation map all call it.  Closed-form lower bounds on the favorite's
 and the underdog's win probability are provided alongside, expressed
 through the Hoeffding tail and a Berry-Esseen normal correction
 respectively.
@@ -37,7 +38,7 @@ from .errors import DomainError, StructuralError
 __all__ = [
     "BERRY_ESSEEN_C",
     "DuelProbs",
-    "duel_table",
+    "duels",
     "exact_duel",
     "hoeffding_duel_bound",
     "normal_cdf",
@@ -149,58 +150,48 @@ def _binomial_pmf_rows(k: int, p: np.ndarray) -> np.ndarray:
     return out
 
 
+def duels(ell: int, p, q) -> tuple[np.ndarray, np.ndarray]:
+    """P(B_ell(p) < B_ell(q)) and P(B_ell(p) = B_ell(q)) over broadcast p, q.
+
+    One pmf row per distinct probability of either input, then one dot
+    product per broadcast pair, np.vecdot's, with the pmf row of p and
+    the row of q or its upper tail, clipped to [0, 1].  Each pair's
+    bits are those of its own 1-D dot products, whatever else is in the
+    batch; a grid passes (N, 1) and (1, M) inputs, so only N + M rows
+    are gathered.  Rows whose sums stray from 1 by more than 1e-9 are a
+    StructuralError.
+    """
+    ell = _check_count("ell", ell, minimum=1)
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    values, index = np.unique(np.concatenate([p.ravel(), q.ravel()]), return_inverse=True)
+    # np.unique sorts NaN last, so the two ends catch it and every stray value.
+    if values.size and not (values[0] >= 0.0 and values[-1] <= 1.0):
+        bad = float(values[0] if values[0] < 0.0 else values[-1])
+        raise DomainError(f"probabilities must lie in [0, 1], got {bad!r}")
+    pmf = _binomial_pmf_rows(ell, values)
+    cdf = np.cumsum(pmf, axis=1)
+    total = cdf[:, -1]
+    if np.abs(total - 1.0).max(initial=0.0) > 1e-9:
+        low, high = float(total.min()), float(total.max())
+        raise StructuralError(f"pmf rows sum to {low!r}..{high!r}, not 1")
+    i_p, i_q = index[: p.size].reshape(p.shape), index[p.size :].reshape(q.shape)
+    above = 1.0 - cdf  # P(B > i)
+    rows = pmf[i_p]
+    p_lt = np.clip(np.vecdot(rows, above[i_q]), 0.0, 1.0)
+    p_eq = np.clip(np.vecdot(rows, pmf[i_q]), 0.0, 1.0)
+    return p_lt, p_eq
+
+
 def exact_duel(k: int, p: float, q: float) -> DuelProbs:
     """Exact duel triple for B_k(p) versus B_k(q).
 
-    Sums pmf products over the outcome grid, folded to O(k) with
-    cumulative sums of the second pmf.  All three components are
-    computed independently; their sum being 1 is a checked invariant,
-    not an enforced one.
+    One duels call on the pairs (p, q) and (q, p): p_gt is the p_lt of
+    the swapped pair.  All three components are computed independently;
+    their sum being 1 is a checked invariant, not an enforced one.
     """
-    k = _check_count("k", k, minimum=1)
-    pmf_p, pmf_q = _binomial_pmf_rows(k, np.array([_check_prob("p", p), _check_prob("q", q)]))
-    cdf_q = np.cumsum(pmf_q)
-    # P(B(q) <= i - 1), i.e. the strictly-below mass seen from outcome i.
-    cdf_q_below = np.concatenate(([0.0], cdf_q[:-1]))
-    p_eq = float(pmf_p @ pmf_q)
-    p_lt = float(pmf_p @ (1.0 - cdf_q))
-    p_gt = float(pmf_p @ cdf_q_below)
-
-    def _clamp(v: float) -> float:
-        return min(max(v, 0.0), 1.0)
-
-    return DuelProbs(p_lt=_clamp(p_lt), p_eq=_clamp(p_eq), p_gt=_clamp(p_gt))
-
-
-def duel_table(ell: int, a, b, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Duel triples of B_ell(a/n) against B_ell(b/n) for all count pairs.
-
-    a and b are vectors of counts in [0, n].  Returns the
-    (len(a), len(b)) arrays p_lt, p_eq, p_gt, entry [i, j] being the
-    exact_duel triple at (a[i]/n, b[j]/n): one Bin(ell, k/n) pmf table
-    per vector (one in all when b is a), then three matrix products with
-    the table of b and its CDF, clamped to [0, 1] as exact_duel clamps.
-    BLAS may sum in another order than exact_duel's dot products, so
-    entries can differ from it in the last bits.
-    """
-    ell = _check_count("ell", ell, minimum=1)
-    n = _check_count("n", n, minimum=1)
-    a, b = np.asarray(a), np.asarray(b)
-    if np.any((a < 0) | (a > n)) or np.any((b < 0) | (b > n)):
-        raise DomainError(f"counts must lie in [0, n] = [0, {n}]")
-    pmf_a = _binomial_pmf_rows(ell, a / n)
-    # A copy, not pmf_a itself: BLAS computes pmf_a @ pmf_a.T by its
-    # symmetric product, which rounds differently in the last bits.
-    pmf_b = pmf_a.copy() if b is a else _binomial_pmf_rows(ell, b / n)
-    cdf_b = np.cumsum(pmf_b, axis=1)
-    cdf_b_below = np.hstack([np.zeros((len(b), 1)), cdf_b[:, :-1]])
-    p_lt = np.clip(pmf_a @ (1.0 - cdf_b).T, 0.0, 1.0)
-    p_eq = np.clip(pmf_a @ pmf_b.T, 0.0, 1.0)
-    p_gt = np.clip(pmf_a @ cdf_b_below.T, 0.0, 1.0)
-    total = p_lt + p_eq + p_gt
-    if np.abs(total - 1.0).max(initial=0.0) > 1e-9:
-        raise StructuralError(f"duel triples sum to {total.min()!r}..{total.max()!r}, not 1")
-    return p_lt, p_eq, p_gt
+    k, p, q = _check_count("k", k, minimum=1), _check_prob("p", p), _check_prob("q", q)
+    p_lt, p_eq = duels(k, [p, q], [q, p])
+    return DuelProbs(p_lt=float(p_lt[0]), p_eq=float(p_eq[0]), p_gt=float(p_lt[1]))
 
 
 def hoeffding_duel_bound(k: int, p: float, q: float) -> float:

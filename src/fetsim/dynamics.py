@@ -13,10 +13,9 @@ The population-level expectation of the next fraction is
     g(x, y) = P(B_ell(y) > B_ell(x)) + y P(B_ell(y) = B_ell(x))
               + (1/n)(1 - P(B_ell(y) >= B_ell(x)))
 
-where the 1/n term accounts for the source agent being pinned; it is
-written once and evaluated on scalars (``expected_next_fraction``) and
-on whole count grids from one batched duel
-(``expected_next_fraction_table``).  The
+where the 1/n term accounts for the source agent being pinned.
+``expected_next_fraction`` evaluates it on scalars or on broadcast
+arrays (a whole count grid) from one ``duels`` call.  The
 fixed point f(x) of y = g(x, y) on [x, x + 1/sqrt(ell)] drives the
 multiplicative escape of the central region; it is found by bisection,
 justified by the numerically verified monotonicity of g(x, y) - y.
@@ -29,14 +28,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duel import duel_table, exact_duel
+from .duel import duels
 from .errors import DomainError
 
 __all__ = [
     "AnalysisConstants",
     "FlipProbs",
     "expected_next_fraction",
-    "expected_next_fraction_table",
     "fixed_point_f",
     "flip_probs",
     "speed",
@@ -143,39 +141,21 @@ def flip_probs(x_t: float, x_t1: float, ell: int) -> FlipProbs:
     'gain' probability is P(B_ell(x_{t+1}) > B_ell(x_t)) and keeping an
     existing 1 additionally wins ties.
     """
-    duel = exact_duel(int(ell), float(x_t), float(x_t1))
-    gain = duel.p_lt  # P(B(x_t) < B(x_t1)) == P(B(x_t1) > B(x_t))
-    return FlipProbs(p_keep_one=min(gain + duel.p_eq, 1.0), p_gain_one=gain)
+    gain, p_eq = duels(int(ell), float(x_t), float(x_t1))  # P(B(x_t) < B(x_t1)), ties
+    return FlipProbs(p_keep_one=min(float(gain + p_eq), 1.0), p_gain_one=float(gain))
 
 
-def _expectation(p_gt, p_eq, y, n: int):
-    """g from the duel of B(y) against B(x): p_gt = P(B(y) > B(x)), p_eq ties.
+def expected_next_fraction(x_t, x_t1, n: int, ell: int):
+    """The expectation map g(x_t, x_{t+1}) of the next opinion-1 fraction.
 
-    Plain arithmetic, so floats give a float and arrays an array.
-    """
-    return p_gt + y * p_eq + (1.0 - (p_gt + p_eq)) / n
-
-
-def expected_next_fraction(x_t: float, x_t1: float, n: int, ell: int) -> float:
-    """The expectation map g(x_t, x_{t+1}) of the next opinion-1 fraction."""
-    if n < 2:
-        raise DomainError(f"population size must be >= 2, got {n!r}")
-    duel = exact_duel(int(ell), float(x_t), float(x_t1))
-    # duel.p_lt = P(B(x_t) < B(x_t1)) = P(B(x_t1) > B(x_t))
-    return _expectation(duel.p_lt, duel.p_eq, float(x_t1), n)
-
-
-def expected_next_fraction_table(k_t, k_t1, n: int, ell: int) -> np.ndarray:
-    """g(k_t[i]/n, k_t1[j]/n) at [i, j] for two vectors of counts.
-
-    One duel_table over the two vectors instead of a scalar duel per
-    point; entries can differ from expected_next_fraction in the last
-    bits because BLAS sums in another order.
+    x_t and x_t1 broadcast against each other: scalars give one value,
+    (N, 1) and (1, M) fractions the (N, M) grid.
     """
     if n < 2:
         raise DomainError(f"population size must be >= 2, got {n!r}")
-    p_lt, p_eq, _ = duel_table(ell, k_t, k_t1, n)
-    return _expectation(p_lt, p_eq, np.asarray(k_t1) / n, n)
+    # p_gt = P(B(x_t1) > B(x_t)) = P(B(x_t) < B(x_t1)), p_eq ties.
+    p_gt, p_eq = duels(int(ell), x_t, x_t1)
+    return p_gt + np.asarray(x_t1, dtype=float) * p_eq + (1.0 - (p_gt + p_eq)) / n
 
 
 def speed(x_t: float, x_t1: float) -> float:

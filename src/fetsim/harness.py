@@ -26,7 +26,7 @@ properties: quantiles of the measured times are fitted against
 just reports it.
 
 The analytic part of the Cyan check evaluates the expectation map on
-its whole grid at once, from one batched duel table.
+its whole grid at once, from one broadcast duels call.
 
 All randomness flows through keyed Philox streams, so a report is a
 deterministic function of (parameters, seed).
@@ -50,7 +50,7 @@ import numpy.ma  # noqa: F401  (np.percentile imports it on first call; do so at
 
 from .config import check_delta, check_number
 from .domains import DomainLabel, YellowLabel, classify, classify_array, label_paths
-from .dynamics import AnalysisConstants, expected_next_fraction_table
+from .dynamics import AnalysisConstants, expected_next_fraction
 from .errors import PlantingError, UsageError
 from .protocol import SimConfig, _preset_fraction, derive_rng, run_trials, step_aggregate
 
@@ -404,11 +404,11 @@ def cyan_expectation_check(
     k_t = np.arange(math.ceil(n / log_n))  # x_t < 1/ln n
     k_y = np.arange(1, math.floor(n / ell) + 1)  # 0 < x_{t+1} <= 1/ell
     # The whole (k_t, k_y) box is labelled in one classify_array call and
-    # its g computed from one duel table; Cyan1's |x_{t+1} - x_t| < delta
+    # its g computed in one broadcast call; Cyan1's |x_{t+1} - x_t| < delta
     # keeps only the diagonal band.
     cyan1 = list(DomainLabel).index(DomainLabel.CYAN1)
     cyan = classify_array(k_t[:, None] / n, k_y / n, constants) == cyan1
-    g = expected_next_fraction_table(k_t, k_y, n, ell)
+    g = expected_next_fraction(k_t[:, None] / n, k_y / n, n, ell)
     margins = (g - (constants.K * (k_y / n) * log_n - 1.0 / n))[cyan]
     violations = int((margins < 0).sum())
     worst_margin = float(margins.min(initial=math.inf))

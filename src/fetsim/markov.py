@@ -6,7 +6,7 @@ rounds (source opinion fixed to 1), the next count is distributed as
     k_{t+2} ~ 1 + Bin(k_t1 - 1, p_keep_one) + Bin(n - k_t1, p_gain_one)
 
 with flip probabilities evaluated at (k_t/n, k_t1/n), all taken from one
-``duel.duel_table`` over the counts 0..n.  This module builds that
+``duel.duels`` call over the grid of counts 0..n.  This module builds that
 kernel by exact successor-major convolution of binomial pmfs over all
 k_t at once, pruned per k_t1 block and assembled straight into CSR;
 solves the first-step equations for the expected hitting times of the
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .duel import _binomial_pmf_rows, duel_table
+from .duel import _binomial_pmf_rows, duels
 from .errors import StructuralError, UsageError
 from .protocol import SimConfig, run_trials
 
@@ -87,7 +87,7 @@ class Kernel:
 def build_kernel(n: int, ell: int) -> Kernel:
     """Exact kernel over all pairs (k_t, k_t1) with k_t1 >= 1.
 
-    Duel triples come from one duel_table over the counts 0..n.  Per
+    Flip probabilities come from one duels call over the counts 0..n.  Per
     k_t1, both pmf tables are transposed to (outcome, k_t) and convolved
     successor-major, a direct sum in contiguous slabs (FFT noise would
     move entries across PRUNE_THRESHOLD).  Pruning each block as built
@@ -100,10 +100,9 @@ def build_kernel(n: int, ell: int) -> Kernel:
         raise UsageError(f"population size must be >= 2, got {n}")
     if not 1 <= ell <= n:
         raise UsageError(f"need 1 <= ell <= n, got ell={ell}, n={n}")
-    # Duel of B(a/n) against B(b/n) at [a, b].
+    # Duel of B(a/n) against B(b/n) at [a, b]: gain = P(B(k_t1/n) > B(k_t/n)).
     counts = np.arange(n + 1)
-    p_lt, p_eq, _ = duel_table(ell, counts, counts, n)
-    gain = p_lt  # P(B(k_t1/n) > B(k_t/n))
+    gain, p_eq = duels(ell, counts[:, None] / n, counts / n)
     keep = np.minimum(gain + p_eq, 1.0)
     cols, vals = [], []
     kept = np.empty((n, n + 1), dtype=np.int32)  # [b - 1, a]: kept entries of row (a, b)
@@ -150,12 +149,13 @@ def _validate_rows(kernel: Kernel, tol: float = 1e-10) -> None:
 
 
 def _reaching(matrix: sparse.csr_matrix, target: int) -> np.ndarray:
-    """Mask of the states with a path of stored entries to target.
+    """Mask of the states with a path of nonzero entries to target.
 
-    A fixed-point sweep: each pass adds every state with a stored successor
-    already seen.  Values are ignored, so cancelling entries hide no edge.
+    A fixed-point sweep: each pass adds every state with a nonzero stored
+    successor already seen.  An edge is any entry != 0, never a sum of
+    them, so cancelling entries hide no edge and a stored 0.0 makes none.
     """
-    edges = np.ones(matrix.nnz, dtype=bool)
+    edges = matrix.data != 0
     pattern = sparse.csr_matrix((edges, matrix.indices, matrix.indptr), shape=matrix.shape)
     seen, grown = None, np.arange(matrix.shape[0]) == target
     while not np.array_equal(seen, grown):

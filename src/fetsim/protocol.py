@@ -27,8 +27,9 @@ as n agents, and the agent backend expands the counts into agents
 aggregate backend draws the first round from the histogram.  Afterwards
 every stored counter is an independent Bin(ell, x_t) draw, so each
 later round is two binomial draws over the pair of opinion-1 counts
-(k_t, k_{t+1}), with flip probabilities summed pair by pair from pmf
-rows; the test suite checks both laws against the agent level.
+(k_t, k_{t+1}), with flip probabilities from one ``duels`` call over
+the distinct pairs; the test suite checks both laws against the agent
+level.
 
 A trial is the path of opinion-1 counts, one integer per round.
 ``run_trials`` is the one trial driver.  The agent backend steps one
@@ -57,7 +58,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .config import check_delta, check_number
-from .duel import _binomial_pmf_rows
+from .duel import _binomial_pmf_rows, duels
 from .dynamics import AnalysisConstants
 from .errors import DomainError, UsageError
 
@@ -274,20 +275,19 @@ def _flip_probs(k_t, k_t1, config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
 
     With B(k) ~ Bin(ell, k/n), gain = P(B(k_t1) > B(k_t)) and
     keep = min(gain + P(B(k_t1) = B(k_t)), 1), taken on n - k for source
-    opinion 0.  One pmf row per distinct count and one row sum per
-    distinct pair, clipped to [0, 1]: no pair's values depend on others.
+    opinion 0.  One duels call over the distinct pairs, which gives each
+    pair its own bits: no pair's values depend on others.
     """
     n, shape = config.n, np.shape(k_t)
     if config.source_opinion == 0:
         k_t, k_t1 = n - k_t, n - k_t1
+    # Pairs are keyed by distinct-count index: a k_t * (n + 1) + k_t1 key
+    # would overflow int64 for n above about 3e9.
     distinct, index = np.unique(np.stack([k_t, k_t1]), return_inverse=True)
     index = index.reshape(2, -1)
     pairs, inverse = np.unique(index[0] * distinct.size + index[1], return_inverse=True)
     i_t, i_t1 = np.divmod(pairs, distinct.size)
-    pmf = _binomial_pmf_rows(config.ell, distinct / n)
-    above = 1.0 - np.cumsum(pmf, axis=1)  # P(B > i)
-    gain = np.clip((pmf[i_t] * above[i_t1]).sum(axis=1), 0.0, 1.0)
-    p_eq = np.clip((pmf[i_t] * pmf[i_t1]).sum(axis=1), 0.0, 1.0)
+    gain, p_eq = duels(config.ell, distinct[i_t] / n, distinct[i_t1] / n)
     return np.minimum(gain + p_eq, 1.0)[inverse].reshape(shape), gain[inverse].reshape(shape)
 
 

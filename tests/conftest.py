@@ -39,7 +39,7 @@ from fetsim.domains import (
     classify,
     classify_yellow,
 )
-from fetsim.duel import DuelProbs, _binomial_pmf_rows, _check_count, _check_prob, duel_table
+from fetsim.duel import DuelProbs, _binomial_pmf_rows, _check_count, _check_prob, duels
 from fetsim.dynamics import AnalysisConstants, flip_probs
 from fetsim.errors import DomainError
 from fetsim.markov import PRUNE_THRESHOLD, Kernel
@@ -171,8 +171,7 @@ def reference_kernel(n: int, ell: int) -> tuple[sparse.csr_matrix, float]:
     data, indices, indptr and pruned mass in every bit.
     """
     counts = np.arange(n + 1)
-    p_lt, p_eq, _ = duel_table(ell, counts, counts, n)
-    gain = p_lt
+    gain, p_eq = duels(ell, counts[:, None] / n, counts / n)
     keep = np.minimum(gain + p_eq, 1.0)
     rows, cols, vals = [], [], []
     pruned = 0.0

@@ -19,7 +19,7 @@ from fetsim.duel import (
     BERRY_ESSEEN_C,
     DuelProbs,
     _binomial_pmf_rows,
-    duel_table,
+    duels,
     exact_duel,
     hoeffding_duel_bound,
     normal_cdf,
@@ -145,48 +145,74 @@ class TestExactDuel:
             exact_duel(4, -0.1, 0.5)
 
 
-class TestDuelTable:
+class TestDuels:
     def test_matches_scalar_duel(self, count_vectors):
+        # A (N, 1) by (1, M) grid of count fractions holds exact_duel's
+        # p_lt and p_eq bits at every entry.
         for n, ell, a, b in count_vectors:
-            table = duel_table(ell, a, b, n)
-            for arr in table:
-                assert arr.shape == (len(a), len(b))
+            p_lt, p_eq = duels(ell, a[:, None] / n, b / n)
+            assert p_lt.shape == p_eq.shape == (len(a), len(b))
             for i, ka in enumerate(a):
                 for j, kb in enumerate(b):
                     d = exact_duel(ell, ka / n, kb / n)
-                    for arr, exact in zip(table, (d.p_lt, d.p_eq, d.p_gt)):
-                        assert abs(arr[i, j] - exact) <= 1e-15
+                    assert (p_lt[i, j], p_eq[i, j]) == (d.p_lt, d.p_eq)
 
-    def test_one_vector_as_both_sides_is_bitwise_the_same(self, monkeypatch, count_vectors):
-        # duel_table(ell, a, a, n) builds one pmf table and reuses it for b;
-        # the triples equal those from an equal copy bit for bit.
+    # ell = 14, 15, 16 give 15, 16, 17 terms: BLAS ddot changes its
+    # summation order at 16.
+    @pytest.mark.parametrize("ell", [4, 14, 15, 16, 25, 64])
+    def test_pair_bits_do_not_depend_on_the_batch(self, ell):
+        # Each pair gives the same bits alone, in a shuffled 1-D batch
+        # and in a grid, and those are exact_duel's p_lt and p_eq.
+        rng = np.random.default_rng(ell)
+        p = np.concatenate([[0.0, 1.0, 0.5], rng.random(12), rng.integers(0, 97, 5) / 96])
+        q = np.concatenate([[1.0, 0.0, 0.5], rng.random(12), rng.integers(0, 97, 5) / 96])
+        grid_lt, grid_eq = duels(ell, p[:, None], q)
+        order = rng.permutation(p.size)
+        batch_lt, batch_eq = duels(ell, p[order], q[order])
+        for pos, i in enumerate(order):
+            alone = duels(ell, p[i], q[i])
+            d = exact_duel(ell, p[i], q[i])
+            for value in (alone[0], batch_lt[pos], grid_lt[i, i]):
+                assert value.tobytes() == np.float64(d.p_lt).tobytes()
+            for value in (alone[1], batch_eq[pos], grid_eq[i, i]):
+                assert value.tobytes() == np.float64(d.p_eq).tobytes()
+        for i, j in [(0, 5), (7, 2), (19, 11)]:
+            d = exact_duel(ell, p[i], q[j])
+            assert (grid_lt[i, j], grid_eq[i, j]) == (d.p_lt, d.p_eq)
+        # exact_duel's p_gt is the p_lt of the swapped pair.
+        swapped_lt, _ = duels(ell, q, p)
+        for i in range(p.size):
+            assert exact_duel(ell, p[i], q[i]).p_gt == swapped_lt[i]
+
+    def test_one_pmf_row_per_distinct_probability(self, monkeypatch):
         rows = duel._binomial_pmf_rows
         calls = []
         monkeypatch.setattr(duel, "_binomial_pmf_rows", lambda k, p: calls.append(p) or rows(k, p))
-        for n, ell, a, _ in count_vectors:
-            calls.clear()
-            shared = duel_table(ell, a, a, n)
-            assert len(calls) == 1
-            for arr, ref in zip(shared, duel_table(ell, a, a.copy(), n)):
-                assert arr.tobytes() == ref.tobytes()
+        duels(4, np.array([[0.25], [0.5], [0.25]]), [0.5, 0.75, 0.25, 0.5])
+        assert len(calls) == 1 and calls[0].tolist() == [0.25, 0.5, 0.75]
 
     def test_empty_vector_gives_empty_table(self):
-        for arr in duel_table(4, [], [0, 3, 8], 8):
+        for arr in duels(4, np.empty((0, 1)), [0.0, 0.375, 1.0]):
             assert arr.shape == (0, 3)
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(DomainError):
-            duel_table(0, [1], [1], 8)
-        with pytest.raises(DomainError):
-            duel_table(4, [0, 9], [1], 8)
-        with pytest.raises(DomainError):
-            duel_table(4, [1], [-1], 8)
+        # Bad ell; p above 1, q below 0, NaN on either side (np.unique
+        # sorts NaN last, behind 1.0).
+        for ell, p, q in [
+            (0, 0.5, 0.5),
+            (4, [0.0, 1.125], 0.5),
+            (4, 0.5, [-0.125, 1.0]),
+            (4, 0.5, [1.0, np.nan]),
+            (4, np.nan, 0.5),
+        ]:
+            with pytest.raises(DomainError):
+                duels(ell, p, q)
 
-    def test_triples_not_summing_to_one_are_structural_errors(self, monkeypatch):
+    def test_pmf_rows_not_summing_to_one_are_structural_errors(self, monkeypatch):
         rows = duel._binomial_pmf_rows
         monkeypatch.setattr(duel, "_binomial_pmf_rows", lambda k, p: 0.5 * rows(k, p))
         with pytest.raises(StructuralError):
-            duel_table(4, [1, 2], [3], 8)
+            duels(4, [0.125, 0.25], [0.375, 0.5])
 
 
 class TestHoeffdingBound:

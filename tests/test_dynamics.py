@@ -12,7 +12,6 @@ from fetsim.dynamics import (
     AnalysisConstants,
     FlipProbs,
     expected_next_fraction,
-    expected_next_fraction_table,
     fixed_point_f,
     flip_probs,
     speed,
@@ -81,19 +80,20 @@ class TestExpectedNextFraction:
         assert g <= fp.p_keep_one + 1.0 / n + 1e-12
 
 
-class TestExpectedNextFractionTable:
+class TestExpectedNextFractionBroadcast:
     def test_matches_scalar_map(self, count_vectors):
+        # (N, 1) against (1, M) fractions give the (N, M) grid, each entry
+        # the scalar map's bits.
         for n, ell, k_t, k_t1 in count_vectors:
-            table = expected_next_fraction_table(k_t, k_t1, n, ell)
-            assert table.shape == (len(k_t), len(k_t1))
+            grid = expected_next_fraction(k_t[:, None] / n, k_t1 / n, n, ell)
+            assert grid.shape == (len(k_t), len(k_t1))
             for i, a in enumerate(k_t):
                 for j, b in enumerate(k_t1):
-                    g = expected_next_fraction(a / n, b / n, n, ell)
-                    assert abs(table[i, j] - g) <= 1e-15
+                    assert grid[i, j] == expected_next_fraction(a / n, b / n, n, ell)
 
     def test_population_size_checked(self):
         with pytest.raises(DomainError):
-            expected_next_fraction_table([0, 1], [1], 1, 1)
+            expected_next_fraction(np.array([[0.0], [1.0]]), np.array([1.0]), 1, 1)
 
 
 class TestSpeed:

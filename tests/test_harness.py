@@ -137,8 +137,8 @@ class TestCyan:
 
 
     def test_expectation_grid_memory_bounded(self):
-        # One duel table for the whole box: 4.2 MB peak measured at
-        # n = 4096 (46,781 Cyan1 points).  A scalar duel per point, with
+        # One broadcast duels call for the whole box: 3.3 MB peak measured
+        # at n = 4096 (46,781 Cyan1 points).  A scalar duel per point, with
         # the LRU cache filling, peaked at 17.7 MB; gathering per-point
         # pmf rows would need about 10 MB per table.
         tracemalloc.start()

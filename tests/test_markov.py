@@ -104,7 +104,7 @@ class TestBuildKernel:
 
     def test_peak_memory_bounded_by_kept_entries(self):
         # Each k_t1 block is pruned as it is built: 19.9 MB measured at
-        # (128, 15) with 579,301 kept entries (26.3 MB with a COO copy
+        # (128, 15) with 579,302 kept entries (26.3 MB with a COO copy
         # of them); holding the dense (n+1) x n x n block (16.9 MB) on
         # top, as a whole-kernel prune does, measured 49.9 MB.
         tracemalloc.start()
@@ -113,7 +113,7 @@ class TestBuildKernel:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert k.matrix.nnz == 579_301
+        assert k.matrix.nnz == 579_302
         assert peak < 32e6
 
 
@@ -194,6 +194,27 @@ class TestAbsorptionTimes:
         # the (2,1) row also needs to avoid pointing back into the trap
         corrupted = Kernel(n=n, ell=2, matrix=bad.tocsr(), pruned_mass=0.0)
         with pytest.raises(StructuralError):
+            absorption_times(corrupted)
+
+    def test_stored_zero_is_no_edge(self):
+        # The (1,1) <-> (1,2) trap with an explicitly stored 0.0 toward
+        # (n,n): the reachability check must still name the trap, not
+        # leave it to the solver's residual gate.
+        n = 8
+        k = build_kernel(n, 2)
+        bad = k.matrix.tolil()
+        trap = [k.state_index(1, 1), k.state_index(1, 2)]
+        for state, succ in zip(trap, trap[::-1]):
+            bad[state, :] = 0.0
+            bad[state, succ] = 1.0
+        bad[trap[0], k.absorbing_index] = 0.5
+        matrix = bad.tocsr()
+        row = slice(matrix.indptr[trap[0]], matrix.indptr[trap[0] + 1])
+        matrix.data[row][matrix.indices[row] == k.absorbing_index] = 0.0  # stored, not dropped
+        assert matrix[trap[0]].nnz == 2 and matrix[trap[0], k.absorbing_index] == 0.0
+        corrupted = Kernel(n=n, ell=2, matrix=matrix, pruned_mass=0.0)
+        assert not _reaching(corrupted.matrix, k.absorbing_index)[trap].any()
+        with pytest.raises(StructuralError, match="cannot reach \\(n,n\\)"):
             absorption_times(corrupted)
 
     def test_reachable_only_through_forced_chain(self):

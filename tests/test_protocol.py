@@ -19,7 +19,7 @@ from conftest import (
 )
 from fetsim import protocol
 from fetsim.domains import DomainLabel, YellowLabel, label_paths
-from fetsim.duel import duel_table, exact_duel
+from fetsim.duel import exact_duel
 from fetsim.dynamics import expected_next_fraction, flip_probs
 from fetsim.errors import DomainError, UsageError
 from fetsim.protocol import (
@@ -238,9 +238,9 @@ class TestStepAggregate:
 class TestFlipProbs:
     @pytest.mark.parametrize("source_opinion", [1, 0])
     def test_pair_values_do_not_depend_on_the_batch(self, source_opinion):
-        # Each pair's keep and gain are its own row sums, so a pair gives
-        # the same bits alone, as a scalar, or in any batch; and they are
-        # the duel_table and exact_duel triples within 1e-15.
+        # Each pair's keep and gain come from its own dot products, so a
+        # pair gives the same bits alone, as a scalar, or in any batch; and
+        # they are exact_duel's bits.
         n, ell = 1000, 21
         config = SimConfig(n=n, ell=ell, source_opinion=source_opinion)
         rng = derive_rng(5, "pairs")
@@ -252,16 +252,29 @@ class TestFlipProbs:
         assert np.array_equal(shuffled[0], keep[order])
         assert np.array_equal(shuffled[1], gain[order])
         held_t, held_t1 = (k_t, k_t1) if source_opinion == 1 else (n - k_t, n - k_t1)
-        p_lt, p_eq, _ = duel_table(ell, held_t, held_t1, n)
         for i in range(k_t.size):
             one = _flip_probs(k_t[i : i + 1], k_t1[i : i + 1], config)
             assert np.array_equal(one, (keep[i : i + 1], gain[i : i + 1]))
             assert np.array_equal(_flip_probs(k_t[i], k_t1[i], config), (keep[i], gain[i]))
-            duel = exact_duel(ell, held_t[i] / n, held_t1[i] / n)
-            assert abs(gain[i] - p_lt[i, i]) <= 1e-15 and abs(gain[i] - duel.p_lt) <= 1e-15
-            table_keep = min(p_lt[i, i] + p_eq[i, i], 1.0)
-            assert abs(keep[i] - table_keep) <= 1e-15
-            assert abs(keep[i] - min(duel.p_lt + duel.p_eq, 1.0)) <= 1e-15
+            self._assert_duel_bits(keep[i], gain[i], int(held_t[i]), int(held_t1[i]), n, ell)
+
+    def test_pairs_near_n_at_two_to_the_forty(self):
+        # Pairs are keyed by distinct-count index, not by k_t * (n + 1) + k_t1,
+        # which overflows int64 at this n: (n - 2^24, n) and (n, n - 2^24)
+        # would share a key.  Each pair near n keeps exact_duel's bits.
+        n, ell, step = 1 << 40, 84, 1 << 24
+        config = SimConfig(n=n, ell=ell)
+        k_t = np.array([n - step, n, n, n - 1, n, n - 3, n - 2, 1, n - 1], dtype=np.int64)
+        k_t1 = np.array([n, n - step, n - 1, n, n, n - 2, n - 3, n, n - 1], dtype=np.int64)
+        keep, gain = _flip_probs(k_t, k_t1, config)
+        for i in range(k_t.size):
+            self._assert_duel_bits(keep[i], gain[i], int(k_t[i]), int(k_t1[i]), n, ell)
+
+    @staticmethod
+    def _assert_duel_bits(keep, gain, k_t, k_t1, n, ell):
+        duel = exact_duel(ell, k_t / n, k_t1 / n)
+        assert gain == duel.p_lt
+        assert keep == min(duel.p_lt + duel.p_eq, 1.0)
 
 
 class TestClassCountRound:
