@@ -20,13 +20,7 @@ from .dynamics import (
     speed,
 )
 from .errors import DomainError, FetsimError, PlantingError, StructuralError, UsageError
-from .protocol import (
-    Population,
-    SimConfig,
-    run_trials,
-    step_agent_level,
-    step_aggregate,
-)
+from .protocol import SimConfig, run_trials, step_aggregate
 
 __all__ = [
     "AnalysisConstants",
@@ -36,7 +30,6 @@ __all__ = [
     "FetsimError",
     "FlipProbs",
     "PlantingError",
-    "Population",
     "SimConfig",
     "StructuralError",
     "UsageError",
@@ -50,7 +43,6 @@ __all__ = [
     "hoeffding_duel_bound",
     "run_trials",
     "speed",
-    "step_agent_level",
     "step_aggregate",
     "underdog_lower_bound",
 ]

@@ -111,8 +111,8 @@ class LemmaReport:
 def _check(**given) -> None:
     """Raise a UsageError naming the first invalid given parameter.
 
-    Counts, sweep lists (non-empty; n_list without a repeated size,
-    presets known), delta (in (0, 1/2)) and the positive reals
+    Counts, sweep lists (non-empty, without a repeated entry; presets
+    known), delta (in (0, 1/2)) and the positive reals
     c_sample and epsilon are checked here; the rest where they are used.
     """
     for key, value in given.items():
@@ -129,8 +129,8 @@ def _check(**given) -> None:
                 check_number(key, item, numbers.Integral)
                 if item < _MINIMUMS[key]:
                     raise UsageError(f"{key} must be >= {_MINIMUMS[key]}, got {item}")
-        if key == "n_list" and len(set(value)) < len(value):
-            raise UsageError(f"n_list must not repeat a population size, got {list(value)}")
+        if key in ("n_list", "presets") and len(set(value)) < len(value):
+            raise UsageError(f"{key} must not repeat an entry, got {list(value)}")
         if key == "delta":
             check_delta(value)
         if key in ("c_sample", "epsilon"):

@@ -20,16 +20,15 @@ with replacement, so given the population an agent's two half-counts
 are independent Bin(ell, x_t) draws: the histogram of non-source
 agents over (opinion, stored counter), 2(ell+1) integers, is an exact
 sufficient statistic for one round, adversarial counters included.
-Every initial condition is therefore defined by that histogram: a
-named preset is built directly as class counts at O(ell) cost, never
-as n agents, and the agent backend expands the counts into agents
-(explicit per-agent states are binned, and stepped as given).  The
-aggregate backend draws the first round from the histogram.  Afterwards
-every stored counter is an independent Bin(ell, x_t) draw, so each
-later round is two binomial draws over the pair of opinion-1 counts
-(k_t, k_{t+1}), with flip probabilities from one ``duels`` call over
-the distinct pairs; the test suite checks both laws against the agent
-level.
+Every initial condition, an adversarial one included, is therefore
+such a histogram: a preset is built directly as class counts at O(ell)
+cost, never as n agents, and the agent backend expands the counts into
+agents.  The aggregate backend draws the first round from the
+histogram.  Afterwards every stored counter is an independent
+Bin(ell, x_t) draw, so each later round is two binomial draws over the
+pair of opinion-1 counts (k_t, k_{t+1}), with flip probabilities from
+one ``duels`` call over the distinct pairs; the test suite checks both
+laws against the agent level.
 
 A trial is the path of opinion-1 counts, one integer per round.
 ``run_trials`` is the one trial driver.  The agent backend steps one
@@ -63,7 +62,6 @@ from .dynamics import AnalysisConstants
 from .errors import DomainError, UsageError
 
 __all__ = [
-    "Population",
     "SimConfig",
     "derive_rng",
     "run_trials",
@@ -151,53 +149,18 @@ class SimConfig:
         return AnalysisConstants.for_population(self.n, delta=self.delta, ell=self.ell)
 
 
-@dataclass
-class Population:
-    """Vectorized population state; agent 0 is the source.
-
-    The last axis runs over agents; any leading axes index independent
-    trials, so a (trials, n) state steps a batch of populations at once.
-    Values that the uint8 and int32 storage cannot hold exactly are a
-    UsageError.
-    """
-
-    opinions: np.ndarray  # uint8, shape (..., n)
-    prev_counts: np.ndarray  # int32, shape (..., n)
-
-    def __post_init__(self) -> None:
-        self.opinions = _exact_cast("opinions", self.opinions, np.uint8)
-        self.prev_counts = _exact_cast("prev_counts", self.prev_counts, np.int32)
-        if self.opinions.shape != self.prev_counts.shape:
-            raise UsageError(
-                f"opinions and prev_counts must have equal shape, got "
-                f"{self.opinions.shape} and {self.prev_counts.shape}"
-            )
-
-    @property
-    def n(self) -> int:
-        """Agents per trial."""
-        return self.opinions.shape[-1]
-
-
-def _exact_cast(name: str, values, dtype) -> np.ndarray:
-    """values as a dtype array; a UsageError if the cast would change a value."""
-    try:
-        with np.errstate(invalid="ignore"):
-            cast = np.asarray(values).astype(dtype, copy=False)
-        exact = np.array_equal(cast, values)
-    except (TypeError, ValueError, OverflowError):
-        exact = False
-    if not exact:
-        raise UsageError(f"{name} must be integers that {np.dtype(dtype).name} holds exactly")
-    return cast
-
-
 def step_agent_level(
-    pop: Population,
+    opinions: np.ndarray,
+    counters: np.ndarray,
     config: SimConfig,
     rng: Generator,
-) -> Population:
+) -> tuple[np.ndarray, np.ndarray]:
     """One synchronous round: all reads against the pre-step population.
+
+    opinions (uint8) and stored counters (int32) have shape (..., n):
+    the last axis runs over agents, agent 0 being the source, and any
+    leading axes index independent trials.  Returns the new opinions
+    and counters in the same layout.
 
     Each agent draws its samples uniformly with replacement over the n
     agents of its own trial (itself included), one
@@ -206,25 +169,24 @@ def step_agent_level(
     and the rest as S'' is distributionally the same as a uniformly
     random split of the multiset.
     """
-    n = pop.n
-    ell = config.ell
+    n, ell = opinions.shape[-1], config.ell
     # The naive comparison variant has a single shared sample per round:
     # the fresh count is both compared and stored, which correlates
     # consecutive opinions.  Excluded from all acceptance checks.
     width = ell if config.variant == "naive" else 2 * ell
-    idx = rng.integers(0, n, size=(*pop.opinions.shape, width))
+    idx = rng.integers(0, n, size=(*opinions.shape, width))
     # Flat indices (trial j's agents start at j * n), a half at a time.
-    offsets = np.arange(0, pop.opinions.size, n).reshape(*pop.opinions.shape[:-1], 1, 1)
-    flat = pop.opinions.ravel()
+    offsets = np.arange(0, opinions.size, n).reshape(*opinions.shape[:-1], 1, 1)
+    flat = opinions.ravel()
     c_fresh = flat[idx[..., :ell] + offsets].sum(axis=-1, dtype=np.int32)
     c_store = flat[idx[..., -ell:] + offsets].sum(axis=-1, dtype=np.int32)
     new_op = np.where(
-        c_fresh > pop.prev_counts,
+        c_fresh > counters,
         1,
-        np.where(c_fresh < pop.prev_counts, 0, pop.opinions),
+        np.where(c_fresh < counters, 0, opinions),
     ).astype(np.uint8)
     new_op[..., SOURCE_INDEX] = config.source_opinion
-    return Population(new_op, c_store)
+    return new_op, c_store
 
 
 def _class_round(
@@ -299,24 +261,14 @@ def _pair_draws(k_t1, keep, gain, config: SimConfig, rng: Generator) -> np.ndarr
     return n - k_next if mirror else k_next
 
 
-def _check_population(pop: Population, config: SimConfig) -> Population:
-    """Reject a per-agent state that does not fit ``config``."""
-    if pop.opinions.ndim != 1:
-        raise UsageError(f"an initial population must have shape (n,), got {pop.opinions.shape}")
-    if pop.n != config.n:
-        raise UsageError(f"population has {pop.n} agents, config has n={config.n}")
-    if pop.opinions.max() > 1:
-        raise UsageError("opinions must be 0 or 1")
-    if pop.opinions[SOURCE_INDEX] != config.source_opinion:
-        raise UsageError(f"the source must hold source_opinion={config.source_opinion}")
-    if pop.prev_counts.min() < 0 or pop.prev_counts.max() > config.ell:
-        raise UsageError(f"stored counters must lie in [0, ell={config.ell}]")
-    return pop
-
-
 def _preset_fraction(preset) -> float | None:
     """x0 of a "fraction:X" preset, None for a name in PRESETS; else a UsageError."""
-    if isinstance(preset, str) and preset.startswith("fraction:"):
+    if not isinstance(preset, str):
+        raise UsageError(
+            f"a preset must be a string (a name in {PRESETS} or fraction:X), "
+            f"got {type(preset).__name__}"
+        )
+    if preset.startswith("fraction:"):
         arg = preset.split(":", 1)[1]
         try:
             x0 = float(arg)
@@ -326,17 +278,16 @@ def _preset_fraction(preset) -> float | None:
             raise UsageError(f"fraction preset needs x0 in [0,1], got {arg!r}")
         return x0
     if preset not in PRESETS:
-        raise UsageError(f"unknown preset {preset!r}; known: {PRESETS}, fraction:X, a Population")
+        raise UsageError(f"unknown preset {preset!r}; known: {PRESETS}, fraction:X")
     return None
 
 
-def _preset_counts(preset, config: SimConfig, rng: Generator, trials: int) -> np.ndarray:
+def _preset_counts(preset: str, config: SimConfig, rng: Generator, trials: int) -> np.ndarray:
     """Class counts of ``trials`` initial states, shape (trials, 2, ell+1), int64.
 
     Entry [t, o, c] counts trial t's non-source agents holding opinion o
     and stored counter c, so set-up costs O(ell) per trial whatever n.
-    Accepted presets: the names in PRESETS, a string "fraction:X" or a
-    Population, which is checked against config and binned.
+    Accepted presets: the names in PRESETS and "fraction:X".
     Counter conventions: all_wrong stores 0.  all_wrong_max_counters and
     cyan_corner store the maximally misleading counter, which no fresh
     count c' can cross toward the source's opinion: ell for source
@@ -346,15 +297,9 @@ def _preset_counts(preset, config: SimConfig, rng: Generator, trials: int) -> np
     order, opinion 0 first, by one rng.multinomial call.
     """
     n, ell, src = config.n, config.ell, config.source_opinion
-    hist = np.zeros((trials, 2, ell + 1), dtype=np.int64)
-    if isinstance(preset, Population):
-        pop = _check_population(preset, config)
-        counters, opinions = pop.prev_counts[SOURCE_INDEX + 1 :], pop.opinions[SOURCE_INDEX + 1 :]
-        for o in (0, 1):
-            hist[:, o] = np.bincount(counters[opinions == o], minlength=ell + 1)
-        return hist
     x0 = _preset_fraction(preset)
     if preset in ("all_wrong", "all_wrong_max_counters", "cyan_corner"):
+        hist = np.zeros((trials, 2, ell + 1), dtype=np.int64)
         hist[:, 1 - src, 0 if preset == "all_wrong" else ell * src] = n - 1
         return hist
     if preset == "half_half":
@@ -370,23 +315,25 @@ def _preset_counts(preset, config: SimConfig, rng: Generator, trials: int) -> np
     return rng.multinomial([n - 1 - ones, ones], uniform, size=(trials, 2))
 
 
-def _populations(hist: np.ndarray, config: SimConfig) -> Population:
-    """A block's (trials, 2, ell+1) class counts as a (trials, n) agent state.
+def _populations(hist: np.ndarray, config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+    """A block's (trials, 2, ell+1) class counts as (trials, n) opinions and counters.
 
     Each trial holds the source, then its agents class by class, all
     from one np.repeat.  Agents are exchangeable under uniform sampling,
     so their order does not change the law of a round.  The source
-    stores agent 1's counter.
+    stores agent 1's counter.  Opinions are uint8, counters int32:
+    step_agent_level's layout.
     """
     trials, width = len(hist), config.ell + 1
     agents = np.repeat(np.tile(np.arange(2 * width), trials), hist.ravel())
     agents = agents.reshape(trials, config.n - 1)
     opinions, counters = agents // width, agents % width
     source = np.full((trials, 1), config.source_opinion)
-    return Population(np.hstack([source, opinions]), np.hstack([counters[:, :1], counters]))
+    return (np.hstack([source, opinions]).astype(np.uint8),
+            np.hstack([counters[:, :1], counters]).astype(np.int32))
 
 
-def run_trials(config: SimConfig, initial, trials: int) -> tuple[np.ndarray, np.ndarray]:
+def run_trials(config: SimConfig, initial: str, trials: int) -> tuple[np.ndarray, np.ndarray]:
     """Run ``trials`` trials to consensus or the round cap, in lockstep blocks.
 
     Returns (counts, lengths): counts holds every trial's path of
@@ -395,11 +342,11 @@ def run_trials(config: SimConfig, initial, trials: int) -> tuple[np.ndarray, np.
     ends at its first consensus round (all-correct is absorbing) or at
     max_rounds, so trial i took lengths[i] - 1 rounds and converged iff
     its last count is n * source_opinion.  ``initial`` is a preset
-    accepted by _preset_counts.  Blocks hold BLOCK aggregate trials, or
-    as many agent-level trials as keep one round's sample indices within
-    AGENT_BLOCK_INDICES (at least one), and agent blocks run one after
-    another.  Block b draws from derive_rng(seed, "trials", n, label, b),
-    label being the preset string or "explicit": first its presets'
+    string accepted by _preset_counts.  Blocks hold BLOCK aggregate
+    trials, or as many agent-level trials as keep one round's sample
+    indices within AGENT_BLOCK_INDICES (at least one), and agent blocks
+    run one after another.  Block b draws from
+    derive_rng(seed, "trials", n, initial, b): first its presets'
     class counts, then its rounds, in the same order when aggregate
     blocks step together.  So a trial's path depends on (config, preset,
     seed, its index), not on how many trials follow it.
@@ -407,10 +354,9 @@ def run_trials(config: SimConfig, initial, trials: int) -> tuple[np.ndarray, np.
     check_number("trials", trials, numbers.Integral)
     if trials < 1:
         raise UsageError(f"trials must be >= 1, got {trials}")
-    label = "explicit" if isinstance(initial, Population) else str(initial)
     size = BLOCK if config.backend == "aggregate" else max(
         1, AGENT_BLOCK_INDICES // (config.n * 2 * config.ell))
-    rngs = [derive_rng(config.seed, "trials", config.n, label, b)
+    rngs = [derive_rng(config.seed, "trials", config.n, initial, b)
             for b in range(-(-trials // size))]
     if config.backend == "aggregate":
         return _paths(*_aggregate_rounds(config, initial, trials, rngs), trials)
@@ -429,22 +375,18 @@ def _paths(lives: list, news: list, trials: int) -> tuple[np.ndarray, np.ndarray
     return out, lengths
 
 
-def _agent_block(config: SimConfig, initial, trials: int, rng: Generator):
-    """One agent-level block in run_trials' layout; an explicit population steps as given."""
+def _agent_block(config: SimConfig, initial: str, trials: int, rng: Generator):
+    """One agent-level block in run_trials' layout: its class counts expanded, then stepped."""
     target = config.n * config.source_opinion
-    hist = _preset_counts(initial, config, rng, trials)
-    pop = initial if isinstance(initial, Population) else _populations(hist, config)
-    state = Population(*(np.broadcast_to(a, (trials, config.n))
-                         for a in (pop.opinions, pop.prev_counts)))
-    lives, news = [np.arange(trials)], [state.opinions.sum(axis=1, dtype=np.int64)]
+    opinions, counters = _populations(_preset_counts(initial, config, rng, trials), config)
+    lives, news = [np.arange(trials)], [opinions.sum(axis=1, dtype=np.int64)]
     for _ in range(config.max_rounds):
         going = news[-1] != target
         if not going.any():
             break
-        state = Population(state.opinions[going], state.prev_counts[going])
-        state = step_agent_level(state, config, rng)
+        opinions, counters = step_agent_level(opinions[going], counters[going], config, rng)
         lives.append(lives[-1][going])
-        news.append(state.opinions.sum(axis=1, dtype=np.int64))
+        news.append(opinions.sum(axis=1, dtype=np.int64))
     return _paths(lives, news, trials)
 
 

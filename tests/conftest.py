@@ -8,7 +8,7 @@ separately through the scalar duel path, as a reference for the
 vectorized markov.build_kernel; the other (``reference_kernel`` with
 ``reference_absorption_times``) is the earlier row-major build and
 solve, which the library must match bit for bit.  The single-agent FET rule
-(``agent_round``), the population mirror, the scalar log-space ``binomial_pmf`` and
+(``agent_round``), the scalar log-space ``binomial_pmf`` and
 ``binomial_pmf_vector``, the kernel row reader
 ``next_count_distribution``, the population fraction, the swapped duel,
 the label and point mirrors, the grid and Yellow' membership tests,
@@ -16,7 +16,9 @@ the list of every matching domain, the one-population preset
 builder ``init_adversarial``, the path splitter ``split_paths`` and the
 per-trial Cyan and Yellow reductions (``cyan_oracle``,
 ``yellow_oracle``, labelling pair by pair with the pointwise
-classifiers) are kept here for the tests only.
+classifiers) are kept here for the tests only.  A population is an
+(opinions, counters) pair of per-agent arrays, agent 0 the source, as
+step_agent_level takes and returns it.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from fetsim.duel import DuelProbs, _binomial_pmf_rows, _check_count, _check_prob
 from fetsim.dynamics import AnalysisConstants, flip_probs
 from fetsim.errors import DomainError
 from fetsim.markov import PRUNE_THRESHOLD, Kernel
-from fetsim.protocol import Population, SimConfig, _populations, _preset_counts
+from fetsim.protocol import SimConfig, _populations, _preset_counts
 
 
 def oracle_pmf(k: int, p: float, i: int) -> float:
@@ -222,10 +224,12 @@ def next_count_distribution(kernel: Kernel, k_t: int, k_t1: int) -> np.ndarray:
     return out
 
 
-def init_adversarial(preset, config: SimConfig, rng: np.random.Generator) -> Population:
-    """One per-agent initial condition of a preset, in the agent order of _populations."""
-    pop = _populations(_preset_counts(preset, config, rng, 1), config)
-    return Population(pop.opinions[0], pop.prev_counts[0])
+def init_adversarial(
+    preset: str, config: SimConfig, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """One trial's (opinions, counters) of a preset, in the agent order of _populations."""
+    opinions, counters = _populations(_preset_counts(preset, config, rng, 1), config)
+    return opinions[0], counters[0]
 
 
 def split_paths(counts: np.ndarray, lengths: np.ndarray) -> list[list[int]]:
@@ -298,21 +302,6 @@ def yellow_oracle(paths, n: int, constants: AnalysisConstants, max_rounds: int):
     return escapes, b_dwells
 
 
-def plant_pair_population(
-    n: int, ell: int, k_t: int, k_t1: int, rng: np.random.Generator
-) -> Population:
-    """Agent configuration whose law matches the kernel state (k_t, k_t1).
-
-    Opinions hold k_t1 ones (source first); stored counters are i.i.d.
-    Bin(ell, k_t/n), the distribution they have after any round with
-    fraction k_t/n.
-    """
-    opinions = np.zeros(n, dtype=np.uint8)
-    opinions[:k_t1] = 1
-    counters = rng.binomial(ell, k_t / n, size=n).astype(np.int32)
-    return Population(opinions, counters)
-
-
 @dataclass(frozen=True)
 class AgentState:
     """One agent: opinion bit, stored half-sample count, source flag."""
@@ -355,9 +344,9 @@ def agent_round(
     return AgentState(opinion, c_store, False)
 
 
-def fraction_ones(pop: Population) -> float:
+def fraction_ones(opinions: np.ndarray) -> float:
     """Fraction of agents holding opinion 1 in a single population."""
-    return float(pop.opinions.sum()) / pop.n
+    return float(opinions.sum()) / opinions.size
 
 
 def swapped(duel: DuelProbs) -> DuelProbs:
@@ -404,11 +393,6 @@ def mirrored_point(point: tuple[float, float]) -> tuple[float, float]:
     """The point reflection of a grid point (x_t, x_{t+1}) through (1/2, 1/2)."""
     x_t, x_t1 = point
     return 1.0 - x_t, 1.0 - x_t1
-
-
-def mirror_population(pop: Population, ell: int) -> Population:
-    """Flip every opinion and reflect every counter (c -> ell - c)."""
-    return Population(1 - pop.opinions, ell - pop.prev_counts)
 
 
 @pytest.fixture(scope="session")

@@ -452,6 +452,16 @@ print(json.dumps(["chain", code, json.loads(out), scipy_modules()]))
 """
 
 
+class TestPackageExports:
+    def test_every_export_resolves(self):
+        # Every name in __all__ is bound on the package; the agent-level
+        # step and its arrays are internals, not exports.
+        for name in fetsim.__all__:
+            assert getattr(fetsim, name) is not None
+        for internal in ("Population", "step_agent_level"):
+            assert internal not in fetsim.__all__ and not hasattr(fetsim, internal)
+
+
 class TestImportDiet:
     def test_scipy_loaded_only_for_the_chain(self, tmp_path):
         # scipy costs more start-up than most commands compute; only the
@@ -543,10 +553,14 @@ class TestVerifyCommand:
             ("all", "convergence_presets = mauve,", "unknown preset 'mauve'; known: ("),
             ("convergence", "convergence_presets = yellow_center, fraction:2",
              "fraction preset needs x0 in [0,1], got '2'"),
+            ("convergence", "convergence_presets = yellow_center, yellow_center",
+             "presets must not repeat an entry"),
+            ("convergence", "convergence_presets = 0.5, all_wrong", "preset must be a string"),
         ],
         ids=["purple_ell_str", "purple_ell_zero", "cyan_epsilon_str", "cyan_epsilon_negative",
              "all_last_lemma_trials_zero", "all_last_lemma_n_list", "all_unknown_preset",
-             "convergence_fraction_out_of_range"],
+             "convergence_fraction_out_of_range", "convergence_repeated_preset",
+             "convergence_number_preset"],
     )
     def test_bad_parameter_rejected_before_any_trial(
         self, capsys, tmp_path, monkeypatch, lemma, line, needle

@@ -194,6 +194,21 @@ class TestSweeps:
         with pytest.raises(UsageError, match="n_list"):
             run_lemma("convergence", {"convergence_n_list": [128, 256, 128]})
 
+    def test_repeated_preset_rejected(self):
+        # A repeated preset would count one cell's trials twice in the
+        # pooled quantiles.
+        with pytest.raises(UsageError, match="presets must not repeat"):
+            run_lemma("convergence", {"convergence_presets": ["yellow_center", "yellow_center"]})
+
+    @pytest.mark.parametrize(
+        "preset",
+        [np.zeros(8), (np.ones(8, dtype=np.uint8), np.zeros(8, dtype=np.int32)), 0.3],
+        ids=["ndarray", "opinions_counters", "float"],
+    )
+    def test_non_string_preset_rejected(self, preset):
+        with pytest.raises(UsageError, match="preset must be a string"):
+            harness._check(presets=["all_wrong", preset])
+
     def test_convergence_reduced_sweep(self):
         # 100 trials is the smallest count where "99% within budget" is
         # reachable (one sample may exceed the interpolated quantile).

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from conftest import (
     next_count_distribution,
     oracle_kernel,
-    plant_pair_population,
     reference_absorption_times,
     reference_kernel,
 )
@@ -29,7 +28,6 @@ from fetsim.markov import (
     expected_consensus_time_all_wrong,
     simulate_exact_check,
 )
-from fetsim.protocol import derive_rng
 
 REFERENCE_CASES = [(2, 1), (2, 2), (3, 3), (16, 4), (17, 9), (64, 13), (96, 14), (64, 64)]
 
@@ -353,8 +351,3 @@ class TestSimulateExactCheck:
     def test_size_cap(self):
         with pytest.raises(UsageError):
             simulate_exact_check(128, 8)
-
-    def test_planted_pair_population_matches_state(self):
-        pop = plant_pair_population(32, 6, 10, 7, derive_rng(0, "plant"))
-        assert pop.opinions.sum() == 7
-        assert pop.prev_counts.min() >= 0 and pop.prev_counts.max() <= 6

@@ -13,7 +13,6 @@ from conftest import (
     agent_round,
     fraction_ones,
     init_adversarial,
-    mirror_population,
     oracle_pmf_vector,
     split_paths,
 )
@@ -25,7 +24,6 @@ from fetsim.errors import DomainError, UsageError
 from fetsim.protocol import (
     BLOCK,
     PRESETS,
-    Population,
     SimConfig,
     _class_round,
     _flip_probs,
@@ -81,18 +79,18 @@ class TestStepAgentLevel:
     def test_all_ones_absorbing(self):
         config = SimConfig(n=32, ell=4, seed=1, backend="agent")
         rng = derive_rng(1, "absorb")
-        pop = Population(np.ones(32, dtype=np.uint8), np.full(32, 2, dtype=np.int32))
+        opinions, counters = np.ones(32, dtype=np.uint8), np.full(32, 2, dtype=np.int32)
         for _ in range(20):
-            pop = step_agent_level(pop, config, rng)
-            assert fraction_ones(pop) == 1.0
+            opinions, counters = step_agent_level(opinions, counters, config, rng)
+            assert fraction_ones(opinions) == 1.0
 
     def test_all_correct_absorbing_source_zero(self):
         config = SimConfig(n=32, ell=4, seed=1, backend="agent", source_opinion=0)
         rng = derive_rng(1, "absorb0")
-        pop = Population(np.zeros(32, dtype=np.uint8), np.full(32, 3, dtype=np.int32))
+        opinions, counters = np.zeros(32, dtype=np.uint8), np.full(32, 3, dtype=np.int32)
         for _ in range(20):
-            pop = step_agent_level(pop, config, rng)
-            assert fraction_ones(pop) == 0.0
+            opinions, counters = step_agent_level(opinions, counters, config, rng)
+            assert fraction_ones(opinions) == 0.0
 
     def test_two_agents_reach_source_opinion(self):
         # Source + one agent holding the wrong opinion with maximally
@@ -104,10 +102,10 @@ class TestStepAgentLevel:
     def test_source_invariance_every_round(self):
         config = SimConfig(n=64, ell=8, seed=3, backend="agent")
         rng = derive_rng(3, "source")
-        pop = init_adversarial("half_half", config, rng)
+        opinions, counters = init_adversarial("half_half", config, rng)
         for _ in range(30):
-            pop = step_agent_level(pop, config, rng)
-            assert pop.opinions[0] == 1
+            opinions, counters = step_agent_level(opinions, counters, config, rng)
+            assert opinions[0] == 1
 
     def test_matches_flip_probabilities(self):
         # Empirical per-agent flip rates over 10^5 agents against the
@@ -119,12 +117,11 @@ class TestStepAgentLevel:
         opinions = np.zeros(n, dtype=np.uint8)
         opinions[: int(x_t1 * n)] = 1
         counters = rng.binomial(ell, x_t, size=n).astype(np.int32)
-        pop = Population(opinions, counters)
-        new = step_agent_level(pop, config, rng)
+        new, _ = step_agent_level(opinions, counters, config, rng)
         fp = flip_probs(x_t, x_t1, ell)
         ones = int(x_t1 * n)
-        kept = new.opinions[1:ones].mean()
-        gained = new.opinions[ones:].mean()
+        kept = new[1:ones].mean()
+        gained = new[ones:].mean()
         se_keep = math.sqrt(fp.p_keep_one * (1 - fp.p_keep_one) / (ones - 1))
         se_gain = math.sqrt(fp.p_gain_one * (1 - fp.p_gain_one) / (n - ones))
         assert abs(kept - fp.p_keep_one) <= 3 * se_keep
@@ -135,23 +132,21 @@ class TestStepAgentLevel:
         # routes to the same update; drive both with the same samples.
         n, ell = 16, 3
         config = SimConfig(n=n, ell=ell, seed=9, backend="agent")
-        pop = Population(
-            derive_rng(9, "ops").integers(0, 2, size=n).astype(np.uint8),
-            derive_rng(9, "ctr").integers(0, ell + 1, size=n).astype(np.int32),
-        )
-        pop.opinions[0] = 1
+        opinions = derive_rng(9, "ops").integers(0, 2, size=n).astype(np.uint8)
+        counters = derive_rng(9, "ctr").integers(0, ell + 1, size=n).astype(np.int32)
+        opinions[0] = 1
         idx = derive_rng(9, "samples").integers(0, n, size=(n, 2 * ell))
-        stepped = step_agent_level(pop, config, _FixedRng(idx))
+        new_op, new_ctr = step_agent_level(opinions, counters, config, _FixedRng(idx))
         for agent in range(n):
-            obs = pop.opinions[idx[agent]]
+            obs = opinions[idx[agent]]
             state = AgentState(
-                opinion=int(pop.opinions[agent]),
-                prev_count=int(pop.prev_counts[agent]),
+                opinion=int(opinions[agent]),
+                prev_count=int(counters[agent]),
                 is_source=agent == 0,
             )
             expected = agent_round(state, obs[:ell], obs[ell:], ell, 1)
-            assert stepped.opinions[agent] == expected.opinion
-            assert stepped.prev_counts[agent] == expected.prev_count
+            assert new_op[agent] == expected.opinion
+            assert new_ctr[agent] == expected.prev_count
 
     @pytest.mark.parametrize("variant", ["fet", "naive"])
     def test_batched_step_matches_one_trial_steps(self, variant):
@@ -160,21 +155,19 @@ class TestStepAgentLevel:
         # with the same sample indices.
         trials, n, ell = 3, 16, 3
         config = SimConfig(n=n, ell=ell, seed=9, backend="agent", variant=variant)
-        opinions = derive_rng(9, "batch-ops").integers(0, 2, size=(trials, n))
+        opinions = derive_rng(9, "batch-ops").integers(0, 2, size=(trials, n)).astype(np.uint8)
         opinions[:, 0] = 1
         counters = derive_rng(9, "batch-ctr").integers(0, ell + 1, size=(trials, n))
-        batch = Population(opinions, counters)
+        counters = counters.astype(np.int32)
         width = ell if variant == "naive" else 2 * ell
         idx = derive_rng(9, "batch-samples").integers(0, n, size=(trials, n, width))
-        stepped = step_agent_level(batch, config, _FixedRng(idx))
-        assert stepped.n == n
-        assert stepped.opinions.shape == stepped.prev_counts.shape == (trials, n)
+        new_op, new_ctr = step_agent_level(opinions, counters, config, _FixedRng(idx))
+        assert new_op.dtype == np.uint8 and new_ctr.dtype == np.int32
+        assert new_op.shape == new_ctr.shape == (trials, n)
         for t in range(trials):
-            alone = step_agent_level(
-                Population(opinions[t], counters[t]), config, _FixedRng(idx[t])
-            )
-            assert np.array_equal(stepped.opinions[t], alone.opinions)
-            assert np.array_equal(stepped.prev_counts[t], alone.prev_counts)
+            alone = step_agent_level(opinions[t], counters[t], config, _FixedRng(idx[t]))
+            assert np.array_equal(new_op[t], alone[0])
+            assert np.array_equal(new_ctr[t], alone[1])
 
 
 class TestStepAggregate:
@@ -280,43 +273,43 @@ class TestFlipProbs:
 class TestClassCountRound:
     """The class-count first round against an agent-level oracle.
 
-    Same pattern as acceptance criterion 1, from per-agent starts with
-    arbitrary counters: 10^5 rounds at n = 64, ell = 8, TV < 0.02 and
-    both means within 3 SE of the exact expected count.
+    Same pattern as acceptance criterion 1, from class-count starts
+    with arbitrary counters, expanded into agents for the oracle: 10^5
+    rounds at n = 64, ell = 8, TV < 0.02 and both means within 3 SE of
+    the exact expected count.
     """
 
     N, ELL, TRIALS = 64, 8, 100_000
 
     def _start(self, name):
+        """(config, hist): one trial's (1, 2, ell+1) class counts."""
         n, ell = self.N, self.ELL
         rng = derive_rng(0, "class-law-start", name)
-        if name == "random_explicit_source0":
-            config = SimConfig(n=n, ell=ell, source_opinion=0)
-            opinions = rng.integers(0, 2, size=n).astype(np.uint8)
-            opinions[0] = 0
-            counters = rng.integers(0, ell + 1, size=n)
-            return config, init_adversarial(Population(opinions, counters), config, rng)
+        if name == "random_counts_src0":
+            # Any histogram is a start: n - 1 agents spread uniformly
+            # over the 2(ell+1) (opinion, counter) classes.
+            classes = rng.multinomial(n - 1, np.full(2 * (ell + 1), 1 / (2 * (ell + 1))))
+            return SimConfig(n=n, ell=ell, source_opinion=0), classes.reshape(1, 2, ell + 1)
         if name == "all_wrong_max_counters_mirror":
-            base = SimConfig(n=n, ell=ell)
-            pop = init_adversarial("all_wrong_max_counters", base, rng)
-            return SimConfig(n=n, ell=ell, source_opinion=0), mirror_population(pop, ell)
+            hist = _preset_counts("all_wrong_max_counters", SimConfig(n=n, ell=ell), rng, 1)
+            return SimConfig(n=n, ell=ell, source_opinion=0), hist[:, ::-1, ::-1]
         config = SimConfig(n=n, ell=ell)
-        return config, init_adversarial(name, config, rng)
+        return config, _preset_counts(name, config, rng, 1)
 
     @staticmethod
-    def _agent_oracle(pop, ell, source_opinion, trials, rng):
+    def _agent_oracle(opinions, counters, ell, source_opinion, trials, rng):
         """Ones after one round, each agent sampling ell fresh opinions."""
-        n = pop.n
+        n = opinions.size
         out = np.empty(trials, dtype=np.int64)
         done = 0
         while done < trials:
             m = min(20_000, trials - done)
             idx = rng.integers(0, n, size=(m, n, ell), dtype=np.uint16)
-            c_fresh = pop.opinions[idx].sum(axis=2, dtype=np.int32)
+            c_fresh = opinions[idx].sum(axis=2, dtype=np.int32)
             new = np.where(
-                c_fresh > pop.prev_counts,
+                c_fresh > counters,
                 1,
-                np.where(c_fresh < pop.prev_counts, 0, pop.opinions),
+                np.where(c_fresh < counters, 0, opinions),
             )
             new[:, 0] = source_opinion
             out[done : done + m] = new.sum(axis=1)
@@ -329,24 +322,26 @@ class TestClassCountRound:
             "all_wrong",
             "all_wrong_max_counters",
             "yellow_center",
-            "random_explicit_source0",
+            "random_counts_src0",
             "all_wrong_max_counters_mirror",
         ],
     )
     def test_one_round_law_matches_agent_level(self, name):
         n, ell, trials = self.N, self.ELL, self.TRIALS
-        config, pop = self._start(name)
+        config, hist = self._start(name)
         src = config.source_opinion
-        agent = self._agent_oracle(pop, ell, src, trials, derive_rng(0, "class-law-agent", name))
+        opinions, counters = (a[0] for a in _populations(hist, config))
+        agent = self._agent_oracle(
+            opinions, counters, ell, src, trials, derive_rng(0, "class-law-agent", name)
+        )
         rng = derive_rng(0, "class-law-classes", name)
-        hist = np.broadcast_to(_preset_counts(pop, config, rng, 1), (trials, 2, ell + 1))
-        classes = _class_round(hist, config, rng)
+        classes = _class_round(np.broadcast_to(hist, (trials, 2, ell + 1)), config, rng)
 
         # Exact law: agent i holds 1 afterwards with probability
         # P(c' > c_i) + [o_i = 1] P(c' = c_i), c' ~ Bin(ell, x_0).
-        pmf = oracle_pmf_vector(ell, fraction_ones(pop))
+        pmf = oracle_pmf_vector(ell, fraction_ones(opinions))
         p_gt = np.array([pmf[c + 1 :].sum() for c in range(ell + 1)])
-        ops, ctr = pop.opinions[1:], pop.prev_counts[1:]
+        ops, ctr = opinions[1:], counters[1:]
         p_one = p_gt[ctr] + (ops == 1) * pmf[ctr]
         mean = src + p_one.sum()
         se = math.sqrt((p_one * (1 - p_one)).sum() / trials)
@@ -364,34 +359,32 @@ class TestInitPresets:
         return SimConfig(n=n, ell=8, seed=2, **kw)
 
     def test_all_wrong(self):
-        pop = init_adversarial("all_wrong", self.cfg(), derive_rng(2, "a"))
-        assert fraction_ones(pop) == 1 / 64
-        assert pop.prev_counts.max() == 0
+        opinions, counters = init_adversarial("all_wrong", self.cfg(), derive_rng(2, "a"))
+        assert fraction_ones(opinions) == 1 / 64
+        assert counters.max() == 0
 
     def test_all_wrong_max_counters(self):
-        pop = init_adversarial("all_wrong_max_counters", self.cfg(), derive_rng(2, "b"))
-        assert fraction_ones(pop) == 1 / 64
-        assert np.all(pop.prev_counts == 8)
+        opinions, counters = init_adversarial(
+            "all_wrong_max_counters", self.cfg(), derive_rng(2, "b")
+        )
+        assert fraction_ones(opinions) == 1 / 64
+        assert np.all(counters == 8)
 
     def test_cyan_corner(self):
-        pop = init_adversarial("cyan_corner", self.cfg(n=100), derive_rng(2, "c"))
-        assert fraction_ones(pop) == 1 / 100
+        opinions, _ = init_adversarial("cyan_corner", self.cfg(n=100), derive_rng(2, "c"))
+        assert fraction_ones(opinions) == 1 / 100
 
     def test_half_half_counting_convention(self):
-        pop = init_adversarial("half_half", self.cfg(), derive_rng(2, "d"))
-        assert fraction_ones(pop) == pytest.approx(33 / 64)
+        opinions, _ = init_adversarial("half_half", self.cfg(), derive_rng(2, "d"))
+        assert fraction_ones(opinions) == pytest.approx(33 / 64)
 
     def test_yellow_center(self):
-        pop = init_adversarial("yellow_center", self.cfg(), derive_rng(2, "e"))
-        assert fraction_ones(pop) == pytest.approx(0.5)
+        opinions, _ = init_adversarial("yellow_center", self.cfg(), derive_rng(2, "e"))
+        assert fraction_ones(opinions) == pytest.approx(0.5)
 
-    def test_fraction_and_explicit(self):
-        pop = init_adversarial("fraction:0.25", self.cfg(), derive_rng(2, "f"))
-        assert fraction_ones(pop) == pytest.approx(0.25)
-        explicit = init_adversarial(
-            Population(pop.opinions, pop.prev_counts), self.cfg(), derive_rng(2, "h")
-        )
-        assert np.array_equal(explicit.opinions, pop.opinions)
+    def test_fraction(self):
+        opinions, _ = init_adversarial("fraction:0.25", self.cfg(), derive_rng(2, "f"))
+        assert fraction_ones(opinions) == pytest.approx(0.25)
 
     def test_unknown_preset(self):
         with pytest.raises(UsageError):
@@ -454,12 +447,14 @@ class TestPresetCounts:
         # A block of two trials, each expanded source first, then class by class.
         config = SimConfig(n=6, ell=2, source_opinion=0)
         hist = np.array([[[0, 2, 0], [1, 0, 2]], [[3, 0, 0], [0, 1, 1]]])
-        pops = _populations(hist, config)
-        assert pops.opinions.tolist() == [[0, 0, 0, 1, 1, 1], [0, 0, 0, 0, 1, 1]]
-        assert pops.prev_counts.tolist() == [[1, 1, 1, 0, 2, 2], [0, 0, 0, 0, 1, 2]]
+        opinions, counters = _populations(hist, config)
+        assert opinions.dtype == np.uint8 and counters.dtype == np.int32
+        assert opinions.tolist() == [[0, 0, 0, 1, 1, 1], [0, 0, 0, 0, 1, 1]]
+        assert counters.tolist() == [[1, 1, 1, 0, 2, 2], [0, 0, 0, 0, 1, 2]]
+        # Binning the non-source agents gives back each trial's counts.
+        classes = opinions[:, 1:] * 3 + counters[:, 1:]
         for t in range(2):
-            pop = Population(pops.opinions[t], pops.prev_counts[t])
-            assert np.array_equal(_preset_counts(pop, config, None, 1)[0], hist[t])
+            assert np.bincount(classes[t], minlength=6).reshape(2, 3).tolist() == hist[t].tolist()
 
     @pytest.mark.parametrize("preset", ["all_wrong_max_counters", "cyan_corner"])
     def test_misleading_counters_mirror_the_source(self, preset):
@@ -476,12 +471,6 @@ class TestPresetCounts:
         counts0, lengths0 = run_trials(zero, preset, trials)
         assert np.array_equal(lengths0, lengths1)
         assert np.array_equal(counts0, n - counts1)
-
-    def test_explicit_state_binned(self):
-        config = SimConfig(n=5, ell=3)
-        explicit = Population([1, 0, 1, 1, 0], [2, 3, 0, 3, 3])
-        hist = _preset_counts(explicit, config, derive_rng(0, "explicit"), 2)
-        assert hist.tolist() == [[[0, 0, 0, 2], [1, 0, 0, 1]]] * 2
 
 
 class TestRunTrial:
@@ -633,38 +622,51 @@ class TestRunTrial:
         assert lengths[0] - 1 <= 3
 
     def test_exact_mirror_symmetry_agent_level(self):
-        # Mirrored initial condition with mirrored source opinion yields
-        # the exactly mirrored trajectory under the same seed.
-        config1 = SimConfig(n=64, ell=8, seed=31, backend="agent", max_rounds=200)
-        config0 = SimConfig(
-            n=64, ell=8, seed=31, backend="agent", max_rounds=200, source_opinion=0
+        # all_wrong_max_counters under source opinion 0 is the mirror
+        # image of its start under source opinion 1, agent by agent, so
+        # with the same seed every agent-level path mirrors exactly.
+        config1, config0 = (
+            SimConfig(n=64, ell=8, seed=31, backend="agent", max_rounds=200, source_opinion=s)
+            for s in (1, 0)
         )
-        rng = derive_rng(31, "mirror-init")
-        pop1 = init_adversarial("all_wrong", config1, rng)
-        pop0 = mirror_population(pop1, config1.ell)
-        paths1 = split_paths(*run_trials(config1, pop1, 10))
-        paths0 = split_paths(*run_trials(config0, pop0, 10))
-        for p1, p0 in zip(paths1, paths0):
-            assert len(p1) == len(p0)
-            for k1, k0 in zip(p1, p0):
-                assert k1 == 64 - k0
+        paths1 = split_paths(*run_trials(config1, "all_wrong_max_counters", 10))
+        paths0 = split_paths(*run_trials(config0, "all_wrong_max_counters", 10))
+        assert len({len(path) for path in paths1}) > 1
+        assert paths0 == [[64 - k for k in path] for path in paths1]
 
-    def test_aggregate_mirror_symmetry_distributional(self):
-        # The aggregate backend mirrors in distribution: run the exact
-        # mirrored initial condition under the mirrored source opinion
-        # and compare mean convergence times at 3 combined SE.
-        trials = 300
-        c1 = SimConfig(n=256, c_sample=3.0, seed=13, backend="aggregate")
-        c0 = SimConfig(
-            n=256, c_sample=3.0, seed=13, backend="aggregate", source_opinion=0
-        )
-        base = init_adversarial("all_wrong_max_counters", c1, derive_rng(13, "mi"))
-        mirrored = mirror_population(base, c1.ell)
-        _, lengths1 = run_trials(c1, base, trials)
-        _, lengths0 = run_trials(c0, mirrored, trials)
-        a, b = (lengths1 - 1).astype(float), (lengths0 - 1).astype(float)
-        se = math.hypot(a.std(ddof=1) / math.sqrt(trials), b.std(ddof=1) / math.sqrt(trials))
-        assert abs(a.mean() - b.mean()) <= 3 * se
+    @pytest.mark.parametrize("preset", ["half_half", "all_wrong_max_counters"])
+    def test_agent_trials_step_the_preset_by_hand(self, preset):
+        # An agent block is its preset's class counts expanded by
+        # _populations, then step_agent_level on the trials still short
+        # of consensus, all on the block's stream.
+        n, trials = 32, 3
+        config = SimConfig(n=n, ell=4, seed=3, backend="agent")
+        rng = derive_rng(3, "trials", n, preset, 0)
+        opinions, counters = _populations(_preset_counts(preset, config, rng, trials), config)
+        paths = [[k] for k in opinions.sum(axis=1).tolist()]
+        live = list(range(trials))
+        while True:
+            going = [j for j, i in enumerate(live) if paths[i][-1] != n]
+            live = [live[j] for j in going]
+            if not live:
+                break
+            opinions, counters = step_agent_level(opinions[going], counters[going], config, rng)
+            for i, k in zip(live, opinions.sum(axis=1).tolist()):
+                paths[i].append(k)
+        assert len({len(path) for path in paths}) > 1
+        assert split_paths(*run_trials(config, preset, trials)) == paths
+
+    @pytest.mark.parametrize("backend", ["agent", "aggregate"])
+    @pytest.mark.parametrize(
+        "preset",
+        [np.zeros(8), (np.ones(8, dtype=np.uint8), np.zeros(8, dtype=np.int32)), 0.3, None],
+        ids=["ndarray", "opinions_counters", "float", "none"],
+    )
+    def test_non_string_preset_is_usage_error(self, backend, preset):
+        # A preset is a name or fraction:X, never a per-agent state.
+        config = SimConfig(n=8, ell=2, backend=backend)
+        with pytest.raises(UsageError, match="preset must be a string"):
+            run_trials(config, preset, 2)
 
     def test_aggregate_trial_memory_stays_small(self):
         # Aggregate trials never hold per-agent samples: below 64 bytes
@@ -695,83 +697,6 @@ class TestRunTrial:
             tracemalloc.stop()
         assert np.all(counts[np.cumsum(lengths) - 1] == config.n)
         assert peak < 2 << 20
-
-    def test_explicit_population_stepped_as_given(self):
-        # An explicit agent-level state is stepped in its own agent order,
-        # not re-expanded from its class counts: the trial is
-        # step_agent_level on that state with the block's stream.
-        n = 32
-        config = SimConfig(n=n, ell=4, seed=3, backend="agent")
-        rng = derive_rng(3, "order")
-        opinions = rng.integers(0, 2, n)
-        opinions[0] = 1
-        pop = Population(opinions, rng.integers(0, 5, n))
-        counts, _ = run_trials(config, pop, 1)
-        state, path = Population(pop.opinions[None], pop.prev_counts[None]), [int(opinions.sum())]
-        rng = derive_rng(3, "trials", n, "explicit", 0)
-        while path[-1] != n:
-            state = step_agent_level(state, config, rng)
-            path.append(int(state.opinions.sum()))
-        assert counts.tolist() == path
-
-    def test_explicit_population_wrong_size_rejected(self):
-        pop = init_adversarial("all_wrong", SimConfig(n=32, ell=4), derive_rng(0, "p"))
-        with pytest.raises(UsageError):
-            run_trials(SimConfig(n=64, ell=4), pop, 1)
-
-    def test_explicit_population_source_opinion_checked(self):
-        config = SimConfig(n=32, ell=4, source_opinion=0)
-        pop = Population(np.ones(32, dtype=np.uint8), np.zeros(32, dtype=np.int32))
-        with pytest.raises(UsageError):
-            run_trials(config, pop, 1)
-
-    @pytest.mark.parametrize("bad", [-1, 5])
-    def test_explicit_population_counters_checked(self, bad):
-        config = SimConfig(n=32, ell=4)
-        counters = np.zeros(32, dtype=np.int32)
-        counters[7] = bad
-        pop = Population(np.ones(32, dtype=np.uint8), counters)
-        with pytest.raises(UsageError):
-            run_trials(config, pop, 1)
-
-    def test_explicit_population_opinions_must_be_bits(self):
-        config = SimConfig(n=32, ell=4)
-        opinions = np.ones(32, dtype=np.uint8)
-        opinions[3] = 2
-        with pytest.raises(UsageError):
-            run_trials(config, Population(opinions, np.zeros(32, dtype=np.int32)), 1)
-
-    @pytest.mark.parametrize(
-        "opinions_shape, counters_shape, message",
-        [
-            ((2, 8), (2, 8), r"shape \(n,\), got \(2, 8\)"),
-            ((1, 8), (1, 8), r"shape \(n,\), got \(1, 8\)"),
-            ((8,), (7,), r"equal shape, got \(8,\) and \(7,\)"),
-            ((8,), (2, 8), r"equal shape, got \(8,\) and \(2, 8\)"),
-        ],
-        ids=["two_trials", "one_trial_axis", "short_counters", "stacked_counters"],
-    )
-    def test_explicit_population_shape_checked(self, opinions_shape, counters_shape, message):
-        # An initial state is one population of n agents; anything else
-        # is a UsageError naming the shape, never a numpy traceback.
-        config = SimConfig(n=8, ell=2, backend="agent")
-        with pytest.raises(UsageError, match=message):
-            run_trials(config, Population(np.ones(opinions_shape), np.zeros(counters_shape)), 2)
-
-    @pytest.mark.parametrize(
-        "agent, opinion, counter",
-        [(3, 256, 0), (3, 0.7, 0), (3, -1, 0), (3, 1, 2**32), (3, 1, 1.5), (0, 1, np.nan)],
-        ids=["opinion_256", "opinion_0.7", "opinion_-1", "counter_2^32", "counter_1.5",
-             "counter_nan"],
-    )
-    def test_population_rejects_lossy_casts(self, agent, opinion, counter):
-        # uint8 opinions and int32 counters must hold every given value
-        # exactly; a wrapped or truncated value never reaches a trial.
-        opinions, counters = [1, 0, 1, 0], [0, 0, 1, 2]
-        opinions[agent], counters[agent] = opinion, counter
-        with pytest.raises(UsageError):
-            Population(opinions, counters)
-        assert Population([1, 0, 1, 0], [0.0, 0.0, 1.0, 2.0]).prev_counts.dtype == np.int32
 
     def test_naive_variant_runs(self):
         config = SimConfig(n=64, ell=8, seed=8, backend="agent", variant="naive")
