@@ -8,12 +8,13 @@ rounds (source opinion fixed to 1), the next count is distributed as
 with flip probabilities evaluated at (k_t/n, k_t1/n), all taken from one
 ``duel.duels`` call over the grid of counts 0..n.  This module builds that
 kernel by exact successor-major convolution of binomial pmfs over all
-k_t at once, pruned per k_t1 block and assembled straight into CSR;
-solves the first-step equations for the expected hitting times of the
-absorbing state (n, n) by a port of scipy's BiCGSTAB (of scipy, only
-``scipy.sparse`` is imported: the chain needs no ``scipy.linalg``),
-gated on the recomputed residual; and cross-validates against the
-solver both backends of the protocol's own trial driver, ``run_trials``.
+k_t at once, pruned per k_t1 block and scattered straight into CSR;
+solves h - Q h = 1 for the expected hitting times of the absorbing
+state (n, n), Q applied on the kernel's own CSR, by a port of scipy's
+BiCGSTAB (of scipy, only ``scipy.sparse`` is imported: the chain needs
+no ``scipy.linalg``), gated on the recomputed residual; and
+cross-validates against the solver both backends of the protocol's own
+trial driver, ``run_trials``.
 
 The pair-state chain assumes the stored counters are i.i.d.
 Bin(ell, k_t/n), which holds after any round but not for an adversarial
@@ -25,11 +26,13 @@ drawing it from the (opinion, stored counter) class counts, and
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 
+from .config import check_number
 from .duel import _binomial_pmf_rows, duels
 from .errors import StructuralError, UsageError
 from .protocol import SimConfig, run_trials
@@ -71,6 +74,8 @@ class Kernel:
         return (self.n + 1) * self.n
 
     def state_index(self, k_t: int, k_t1: int) -> int:
+        check_number("k_t", k_t, numbers.Integral)
+        check_number("k_t1", k_t1, numbers.Integral)
         if not (0 <= k_t <= self.n and 1 <= k_t1 <= self.n):
             raise UsageError(f"invalid pair state ({k_t}, {k_t1}) for n={self.n}")
         return k_t * self.n + (k_t1 - 1)
@@ -92,8 +97,12 @@ def build_kernel(n: int, ell: int) -> Kernel:
     successor-major, a direct sum in contiguous slabs (FFT noise would
     move entries across PRUNE_THRESHOLD).  Pruning each block as built
     bounds memory by the kept entries; their counts per row give indptr,
-    and one gather puts them in row order, each row in successor order.
+    and each block's entries are then scattered to their rows, each row
+    in successor order, and dropped: at most two copies of the kept
+    entries are held at once.
     """
+    check_number("n", n, numbers.Integral)
+    check_number("ell", ell, numbers.Integral)
     if n > 256:
         raise UsageError(f"build_kernel supports n <= 256 (cost control), got {n}")
     if n < 2:
@@ -125,15 +134,14 @@ def build_kernel(n: int, ell: int) -> Kernel:
         cols.append((b * n + succ).astype(np.int32))  # successor pair (k_t1, k_{t+2})
         kept[b - 1] = mask.sum(axis=1)
     size = (n + 1) * n
-    row_kept = kept.T.ravel()  # row a*n + b - 1
-    indptr = np.cumsum(np.concatenate(([0], row_kept)), dtype=np.int32)
-    # Row (a, b) starts at block_start[b - 1, a] in the blocks' concatenation.
-    block_start = np.cumsum(kept, dtype=np.int32).reshape(n, n + 1) - kept
-    order = np.repeat(block_start.T.ravel() - indptr[:-1], row_kept)
-    order += np.arange(indptr[-1], dtype=np.int32)
-    matrix = sparse.csr_matrix(
-        (np.concatenate(vals)[order], np.concatenate(cols)[order], indptr), shape=(size, size)
-    )
+    indptr = np.cumsum(np.concatenate(([0], kept.T.ravel())), dtype=np.int32)  # row a*n + b - 1
+    data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=np.int32)
+    for b in range(n, 0, -1):  # last block first, so pop() drops each block once written
+        row_kept = kept[b - 1]  # rows (a, b), a = 0..n, start at indptr[a*n + b - 1]
+        start = indptr[b - 1 : size : n] - (np.cumsum(row_kept) - row_kept)
+        at = np.repeat(start, row_kept) + np.arange(row_kept.sum())
+        data[at], indices[at] = vals.pop(), cols.pop()
+    matrix = sparse.csr_matrix((data, indices, indptr), shape=(size, size))
     return Kernel(n=n, ell=ell, matrix=matrix, pruned_mass=pruned)
 
 
@@ -182,13 +190,14 @@ def _check_absorbing(kernel: Kernel) -> None:
         )
 
 
-def _bicgstab(a: sparse.csr_matrix, b: np.ndarray) -> tuple[np.ndarray, int]:
+def _bicgstab(a, b: np.ndarray) -> tuple[np.ndarray, int]:
     """BiCGSTAB for a x = b: rtol 1e-12, atol 0, x0 = 0, no preconditioner.
 
-    A port of scipy 1.17.1's pure-Python ``bicgstab``, with r in place of its copy s:
-    the same numpy operations in order, so x and info (0, 10 * N, -10 or -11) match
-    scipy's bit for bit.
+    a is a callable x -> a x or any object with ``@``.  A port of scipy 1.17.1's
+    pure-Python ``bicgstab``, with r in place of its copy s: the same numpy operations
+    in order, so x and info (0, 10 * N, -10 or -11) match scipy's bit for bit.
     """
+    matvec = a if callable(a) else a.__matmul__
     bnrm2 = np.linalg.norm(b)
     atol = max(0.0, 1e-12 * float(bnrm2))
     if bnrm2 == 0:
@@ -211,7 +220,7 @@ def _bicgstab(a: sparse.csr_matrix, b: np.ndarray) -> tuple[np.ndarray, int]:
             p += r
         else:
             p = r.copy()
-        v = a @ p
+        v = matvec(p)
         rv = np.dot(rtilde, v)
         if rv == 0:
             return x, -11
@@ -220,7 +229,7 @@ def _bicgstab(a: sparse.csr_matrix, b: np.ndarray) -> tuple[np.ndarray, int]:
         if np.linalg.norm(r) < atol:
             x += alpha * p
             return x, 0
-        t = a @ r
+        t = matvec(r)
         omega = np.dot(t, r) / np.dot(t, t)
         x += alpha * p
         x += omega * r
@@ -233,23 +242,27 @@ def absorption_times(kernel: Kernel) -> np.ndarray:
     """Expected rounds to reach (n, n) from every pair state.
 
     Validates row normalization and absorbency, then solves the
-    first-step linear system (I - Q) h = 1 over transient states with
+    first-step equations h - Q h = 1 over transient states with
     ``_bicgstab`` (relative tolerance 1e-12), a port of scipy 1.17.1's
-    BiCGSTAB that repeats its operations in order, so h is bit-identical
-    to scipy's.  The true relative residual is recomputed from h and must
-    be at most 1e-10: on ill-conditioned chains (hitting times of 1e8 and
-    more, e.g. ell = 1) the solver can report convergence with a true
-    residual far above that (7e-5 at n = 64, ell = 1), so its own flag
-    is not trusted alone.  Index the result with kernel.state_index.
+    BiCGSTAB, equal in every bit to scipy's on the operator x - Q x.  Q x
+    is read off the kernel's own CSR, never copied, so the solve
+    allocates only vectors.  The true relative residual is recomputed
+    from h and must be at most 1e-10: on ill-conditioned chains (hitting
+    times of 1e8 and more, e.g. ell = 1) the solver can report
+    convergence with a true residual far above that (7e-5 at n = 64,
+    ell = 1), so its own flag is not trusted alone.  Index the result
+    with kernel.state_index.
     """
     _validate_rows(kernel)
     _check_absorbing(kernel)
-    # (n, n) is the last state, so Q is the matrix less its last row and column.
-    q = kernel.matrix[:-1, :-1]
-    system = sparse.identity(q.shape[0], format="csr") - q
-    rhs = np.ones(q.shape[0])
-    h_transient, info = _bicgstab(system, rhs)
-    residual = np.linalg.norm(system @ h_transient - rhs) / np.linalg.norm(rhs)
+
+    def first_step(x: np.ndarray) -> np.ndarray:
+        # (n, n) is the last state: Q x is the kernel times x, 0 appended, less its last entry.
+        return x - (kernel.matrix @ np.append(x, 0.0))[:-1]
+
+    rhs = np.ones(kernel.num_states - 1)
+    h_transient, info = _bicgstab(first_step, rhs)
+    residual = np.linalg.norm(first_step(h_transient) - rhs) / np.linalg.norm(rhs)
     if info != 0 or not residual <= 1e-10:
         raise StructuralError(
             f"linear solve residual {residual:.3e} exceeds 1e-10 (bicgstab info {info})"
@@ -308,10 +321,16 @@ def simulate_exact_check(
     expectation at 3 standard errors, and the two backends to each
     other.  Returns a JSON-ready report; verdicts are in report["pass"].
     """
+    for name, value in (("n", n), ("ell", ell), ("trials", trials)):
+        check_number(name, value, numbers.Integral)
     if n > 64:
         raise UsageError(f"simulate_exact_check supports n <= 64, got {n}")
+    if trials < 2:
+        raise UsageError(f"trials must be >= 2 for a standard error, got {trials}")
     if kernel is None:
         kernel = build_kernel(n, ell)
+    elif (kernel.n, kernel.ell) != (n, ell):
+        raise UsageError(f"kernel is for (n, ell) = ({kernel.n}, {kernel.ell}), not ({n}, {ell})")
     times = absorption_times(kernel)
     exact = expected_consensus_time_all_wrong(kernel, times)
 

@@ -7,9 +7,9 @@ The pair-state kernel oracles are the exception: one builds each row
 separately through the scalar duel path, as a reference for the
 vectorized markov.build_kernel; the other (``reference_kernel`` with
 ``reference_absorption_times``) is the earlier row-major build and
-solve, which the library must match bit for bit.  The single-agent FET rule
-(``agent_round``), the scalar log-space ``binomial_pmf`` and
-``binomial_pmf_vector``, the kernel row reader
+scipy's solve on a boolean-mask Q, which the library must match bit
+for bit.  The single-agent FET rule (``agent_round``), the scalar
+log-space ``binomial_pmf`` and ``binomial_pmf_vector``, the kernel row reader
 ``next_count_distribution``, the population fraction, the swapped duel,
 the label and point mirrors, the grid and Yellow' membership tests,
 the list of every matching domain, the one-population preset
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 from scipy import sparse
-from scipy.sparse.linalg import bicgstab
+from scipy.sparse.linalg import LinearOperator, bicgstab
 from scipy.special import gammaln
 
 from fetsim.domains import (
@@ -197,18 +197,19 @@ def reference_kernel(n: int, ell: int) -> tuple[sparse.csr_matrix, float]:
 
 
 def reference_absorption_times(matrix: sparse.csr_matrix, absorbing: int) -> np.ndarray:
-    """First-step solve with a boolean-mask Q and I - Q built twice.
+    """First-step solve of h - Q h = 1 by scipy's bicgstab, Q a boolean-mask copy.
 
-    Same BiCGSTAB call as markov.absorption_times, without its
-    structural checks, so the two must agree in every bit.
+    The operator is x - Q x, as markov.absorption_times applies it on
+    the kernel's own CSR; without its structural checks, the two must
+    agree in every bit.
     """
     size = matrix.shape[0]
     transient = np.arange(size) != absorbing
     q = matrix[transient][:, transient].tocsr()
-    ident = sparse.identity(q.shape[0], format="csr")
+    system = LinearOperator(q.shape, matvec=lambda x: x - q @ x, dtype=float)
     rhs = np.ones(q.shape[0])
-    h_transient, info = bicgstab(ident - q, rhs, rtol=1e-12, atol=0.0)
-    residual = np.linalg.norm((ident - q) @ h_transient - rhs) / np.linalg.norm(rhs)
+    h_transient, info = bicgstab(system, rhs, rtol=1e-12, atol=0.0)
+    residual = np.linalg.norm(system @ h_transient - rhs) / np.linalg.norm(rhs)
     assert info == 0 and residual <= 1e-10
     h = np.zeros(size)
     h[transient] = h_transient
