@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -39,17 +40,7 @@ from .errors import DomainError, FetsimError, UsageError
 from .harness import LEMMAS, _AREAS, _LABELS, emit, run_all, run_lemma
 from .protocol import SimConfig, run_trials
 
-SIM_CONFIG_KEYS = (
-    "n",
-    "ell",
-    "c_sample",
-    "delta",
-    "source_opinion",
-    "max_rounds",
-    "seed",
-    "backend",
-    "variant",
-)
+SIM_CONFIG_KEYS = tuple(field.name for field in dataclasses.fields(SimConfig))
 
 
 def _print_json(payload: dict) -> None:
@@ -324,7 +315,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FetsimError as exc:
+    except (FetsimError, OSError) as exc:  # OSError: an unusable --out path
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,20 +12,18 @@ k_t at once, pruned per k_t1 block and scattered straight into CSR;
 solves h - Q h = 1 for the expected hitting times of the absorbing
 state (n, n), Q applied on the kernel's own CSR, by a port of scipy's
 BiCGSTAB (of scipy, only ``scipy.sparse`` is imported: the chain needs
-no ``scipy.linalg``), gated on the recomputed residual; and
-cross-validates against the solver both backends of the protocol's own
-trial driver, ``run_trials``.
+no ``scipy.linalg``), gated on the recomputed residual.
 
 The pair-state chain assumes the stored counters are i.i.d.
 Bin(ell, k_t/n), which holds after any round but not for an adversarial
 start.  The aggregate backend bridges that first round exactly by
-drawing it from the (opinion, stored counter) class counts, and
-``simulate_exact_check`` reports say so in their ``note`` field.
+drawing it from the (opinion, stored counter) class counts.  The tests
+cross-check both backends of the protocol's trial driver against
+``expected_consensus_time_all_wrong``.
 """
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 
@@ -35,23 +33,15 @@ from scipy import sparse
 from .config import check_number
 from .duel import _binomial_pmf_rows, duels
 from .errors import StructuralError, UsageError
-from .protocol import SimConfig, run_trials
 
 __all__ = [
     "Kernel",
     "absorption_times",
     "build_kernel",
     "expected_consensus_time_all_wrong",
-    "simulate_exact_check",
 ]
 
 PRUNE_THRESHOLD = 1e-15
-BRIDGE_NOTE = (
-    "pair-state kernel assumes stored counters i.i.d. Bin(ell, k_t/n), the "
-    "post-round distribution; aggregate trials draw their first round "
-    "exactly from the (opinion, stored counter) class counts of the "
-    "adversarial start, agent-level trials run every round per agent"
-)
 
 
 @dataclass
@@ -79,10 +69,6 @@ class Kernel:
         if not (0 <= k_t <= self.n and 1 <= k_t1 <= self.n):
             raise UsageError(f"invalid pair state ({k_t}, {k_t1}) for n={self.n}")
         return k_t * self.n + (k_t1 - 1)
-
-    def state_of_index(self, idx: int) -> tuple[int, int]:
-        """The pair state (k_t, k_t1) at a state index."""
-        return idx // self.n, idx % self.n + 1
 
     @property
     def absorbing_index(self) -> int:
@@ -145,14 +131,18 @@ def build_kernel(n: int, ell: int) -> Kernel:
     return Kernel(n=n, ell=ell, matrix=matrix, pruned_mass=pruned)
 
 
+def _first_states(kernel: Kernel, indices: np.ndarray) -> list[tuple[int, int]]:
+    """The pair states (k_t, k_t1) of the first ten state indices, for error messages."""
+    return [(int(i) // kernel.n, int(i) % kernel.n + 1) for i in indices[:10]]
+
+
 def _validate_rows(kernel: Kernel, tol: float = 1e-10) -> None:
     sums = np.asarray(kernel.matrix.sum(axis=1)).ravel()
     bad = np.nonzero(np.abs(sums - 1.0) > tol)[0]
     if bad.size:
-        states = [kernel.state_of_index(int(i)) for i in bad[:10]]
         raise StructuralError(
             f"{bad.size} kernel row(s) do not sum to 1 within {tol}; "
-            f"first offenders: {states}"
+            f"first offenders: {_first_states(kernel, bad)}"
         )
 
 
@@ -180,13 +170,14 @@ def _check_absorbing(kernel: Kernel) -> None:
     others = np.nonzero(diag >= 1.0 - 1e-12)[0]
     others = others[others != absorbing]
     if others.size:
-        states = [kernel.state_of_index(int(i)) for i in others[:10]]
-        raise StructuralError(f"unexpandable self-loop states besides (n,n): {states}")
+        raise StructuralError(
+            f"unexpandable self-loop states besides (n,n): {_first_states(kernel, others)}"
+        )
     missing = np.flatnonzero(~_reaching(kernel.matrix, absorbing))
     if missing.size:
-        states = [kernel.state_of_index(int(i)) for i in missing[:10]]
         raise StructuralError(
-            f"{missing.size} state(s) cannot reach (n,n); first offenders: {states}"
+            f"{missing.size} state(s) cannot reach (n,n); "
+            f"first offenders: {_first_states(kernel, missing)}"
         )
 
 
@@ -283,87 +274,3 @@ def expected_consensus_time_all_wrong(kernel: Kernel, times: np.ndarray) -> floa
     weights = _binomial_pmf_rows(n - 1, np.array([p_flip]))[0]  # over k_1 - 1
     start = kernel.state_index(1, 1)  # states (1, 1) .. (1, n) are contiguous
     return float(weights @ times[start : start + n])
-
-
-def _simulate_hitting_times(
-    n: int,
-    ell: int,
-    trials: int,
-    seed: int,
-    backend: str,
-    max_rounds: int,
-) -> np.ndarray:
-    """Consensus rounds from the all-wrong start, one entry per trial.
-
-    The trials run through run_trials on the chosen backend; a trial
-    that hits max_rounds is a StructuralError.
-    """
-    config = SimConfig(n=n, ell=ell, backend=backend, seed=seed, max_rounds=max_rounds)
-    counts, lengths = run_trials(config, "all_wrong", trials)
-    stuck = int((counts[np.cumsum(lengths) - 1] != n).sum())
-    if stuck:
-        raise StructuralError(f"{stuck} {backend} trial(s) did not converge in {max_rounds} rounds")
-    return lengths - 1
-
-
-def simulate_exact_check(
-    n: int,
-    ell: int,
-    trials: int = 10_000,
-    seed: int = 0,
-    max_rounds: int = 100_000,
-    kernel: Kernel | None = None,
-) -> dict:
-    """Cross-validate both backends against the exact solver.
-
-    Runs `trials` trials per backend from the all-wrong start, compares
-    each empirical mean consensus time to the kernel-derived exact
-    expectation at 3 standard errors, and the two backends to each
-    other.  Returns a JSON-ready report; verdicts are in report["pass"].
-    """
-    for name, value in (("n", n), ("ell", ell), ("trials", trials)):
-        check_number(name, value, numbers.Integral)
-    if n > 64:
-        raise UsageError(f"simulate_exact_check supports n <= 64, got {n}")
-    if trials < 2:
-        raise UsageError(f"trials must be >= 2 for a standard error, got {trials}")
-    if kernel is None:
-        kernel = build_kernel(n, ell)
-    elif (kernel.n, kernel.ell) != (n, ell):
-        raise UsageError(f"kernel is for (n, ell) = ({kernel.n}, {kernel.ell}), not ({n}, {ell})")
-    times = absorption_times(kernel)
-    exact = expected_consensus_time_all_wrong(kernel, times)
-
-    report: dict = {
-        "n": n,
-        "ell": ell,
-        "trials": trials,
-        "seed": seed,
-        "note": BRIDGE_NOTE,
-        "exact_expected_rounds": exact,
-        "pruned_mass": kernel.pruned_mass,
-        "backends": {},
-    }
-    means = {}
-    ses = {}
-    overall = True
-    for backend in ("agent", "aggregate"):
-        sample = _simulate_hitting_times(n, ell, trials, seed, backend, max_rounds)
-        mean = float(sample.mean())
-        se = float(sample.std(ddof=1) / math.sqrt(trials))
-        ok = abs(mean - exact) <= 3.0 * se
-        means[backend], ses[backend] = mean, se
-        overall &= ok
-        report["backends"][backend] = {
-            "mean": mean,
-            "stderr": se,
-            "ci99_low": mean - 3 * se,
-            "ci99_high": mean + 3 * se,
-            "matches_exact_3sigma": ok,
-        }
-    cross_se = math.hypot(ses["agent"], ses["aggregate"])
-    cross_ok = abs(means["agent"] - means["aggregate"]) <= 3.0 * cross_se
-    overall &= cross_ok
-    report["backends_agree_3sigma"] = cross_ok
-    report["pass"] = bool(overall)
-    return report

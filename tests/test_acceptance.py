@@ -30,13 +30,8 @@ from fetsim.harness import (
     verify_purple,
     verify_red,
 )
-from fetsim.markov import (
-    _simulate_hitting_times,
-    absorption_times,
-    build_kernel,
-    expected_consensus_time_all_wrong,
-)
-from fetsim.protocol import derive_rng
+from fetsim.markov import absorption_times, build_kernel, expected_consensus_time_all_wrong
+from fetsim.protocol import SimConfig, derive_rng, run_trials
 
 SEED = 0
 
@@ -169,8 +164,10 @@ def test_criterion_2_exact_chain_validation():
     kernel = build_kernel(n, ell)
     times = absorption_times(kernel)
     exact = expected_consensus_time_all_wrong(kernel, times)
-    sample = _simulate_hitting_times(n, ell, trials, SEED, "agent", 100_000)
-    mc = float(sample.mean())
+    config = SimConfig(n=n, ell=ell, backend="agent", seed=SEED, max_rounds=100_000)
+    counts, lengths = run_trials(config, "all_wrong", trials)
+    assert (counts[np.cumsum(lengths) - 1] == n).all(), "a trial hit max_rounds"
+    mc = float((lengths - 1).mean())
     rel = abs(mc - exact) / exact
     ok = rel <= 0.03
     _report(

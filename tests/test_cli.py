@@ -1,6 +1,7 @@
 """CLI surface: subcommand output schemas, config parsing, file emission."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -18,6 +19,7 @@ from fetsim.config import parse_config_file, parse_value
 from fetsim.domains import DomainLabel, label_paths
 from fetsim.errors import UsageError
 from fetsim.markov import absorption_times, build_kernel
+from fetsim.protocol import SimConfig
 
 
 def run_cli(capsys, *argv):
@@ -84,6 +86,33 @@ def test_unusable_config_is_usage_error(capsys, tmp_path, command, kind):
     assert out == ""
     assert err.startswith(f"error: cannot read config file {cfg}")
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, out_below_file",
+    [
+        (["simulate", "--config", "{cfg}", "--trials", "1"], False),
+        (["audit", "--n", "64"], True),
+        (["chain", "--n", "8", "--ell", "2"], True),
+        (["verify", "--lemma", "green"], False),
+    ],
+    ids=["simulate", "audit", "chain", "verify"],
+)
+def test_out_path_through_a_file_is_usage_error(capsys, tmp_path, argv, out_below_file):
+    # --out names an existing regular file, or a path below one.
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 64\nseed = 3\n")
+    out = blocker / "report.json" if out_below_file else blocker
+    argv = [arg.format(cfg=cfg) for arg in argv]
+    code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "File exists" in errors[0]
+    assert "Traceback" not in err
+    assert blocker.read_text() == ""
 
 
 class TestDuelCommand:
@@ -228,6 +257,17 @@ class TestSimulateCommand:
         assert list(rows[0]) == ["round", "x_t", "domain", "yellow_label"]
         assert rows[0]["x_t"] == repr(1 / 64)
         assert rows[-1]["domain"] == ""
+
+    def test_every_sim_config_field_is_a_config_key(self, capsys, tmp_path):
+        # Each SimConfig field at its default (n and ell set) is a known key.
+        settings = {field.name: field.default for field in dataclasses.fields(SimConfig)}
+        settings.update(n=64, ell=8)
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in settings.items()))
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(out_dir))
+        assert code == 0, err
+        assert json.loads((out_dir / "summary.json").read_text())["converged_fraction"] == 1.0
 
     def test_naive_variant_with_aggregate_backend_is_usage_error(self, capsys, tmp_path):
         cfg = tmp_path / "sim.cfg"

@@ -1,5 +1,6 @@
 """Exact pair-state kernel, absorption times, and backend cross-checks."""
 
+import functools
 import math
 import tracemalloc
 
@@ -26,8 +27,8 @@ from fetsim.markov import (
     absorption_times,
     build_kernel,
     expected_consensus_time_all_wrong,
-    simulate_exact_check,
 )
+from fetsim.protocol import SimConfig, run_trials
 
 REFERENCE_CASES = [(2, 1), (2, 2), (3, 3), (16, 4), (17, 9), (64, 13), (96, 14), (64, 64)]
 
@@ -350,6 +351,14 @@ class TestBicgstabPort:
 
 
 class TestExpectedConsensusTime:
+    def test_two_agent_hand_value(self):
+        # Round 0 flips the non-source iff its single sample hits the
+        # source: k_1 = 2 w.p. 1/2, else 1, so 0.5*h(1,1) + 0.5*h(1,2) = 3.
+        k = build_kernel(2, 1)
+        assert expected_consensus_time_all_wrong(k, absorption_times(k)) == pytest.approx(
+            3.0, abs=1e-9
+        )
+
     def test_weights_are_first_round_flip_distribution(self):
         n, ell = 16, 4
         k = build_kernel(n, ell)
@@ -365,37 +374,37 @@ class TestExpectedConsensusTime:
         assert expected == pytest.approx(total, rel=1e-12)
 
 
-class TestSimulateExactCheck:
-    def test_two_agents_fast(self):
-        report = simulate_exact_check(2, 1, trials=4000, seed=1)
-        assert report["pass"]
-        # Round 0 flips the non-source iff its single sample hits the
-        # source: k_1 = 2 w.p. 1/2, else 1, so 0.5*h(1,1) + 0.5*h(1,2) = 3.
-        assert report["exact_expected_rounds"] == pytest.approx(3.0, abs=1e-9)
+SAMPLES = [(2, 1, 1, 4000), (16, 4, 2, 8000)]  # (n, ell, seed, trials)
 
-    def test_small_population_self_consistency(self):
-        report = simulate_exact_check(16, 4, trials=8000, seed=2)
-        assert report["pass"]
-        for backend in ("agent", "aggregate"):
-            entry = report["backends"][backend]
-            assert entry["matches_exact_3sigma"]
-        assert report["backends_agree_3sigma"]
 
-    def test_size_cap(self):
-        with pytest.raises(UsageError):
-            simulate_exact_check(128, 8)
+@functools.cache
+def _consensus_rounds(backend, n, ell, seed, trials):
+    """Consensus rounds of all-wrong trials on one backend; each trial must converge."""
+    config = SimConfig(n=n, ell=ell, backend=backend, seed=seed, max_rounds=100_000)
+    counts, lengths = run_trials(config, "all_wrong", trials)
+    assert (counts[np.cumsum(lengths) - 1] == n).all()
+    return lengths - 1
 
-    @pytest.mark.parametrize("trials", [1, 0, 2.0])
-    def test_too_few_trials_for_a_stderr_rejected(self, trials):
-        with pytest.raises(UsageError, match="trials"):
-            simulate_exact_check(8, 2, trials=trials)
 
-    @pytest.mark.parametrize("n, ell", [(8, 2), (16, 3), (8, 4)])
-    def test_kernel_of_other_parameters_rejected(self, n, ell):
-        with pytest.raises(UsageError, match=r"kernel is for \(n, ell\) = \(16, 4\)"):
-            simulate_exact_check(n, ell, trials=100, kernel=build_kernel(16, 4))
+def _mean_and_stderr(rounds):
+    return rounds.mean(), rounds.std(ddof=1) / math.sqrt(len(rounds))
 
-    def test_kernel_of_same_parameters_used(self):
-        kernel = build_kernel(16, 4)
-        report = simulate_exact_check(16, 4, trials=200, seed=3, kernel=kernel)
-        assert report == simulate_exact_check(16, 4, trials=200, seed=3)
+
+@pytest.mark.parametrize("n, ell, seed, trials", SAMPLES)
+@pytest.mark.parametrize("backend", ["agent", "aggregate"])
+def test_backend_mean_consensus_round_matches_exact_chain(backend, n, ell, seed, trials):
+    # The mean consensus round from the all-wrong start is within 3
+    # standard errors of the chain's exact expectation.
+    k = build_kernel(n, ell)
+    exact = expected_consensus_time_all_wrong(k, absorption_times(k))
+    mean, stderr = _mean_and_stderr(_consensus_rounds(backend, n, ell, seed, trials))
+    assert abs(mean - exact) <= 3.0 * stderr
+
+
+@pytest.mark.parametrize("n, ell, seed, trials", SAMPLES)
+def test_backends_agree_on_mean_consensus_round(n, ell, seed, trials):
+    agent, aggregate = (
+        _mean_and_stderr(_consensus_rounds(backend, n, ell, seed, trials))
+        for backend in ("agent", "aggregate")
+    )
+    assert abs(agent[0] - aggregate[0]) <= 3.0 * math.hypot(agent[1], aggregate[1])
