@@ -48,6 +48,24 @@ def _print_json(payload: dict) -> None:
     sys.stdout.write("\n")
 
 
+def _check_out(out: str | None, is_dir: bool) -> None:
+    """Fail if a directory that --out needs (out itself if is_dir, each parent) is a file."""
+    if out:
+        for path in ([Path(out)] if is_dir else []) + list(Path(out).parents):
+            if path.exists() and not path.is_dir():
+                raise FileExistsError(f"File exists where --out {out} needs a directory: {path}")
+
+
+def _write_json(payload: dict, out: str | None, what: str) -> None:
+    """The payload as JSON to the file out (its directories made), else to stdout."""
+    if out:
+        Path(out).parent.mkdir(parents=True, exist_ok=True)
+        Path(out).write_text(json.dumps(payload, indent=2) + "\n")
+        print(f"{what} written to {out}", file=sys.stderr)
+    else:
+        _print_json(payload)
+
+
 def _cmd_duel(args) -> int:
     duel = exact_duel(args.k, args.p, args.q)
     payload = {
@@ -116,13 +134,7 @@ def _cmd_audit(args) -> int:
     constants = AnalysisConstants.for_population(
         args.n, delta=args.delta, c_sample=args.c_sample
     )
-    report = audit_partition(args.n, constants).to_dict()
-    if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
-        print(f"audit report written to {args.out}", file=sys.stderr)
-    else:
-        _print_json(report)
+    _write_json(audit_partition(args.n, constants).to_dict(), args.out, "audit report")
     return 0
 
 
@@ -146,7 +158,7 @@ def _cmd_simulate(args) -> int:
     trials = settings.get("trials", 1)
     config = _sim_config_from_settings(settings)
     preset = settings.get("preset", "all_wrong")
-    out_dir = Path(args.out) if args.out else Path("simulate-out")
+    out_dir = Path(args.out)
 
     counts, lengths = run_trials(config, preset, trials)  # before any output directory
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -221,12 +233,7 @@ def _cmd_chain(args) -> int:
     if from_state is not None:
         payload["from_state"] = list(from_state)
         payload["expected_rounds_from_state"] = float(times[kernel.state_index(*from_state)])
-    if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"chain report written to {args.out}", file=sys.stderr)
-    else:
-        _print_json(payload)
+    _write_json(payload, args.out, "chain report")
     return 0
 
 
@@ -292,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", type=str, required=True)
     p.add_argument("--preset", type=str, default=None)
     p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--out", type=str, default=None)
+    p.add_argument("--out", type=str, default="simulate-out")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("chain", help="exact kernel and absorption times")
@@ -313,7 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
+    try:  # an unusable --out path fails here, before any trial, kernel or audit
+        _check_out(getattr(args, "out", None), is_dir=args.command in ("simulate", "verify"))
         return args.func(args)
     except (FetsimError, OSError) as exc:  # OSError: an unusable --out path
         print(f"error: {exc}", file=sys.stderr)

@@ -8,7 +8,7 @@ rounds (source opinion fixed to 1), the next count is distributed as
 with flip probabilities evaluated at (k_t/n, k_t1/n), all taken from one
 ``duel.duels`` call over the grid of counts 0..n.  This module builds that
 kernel by exact successor-major convolution of binomial pmfs over all
-k_t at once, pruned per k_t1 block and scattered straight into CSR;
+k_t at once, pruned per k_t1 block and appended straight into CSR;
 solves h - Q h = 1 for the expected hitting times of the absorbing
 state (n, n), Q applied on the kernel's own CSR, by a port of scipy's
 BiCGSTAB (of scipy, only ``scipy.sparse`` is imported: the chain needs
@@ -48,10 +48,11 @@ PRUNE_THRESHOLD = 1e-15
 class Kernel:
     """Sparse transition kernel on pair states (k_t, k_t1), k_t1 >= 1.
 
-    State index: (k_t, k_t1) -> k_t * n + (k_t1 - 1); a row holds the
-    distribution of the successor pair (k_t1, k_{t+2}).  Probabilities
-    below PRUNE_THRESHOLD are dropped and their total tracked in
-    pruned_mass.
+    State index: (k_t, k_t1) -> (k_t1 - 1) * (n + 1) + k_t, so each k_t1
+    block is a run of consecutive states and (n, n) is the last one; a
+    row holds the distribution of the successor pair (k_t1, k_{t+2}).
+    Probabilities below PRUNE_THRESHOLD are dropped and their total
+    tracked in pruned_mass.
     """
 
     n: int
@@ -68,7 +69,7 @@ class Kernel:
         check_number("k_t1", k_t1, numbers.Integral)
         if not (0 <= k_t <= self.n and 1 <= k_t1 <= self.n):
             raise UsageError(f"invalid pair state ({k_t}, {k_t1}) for n={self.n}")
-        return k_t * self.n + (k_t1 - 1)
+        return (k_t1 - 1) * (self.n + 1) + k_t
 
     @property
     def absorbing_index(self) -> int:
@@ -81,11 +82,11 @@ def build_kernel(n: int, ell: int) -> Kernel:
     Flip probabilities come from one duels call over the counts 0..n.  Per
     k_t1, both pmf tables are transposed to (outcome, k_t) and convolved
     successor-major, a direct sum in contiguous slabs (FFT noise would
-    move entries across PRUNE_THRESHOLD).  Pruning each block as built
-    bounds memory by the kept entries; their counts per row give indptr,
-    and each block's entries are then scattered to their rows, each row
-    in successor order, and dropped: at most two copies of the kept
-    entries are held at once.
+    move entries across PRUNE_THRESHOLD).  States are numbered k_t1-major,
+    so each block, pruned as built, is the next run of CSR rows, each row
+    in successor order: its entries and per-row counts are appended to the
+    final arrays, which grow in place by 1.25x, and one copy of the kept
+    entries is held.
     """
     check_number("n", n, numbers.Integral)
     check_number("ell", ell, numbers.Integral)
@@ -99,9 +100,10 @@ def build_kernel(n: int, ell: int) -> Kernel:
     counts = np.arange(n + 1)
     gain, p_eq = duels(ell, counts[:, None] / n, counts / n)
     keep = np.minimum(gain + p_eq, 1.0)
-    cols, vals = [], []
-    kept = np.empty((n, n + 1), dtype=np.int32)  # [b - 1, a]: kept entries of row (a, b)
-    pruned = 0.0
+    size = (n + 1) * n  # state indices stay below 65,792, so int32 holds them
+    data, indices = np.empty(0), np.empty(0, dtype=np.int32)
+    indptr = np.zeros(size + 1, dtype=np.int32)
+    pruned, nnz = 0.0, 0
     for b in range(1, n + 1):
         u = np.ascontiguousarray(_binomial_pmf_rows(b - 1, keep[:, b]).T)
         v = np.ascontiguousarray(_binomial_pmf_rows(n - b, gain[:, b]).T)
@@ -111,29 +113,28 @@ def build_kernel(n: int, ell: int) -> Kernel:
         product = np.empty_like(v)
         for i in range(len(u)):
             block[i : i + len(v)] += np.multiply(u[i], v, out=product)
-        block = block.T  # a view: row a is the row of state a*n + b - 1
+        block = block.T  # a view: row a is the row of state (b - 1) * (n + 1) + a
         mask = block >= PRUNE_THRESHOLD
         pruned += float(block[~mask].sum())
+        end = nnz + int(np.count_nonzero(mask))
+        if end > data.size:  # grow in place: realloc, not a second copy
+            data.resize(max(end, int(1.25 * data.size)), refcheck=False)
+            indices.resize(data.size, refcheck=False)
         a, succ = np.nonzero(mask)  # k_{t+2} = succ + 1
-        vals.append(block[a, succ])
-        # State indices stay below (n + 1) * n <= 65,792, so int32 holds them.
-        cols.append((b * n + succ).astype(np.int32))  # successor pair (k_t1, k_{t+2})
-        kept[b - 1] = mask.sum(axis=1)
-    size = (n + 1) * n
-    indptr = np.cumsum(np.concatenate(([0], kept.T.ravel())), dtype=np.int32)  # row a*n + b - 1
-    data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=np.int32)
-    for b in range(n, 0, -1):  # last block first, so pop() drops each block once written
-        row_kept = kept[b - 1]  # rows (a, b), a = 0..n, start at indptr[a*n + b - 1]
-        start = indptr[b - 1 : size : n] - (np.cumsum(row_kept) - row_kept)
-        at = np.repeat(start, row_kept) + np.arange(row_kept.sum())
-        data[at], indices[at] = vals.pop(), cols.pop()
+        data[nnz:end] = block[a, succ]
+        indices[nnz:end] = succ * (n + 1) + b  # successor pair (k_t1, k_{t+2})
+        rows = (b - 1) * (n + 1)
+        indptr[rows + 1 : rows + n + 2] = nnz + np.cumsum(mask.sum(axis=1))
+        nnz = end
+    data.resize(nnz, refcheck=False)
+    indices.resize(nnz, refcheck=False)
     matrix = sparse.csr_matrix((data, indices, indptr), shape=(size, size))
     return Kernel(n=n, ell=ell, matrix=matrix, pruned_mass=pruned)
 
 
 def _first_states(kernel: Kernel, indices: np.ndarray) -> list[tuple[int, int]]:
     """The pair states (k_t, k_t1) of the first ten state indices, for error messages."""
-    return [(int(i) // kernel.n, int(i) % kernel.n + 1) for i in indices[:10]]
+    return [(int(i) % (kernel.n + 1), int(i) // (kernel.n + 1) + 1) for i in indices[:10]]
 
 
 def _validate_rows(kernel: Kernel, tol: float = 1e-10) -> None:
@@ -272,5 +273,5 @@ def expected_consensus_time_all_wrong(kernel: Kernel, times: np.ndarray) -> floa
     n, ell = kernel.n, kernel.ell
     p_flip = 1.0 - (1.0 - 1.0 / n) ** ell
     weights = _binomial_pmf_rows(n - 1, np.array([p_flip]))[0]  # over k_1 - 1
-    start = kernel.state_index(1, 1)  # states (1, 1) .. (1, n) are contiguous
-    return float(weights @ times[start : start + n])
+    start = kernel.state_index(1, 1)  # states (1, 1) .. (1, n) are n + 1 apart
+    return float(weights @ times[start :: n + 1])

@@ -138,8 +138,8 @@ def oracle_kernel(n: int, ell: int) -> tuple[sparse.csr_matrix, float]:
             mask = dist >= PRUNE_THRESHOLD
             pruned += float(dist[~mask].sum())
             succ = np.nonzero(mask)[0]
-            rows.append(np.full(succ.shape, k_t * n + (k_t1 - 1)))
-            cols.append(k_t1 * n + succ)
+            rows.append(np.full(succ.shape, (k_t1 - 1) * (n + 1) + k_t))
+            cols.append(succ * (n + 1) + k_t1)
             vals.append(dist[succ])
     size = (n + 1) * n
     matrix = sparse.csr_matrix(
@@ -186,8 +186,8 @@ def reference_kernel(n: int, ell: int) -> tuple[sparse.csr_matrix, float]:
         pruned += float(block[~mask].sum())
         a, succ = np.nonzero(mask)
         vals.append(block[a, succ])
-        rows.append((a * n + b - 1).astype(np.int32))
-        cols.append((b * n + succ).astype(np.int32))
+        rows.append(((b - 1) * (n + 1) + a).astype(np.int32))
+        cols.append((succ * (n + 1) + b).astype(np.int32))
     size = (n + 1) * n
     matrix = sparse.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
@@ -221,7 +221,7 @@ def next_count_distribution(kernel: Kernel, k_t: int, k_t1: int) -> np.ndarray:
     row = kernel.matrix.getrow(kernel.state_index(k_t, k_t1))
     out = np.zeros(kernel.n)
     for idx, p in zip(row.indices, row.data):
-        out[idx % kernel.n] += p
+        out[idx // (kernel.n + 1)] += p  # column (k_{t+2} - 1) * (n + 1) + k_t1
     return out
 
 

@@ -115,6 +115,40 @@ def test_out_path_through_a_file_is_usage_error(capsys, tmp_path, argv, out_belo
     assert blocker.read_text() == ""
 
 
+@pytest.mark.parametrize(
+    "argv, needs_dir",
+    [
+        (["simulate", "--config", "{cfg}", "--trials", "1"], True),
+        (["audit", "--n", "64"], False),
+        (["chain", "--n", "128", "--ell", "15"], False),
+        (["verify", "--lemma", "all"], True),
+    ],
+    ids=["simulate", "audit", "chain", "verify"],
+)
+def test_unusable_out_fails_before_any_work(monkeypatch, capsys, tmp_path, argv, needs_dir):
+    # An existing non-directory where --out needs a directory ends the
+    # command before its trials, kernel or audit, and creates nothing.
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    for target in ["fetsim.cli.run_trials", "fetsim.harness.run_trials",
+                   "fetsim.markov.build_kernel", "fetsim.cli.audit_partition"]:
+        monkeypatch.setattr(target, no_work)
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 64\nseed = 3\n")
+    argv = [arg.format(cfg=cfg) for arg in argv]
+    outs = [blocker / "report.json", blocker / "sub" / "report.json"] + [blocker] * needs_dir
+    for out in outs:
+        code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+        assert code == 2
+        assert stdout == ""
+        assert err == f"error: File exists where --out {out} needs a directory: {blocker}\n"
+    assert sorted(tmp_path.iterdir()) == [cfg, blocker]
+    assert blocker.read_text() == ""
+
+
 class TestDuelCommand:
     def test_triple(self, capsys):
         code, out, _ = run_cli(capsys, "duel", "--k", "2", "--p", "0.5", "--q", "0.5")

@@ -23,6 +23,7 @@ from fetsim.errors import StructuralError, UsageError
 from fetsim.markov import (
     Kernel,
     _bicgstab,
+    _first_states,
     _reaching,
     absorption_times,
     build_kernel,
@@ -87,7 +88,7 @@ class TestBuildKernel:
     def test_numpy_integer_arguments_accepted(self):
         k = build_kernel(np.int64(16), np.int32(4))
         assert (k.matrix != build_kernel(16, 4).matrix).nnz == 0
-        assert k.state_index(np.int64(1), np.uint8(2)) == k.state_index(1, 2) == 17
+        assert k.state_index(np.int64(1), np.uint8(2)) == k.state_index(1, 2) == 18
 
     @pytest.mark.parametrize("k_t, k_t1", [(1.5, 2), (1, 2.0), (True, 2), ("1", 2)])
     def test_non_integer_state_is_usage_error(self, k_t, k_t1):
@@ -119,13 +120,14 @@ class TestBuildKernel:
         assert h.tobytes() == reference_absorption_times(matrix, k.absorbing_index).tobytes()
 
     def test_peak_memory_bounded_by_kept_entries(self):
-        # Each k_t1 block is pruned as it is built, and scattered into
-        # the final CSR arrays before it is dropped: 14.9 MB measured at
-        # (128, 15) with 579,302 kept entries, two copies of 12 bytes
-        # each.  A concatenate-and-gather assembly (a third copy)
-        # measured 19.7 MB and a COO copy 26.3 MB; holding the dense
-        # (n+1) x n x n block (16.9 MB) on top, as a whole-kernel prune
-        # does, measured 49.9 MB.
+        # States are numbered k_t1-major, so each k_t1 block, pruned as
+        # it is built, is appended to the final CSR arrays, which grow in
+        # place by 1.25x: one copy of the kept entries (579,302 at
+        # (128, 15), 12 bytes each) plus growth slack, 9.1 MB measured.
+        # Scattering k_t-major rows from per-block lists held two copies
+        # (14.9 MB), a concatenate-and-gather assembly a third (19.7 MB),
+        # and holding the dense (n+1) x n x n block (16.9 MB) on top, as
+        # a whole-kernel prune does, measured 49.9 MB.
         tracemalloc.start()
         try:
             k = build_kernel(128, 15)
@@ -133,7 +135,23 @@ class TestBuildKernel:
         finally:
             tracemalloc.stop()
         assert k.matrix.nnz == 579_302
-        assert peak < 18e6
+        assert peak < 11e6
+
+    @pytest.mark.parametrize("n", [2, 17])
+    def test_state_layout_round_trip(self, n):
+        # Every state index decodes back to its pair, and every stored
+        # column of row (k_t, k_t1) is a successor pair (k_t1, k_{t+2}).
+        k = build_kernel(n, 1)
+        states = [(a, b) for b in range(1, n + 1) for a in range(n + 1)]
+        index = [k.state_index(a, b) for a, b in states]
+        assert sorted(index) == list(range(k.num_states))
+        assert _first_states(k, np.array(index)) == states[:10]
+        for i, (a, b) in zip(index, states):
+            assert _first_states(k, np.array([i])) == [(a, b)]
+            row = k.matrix.indices[k.matrix.indptr[i] : k.matrix.indptr[i + 1]]
+            assert row.size
+            for column in row:
+                assert _first_states(k, np.array([column]))[0][0] == b
 
 
 class TestAbsorptionTimes:
