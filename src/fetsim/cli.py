@@ -49,10 +49,15 @@ def _print_json(payload: dict) -> None:
 
 
 def _check_out(out: str | None, is_dir: bool) -> None:
-    """Fail if a directory that --out needs (out itself if is_dir, each parent) is a file."""
+    """Fail if a directory that --out needs (out itself if is_dir, each parent) is a file.
+
+    The walk stops at the first existing directory, whose parents are all directories.
+    """
     if out:
         for path in ([Path(out)] if is_dir else []) + list(Path(out).parents):
-            if path.exists() and not path.is_dir():
+            if path.is_dir():
+                return
+            if path.exists():
                 raise FileExistsError(f"File exists where --out {out} needs a directory: {path}")
 
 
@@ -257,69 +262,52 @@ def _cmd_verify(args) -> int:
     return 0 if report.verdict == "PASS" else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+_INT, _FLOAT = {"type": int, "required": True}, {"type": float, "required": True}
+_DELTA, _OUT = ("--delta", {"type": float, "default": 0.05}), ("--out", {})
+_C_SAMPLE = ("--c-sample", {"type": float, "default": 3.0, "dest": "c_sample"})
+# Subcommand: (help, handler, ((flag, add_argument keywords), ...)).
+_COMMANDS = {
+    "duel": ("exact binomial duel probabilities", _cmd_duel, (
+        ("--k", _INT), ("--p", _FLOAT), ("--q", _FLOAT),
+        ("--bounds", {"action": "store_true", "help": "include closed-form bounds"}))),
+    "dynamics": ("expectation map and fixed point", _cmd_dynamics, (
+        ("--x", _FLOAT), ("--y", _FLOAT), ("--n", _INT), ("--ell", _INT), _DELTA)),
+    "classify": ("domain label of a grid point", _cmd_classify, (
+        ("--x", _FLOAT), ("--y", _FLOAT), ("--n", _INT), _DELTA, _C_SAMPLE)),
+    "audit": ("partition coverage audit", _cmd_audit, (("--n", _INT), _DELTA, _C_SAMPLE, _OUT)),
+    "simulate": ("Monte-Carlo trials from a config file", _cmd_simulate, (
+        ("--config", {"required": True}), ("--preset", {}), ("--trials", {"type": int}),
+        ("--out", {"default": "simulate-out"}))),
+    "chain": ("exact kernel and absorption times", _cmd_chain, (
+        ("--n", _INT), ("--ell", _INT),
+        ("--from", {"dest": "from_state", "metavar": "KT,KT1"}), _OUT)),
+    "verify": ("lemma verification suite", _cmd_verify, (
+        ("--lemma", {"choices": list(LEMMAS) + ["all"], "required": True}),
+        ("--config", {}), _OUT)),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """All subcommands, but only ``command``'s arguments: each add_argument builds a formatter."""
     parser = argparse.ArgumentParser(
         prog="fetsim",
         description="FET bit-dissemination protocol workbench",
     )
     parser.add_argument("--version", action="version", version=f"fetsim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("duel", help="exact binomial duel probabilities")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--q", type=float, required=True)
-    p.add_argument("--bounds", action="store_true", help="include closed-form bounds")
-    p.set_defaults(func=_cmd_duel)
-
-    p = sub.add_parser("dynamics", help="expectation map and fixed point")
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--y", type=float, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--delta", type=float, default=0.05)
-    p.set_defaults(func=_cmd_dynamics)
-
-    p = sub.add_parser("classify", help="domain label of a grid point")
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--y", type=float, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--c-sample", type=float, default=3.0, dest="c_sample")
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("audit", help="partition coverage audit")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--c-sample", type=float, default=3.0, dest="c_sample")
-    p.add_argument("--out", type=str, default=None)
-    p.set_defaults(func=_cmd_audit)
-
-    p = sub.add_parser("simulate", help="Monte-Carlo trials from a config file")
-    p.add_argument("--config", type=str, required=True)
-    p.add_argument("--preset", type=str, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--out", type=str, default="simulate-out")
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("chain", help="exact kernel and absorption times")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--from", type=str, default=None, dest="from_state", metavar="KT,KT1")
-    p.add_argument("--out", type=str, default=None)
-    p.set_defaults(func=_cmd_chain)
-
-    p = sub.add_parser("verify", help="lemma verification suite")
-    p.add_argument("--lemma", choices=list(LEMMAS) + ["all"], required=True)
-    p.add_argument("--config", type=str, default=None)
-    p.add_argument("--out", type=str, default=None)
-    p.set_defaults(func=_cmd_verify)
+    for name, (help_text, handler, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, keywords in arguments if name == command else ():
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The top-level options take no value, so the first bare token names the subcommand.
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    args = build_parser(command).parse_args(argv)
     try:  # an unusable --out path fails here, before any trial, kernel or audit
         _check_out(getattr(args, "out", None), is_dir=args.command in ("simulate", "verify"))
         return args.func(args)

@@ -18,11 +18,12 @@ every bit, so importing this module loads numpy and nothing heavier.
 ``duels`` is the one evaluator: it takes broadcast arrays of
 probabilities and gives each pair p_lt and p_eq from its own dot
 products, so a pair has the same bits alone, in a batch or in a grid.
-The scalar triple, the pair-state kernel, the aggregate backend and
-the expectation map all call it.  Closed-form lower bounds on the favorite's
-and the underdog's win probability are provided alongside, expressed
-through the Hoeffding tail and a Berry-Esseen normal correction
-respectively.
+The scalar triple, the pair-state kernel and the expectation map call
+it; the aggregate backend, whose counts are distinct already, calls its
+two steps ``_duel_table`` and ``_pair_duels`` directly.  Closed-form
+lower bounds on the favorite's and the underdog's win probability are
+provided alongside, expressed through the Hoeffding tail and a
+Berry-Esseen normal correction respectively.
 """
 
 from __future__ import annotations
@@ -138,16 +139,35 @@ def _binomial_pmf_rows(k: int, p: np.ndarray) -> np.ndarray:
     """
     i = np.arange(k + 1)
     inner = (p > 0.0) & (p < 1.0)
-    safe = np.where(inner, p, 0.5).tolist()
-    log_p = np.array([math.log(v) for v in safe])[:, None]
-    log_q = np.array([math.log1p(-v) for v in safe])[:, None]
+    edges = not inner.all()
+    safe = np.where(inner, p, 0.5) if edges else p
+    log_p = np.array(list(map(math.log, safe.tolist())))[:, None]
+    log_q = np.array(list(map(math.log1p, (-safe).tolist())))[:, None]
     f = _log_factorials(1 << int(k).bit_length())[: k + 1]
     log_pmf = f[k] - f - f[::-1] + i * log_p + (k - i) * log_q
     out = np.exp(log_pmf)
-    out[~inner] = 0.0
-    out[p == 0.0, 0] = 1.0
-    out[p == 1.0, k] = 1.0
+    if edges:
+        out[~inner] = 0.0
+        out[p == 0.0, 0] = 1.0
+        out[p == 1.0, k] = 1.0
     return out
+
+
+def _duel_table(ell: int, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bin(ell, v) pmf rows and upper tails P(B > i); row sums off 1 by > 1e-9 raise."""
+    pmf = _binomial_pmf_rows(ell, values)
+    cdf = np.cumsum(pmf, axis=1)
+    total = cdf[:, -1]
+    if np.abs(total - 1.0).max(initial=0.0) > 1e-9:
+        low, high = float(total.min()), float(total.max())
+        raise StructuralError(f"pmf rows sum to {low!r}..{high!r}, not 1")
+    return pmf, 1.0 - cdf
+
+
+def _pair_duels(pmf, above, i_p, i_q) -> tuple[np.ndarray, np.ndarray]:
+    """p_lt and p_eq of table rows i_p against rows i_q: np.vecdot's, clipped to [0, 1]."""
+    rows = pmf[i_p]
+    return np.clip(np.vecdot(rows, above[i_q]), 0, 1), np.clip(np.vecdot(rows, pmf[i_q]), 0, 1)
 
 
 def duels(ell: int, p, q) -> tuple[np.ndarray, np.ndarray]:
@@ -168,18 +188,8 @@ def duels(ell: int, p, q) -> tuple[np.ndarray, np.ndarray]:
     if values.size and not (values[0] >= 0.0 and values[-1] <= 1.0):
         bad = float(values[0] if values[0] < 0.0 else values[-1])
         raise DomainError(f"probabilities must lie in [0, 1], got {bad!r}")
-    pmf = _binomial_pmf_rows(ell, values)
-    cdf = np.cumsum(pmf, axis=1)
-    total = cdf[:, -1]
-    if np.abs(total - 1.0).max(initial=0.0) > 1e-9:
-        low, high = float(total.min()), float(total.max())
-        raise StructuralError(f"pmf rows sum to {low!r}..{high!r}, not 1")
     i_p, i_q = index[: p.size].reshape(p.shape), index[p.size :].reshape(q.shape)
-    above = 1.0 - cdf  # P(B > i)
-    rows = pmf[i_p]
-    p_lt = np.clip(np.vecdot(rows, above[i_q]), 0.0, 1.0)
-    p_eq = np.clip(np.vecdot(rows, pmf[i_q]), 0.0, 1.0)
-    return p_lt, p_eq
+    return _pair_duels(*_duel_table(ell, values), i_p, i_q)
 
 
 def exact_duel(k: int, p: float, q: float) -> DuelProbs:

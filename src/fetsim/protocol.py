@@ -27,8 +27,8 @@ agents.  The aggregate backend draws the first round from the
 histogram.  Afterwards every stored counter is an independent
 Bin(ell, x_t) draw, so each later round is two binomial draws over the
 pair of opinion-1 counts (k_t, k_{t+1}), with flip probabilities from
-one ``duels`` call over the distinct pairs; the test suite checks both
-laws against the agent level.
+one duel table (``duel._duel_table``) over the round's distinct counts;
+the test suite checks both laws against the agent level.
 
 A trial is the path of opinion-1 counts, one integer per round.
 ``run_trials`` is the one trial driver.  The agent backend steps one
@@ -57,7 +57,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .config import check_delta, check_number
-from .duel import _binomial_pmf_rows, duels
+from .duel import _duel_table, _pair_duels
 from .dynamics import AnalysisConstants
 from .errors import DomainError, UsageError
 
@@ -201,14 +201,15 @@ def _class_round(
     fraction of ones (source included), so an agent in class (o, c)
     holds opinion 1 after the round with probability
     P(c' > c) + [o = 1] P(c' = c), and each class contributes one
-    binomial draw: one rng.binomial over the whole stack.  Same law as
-    step_agent_level, at O(ell) cost per trial.
+    binomial draw: one rng.binomial over the whole stack, with the pmf
+    rows and tails of one duel table over the distinct numbers of ones.
+    Same law as step_agent_level, at O(ell) cost per trial.
     """
     ones = hist[:, 1].sum(axis=1) + config.source_opinion
     distinct, inverse = np.unique(ones, return_inverse=True)
-    pmf = _binomial_pmf_rows(config.ell, distinct / config.n)[inverse]
-    gt = np.clip(1.0 - np.cumsum(pmf, axis=1), 0.0, 1.0)  # P(c' > c)
-    probs = np.stack([gt, np.clip(gt + pmf, 0.0, 1.0)], axis=1)
+    pmf, above = _duel_table(config.ell, distinct / config.n)
+    gt = np.clip(above, 0.0, 1.0)[inverse]  # P(c' > c)
+    probs = np.stack([gt, np.clip(gt + pmf[inverse], 0.0, 1.0)], axis=1)
     return rng.binomial(hist, probs).sum(axis=(1, 2)) + config.source_opinion
 
 
@@ -237,8 +238,8 @@ def _flip_probs(k_t, k_t1, config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
 
     With B(k) ~ Bin(ell, k/n), gain = P(B(k_t1) > B(k_t)) and
     keep = min(gain + P(B(k_t1) = B(k_t)), 1), taken on n - k for source
-    opinion 0.  One duels call over the distinct pairs, which gives each
-    pair its own bits: no pair's values depend on others.
+    opinion 0.  One duel table over the distinct counts, then _pair_duels
+    over the distinct pairs, so no pair's values depend on others.
     """
     n, shape = config.n, np.shape(k_t)
     if config.source_opinion == 0:
@@ -249,7 +250,7 @@ def _flip_probs(k_t, k_t1, config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     index = index.reshape(2, -1)
     pairs, inverse = np.unique(index[0] * distinct.size + index[1], return_inverse=True)
     i_t, i_t1 = np.divmod(pairs, distinct.size)
-    gain, p_eq = duels(config.ell, distinct[i_t] / n, distinct[i_t1] / n)
+    gain, p_eq = _pair_duels(*_duel_table(config.ell, distinct / n), i_t, i_t1)
     return np.minimum(gain + p_eq, 1.0)[inverse].reshape(shape), gain[inverse].reshape(shape)
 
 

@@ -1,5 +1,6 @@
 """CLI surface: subcommand output schemas, config parsing, file emission."""
 
+import argparse
 import csv
 import dataclasses
 import json
@@ -14,7 +15,7 @@ import pytest
 
 import fetsim
 from fetsim import harness
-from fetsim.cli import main
+from fetsim.cli import build_parser, main
 from fetsim.config import parse_config_file, parse_value
 from fetsim.domains import DomainLabel, label_paths
 from fetsim.errors import UsageError
@@ -673,3 +674,238 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--lemma", "green", "--config", str(cfg))
         assert code == 0
         assert json.loads(out) == {"green": "PASS"}
+
+
+# Exit code, stdout and stderr of each help, version and usage-error
+# command line at COLUMNS=80.
+_CLI_TEXTS = {
+    "-h": (
+        0,
+        (
+            "usage: fetsim [-h] [--version]\n"
+            "              {duel,dynamics,classify,audit,simulate,chain,verify} ...\n"
+            "\n"
+            "FET bit-dissemination protocol workbench\n"
+            "\n"
+            "positional arguments:\n"
+            "  {duel,dynamics,classify,audit,simulate,chain,verify}\n"
+            "    duel                exact binomial duel probabilities\n"
+            "    dynamics            expectation map and fixed point\n"
+            "    classify            domain label of a grid point\n"
+            "    audit               partition coverage audit\n"
+            "    simulate            Monte-Carlo trials from a config file\n"
+            "    chain               exact kernel and absorption times\n"
+            "    verify              lemma verification suite\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  --version             show program's version number and exit\n"
+        ),
+        "",
+    ),
+    "--version": (
+        0,
+        f"fetsim {fetsim.__version__}\n",
+        "",
+    ),
+    "duel -h": (
+        0,
+        (
+            "usage: fetsim duel [-h] --k K --p P --q Q [--bounds]\n"
+            "\n"
+            "options:\n"
+            "  -h, --help  show this help message and exit\n"
+            "  --k K\n"
+            "  --p P\n"
+            "  --q Q\n"
+            "  --bounds    include closed-form bounds\n"
+        ),
+        "",
+    ),
+    "dynamics -h": (
+        0,
+        (
+            "usage: fetsim dynamics [-h] --x X --y Y --n N --ell ELL [--delta DELTA]\n"
+            "\n"
+            "options:\n"
+            "  -h, --help     show this help message and exit\n"
+            "  --x X\n"
+            "  --y Y\n"
+            "  --n N\n"
+            "  --ell ELL\n"
+            "  --delta DELTA\n"
+        ),
+        "",
+    ),
+    "classify -h": (
+        0,
+        (
+            "usage: fetsim classify [-h] --x X --y Y --n N [--delta DELTA]\n"
+            "                       [--c-sample C_SAMPLE]\n"
+            "\n"
+            "options:\n"
+            "  -h, --help           show this help message and exit\n"
+            "  --x X\n"
+            "  --y Y\n"
+            "  --n N\n"
+            "  --delta DELTA\n"
+            "  --c-sample C_SAMPLE\n"
+        ),
+        "",
+    ),
+    "audit -h": (
+        0,
+        (
+            "usage: fetsim audit [-h] --n N [--delta DELTA] [--c-sample C_SAMPLE]\n"
+            "                    [--out OUT]\n"
+            "\n"
+            "options:\n"
+            "  -h, --help           show this help message and exit\n"
+            "  --n N\n"
+            "  --delta DELTA\n"
+            "  --c-sample C_SAMPLE\n"
+            "  --out OUT\n"
+        ),
+        "",
+    ),
+    "simulate -h": (
+        0,
+        (
+            "usage: fetsim simulate [-h] --config CONFIG [--preset PRESET]\n"
+            "                       [--trials TRIALS] [--out OUT]\n"
+            "\n"
+            "options:\n"
+            "  -h, --help       show this help message and exit\n"
+            "  --config CONFIG\n"
+            "  --preset PRESET\n"
+            "  --trials TRIALS\n"
+            "  --out OUT\n"
+        ),
+        "",
+    ),
+    "chain -h": (
+        0,
+        (
+            "usage: fetsim chain [-h] --n N --ell ELL [--from KT,KT1] [--out OUT]\n"
+            "\n"
+            "options:\n"
+            "  -h, --help     show this help message and exit\n"
+            "  --n N\n"
+            "  --ell ELL\n"
+            "  --from KT,KT1\n"
+            "  --out OUT\n"
+        ),
+        "",
+    ),
+    "verify -h": (
+        0,
+        (
+            "usage: fetsim verify [-h] --lemma\n"
+            "                     {green,purple,red,cyan,yellow,convergence,all}\n"
+            "                     [--config CONFIG] [--out OUT]\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  --lemma {green,purple,red,cyan,yellow,convergence,all}\n"
+            "  --config CONFIG\n"
+            "  --out OUT\n"
+        ),
+        "",
+    ),
+    "duel": (
+        2,
+        "",
+        (
+            "usage: fetsim duel [-h] --k K --p P --q Q [--bounds]\n"
+            "fetsim duel: error: the following arguments are required: --k, --p, --q\n"
+        ),
+    ),
+    "dynamics": (
+        2,
+        "",
+        (
+            "usage: fetsim dynamics [-h] --x X --y Y --n N --ell ELL [--delta DELTA]\n"
+            "fetsim dynamics: error: the following arguments are required: --x, --y, --n, --ell\n"
+        ),
+    ),
+    "classify": (
+        2,
+        "",
+        (
+            "usage: fetsim classify [-h] --x X --y Y --n N [--delta DELTA]\n"
+            "                       [--c-sample C_SAMPLE]\n"
+            "fetsim classify: error: the following arguments are required: --x, --y, --n\n"
+        ),
+    ),
+    "audit": (
+        2,
+        "",
+        (
+            "usage: fetsim audit [-h] --n N [--delta DELTA] [--c-sample C_SAMPLE]\n"
+            "                    [--out OUT]\n"
+            "fetsim audit: error: the following arguments are required: --n\n"
+        ),
+    ),
+    "simulate": (
+        2,
+        "",
+        (
+            "usage: fetsim simulate [-h] --config CONFIG [--preset PRESET]\n"
+            "                       [--trials TRIALS] [--out OUT]\n"
+            "fetsim simulate: error: the following arguments are required: --config\n"
+        ),
+    ),
+    "chain": (
+        2,
+        "",
+        (
+            "usage: fetsim chain [-h] --n N --ell ELL [--from KT,KT1] [--out OUT]\n"
+            "fetsim chain: error: the following arguments are required: --n, --ell\n"
+        ),
+    ),
+    "verify": (
+        2,
+        "",
+        (
+            "usage: fetsim verify [-h] --lemma\n"
+            "                     {green,purple,red,cyan,yellow,convergence,all}\n"
+            "                     [--config CONFIG] [--out OUT]\n"
+            "fetsim verify: error: the following arguments are required: --lemma\n"
+        ),
+    ),
+    "frobnicate": (
+        2,
+        "",
+        (
+            "usage: fetsim [-h] [--version]\n"
+            "              {duel,dynamics,classify,audit,simulate,chain,verify} ...\n"
+            "fetsim: error: argument command: invalid choice: 'frobnicate' (choose from "
+            "'duel', 'dynamics', 'classify', 'audit', 'simulate', 'chain', 'verify')\n"
+        ),
+    ),
+}
+
+
+class TestParserText:
+    @pytest.mark.parametrize("line", list(_CLI_TEXTS))
+    def test_help_version_and_usage_errors_are_pinned(self, capsys, monkeypatch, line):
+        # A parse builds only the named subcommand's arguments; every
+        # help, usage and error text is the same byte for byte.
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exit_info:
+            main(line.split())
+        captured = capsys.readouterr()
+        assert (exit_info.value.code, captured.out, captured.err) == _CLI_TEXTS[line]
+
+    @staticmethod
+    def _dests(command):
+        parser = build_parser(command)
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return {name: [a.dest for a in p._actions] for name, p in sub.choices.items()}
+
+    def test_only_the_named_subcommand_gets_arguments(self):
+        dests = self._dests("chain")
+        assert dests.pop("chain") == ["help", "n", "ell", "from_state", "out"]
+        assert list(dests) == ["duel", "dynamics", "classify", "audit", "simulate", "verify"]
+        assert all(names == ["help"] for names in dests.values())
+        assert all(names == ["help"] for names in self._dests(None).values())

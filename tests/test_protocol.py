@@ -18,9 +18,9 @@ from conftest import (
 )
 from fetsim import protocol
 from fetsim.domains import DomainLabel, YellowLabel, label_paths
-from fetsim.duel import exact_duel
+from fetsim.duel import _binomial_pmf_rows, exact_duel
 from fetsim.dynamics import expected_next_fraction, flip_probs
-from fetsim.errors import DomainError, UsageError
+from fetsim.errors import DomainError, StructuralError, UsageError
 from fetsim.protocol import (
     BLOCK,
     PRESETS,
@@ -352,6 +352,16 @@ class TestClassCountRound:
         assert 0.5 * np.abs(h_agent - h_classes).sum() < 0.02
         assert abs(agent.mean() - mean) <= tol
         assert abs(classes.mean() - mean) <= tol
+
+    def test_pmf_rows_not_summing_to_one_are_structural_errors(self, monkeypatch):
+        # The class-count round takes its pmf rows through the duel
+        # table's row-sum check; with max_rounds = 1 it is the only round.
+        def halved(k, p):
+            return 0.5 * _binomial_pmf_rows(k, p)
+
+        monkeypatch.setattr("fetsim.duel._binomial_pmf_rows", halved)
+        with pytest.raises(StructuralError):
+            run_trials(SimConfig(n=64, ell=8, max_rounds=1), "half_half", 4)
 
 
 class TestInitPresets:
