@@ -49,11 +49,14 @@ def _print_json(payload: dict) -> None:
 
 
 def _check_out(out: str | None, is_dir: bool) -> None:
-    """Fail if a directory that --out needs (out itself if is_dir, each parent) is a file.
+    """Fail if a directory that --out needs (out itself if is_dir, each parent) is a file,
+    or if out is a directory where a file is written (not is_dir).
 
     The walk stops at the first existing directory, whose parents are all directories.
     """
     if out:
+        if not is_dir and Path(out).is_dir():
+            raise IsADirectoryError(f"Directory exists where --out {out} needs a file")
         for path in ([Path(out)] if is_dir else []) + list(Path(out).parents):
             if path.is_dir():
                 return

@@ -8,11 +8,12 @@ rounds (source opinion fixed to 1), the next count is distributed as
 with flip probabilities evaluated at (k_t/n, k_t1/n), all taken from one
 ``duel.duels`` call over the grid of counts 0..n.  This module builds that
 kernel by exact successor-major convolution of binomial pmfs over all
-k_t at once, pruned per k_t1 block and appended straight into CSR;
-solves h - Q h = 1 for the expected hitting times of the absorbing
-state (n, n), Q applied on the kernel's own CSR, by a port of scipy's
-BiCGSTAB (of scipy, only ``scipy.sparse`` is imported: the chain needs
-no ``scipy.linalg``), gated on the recomputed residual.
+k_t at once, pruned per k_t1 block by one mask over a contiguous
+(k_t, successor) copy and appended straight into CSR; solves
+h - Q h = 1 for the expected hitting times of the absorbing state
+(n, n), Q applied on the kernel's own CSR, by a port of scipy's BiCGSTAB
+(of scipy, only ``scipy.sparse`` is imported: the chain needs no
+``scipy.linalg``), gated on the recomputed residual.
 
 The pair-state chain assumes the stored counters are i.i.d.
 Bin(ell, k_t/n), which holds after any round but not for an adversarial
@@ -83,10 +84,10 @@ def build_kernel(n: int, ell: int) -> Kernel:
     k_t1, both pmf tables are transposed to (outcome, k_t) and convolved
     successor-major, a direct sum in contiguous slabs (FFT noise would
     move entries across PRUNE_THRESHOLD).  States are numbered k_t1-major,
-    so each block, pruned as built, is the next run of CSR rows, each row
-    in successor order: its entries and per-row counts are appended to the
-    final arrays, which grow in place by 1.25x, and one copy of the kept
-    entries is held.
+    so each block is the next run of CSR rows: one mask prunes a contiguous
+    (k_t, successor) copy of it, and the kept entries, their columns and
+    per-row counts are appended to the final arrays, which grow in place
+    by 1.25x; one copy of the kept entries is held.
     """
     check_number("n", n, numbers.Integral)
     check_number("ell", ell, numbers.Integral)
@@ -103,6 +104,8 @@ def build_kernel(n: int, ell: int) -> Kernel:
     size = (n + 1) * n  # state indices stay below 65,792, so int32 holds them
     data, indices = np.empty(0), np.empty(0, dtype=np.int32)
     indptr = np.zeros(size + 1, dtype=np.int32)
+    # [a, j]: the column of successor pair (b, j + 1) less b, the same in every block.
+    columns = np.broadcast_to(np.arange(n, dtype=np.int32) * (n + 1), (n + 1, n))
     pruned, nnz = 0.0, 0
     for b in range(1, n + 1):
         u = np.ascontiguousarray(_binomial_pmf_rows(b - 1, keep[:, b]).T)
@@ -113,18 +116,18 @@ def build_kernel(n: int, ell: int) -> Kernel:
         product = np.empty_like(v)
         for i in range(len(u)):
             block[i : i + len(v)] += np.multiply(u[i], v, out=product)
-        block = block.T  # a view: row a is the row of state (b - 1) * (n + 1) + a
+        block = block.T.copy()  # row a is the row of state (b - 1) * (n + 1) + a
         mask = block >= PRUNE_THRESHOLD
         pruned += float(block[~mask].sum())
-        end = nnz + int(np.count_nonzero(mask))
+        kept = nnz + np.cumsum(mask.sum(axis=1, dtype=np.int32))  # row ends in the CSR
+        end = int(kept[-1])
         if end > data.size:  # grow in place: realloc, not a second copy
             data.resize(max(end, int(1.25 * data.size)), refcheck=False)
             indices.resize(data.size, refcheck=False)
-        a, succ = np.nonzero(mask)  # k_{t+2} = succ + 1
-        data[nnz:end] = block[a, succ]
-        indices[nnz:end] = succ * (n + 1) + b  # successor pair (k_t1, k_{t+2})
+        data[nnz:end] = block[mask]
+        indices[nnz:end] = columns[mask] + b
         rows = (b - 1) * (n + 1)
-        indptr[rows + 1 : rows + n + 2] = nnz + np.cumsum(mask.sum(axis=1))
+        indptr[rows + 1 : rows + n + 2] = kept
         nnz = end
     data.resize(nnz, refcheck=False)
     indices.resize(nnz, refcheck=False)

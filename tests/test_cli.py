@@ -127,8 +127,9 @@ def test_out_path_through_a_file_is_usage_error(capsys, tmp_path, argv, out_belo
     ids=["simulate", "audit", "chain", "verify"],
 )
 def test_unusable_out_fails_before_any_work(monkeypatch, capsys, tmp_path, argv, needs_dir):
-    # An existing non-directory where --out needs a directory ends the
-    # command before its trials, kernel or audit, and creates nothing.
+    # An existing non-directory where --out needs a directory, and an
+    # existing directory where --out names a file, end the command before
+    # its trials, kernel or audit, and create nothing.
     def no_work(*args, **kwargs):
         raise AssertionError("work started before --out was checked")
 
@@ -137,17 +138,24 @@ def test_unusable_out_fails_before_any_work(monkeypatch, capsys, tmp_path, argv,
         monkeypatch.setattr(target, no_work)
     blocker = tmp_path / "taken"
     blocker.write_text("")
+    folder = tmp_path / "folder"
+    folder.mkdir()
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n = 64\nseed = 3\n")
     argv = [arg.format(cfg=cfg) for arg in argv]
-    outs = [blocker / "report.json", blocker / "sub" / "report.json"] + [blocker] * needs_dir
-    for out in outs:
+    outs = [(out, f"File exists where --out {out} needs a directory: {blocker}")
+            for out in [blocker / "report.json", blocker / "sub" / "report.json"]
+            + [blocker] * needs_dir]
+    if not needs_dir:
+        outs.append((folder, f"Directory exists where --out {folder} needs a file"))
+    for out, message in outs:
         code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
         assert code == 2
         assert stdout == ""
-        assert err == f"error: File exists where --out {out} needs a directory: {blocker}\n"
-    assert sorted(tmp_path.iterdir()) == [cfg, blocker]
+        assert err == f"error: {message}\n"
+    assert sorted(tmp_path.iterdir()) == [folder, cfg, blocker]
     assert blocker.read_text() == ""
+    assert list(folder.iterdir()) == []
 
 
 class TestDuelCommand:

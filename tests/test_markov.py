@@ -31,7 +31,9 @@ from fetsim.markov import (
 )
 from fetsim.protocol import SimConfig, run_trials
 
-REFERENCE_CASES = [(2, 1), (2, 2), (3, 3), (16, 4), (17, 9), (64, 13), (96, 14), (64, 64)]
+REFERENCE_CASES = [
+    (2, 1), (2, 2), (3, 3), (16, 4), (17, 9), (64, 13), (96, 14), (64, 64), (128, 15)
+]
 
 
 class TestBuildKernel:
@@ -106,9 +108,10 @@ class TestBuildKernel:
 
     @pytest.mark.parametrize("n, ell", REFERENCE_CASES)
     def test_bit_identical_to_row_major_reference(self, n, ell):
-        # Odd and even n, equal-width operands (n odd, k_t1 = (n+1)/2)
-        # and ell = n; the successor-major sums add the same products in
-        # the same order, and the direct CSR keeps each row's order.
+        # Odd and even n, equal-width operands (n odd, k_t1 = (n+1)/2),
+        # ell = n and 129 x 128 blocks at (128, 15); the successor-major
+        # sums add the same products in the same order, and the masked
+        # prune keeps each row's order.
         matrix, pruned = reference_kernel(n, ell)
         k = build_kernel(n, ell)
         assert k.absorbing_index == k.num_states - 1
