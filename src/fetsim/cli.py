@@ -9,7 +9,9 @@ Subcommands:
     chain     exact kernel and absorption times for small n
     verify    per-lemma statistical checks, CSV + JSON out
 
-All structured output is JSON on stdout or files under --out.
+All structured output is JSON on stdout or files under --out, and this
+module writes every file: JSON through _write_json, CSV through
+_write_csv.  The other modules return plain data.
 """
 
 from __future__ import annotations
@@ -37,15 +39,10 @@ from .dynamics import (
     speed,
 )
 from .errors import DomainError, FetsimError, UsageError
-from .harness import LEMMAS, _AREAS, _LABELS, emit, run_all, run_lemma
+from .harness import LEMMAS, POINT_FIELDS, SWEEP_FIELDS, _AREAS, _LABELS, run_all, run_lemma
 from .protocol import SimConfig, run_trials
 
 SIM_CONFIG_KEYS = tuple(field.name for field in dataclasses.fields(SimConfig))
-
-
-def _print_json(payload: dict) -> None:
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
 
 
 def _check_out(out: str | None, is_dir: bool) -> None:
@@ -54,7 +51,9 @@ def _check_out(out: str | None, is_dir: bool) -> None:
 
     The walk stops at the first existing directory, whose parents are all directories.
     """
-    if out:
+    if out == "":
+        raise UsageError("--out must name a path, got an empty string")
+    if out is not None:
         if not is_dir and Path(out).is_dir():
             raise IsADirectoryError(f"Directory exists where --out {out} needs a file")
         for path in ([Path(out)] if is_dir else []) + list(Path(out).parents):
@@ -64,14 +63,23 @@ def _check_out(out: str | None, is_dir: bool) -> None:
                 raise FileExistsError(f"File exists where --out {out} needs a directory: {path}")
 
 
-def _write_json(payload: dict, out: str | None, what: str) -> None:
-    """The payload as JSON to the file out (its directories made), else to stdout."""
-    if out:
-        Path(out).parent.mkdir(parents=True, exist_ok=True)
-        Path(out).write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"{what} written to {out}", file=sys.stderr)
+def _write_json(payload: dict, path: Path | str | None = None) -> None:
+    """The payload as indented JSON to the file path (its directory made), else to stdout."""
+    text = json.dumps(payload, indent=2) + "\n"
+    if path is None:
+        sys.stdout.write(text)
     else:
-        _print_json(payload)
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        Path(path).write_text(text)
+
+
+def _write_csv(path: Path, header, rows) -> None:
+    """A header line, then one line per row, to the CSV file path (its directory made)."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _cmd_duel(args) -> int:
@@ -92,7 +100,7 @@ def _cmd_duel(args) -> int:
         else:
             payload["hoeffding_lower_bound_p_lt"] = None
             payload["underdog_lower_bound_p_gt"] = None
-    _print_json(payload)
+    _write_json(payload)
     return 0
 
 
@@ -113,7 +121,7 @@ def _cmd_dynamics(args) -> int:
         payload["fixed_point"] = fixed_point_f(args.x, args.ell, args.n, args.delta)
     except DomainError:
         payload["fixed_point"] = None
-    _print_json(payload)
+    _write_json(payload)
     return 0
 
 
@@ -125,7 +133,7 @@ def _cmd_classify(args) -> int:
         args.n, delta=args.delta, c_sample=args.c_sample
     )
     point = (args.x, args.y)
-    _print_json(
+    _write_json(
         {
             "x_t": args.x,
             "x_t1": args.y,
@@ -142,7 +150,9 @@ def _cmd_audit(args) -> int:
     constants = AnalysisConstants.for_population(
         args.n, delta=args.delta, c_sample=args.c_sample
     )
-    _write_json(audit_partition(args.n, constants).to_dict(), args.out, "audit report")
+    _write_json(audit_partition(args.n, constants), args.out)
+    if args.out:
+        print(f"audit report written to {args.out}", file=sys.stderr)
     return 0
 
 
@@ -169,7 +179,6 @@ def _cmd_simulate(args) -> int:
     out_dir = Path(args.out)
 
     counts, lengths = run_trials(config, preset, trials)  # before any output directory
-    out_dir.mkdir(parents=True, exist_ok=True)
     domains, yellows = label_paths(counts, config.n, config.delta, config.ell)
     ends = np.cumsum(lengths)
     for t, (start, end) in enumerate(zip((ends - lengths).tolist(), ends.tolist())):
@@ -177,11 +186,10 @@ def _cmd_simulate(args) -> int:
         # final row has no successor, so its labels are empty.
         domain_names = [_LABELS[p].value for p in domains[start : end - 1].tolist()] + [""]
         yellow_names = [_AREAS[p].value for p in yellows[start : end - 1].tolist()] + [""]
-        with (out_dir / f"trial_{t}.csv").open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["round", "x_t", "domain", "yellow_label"])
-            for r, k in enumerate(counts[start:end].tolist()):
-                writer.writerow([r, repr(k / config.n), domain_names[r], yellow_names[r]])
+        _write_csv(out_dir / f"trial_{t}.csv", ["round", "x_t", "domain", "yellow_label"], (
+            [r, repr(k / config.n), domain_names[r], yellow_names[r]]
+            for r, k in enumerate(counts[start:end].tolist())
+        ))
     # Every slot but each path's last is a pair of that path.
     visits = np.bincount(np.delete(domains, ends[:-1] - 1), minlength=len(_LABELS))
     converged = counts[ends - 1] == config.n * config.source_opinion
@@ -204,7 +212,7 @@ def _cmd_simulate(args) -> int:
             sorted((label.value, int(v)) for label, v in zip(_LABELS, visits) if v)
         ),
     }
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    _write_json(summary, out_dir / "summary.json")
     print(f"{trials} trial file(s) + summary.json written to {out_dir}", file=sys.stderr)
     return 0
 
@@ -241,28 +249,34 @@ def _cmd_chain(args) -> int:
     if from_state is not None:
         payload["from_state"] = list(from_state)
         payload["expected_rounds_from_state"] = float(times[kernel.state_index(*from_state)])
-    _write_json(payload, args.out, "chain report")
+    _write_json(payload, args.out)
+    if args.out:
+        print(f"chain report written to {args.out}", file=sys.stderr)
     return 0
 
 
 def _cmd_verify(args) -> int:
     settings = parse_config_file(args.config) if args.config else {}
-    out_dir = Path(args.out) if args.out else None
-    if args.lemma == "all":
-        reports = run_all(settings, out_dir)
-        summary = {lemma: report.verdict for lemma, report in reports.items()}
-        _print_json(summary)
+    suite = args.lemma == "all"
+    reports = run_all(settings) if suite else {args.lemma: run_lemma(args.lemma, settings)}
+    verdicts = {lemma: report.verdict for lemma, report in reports.items()}
+    if args.out:
         for lemma, report in reports.items():
-            simulated, reused = report.trial_cells
-            print(f"runtime {lemma}: {report.runtime_s:.2f}s "
-                  f"(trial cells: {simulated} simulated, {reused} reused)", file=sys.stderr)
-        return 0 if all(v == "PASS" for v in summary.values()) else 1
-    report = run_lemma(args.lemma, settings)
-    if out_dir is not None:
-        emit(report, out_dir)
-    _print_json({args.lemma: report.verdict})
-    print(f"runtime: {report.runtime_s:.2f}s", file=sys.stderr)
-    return 0 if report.verdict == "PASS" else 1
+            # The emitted fields only: runtime and trial cells go to stderr.
+            _write_json(report.to_dict(), Path(args.out, f"{lemma}.json"))
+            fields, rows = ((POINT_FIELDS, report.points) if report.kind == "pointwise"
+                            else (SWEEP_FIELDS, report.sweep))
+            _write_csv(Path(args.out, f"{lemma}.csv"), fields,
+                       ([row[key] for key in fields] for row in rows))
+        if suite:
+            _write_json(verdicts, Path(args.out, "summary.json"))
+    _write_json(verdicts)
+    for lemma, report in reports.items():
+        simulated, reused = report.trial_cells
+        line = (f"runtime {lemma}: {report.runtime_s:.2f}s "
+                f"(trial cells: {simulated} simulated, {reused} reused)")
+        print(line if suite else f"runtime: {report.runtime_s:.2f}s", file=sys.stderr)
+    return 0 if all(v == "PASS" for v in verdicts.values()) else 1
 
 
 _INT, _FLOAT = {"type": int, "required": True}, {"type": float, "required": True}

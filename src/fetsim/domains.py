@@ -32,13 +32,13 @@ every gap and overlap instead of hiding them.  Each definition is
 written once and evaluated on floats by the pointwise classifiers and
 on arrays by ``classify_array``, ``label_paths`` and the audit.
 ``label_paths`` labels simulated trials, paths of opinion-1 counts
-stored end to end, every consecutive pair in one pass.
+stored end to end, every consecutive pair in one pass.  The audit is
+plain data, a dict ready for JSON; the module writes no files.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -48,7 +48,6 @@ from .errors import UsageError
 
 __all__ = [
     "DomainLabel",
-    "PartitionAudit",
     "YellowLabel",
     "audit_partition",
     "classify",
@@ -229,63 +228,23 @@ def label_paths(counts, n: int, delta: float, ell: int) -> tuple[np.ndarray, np.
     return classify_array(x, y, constants), areas
 
 
-@dataclass
-class PartitionAudit:
-    """Exhaustive coverage report over the (n+1)^2 grid.
-
-    ``match_counts`` histograms how many definitions matched per point;
-    coordinate lists are integer grid indices (k_x, k_y) with
-    fraction = k / n, so the report is exact and deterministic.
-    """
-
-    n: int
-    delta: float
-    c_sample: float
-    yellow_reading: str
-    total_points: int
-    uncovered_count: int
-    multiply_covered_count: int
-    uncovered: list[tuple[int, int]] = field(repr=False)
-    multiply_covered: list[tuple[int, int, int]] = field(repr=False)
-    match_counts: dict[int, int] = field(default_factory=dict)
-    label_histogram: dict[str, int] = field(default_factory=dict)
-    mirror_symmetric: bool = True
-    corner_absorbing_label: str = ""
-    corner_cyan_label: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "delta": self.delta,
-            "c_sample": self.c_sample,
-            "yellow_reading": self.yellow_reading,
-            "total_points": self.total_points,
-            "uncovered_count": self.uncovered_count,
-            "multiply_covered_count": self.multiply_covered_count,
-            "match_counts": {str(k): v for k, v in sorted(self.match_counts.items())},
-            "label_histogram": self.label_histogram,
-            "mirror_symmetric": self.mirror_symmetric,
-            "corner_absorbing_label": self.corner_absorbing_label,
-            "corner_cyan_label": self.corner_cyan_label,
-            "uncovered": [list(t) for t in self.uncovered],
-            "multiply_covered": [list(t) for t in self.multiply_covered],
-        }
-
-
 YELLOW_READING = (
     "Yellow x-band implemented as 1/2 - 3*delta <= x_t <= 1/2 + 3*delta "
     "(symmetric reading of a typo in the source definition)"
 )
 
 
-def audit_partition(n: int, constants: AnalysisConstants) -> PartitionAudit:
+def audit_partition(n: int, constants: AnalysisConstants) -> dict:
     """Enumerate all (n+1)^2 grid points and measure partition coverage.
 
     Per point, counts how many of the nine domain definitions match
     before precedence, and reports uncovered and multiply-covered
-    points with coordinates.  Row computations are independent; the
-    implementation is vectorized over the whole grid and merges results
-    order-independently.
+    points with coordinates, vectorized over the whole grid.  The
+    report is a JSON-ready dict: ``match_counts`` histograms the number
+    of matching definitions per point (keys "0", "1", ...), and the
+    ``uncovered`` [k_x, k_y] and ``multiply_covered`` [k_x, k_y, count]
+    entries are integer grid indices with fraction = k / n, so the
+    report is exact and deterministic.
     """
     if n > 512:
         raise UsageError(f"audit_partition supports n <= 512, got {n}")
@@ -300,34 +259,23 @@ def audit_partition(n: int, constants: AnalysisConstants) -> PartitionAudit:
 
     uncovered_mask = counts == 0
     multi_mask = counts >= 2
-    ux, uy = np.nonzero(uncovered_mask)
-    mxi, myi = np.nonzero(multi_mask)
-    uncovered = [(int(a), int(b)) for a, b in zip(ux, uy)]
-    multiply = [
-        (int(a), int(b), int(counts[a, b])) for a, b in zip(mxi, myi)
-    ]
-    # A point is uncovered iff its reflection through the center is.
-    mirror_ok = bool(np.array_equal(uncovered_mask, uncovered_mask[::-1, ::-1]))
-
+    uncovered = np.argwhere(uncovered_mask).tolist()
+    multiply = np.column_stack((*np.nonzero(multi_mask), counts[multi_mask])).tolist()
     values, freq = np.unique(counts, return_counts=True)
-    match_counts = {int(v): int(f) for v, f in zip(values, freq)}
-
-    absorbing = classify((1.0, 1.0), n, constants)
-    cyan_corner = classify((1.0 / n, 1.0 / n), n, constants)
-
-    return PartitionAudit(
-        n=n,
-        delta=constants.delta,
-        c_sample=constants.c_sample,
-        yellow_reading=YELLOW_READING,
-        total_points=(n + 1) ** 2,
-        uncovered_count=len(uncovered),
-        multiply_covered_count=len(multiply),
-        uncovered=uncovered,
-        multiply_covered=multiply,
-        match_counts=match_counts,
-        label_histogram=histogram,
-        mirror_symmetric=mirror_ok,
-        corner_absorbing_label=absorbing.value,
-        corner_cyan_label=cyan_corner.value,
-    )
+    return {
+        "n": n,
+        "delta": constants.delta,
+        "c_sample": constants.c_sample,
+        "yellow_reading": YELLOW_READING,
+        "total_points": (n + 1) ** 2,
+        "uncovered_count": len(uncovered),
+        "multiply_covered_count": len(multiply),
+        "match_counts": {str(v): f for v, f in zip(values.tolist(), freq.tolist())},
+        "label_histogram": histogram,
+        # A point is uncovered iff its reflection through the center is.
+        "mirror_symmetric": bool(np.array_equal(uncovered_mask, uncovered_mask[::-1, ::-1])),
+        "corner_absorbing_label": classify((1.0, 1.0), n, constants).value,
+        "corner_cyan_label": classify((1.0 / n, 1.0 / n), n, constants).value,
+        "uncovered": uncovered,
+        "multiply_covered": multiply,
+    }

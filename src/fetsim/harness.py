@@ -6,7 +6,7 @@ point of its lemma, which ``run_lemma`` overrides from settings.  A
 check plants initial states (validated by the classifier before use),
 observes the protocol without modifying its semantics, and reduces the
 observed counts to a PASS/FAIL verdict that is recomputable from the
-emitted raw numbers.  High-probability claims are tested as "failure
+reported raw numbers.  High-probability claims are tested as "failure
 fraction <= 1/n^epsilon + 3 standard errors" with epsilon = 1 by
 default; the underlying exponents are unspecified constants, so
 epsilon is a knob and every report carries the raw counts.
@@ -20,30 +20,29 @@ is simulated once and shared, read-only: Yellow's default sweep is
 exactly convergence's yellow_center cells.
 
 Scaling claims (Yellow escape, end-to-end convergence) are tested as
-properties: quantiles of the measured times are fitted against
-(ln n)^{5/2} on a log-log scale.  Only Yellow's verdict uses the fit
-(at least two sizes, R^2 >= 0.9, slope <= SLOPE_TOLERANCE); convergence
-just reports it.
+properties: one reducer (_sweep) takes the quantiles of the measured
+times per size and fits their q99 against (ln n)^{5/2} on a log-log
+scale.  Only Yellow's verdict uses the fit (at least two sizes,
+R^2 >= 0.9, slope <= SLOPE_TOLERANCE); convergence just reports it.
 
 The analytic part of the Cyan check evaluates the expectation map on
 its whole grid at once, from one broadcast duels call.
 
 All randomness flows through keyed Philox streams, so a report is a
-deterministic function of (parameters, seed).
+deterministic function of (parameters, seed).  The module writes no
+files: a LemmaReport is plain data, and the CLI writes it as
+<lemma>.json (to_dict) and <lemma>.csv (POINT_FIELDS or SWEEP_FIELDS).
 """
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import inspect
 from collections import Counter
-import json
 import math
 import numbers
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 import numpy.ma  # noqa: F401  (np.percentile imports it on first call; do so at start-up)
@@ -57,7 +56,6 @@ from .protocol import SimConfig, _preset_fraction, derive_rng, run_trials, step_
 __all__ = [
     "LemmaReport",
     "cyan_expectation_check",
-    "emit",
     "run_all",
     "verify_convergence",
     "verify_cyan",
@@ -79,18 +77,21 @@ SLOPE_TOLERANCE = 1.1
 # how many requests they served without simulating.
 _cells: dict | None = None
 _reused = 0
+# The CSV columns of a "pointwise" and of a "sweep" report's rows.
+POINT_FIELDS = ("point_x", "point_y", "trials", "failures", "verdict")
+SWEEP_FIELDS = ("n", "quantile50", "quantile99", "fit_C", "fit_r2")
 
 
 @dataclass
 class LemmaReport:
     """Verdict plus the raw counts it was computed from.
 
-    kind selects the CSV schema: "pointwise" rows are
-    (point_x, point_y, trials, failures, verdict); "sweep" rows are
-    (n, quantile50, quantile99, fit_C, fit_r2).  runtime_s (set by
-    run_lemma) and the trial cells its lemma simulated and reused (set
-    by run_all) are for interactive display and excluded from emitted
-    files, so that equal (config, seed) runs are byte-identical.
+    kind selects the CSV schema: POINT_FIELDS of the points for
+    "pointwise", SWEEP_FIELDS of the sweep rows for "sweep".  runtime_s
+    (set by run_lemma) and the trial cells its lemma simulated and
+    reused (set by run_all) are for interactive display and excluded
+    from to_dict, so that equal (config, seed) runs write byte-identical
+    files.
     """
 
     lemma: str
@@ -501,6 +502,19 @@ def _fit_loglog(ns: list[int], values: list[float]) -> dict:
     return {"C": float(envelope), "slope": float(slope), "r2": float(r2)}
 
 
+def _sweep(n_list, samples: list[np.ndarray]) -> tuple[list[dict], dict]:
+    """A sweep's rows (n, quantile50, quantile99, fit_C, fit_r2), one per
+    size's times in samples, and the log-log fit of their q99s."""
+    q99s = [float(np.percentile(times, 99)) for times in samples]
+    fit = _fit_loglog(n_list, q99s)
+    rows = [
+        {"n": n, "quantile50": float(np.percentile(times, 50)), "quantile99": q99,
+         "fit_C": fit["C"], "fit_r2": fit["r2"]}
+        for n, times, q99 in zip(n_list, samples, q99s)
+    ]
+    return rows, fit
+
+
 def verify_yellow(
     n_list=(1024, 2048, 4096, 8192),
     delta: float = 0.05,
@@ -520,8 +534,7 @@ def verify_yellow(
     (sqrt(c)/c4) (ln n)^{3/2} scale, c4 = 1/(4 alpha)).
     """
     _check(n_list=n_list, delta=delta, c_sample=c_sample, trials=trials, max_rounds=max_rounds)
-    sweep = []
-    q99s = []
+    samples = []
     b_dwell_stats = {}
     all_escaped = True
     for n in n_list:
@@ -532,7 +545,7 @@ def verify_yellow(
         starts, last = ends - lengths, ends - 1
         esc = _first(areas == _AREAS.index(YellowLabel.OUTSIDE), starts, last)
         all_escaped &= bool((esc < last).all())
-        escapes = np.where(esc < last, esc - starts, max_rounds)
+        samples.append(np.where(esc < last, esc - starts, max_rounds))
         # Longest run of B slots before the escape: each slot's run
         # length restarts after every slot outside the window or B.
         trial = np.repeat(np.arange(trials), lengths)[:-1]
@@ -542,9 +555,6 @@ def verify_yellow(
         runs = slot - np.maximum.accumulate(np.where(in_b, 0, slot))
         b_dwells = np.zeros(trials, dtype=np.int64)
         np.maximum.at(b_dwells, trial, runs)
-        q50 = float(np.percentile(escapes, 50))
-        q99 = float(np.percentile(escapes, 99))
-        q99s.append(q99)
         c4 = 1.0 / (4.0 * config.constants().alpha)
         b_scale = math.sqrt(c_sample) / c4 * math.log(n) ** 1.5
         b_dwell_stats[str(n)] = {
@@ -552,12 +562,8 @@ def verify_yellow(
             "q95_longest_b_dwell": float(np.percentile(b_dwells, 95)),
             "reference_scale": b_scale,
         }
-        sweep.append({"n": n, "quantile50": q50, "quantile99": q99})
 
-    fit = _fit_loglog(n_list, q99s)
-    for row in sweep:
-        row["fit_C"] = fit["C"]
-        row["fit_r2"] = fit["r2"]
+    sweep, fit = _sweep(n_list, samples)
     fits = len(n_list) >= 2 and fit["r2"] >= 0.9 and fit["slope"] <= SLOPE_TOLERANCE
     ok = all_escaped and fits
     return LemmaReport(
@@ -613,24 +619,15 @@ def verify_convergence(
             all_converged &= bool((counts[np.cumsum(lengths) - 1] == n).all())
             times[(preset, n)] = lengths - 1
 
-    pooled_q99 = []
-    sweep = []
-    for n in n_list:
-        pooled = np.concatenate([times[(preset, n)] for preset in presets])
-        q50 = float(np.percentile(pooled, 50))
-        q99 = float(np.percentile(pooled, 99))
-        pooled_q99.append(q99)
-        sweep.append({"n": n, "quantile50": q50, "quantile99": q99})
-    fit = _fit_loglog(n_list, pooled_q99)
-
-    # Single budget constant across the sweep: envelope over all cells.
-    envelope_c = max(
-        float(np.percentile(cell, 99)) / math.log(n) ** 2.5
-        for (_, n), cell in times.items()
+    sweep, fit = _sweep(
+        n_list, [np.concatenate([times[(preset, n)] for preset in presets]) for n in n_list]
     )
+    # Single budget constant across the sweep: envelope over all cells,
+    # which the rows report as fit_C in place of the pooled fit's C.
+    cell_q99 = {key: float(np.percentile(cell, 99)) for key, cell in times.items()}
+    envelope_c = max(q99 / math.log(n) ** 2.5 for (_, n), q99 in cell_q99.items())
     for row in sweep:
         row["fit_C"] = envelope_c
-        row["fit_r2"] = fit["r2"]
 
     cells = {}
     frac_ok = True
@@ -641,7 +638,7 @@ def verify_convergence(
             "trials": trials,
             "within_budget_fraction": frac,
             "budget_rounds": budget,
-            "quantile99": float(np.percentile(cell, 99)),
+            "quantile99": cell_q99[(preset, n)],
         }
         frac_ok &= frac >= 0.99
 
@@ -671,29 +668,6 @@ def verify_convergence(
         },
         verdict="PASS" if ok else "FAIL",
     )
-
-
-POINT_FIELDS = ("point_x", "point_y", "trials", "failures", "verdict")
-SWEEP_FIELDS = ("n", "quantile50", "quantile99", "fit_C", "fit_r2")
-
-
-def emit(report: LemmaReport, out_dir) -> None:
-    """Write <lemma>.csv and <lemma>.json under out_dir with stable schemas.
-
-    Volatile fields (runtime) are excluded so identical (config, seed)
-    runs produce byte-identical files.
-    """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / f"{report.lemma}.json").write_text(json.dumps(report.to_dict(), indent=2) + "\n")
-    if report.kind == "pointwise":
-        fields, rows = POINT_FIELDS, report.points
-    else:
-        fields, rows = SWEEP_FIELDS, report.sweep
-    with (out_dir / f"{report.lemma}.csv").open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields, extrasaction="ignore")
-        writer.writeheader()
-        writer.writerows(rows)
 
 
 _RUNNERS = {
@@ -752,13 +726,12 @@ def run_lemma(lemma: str, settings: dict | None = None) -> LemmaReport:
     return report
 
 
-def run_all(settings: dict | None = None, out_dir=None) -> dict[str, LemmaReport]:
-    """Run every lemma check; optionally emit CSV+JSON per lemma.
+def run_all(settings: dict | None = None) -> dict[str, LemmaReport]:
+    """Run every lemma check; the reports by lemma, in LEMMAS order.
 
     Every lemma's parameters are checked before the first trial, and a
     trial cell is simulated once (_run_cell); each report's trial_cells
-    counts the cells its lemma simulated and reused.  When out_dir is
-    given, writes <lemma>.csv, <lemma>.json and a summary.json of verdicts.
+    counts the cells its lemma simulated and reused.
     """
     global _cells, _reused
     for lemma in LEMMAS:
@@ -771,9 +744,4 @@ def run_all(settings: dict | None = None, out_dir=None) -> dict[str, LemmaReport
             reports[lemma].trial_cells = (len(_cells) - simulated, _reused - reused)
     finally:
         _cells = None
-    if out_dir is not None:
-        for report in reports.values():
-            emit(report, out_dir)
-        summary = {lemma: report.verdict for lemma, report in reports.items()}
-        (Path(out_dir) / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     return reports

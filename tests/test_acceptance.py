@@ -413,22 +413,22 @@ def test_criterion_8_partition_audit():
     constants = AnalysisConstants.for_population(n, delta=0.05, c_sample=3.0)
     report = audit_partition(n, constants)
     corners_ok = (
-        report.corner_absorbing_label == DomainLabel.CYAN0.value
-        and report.corner_cyan_label == DomainLabel.CYAN1.value
-        and (n, n) not in report.uncovered
-        and (1, 1) not in report.uncovered
+        report["corner_absorbing_label"] == DomainLabel.CYAN0.value
+        and report["corner_cyan_label"] == DomainLabel.CYAN1.value
+        and [n, n] not in report["uncovered"]  # entries are lists, never tuples
+        and [1, 1] not in report["uncovered"]
     )
     stats_ok = (
-        report.total_points == (n + 1) ** 2
-        and sum(report.match_counts.values()) == report.total_points
-        and report.mirror_symmetric
+        report["total_points"] == (n + 1) ** 2
+        and sum(report["match_counts"].values()) == report["total_points"]
+        and report["mirror_symmetric"]
     )
     ok = corners_ok and stats_ok
     _report(
         "8 (partition audit)",
         ok,
-        f"uncovered {report.uncovered_count}, multiply covered "
-        f"{report.multiply_covered_count}, corners (1,1)->{report.corner_cyan_label}, "
-        f"(n,n)->{report.corner_absorbing_label}",
+        f"uncovered {report['uncovered_count']}, multiply covered "
+        f"{report['multiply_covered_count']}, corners (1,1)->{report['corner_cyan_label']}, "
+        f"(n,n)->{report['corner_absorbing_label']}",
     )
     assert ok

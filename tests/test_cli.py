@@ -3,6 +3,7 @@
 import argparse
 import csv
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -127,9 +128,9 @@ def test_out_path_through_a_file_is_usage_error(capsys, tmp_path, argv, out_belo
     ids=["simulate", "audit", "chain", "verify"],
 )
 def test_unusable_out_fails_before_any_work(monkeypatch, capsys, tmp_path, argv, needs_dir):
-    # An existing non-directory where --out needs a directory, and an
-    # existing directory where --out names a file, end the command before
-    # its trials, kernel or audit, and create nothing.
+    # An existing non-directory where --out needs a directory, an
+    # existing directory where --out names a file, and an empty --out end
+    # the command before its trials, kernel or audit, and create nothing.
     def no_work(*args, **kwargs):
         raise AssertionError("work started before --out was checked")
 
@@ -142,12 +143,14 @@ def test_unusable_out_fails_before_any_work(monkeypatch, capsys, tmp_path, argv,
     folder.mkdir()
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n = 64\nseed = 3\n")
+    monkeypatch.chdir(tmp_path)  # an empty --out must not mean the working directory
     argv = [arg.format(cfg=cfg) for arg in argv]
     outs = [(out, f"File exists where --out {out} needs a directory: {blocker}")
             for out in [blocker / "report.json", blocker / "sub" / "report.json"]
             + [blocker] * needs_dir]
     if not needs_dir:
         outs.append((folder, f"Directory exists where --out {folder} needs a file"))
+    outs.append(("", "--out must name a path, got an empty string"))
     for out, message in outs:
         code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
         assert code == 2
@@ -917,3 +920,80 @@ class TestParserText:
         assert list(dests) == ["duel", "dynamics", "classify", "audit", "simulate", "verify"]
         assert all(names == ["help"] for names in dests.values())
         assert all(names == ["help"] for names in self._dests(None).values())
+
+
+# sha256 of every file each command writes under --out, recorded from a
+# fixed command set: the tiny lemma suite, simulate with a preset of
+# random counters on each backend, the audit and the exact chain.
+_OUTPUT_CONFIGS = {
+    "verify.cfg": "trials = 10\ncyan_n = 256\nyellow_n_list = 64, 128\n"
+    "convergence_n_list = 64, 128\n",
+    "sim.cfg": "n = 64\nseed = 3\ntrials = 3\npreset = half_half\n",
+    "agent.cfg": "n = 64\nseed = 3\ntrials = 3\npreset = half_half\nbackend = agent\n"
+    "source_opinion = 0\n",
+}
+_OUTPUT_DIGESTS = {
+    ("verify", "--lemma", "all", "--config", "{cfg}/verify.cfg", "--out", "{out}"): (1, {
+        "convergence.csv": "159d180c3f8c589ad8a22edb39d1f00b83f76c7a2f6bd94231c8e019ba9529e3",
+        "convergence.json": "23e457237d281c9799b3b9dc8ef3d0f8022753671f5efa0c298f22dcc1b62c49",
+        "cyan.csv": "d7b54bfef2f1829067c8819e0093dae563e21ae47a7bf4e1ad3f3f26112d13d7",
+        "cyan.json": "d830187cc35e2e992188e87397fce919a00122d78ad8cd8f33c9f56b9a62693a",
+        "green.csv": "9c4ee8424e746c856a642283d297e788aa224b80932e62337f0572a67f429f2b",
+        "green.json": "31fbf59beba59de2e4eb7a69f064f9dcd24f347d1b6491db489b5842ebcc8e9e",
+        "purple.csv": "e4d6ec9be61af76a893ba49aafb983e1ebc3f5733fdfbef05f91560a53b03d8a",
+        "purple.json": "b9e79172d432ed099f8db2fc304d55ab03fa314a58549c5679ba72924ea18bf0",
+        "red.csv": "4fff0f7975eca11c883c15951bacc139bacfe37328ebd20648b63943dde65d31",
+        "red.json": "fed6e353bffba3759a4c4bba382300d147b5992d0b9335f4ef222b909d3dd730",
+        "summary.json": "0a223806a2e75c73d60a27427bd2354228b7aef58f80140e832a9fdebf0f8ec3",
+        "yellow.csv": "2fee427bffeb8889eeb8c00c6dbfeb7bb33e006d086dd9baf26a1b2a0f7d9064",
+        "yellow.json": "e0adee386b0edea28b8257c065d51f2b20d9e78a2383e7cd97cc3cb6c88b2f7a",
+    }),
+    ("simulate", "--config", "{cfg}/sim.cfg", "--out", "{out}"): (0, {
+        "summary.json": "5dd7a9e431c28f1399de4df271fd7e58e972a758294bdf3653f095bb4160d21a",
+        "trial_0.csv": "ebfc207665eb087e8af89bda36a60d7c8e6f6d1705ed4c46c614c462093fa6b0",
+        "trial_1.csv": "68e308d7ed81174e510b7a7dcb39c949b7e40a573ec89e08ad118268617df795",
+        "trial_2.csv": "0541878f451d574f5e13ae118b87f774b64d382916b55b0e333ba472fc3e86c9",
+    }),
+    ("simulate", "--config", "{cfg}/agent.cfg", "--out", "{out}"): (0, {
+        "summary.json": "7191d1ed3014c44dfa228f4e0162c8c4b30f5a650e52b45b1a52aee5a0a54f25",
+        "trial_0.csv": "c300b0492d4a8965ff604b623e9a477ba0b69a2f79da9dc4b76c10d48a1c4a2f",
+        "trial_1.csv": "4b189419a1bf4a2c666015d8be535b274c2d9f14d5a1cb3a43ebc9f3833cd710",
+        "trial_2.csv": "c0f12f106869ccf0a87037c394a1d880c3b5c91b503ad3e9a1c228e104bb956b",
+    }),
+    ("audit", "--n", "16", "--out", "{out}/audit.json"): (0, {
+        "audit.json": "fc55317db5c5c2c75c4309574a8fc8fff772241a85f469ba0a1e4e4bfff0cba2",
+    }),
+    ("chain", "--n", "8", "--ell", "4", "--out", "{out}/chain.json"): (0, {
+        "chain.json": "58da6b1ff16762a78577e648b49c86365d51590120544cfa6b109c2a246d9ad9",
+    }),
+}
+
+
+def _digests(directory):
+    """sha256 of every file below directory, by relative path."""
+    return {
+        str(path.relative_to(directory)): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(directory.rglob("*")) if path.is_file()
+    }
+
+
+class TestOutputBytes:
+    @pytest.mark.parametrize("argv", list(_OUTPUT_DIGESTS), ids=lambda argv: " ".join(argv[:3]))
+    def test_written_files_are_pinned(self, capsys, tmp_path, argv):
+        # Every written file is the same byte for byte, whichever code writes it.
+        for name, text in _OUTPUT_CONFIGS.items():
+            (tmp_path / name).write_text(text)
+        out = tmp_path / "out"
+        code, _, _ = run_cli(capsys, *(arg.format(cfg=tmp_path, out=out) for arg in argv))
+        assert (code, _digests(out)) == _OUTPUT_DIGESTS[argv]
+
+    def test_one_lemma_writes_the_suites_files(self, capsys, tmp_path):
+        # --lemma green writes green.csv and green.json as --lemma all
+        # does, and no summary.json.
+        cfg = tmp_path / "verify.cfg"
+        cfg.write_text(_OUTPUT_CONFIGS["verify.cfg"])
+        for lemma in ("green", "all"):
+            run_cli(capsys, "verify", "--lemma", lemma, "--config", str(cfg),
+                    "--out", str(tmp_path / lemma))
+        one, suite = _digests(tmp_path / "green"), _digests(tmp_path / "all")
+        assert one == {name: suite[name] for name in ("green.csv", "green.json")}

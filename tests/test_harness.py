@@ -1,7 +1,9 @@
 """Lemma verification harness: verdicts, emission, determinism."""
 
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import math
 import tracemalloc
@@ -12,6 +14,7 @@ import pytest
 
 from conftest import cyan_oracle, split_paths, yellow_oracle
 from fetsim import harness
+from fetsim.cli import main
 from fetsim.errors import PlantingError, UsageError
 from fetsim.harness import (
     POINT_FIELDS,
@@ -21,7 +24,6 @@ from fetsim.harness import (
     _fit_loglog,
     _planted_rows,
     cyan_expectation_check,
-    emit,
     plant_pair,
     run_lemma,
     verify_cyan,
@@ -33,6 +35,16 @@ from fetsim.harness import (
 from fetsim.domains import DomainLabel, classify
 from fetsim.dynamics import AnalysisConstants, expected_next_fraction
 from fetsim.protocol import SimConfig, derive_rng, run_trials, step_aggregate
+
+
+def verify(tmp_path, lemma, config, out="out"):
+    """The --out directory of `fetsim verify --lemma LEMMA` run on the config text."""
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text(config)
+    argv = ["verify", "--lemma", lemma, "--config", str(cfg), "--out", str(tmp_path / out)]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) in (0, 1)  # a verdict, not a usage error
+    return tmp_path / out
 
 
 class TestPlanting:
@@ -181,11 +193,12 @@ class TestSweeps:
         )
         fit = report.details["fit_pooled_q99"]
         assert (fit["slope"], fit["r2"]) == (None, None) and fit["C"] > 0
-        emit(report, tmp_path)
-        with (tmp_path / "convergence.csv").open() as fh:
+        out = verify(tmp_path, "convergence", "convergence_n_list = 128,\n"
+                     "convergence_trials = 100\nconvergence_presets = all_wrong,\n")
+        with (out / "convergence.csv").open() as fh:
             (row,) = csv.DictReader(fh)
         assert row["fit_r2"] == "" and float(row["fit_C"]) > 0
-        payload = json.loads((tmp_path / "convergence.json").read_text())
+        payload = json.loads((out / "convergence.json").read_text())
         assert payload["details"]["fit_pooled_q99"]["r2"] is None
 
     def test_repeated_sweep_size_rejected(self):
@@ -365,57 +378,49 @@ class TestScalingGate:
 
 class TestEmission:
     def test_pointwise_csv_schema(self, tmp_path):
-        report = verify_green(trials=40, seed=3)
-        emit(report, tmp_path)
-        with (tmp_path / "green.csv").open() as fh:
+        out = verify(tmp_path, "green", "trials = 40\nseed = 3\n")
+        report = json.loads((out / "green.json").read_text())
+        with (out / "green.csv").open() as fh:
             rows = list(csv.DictReader(fh))
         assert list(rows[0]) == list(POINT_FIELDS)
-        assert len(rows) == len(report.points)
+        assert len(rows) == len(report["points"])
 
     def test_sweep_csv_schema(self, tmp_path):
-        report = verify_yellow(n_list=(256,), trials=20, seed=3, max_rounds=4000)
-        emit(report, tmp_path)
-        with (tmp_path / "yellow.csv").open() as fh:
+        out = verify(tmp_path, "yellow", "yellow_n_list = 256,\nyellow_trials = 20\nseed = 3\n"
+                     "yellow_max_rounds = 4000\n")
+        with (out / "yellow.csv").open() as fh:
             rows = list(csv.DictReader(fh))
         assert list(rows[0]) == list(SWEEP_FIELDS)
 
     def test_json_round_trip_excludes_runtime(self, tmp_path):
         report = run_lemma("green", {"trials": 40, "seed": 3})
         assert report.runtime_s > 0
-        emit(report, tmp_path)
-        payload = json.loads((tmp_path / "green.json").read_text())
+        out = verify(tmp_path, "green", "trials = 40\nseed = 3\n")
+        payload = json.loads((out / "green.json").read_text())
         assert payload["verdict"] == report.verdict
         assert "runtime_s" not in json.dumps(payload)
 
     def test_reports_byte_deterministic(self, tmp_path):
         for name in ("a", "b"):
-            emit(verify_green(trials=40, seed=9), tmp_path / name)
+            verify(tmp_path, "green", "trials = 40\nseed = 9\n", out=name)
         for name in ("c", "d"):
-            emit(verify_cyan(trials=30, seed=9), tmp_path / name)
+            verify(tmp_path, "cyan", "trials = 30\nseed = 9\n", out=name)
         assert (tmp_path / "a/green.json").read_bytes() == (tmp_path / "b/green.json").read_bytes()
         assert (tmp_path / "c/cyan.csv").read_bytes() == (tmp_path / "d/cyan.csv").read_bytes()
 
 
 class TestRunLemma:
     def test_run_all_emits_summary(self, tmp_path):
-        from fetsim.harness import run_all
-
-        settings = {
-            "trials": 30,
-            "seed": 6,
-            "yellow_n_list": (256,),
-            "yellow_trials": 20,
-            "convergence_n_list": (128,),
-            "convergence_trials": 100,
-            "convergence_presets": ("all_wrong",),
-        }
-        reports = run_all(settings, tmp_path)
-        summary = json.loads((tmp_path / "summary.json").read_text())
+        out = verify(tmp_path, "all", "trials = 30\nseed = 6\nyellow_n_list = 256,\n"
+                     "yellow_trials = 20\nconvergence_n_list = 128,\nconvergence_trials = 100\n"
+                     "convergence_presets = all_wrong,\n")
+        summary = json.loads((out / "summary.json").read_text())
         assert set(summary) == {"green", "purple", "red", "cyan", "yellow", "convergence"}
         for lemma in summary:
-            assert (tmp_path / f"{lemma}.csv").exists()
-            assert (tmp_path / f"{lemma}.json").exists()
-            assert summary[lemma] == reports[lemma].verdict
+            assert (out / f"{lemma}.csv").exists()
+            assert (out / f"{lemma}.json").exists()
+            report = json.loads((out / f"{lemma}.json").read_text())
+            assert summary[lemma] == report["verdict"]
 
     # Yellow's cells are exactly convergence's yellow_center cells here.
     SHARED = {"trials": 20, "yellow_n_list": (256, 512), "convergence_n_list": (256, 512)}
