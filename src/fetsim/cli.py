@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .config import check_delta, parse_config_file
-from .domains import audit_partition, classify, classify_yellow, label_paths
+from .domains import AREAS, DOMAINS, audit_partition, classify, classify_yellow, label_paths
 from .duel import exact_duel, hoeffding_duel_bound, underdog_lower_bound
 from .dynamics import (
     AnalysisConstants,
@@ -39,7 +39,7 @@ from .dynamics import (
     speed,
 )
 from .errors import DomainError, FetsimError, UsageError
-from .harness import LEMMAS, POINT_FIELDS, SWEEP_FIELDS, _AREAS, _LABELS, run_all, run_lemma
+from .harness import LEMMAS, POINT_FIELDS, SWEEP_FIELDS, run_all, run_lemma
 from .protocol import SimConfig, run_trials
 
 SIM_CONFIG_KEYS = tuple(field.name for field in dataclasses.fields(SimConfig))
@@ -132,15 +132,14 @@ def _cmd_classify(args) -> int:
     constants = AnalysisConstants.for_population(
         args.n, delta=args.delta, c_sample=args.c_sample
     )
-    point = (args.x, args.y)
     _write_json(
         {
             "x_t": args.x,
             "x_t1": args.y,
             "n": args.n,
             "delta": args.delta,
-            "domain": classify(point, args.n, constants).value,
-            "yellow": classify_yellow(point, constants).value,
+            "domain": DOMAINS[classify(args.x, args.y, constants)].value,
+            "yellow": AREAS[classify_yellow(args.x, args.y, constants)].value,
         }
     )
     return 0
@@ -150,7 +149,7 @@ def _cmd_audit(args) -> int:
     constants = AnalysisConstants.for_population(
         args.n, delta=args.delta, c_sample=args.c_sample
     )
-    _write_json(audit_partition(args.n, constants), args.out)
+    _write_json(audit_partition(constants), args.out)
     if args.out:
         print(f"audit report written to {args.out}", file=sys.stderr)
     return 0
@@ -184,14 +183,14 @@ def _cmd_simulate(args) -> int:
     for t, (start, end) in enumerate(zip((ends - lengths).tolist(), ends.tolist())):
         # Row t holds x_t and the labels of the pair (x_t, x_{t+1}); the
         # final row has no successor, so its labels are empty.
-        domain_names = [_LABELS[p].value for p in domains[start : end - 1].tolist()] + [""]
-        yellow_names = [_AREAS[p].value for p in yellows[start : end - 1].tolist()] + [""]
+        domain_names = [DOMAINS[p].value for p in domains[start : end - 1].tolist()] + [""]
+        yellow_names = [AREAS[p].value for p in yellows[start : end - 1].tolist()] + [""]
         _write_csv(out_dir / f"trial_{t}.csv", ["round", "x_t", "domain", "yellow_label"], (
             [r, repr(k / config.n), domain_names[r], yellow_names[r]]
             for r, k in enumerate(counts[start:end].tolist())
         ))
     # Every slot but each path's last is a pair of that path.
-    visits = np.bincount(np.delete(domains, ends[:-1] - 1), minlength=len(_LABELS))
+    visits = np.bincount(np.delete(domains, ends[:-1] - 1), minlength=len(DOMAINS))
     converged = counts[ends - 1] == config.n * config.source_opinion
     rounds = np.sort((lengths - 1)[converged]).tolist()
     quantiles = {}
@@ -209,7 +208,7 @@ def _cmd_simulate(args) -> int:
         "converged_fraction": len(rounds) / trials,
         "quantiles": quantiles,
         "domain_visit_counts": dict(
-            sorted((label.value, int(v)) for label, v in zip(_LABELS, visits) if v)
+            sorted((label.value, int(v)) for label, v in zip(DOMAINS, visits) if v)
         ),
     }
     _write_json(summary, out_dir / "summary.json")

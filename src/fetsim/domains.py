@@ -29,8 +29,10 @@ non-strict); where several definitions match a point, classification
 applies the fixed precedence Green > Purple > Red > Cyan > Yellow with
 the 1-variant before the 0-variant, and ``audit_partition`` quantifies
 every gap and overlap instead of hiding them.  Each definition is
-written once and evaluated on floats by the pointwise classifiers and
-on arrays by ``classify_array``, ``label_paths`` and the audit.
+written once, and the two classifiers, ``classify`` (domains) and
+``classify_yellow`` (A/B/C areas), evaluate them on floats or on
+whole arrays.  They return positions in ``DOMAINS`` and ``AREAS``,
+whose last entries (Unclassified, OutsideYellowPrime) mark no match.
 ``label_paths`` labels simulated trials, paths of opinion-1 counts
 stored end to end, every consecutive pair in one pass.  The audit is
 plain data, a dict ready for JSON; the module writes no files.
@@ -47,11 +49,12 @@ from .dynamics import AnalysisConstants
 from .errors import UsageError
 
 __all__ = [
+    "AREAS",
+    "DOMAINS",
     "DomainLabel",
     "YellowLabel",
     "audit_partition",
     "classify",
-    "classify_array",
     "classify_yellow",
     "label_paths",
 ]
@@ -81,10 +84,8 @@ class YellowLabel(str, Enum):
     OUTSIDE = "OutsideYellowPrime"
 
 
-def _coords(point) -> tuple[float, float]:
-    """The fractions (x_t, x_{t+1}) of a point given as any pair of reals."""
-    x, y = point
-    return float(x), float(y)
+DOMAINS = tuple(DomainLabel)  # classify positions
+AREAS = tuple(YellowLabel)  # classify_yellow positions
 
 
 def _domain_tests(x, y, c: AnalysisConstants) -> tuple:
@@ -168,42 +169,28 @@ def _c1(u, v):
     return (v < 0.5) & (v >= u)
 
 
-def _first_true(tests) -> np.ndarray:
-    """Per array element, the position of the first true test (len(tests) if none)."""
-    return np.select(tests, range(len(tests)), len(tests))
+def _first_true(tests):
+    """The position of the first true test (len(tests) if none), per element for arrays."""
+    return np.select(tests, range(len(tests)), len(tests))[()]
 
 
-def classify(point, n: int, constants: AnalysisConstants) -> DomainLabel:
-    """First matching domain under the fixed precedence, or Unclassified."""
-    if constants.n != n:
-        raise UsageError(
-            f"constants built for n={constants.n}, classify called with n={n}"
-        )
-    x, y = _coords(point)
-    for label, hit in zip(DomainLabel, _domain_tests(x, y, constants)):
-        if hit:
-            return label
-    return DomainLabel.UNCLASSIFIED
+def classify(x, y, constants: AnalysisConstants):
+    """Position in DOMAINS of the first matching domain at (x, y), floats or arrays.
 
-
-def classify_array(x: np.ndarray, y: np.ndarray, constants: AnalysisConstants) -> np.ndarray:
-    """classify over coordinate arrays, as positions in ``tuple(DomainLabel)``.
-
-    Unclassified, the last position, marks no match; the n check is the caller's.
+    Unclassified, the last position, marks no match.
     """
     return _first_true(_domain_tests(x, y, constants))
 
 
-def classify_yellow(point, constants: AnalysisConstants) -> YellowLabel:
-    """A/B/C sub-area of Yellow', with precedence A > B > C, 1-variant first."""
-    x, y = _coords(point)
-    if not _in_box(x, y, constants):
-        return YellowLabel.OUTSIDE
-    for label, hit in zip(YellowLabel, _yellow_area_tests(x, y)):
-        if hit:
-            return label
-    # The six conditions tile the box; reaching here would be a logic bug.
-    raise AssertionError(f"point {(x, y)} in Yellow' matched no A/B/C area")
+def classify_yellow(x, y, constants: AnalysisConstants):
+    """Position in AREAS of the A/B/C sub-area of Yellow' at (x, y), floats or arrays.
+
+    Precedence A > B > C, 1-variant first; OutsideYellowPrime, the last
+    position, marks a point outside the box.
+    """
+    return np.where(
+        _in_box(x, y, constants), _first_true(_yellow_area_tests(x, y)), len(AREAS) - 1
+    )[()]
 
 
 def label_paths(counts, n: int, delta: float, ell: int) -> tuple[np.ndarray, np.ndarray]:
@@ -211,21 +198,18 @@ def label_paths(counts, n: int, delta: float, ell: int) -> tuple[np.ndarray, np.
 
     counts holds trial paths end to end, as run_trials returns them.
     Slot j of each returned array labels the pair (counts[j]/n,
-    counts[j+1]/n) by its position in ``tuple(DomainLabel)`` and in
-    ``tuple(YellowLabel)``, all in one array pass; the partition
-    constants are those of (n, delta, ell).  The slot at each path's
-    last count pairs it with the next path's first, so callers skip it.
-    The constants need ln n > 1: at n = 2 every pair is Unclassified and
-    outside Yellow'.
+    counts[j+1]/n) by its position in DOMAINS and in AREAS, all in one
+    array pass; the partition constants are those of (n, delta, ell).
+    The slot at each path's last count pairs it with the next path's
+    first, so callers skip it.  The constants need ln n > 1: at n = 2
+    every pair is Unclassified and outside Yellow'.
     """
     k = np.asarray(counts)
     x, y = k[:-1] / n, k[1:] / n
-    outside = len(YellowLabel) - 1
     if math.log(n) <= 1.0:
-        return np.full(x.shape, len(DomainLabel) - 1), np.full(x.shape, outside)
+        return np.full(x.shape, len(DOMAINS) - 1), np.full(x.shape, len(AREAS) - 1)
     constants = AnalysisConstants.for_population(n, delta=delta, ell=ell)
-    areas = np.where(_in_box(x, y, constants), _first_true(_yellow_area_tests(x, y)), outside)
-    return classify_array(x, y, constants), areas
+    return classify(x, y, constants), classify_yellow(x, y, constants)
 
 
 YELLOW_READING = (
@@ -234,8 +218,8 @@ YELLOW_READING = (
 )
 
 
-def audit_partition(n: int, constants: AnalysisConstants) -> dict:
-    """Enumerate all (n+1)^2 grid points and measure partition coverage.
+def audit_partition(constants: AnalysisConstants) -> dict:
+    """Enumerate all (n+1)^2 grid points, n = constants.n, and measure partition coverage.
 
     Per point, counts how many of the nine domain definitions match
     before precedence, and reports uncovered and multiply-covered
@@ -246,6 +230,7 @@ def audit_partition(n: int, constants: AnalysisConstants) -> dict:
     entries are integer grid indices with fraction = k / n, so the
     report is exact and deterministic.
     """
+    n = constants.n
     if n > 512:
         raise UsageError(f"audit_partition supports n <= 512, got {n}")
     frac = np.arange(n + 1) / n
@@ -254,7 +239,7 @@ def audit_partition(n: int, constants: AnalysisConstants) -> dict:
     counts = np.sum(tests, axis=0, dtype=np.int64)
     label_idx = _first_true(tests)
     histogram = {
-        label.value: int((label_idx == pos).sum()) for pos, label in enumerate(DomainLabel)
+        label.value: int((label_idx == pos).sum()) for pos, label in enumerate(DOMAINS)
     }
 
     uncovered_mask = counts == 0
@@ -272,10 +257,12 @@ def audit_partition(n: int, constants: AnalysisConstants) -> dict:
         "multiply_covered_count": len(multiply),
         "match_counts": {str(v): f for v, f in zip(values.tolist(), freq.tolist())},
         "label_histogram": histogram,
-        # A point is uncovered iff its reflection through the center is.
+        # Whether the uncovered set is its own reflection through the center.
+        # It need not be: each 0-variant is tested at 1.0 - k/n, which
+        # rounding does not always make (n - k)/n.
         "mirror_symmetric": bool(np.array_equal(uncovered_mask, uncovered_mask[::-1, ::-1])),
-        "corner_absorbing_label": classify((1.0, 1.0), n, constants).value,
-        "corner_cyan_label": classify((1.0 / n, 1.0 / n), n, constants).value,
+        "corner_absorbing_label": DOMAINS[label_idx[n, n]].value,
+        "corner_cyan_label": DOMAINS[label_idx[1, 1]].value,
         "uncovered": uncovered,
         "multiply_covered": multiply,
     }

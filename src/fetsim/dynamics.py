@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 FIXED_POINT_TOL = 1e-12
-DUEL_ALPHA = 9.0  # near-tie duel slope constant used by the fixed-point bounds
+DUEL_ALPHA = 9.0  # near-tie duel slope constant alpha of Yellow's B-dwell scale
 
 
 @dataclass(frozen=True)
@@ -65,8 +65,8 @@ class AnalysisConstants:
 
     delta is the margin of the partition; lambda_n the Red-area shrink
     factor 1/(ln n)^(1/2+delta); gamma and K the Cyan thresholds
-    (1-1/e) e^{-2c}/2 and c e^{-2c}/2 for ell = c ln n; alpha the
-    near-tie duel slope constant.
+    (1-1/e) e^{-2c}/2 and c e^{-2c}/2 for ell = c ln n.  for_population
+    builds and checks them.
     """
 
     n: int
@@ -75,16 +75,7 @@ class AnalysisConstants:
     lambda_n: float
     gamma: float
     K: float
-    alpha: float = DUEL_ALPHA
-    ell_explicit: int | None = None
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.delta < 0.5:
-            raise DomainError(f"delta must be in (0, 1/2), got {self.delta!r}")
-        if not 0.0 < self.lambda_n < 1.0:
-            raise DomainError(f"lambda_n must be in (0, 1), got {self.lambda_n!r}")
-        if self.gamma <= 0.0 or self.K <= 0.0:
-            raise DomainError("gamma and K must be positive")
+    ell: int
 
     @classmethod
     def for_population(
@@ -96,8 +87,10 @@ class AnalysisConstants:
     ) -> "AnalysisConstants":
         """Build the constants for population size n.
 
-        If an explicit sample size ell is given, the effective c is
-        ell / ln n so that gamma and K stay consistent with it.
+        Without ell, the sample size is ceil(c ln n).  An explicit ell
+        is kept as given, and the effective c is ell / ln n so that
+        gamma and K stay consistent with it (a float round-trip
+        through c could tip the ceiling by one).
         """
         if n < 3:
             raise DomainError(
@@ -108,30 +101,25 @@ class AnalysisConstants:
         c = ell / log_n if ell is not None else float(c_sample)
         if not 0 < c < math.inf:
             raise DomainError(f"c_sample must be positive and finite, got {c!r}")
+        if not 0.0 < delta < 0.5:
+            raise DomainError(f"delta must be in (0, 1/2), got {delta!r}")
+        gamma = (1.0 - 1.0 / math.e) * math.exp(-2.0 * c) / 2.0
+        K = c * math.exp(-2.0 * c) / 2.0
+        if gamma <= 0.0 or K <= 0.0:
+            raise DomainError("gamma and K must be positive")
         return cls(
             n=n,
             delta=delta,
             c_sample=c,
             lambda_n=1.0 / log_n ** (0.5 + delta),
-            gamma=(1.0 - 1.0 / math.e) * math.exp(-2.0 * c) / 2.0,
-            K=c * math.exp(-2.0 * c) / 2.0,
-            ell_explicit=int(ell) if ell is not None else None,
+            gamma=gamma,
+            K=K,
+            ell=int(ell) if ell is not None else math.ceil(c * log_n),
         )
 
     @property
     def log_n(self) -> float:
         return math.log(self.n)
-
-    @property
-    def ell(self) -> int:
-        """Sample size: the explicit value if given, else ceil(c ln n).
-
-        Keeping the explicit value avoids a float round-trip through
-        c = ell / ln n that could tip the ceiling by one.
-        """
-        if self.ell_explicit is not None:
-            return self.ell_explicit
-        return math.ceil(self.c_sample * self.log_n)
 
 
 def flip_probs(x_t: float, x_t1: float, ell: int) -> FlipProbs:

@@ -48,8 +48,8 @@ import numpy as np
 import numpy.ma  # noqa: F401  (np.percentile imports it on first call; do so at start-up)
 
 from .config import check_delta, check_number
-from .domains import DomainLabel, YellowLabel, classify, classify_array, label_paths
-from .dynamics import AnalysisConstants, expected_next_fraction
+from .domains import AREAS, DOMAINS, DomainLabel, YellowLabel, classify, label_paths
+from .dynamics import DUEL_ALPHA, AnalysisConstants, expected_next_fraction
 from .errors import PlantingError, UsageError
 from .protocol import SimConfig, _preset_fraction, derive_rng, run_trials, step_aggregate
 
@@ -66,8 +66,6 @@ __all__ = [
 ]
 
 LEMMAS = ("green", "purple", "red", "cyan", "yellow", "convergence")
-_LABELS = tuple(DomainLabel)  # classify_array positions
-_AREAS = tuple(YellowLabel)  # label_paths area positions
 # Smallest accepted value of each integer parameter (per entry for n_list).
 _MINIMUMS = {"n": 2, "n_list": 2, "ell": 1, "trials": 1, "max_rounds": 1}
 # Log-log slope above which a sweep no longer counts as "growing no
@@ -171,7 +169,6 @@ def _whp_threshold(n: int, trials: int, epsilon: float = 1.0) -> float:
 
 
 def plant_pair(
-    n: int,
     constants: AnalysisConstants,
     x: float,
     y: float,
@@ -182,8 +179,9 @@ def plant_pair(
     Guards against (n, delta) combinations where the target domain is
     empty or the rounding crossed a boundary.
     """
+    n = constants.n
     k_x, k_y = int(round(x * n)), int(round(y * n))
-    got = classify((k_x / n, k_y / n), n, constants)
+    got = DOMAINS[classify(k_x / n, k_y / n, constants)]
     if got != expected:
         raise PlantingError(
             f"planted point ({k_x}/{n}, {k_y}/{n}) classifies as {got.value}, "
@@ -229,23 +227,23 @@ def _planted_rows(
     stay and they have taken fewer than cap rounds; with stay=() every
     trial steps exactly once.  failed(label, k_last, current, rounds)
     returns the boolean array of failed trials from the last opinion-1
-    counts, the classify_array positions of the last pairs and the
+    counts, the classify positions of the last pairs and the
     rounds taken.
     """
     n, constants = config.n, config.constants()
-    stay = [_LABELS.index(label) for label in stay]
+    stay = [DOMAINS.index(label) for label in stay]
     rows = []
     for x, y, label in planted:
-        k_x, k_y = plant_pair(n, constants, x, y, label)
+        k_x, k_y = plant_pair(constants, x, y, label)
         rng = derive_rng(config.seed, lemma, k_x, k_y)
         k_t, k_t1 = np.full(trials, k_x), np.full(trials, k_y)
-        current = np.full(trials, _LABELS.index(label))
+        current = np.full(trials, DOMAINS.index(label))
         rounds = np.zeros(trials, dtype=np.int64)
         live = np.arange(trials)
         while live.size:
             k_next = step_aggregate(k_t[live], k_t1[live], config, rng)
             k_t[live], k_t1[live] = k_t1[live], k_next
-            current[live] = classify_array(k_t[live] / n, k_next / n, constants)
+            current[live] = classify(k_t[live] / n, k_next / n, constants)
             rounds[live] += 1
             live = live[np.isin(current[live], stay) & (rounds[live] < cap)]
         failures = int(failed(label, k_t1, current, rounds).sum())
@@ -334,7 +332,7 @@ def verify_purple(
 
     def failed(label: DomainLabel, _k_last, current: np.ndarray, _rounds) -> np.ndarray:
         target = DomainLabel.GREEN1 if label is DomainLabel.PURPLE1 else DomainLabel.GREEN0
-        return current != _LABELS.index(target)
+        return current != DOMAINS.index(target)
 
     boundary_x = math.ceil(n / math.log(n)) / n
     planted = [
@@ -365,11 +363,11 @@ def verify_red(
     config = SimConfig(n=n, c_sample=c_sample, delta=delta, seed=seed)
     bound = math.log(n) ** (0.5 + 2.0 * delta)
     red = (DomainLabel.RED1, DomainLabel.RED0)
-    forbidden = [_LABELS.index(label) for label in red + (DomainLabel.YELLOW,)]
+    forbidden = [DOMAINS.index(label) for label in red + (DomainLabel.YELLOW,)]
     exit_tally: Counter[str] = Counter()
 
     def failed(_label, _k_last, current: np.ndarray, rounds: np.ndarray) -> np.ndarray:
-        exit_tally.update(_LABELS[position].value for position in current.tolist())
+        exit_tally.update(DOMAINS[position].value for position in current.tolist())
         return (rounds >= bound) | np.isin(current, forbidden)
 
     planted = [
@@ -404,11 +402,10 @@ def cyan_expectation_check(
     log_n = math.log(n)
     k_t = np.arange(math.ceil(n / log_n))  # x_t < 1/ln n
     k_y = np.arange(1, math.floor(n / ell) + 1)  # 0 < x_{t+1} <= 1/ell
-    # The whole (k_t, k_y) box is labelled in one classify_array call and
-    # its g computed in one broadcast call; Cyan1's |x_{t+1} - x_t| < delta
+    # The whole (k_t, k_y) box is labelled in one classify call and its
+    # g computed in one broadcast call; Cyan1's |x_{t+1} - x_t| < delta
     # keeps only the diagonal band.
-    cyan1 = list(DomainLabel).index(DomainLabel.CYAN1)
-    cyan = classify_array(k_t[:, None] / n, k_y / n, constants) == cyan1
+    cyan = classify(k_t[:, None] / n, k_y / n, constants) == DOMAINS.index(DomainLabel.CYAN1)
     g = expected_next_fraction(k_t[:, None] / n, k_y / n, n, ell)
     margins = (g - (constants.K * (k_y / n) * log_n - 1.0 / n))[cyan]
     violations = int((margins < 0).sum())
@@ -442,21 +439,21 @@ def verify_cyan(
     _check(n=n, delta=delta, c_sample=c_sample, trials=trials, epsilon=epsilon)
     config = SimConfig(n=n, c_sample=c_sample, delta=delta, seed=seed, max_rounds=1000)
     bound = math.log(n) / math.log(math.log(n))
-    good_exits = [_LABELS.index(DomainLabel.GREEN1), _LABELS.index(DomainLabel.PURPLE1)]
+    good_exits = [DOMAINS.index(DomainLabel.GREEN1), DOMAINS.index(DomainLabel.PURPLE1)]
 
     gamma = config.constants().gamma
     counts, lengths = _run_cell(config, "cyan_corner", trials)
     domains, _ = label_paths(counts, n, delta, config.ell)
     ends = np.cumsum(lengths)
     last = ends - 1  # a path's last slot pairs it with the next path
-    cyan = domains == _LABELS.index(DomainLabel.CYAN1)
+    cyan = domains == DOMAINS.index(DomainLabel.CYAN1)
     t0 = _first(cyan, ends - lengths, last)
     t1 = _first(~cyan, t0, last)
     left = t1 < last  # entered Cyan1 and left it; every other trial fails
     t0, t1 = t0[left], t1[left]
     exits = domains[t1]
     failures = trials - int(((t1 - t0 < bound) & np.isin(exits, good_exits)).sum())
-    exit_tally = Counter(_LABELS[position].value for position in exits.tolist())
+    exit_tally = Counter(DOMAINS[position].value for position in exits.tolist())
     # Large-fraction branch: rounds still in Cyan1 whose x_{t+1}
     # already exceeds gamma, and how often x_{t+2} > 1/2 follows.
     # At desk scale gamma is tiny, so the observed frequency is data
@@ -539,23 +536,24 @@ def verify_yellow(
     all_escaped = True
     for n in n_list:
         config = SimConfig(n=n, c_sample=c_sample, delta=delta, seed=seed, max_rounds=max_rounds)
+        config.constants()  # Yellow' needs the partition, which needs n >= 3
         counts, lengths = _run_cell(config, "yellow_center", trials)
         _, areas = label_paths(counts, n, delta, config.ell)
         ends = np.cumsum(lengths)
         starts, last = ends - lengths, ends - 1
-        esc = _first(areas == _AREAS.index(YellowLabel.OUTSIDE), starts, last)
+        esc = _first(areas == AREAS.index(YellowLabel.OUTSIDE), starts, last)
         all_escaped &= bool((esc < last).all())
         samples.append(np.where(esc < last, esc - starts, max_rounds))
         # Longest run of B slots before the escape: each slot's run
         # length restarts after every slot outside the window or B.
         trial = np.repeat(np.arange(trials), lengths)[:-1]
         slot = np.arange(1, areas.size + 1)
-        in_b = np.isin(areas, [_AREAS.index(YellowLabel.B1), _AREAS.index(YellowLabel.B0)])
+        in_b = np.isin(areas, [AREAS.index(YellowLabel.B1), AREAS.index(YellowLabel.B0)])
         in_b &= slot <= esc[trial]
         runs = slot - np.maximum.accumulate(np.where(in_b, 0, slot))
         b_dwells = np.zeros(trials, dtype=np.int64)
         np.maximum.at(b_dwells, trial, runs)
-        c4 = 1.0 / (4.0 * config.constants().alpha)
+        c4 = 1.0 / (4.0 * DUEL_ALPHA)
         b_scale = math.sqrt(c_sample) / c4 * math.log(n) ** 1.5
         b_dwell_stats[str(n)] = {
             "mean_longest_b_dwell": float(np.mean(b_dwells)),

@@ -12,11 +12,14 @@ for bit.  The single-agent FET rule (``agent_round``), the scalar
 log-space ``binomial_pmf`` and ``binomial_pmf_vector``, the kernel row reader
 ``next_count_distribution``, the population fraction, the swapped duel,
 the label and point mirrors, the grid and Yellow' membership tests,
-the list of every matching domain, the one-population preset
-builder ``init_adversarial``, the path splitter ``split_paths`` and the
+the list of every matching domain, the pointwise label oracles
+``domain_oracle`` and ``area_oracle`` (Python loops over the
+definitions, one float point at a time, in place of the library's
+``np.select`` over whole arrays), the one-population preset builder
+``init_adversarial``, the path splitter ``split_paths`` and the
 per-trial Cyan and Yellow reductions (``cyan_oracle``,
-``yellow_oracle``, labelling pair by pair with the pointwise
-classifiers) are kept here for the tests only.  A population is an
+``yellow_oracle``, labelling pair by pair with those oracles) are kept
+here for the tests only.  A population is an
 (opinions, counters) pair of per-agent arrays, agent 0 the source, as
 step_agent_level takes and returns it.
 """
@@ -32,15 +35,7 @@ from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, bicgstab
 from scipy.special import gammaln
 
-from fetsim.domains import (
-    DomainLabel,
-    YellowLabel,
-    _coords,
-    _domain_tests,
-    _in_box,
-    classify,
-    classify_yellow,
-)
+from fetsim.domains import DomainLabel, YellowLabel, _domain_tests, _in_box, _yellow_area_tests
 from fetsim.duel import DuelProbs, _binomial_pmf_rows, _check_count, _check_prob, duels
 from fetsim.dynamics import AnalysisConstants, flip_probs
 from fetsim.errors import DomainError
@@ -251,7 +246,7 @@ def cyan_oracle(paths, n: int, constants: AnalysisConstants, bound: float) -> di
     gamma_crossed = 0
     gamma_then_above_half = 0
     for counts in paths:
-        labels = [classify((a / n, b / n), n, constants) for a, b in zip(counts, counts[1:])]
+        labels = [domain_oracle((a / n, b / n), constants) for a, b in zip(counts, counts[1:])]
         t0 = next((i for i, lab in enumerate(labels) if lab is DomainLabel.CYAN1), None)
         if t0 is None:
             failures += 1
@@ -289,7 +284,7 @@ def yellow_oracle(paths, n: int, constants: AnalysisConstants, max_rounds: int):
     """
     escapes, b_dwells = [], []
     for counts in paths:
-        yellows = [classify_yellow((a / n, b / n), constants) for a, b in zip(counts, counts[1:])]
+        yellows = [area_oracle((a / n, b / n), constants) for a, b in zip(counts, counts[1:])]
         esc = next((i for i, lab in enumerate(yellows) if lab is YellowLabel.OUTSIDE), None)
         escapes.append(max_rounds if esc is None else esc)
         longest = current = 0
@@ -360,15 +355,36 @@ def on_grid(point: tuple[float, float], n: int, tol: float = 1e-12) -> bool:
     return all(abs(x * n - round(x * n)) <= tol * n for x in point)
 
 
-def matching_domains(point, n: int, constants: AnalysisConstants) -> list[DomainLabel]:
-    """All domain definitions a point satisfies, in precedence order."""
-    x, y = _coords(point)
+def matching_domains(point, constants: AnalysisConstants) -> list[DomainLabel]:
+    """All domain definitions a point (x_t, x_{t+1}) satisfies, in precedence order."""
+    x, y = map(float, point)
     return [label for label, hit in zip(DomainLabel, _domain_tests(x, y, constants)) if hit]
+
+
+def domain_oracle(point, constants: AnalysisConstants) -> DomainLabel:
+    """The first domain definition a point satisfies, else Unclassified."""
+    return next(iter(matching_domains(point, constants)), DomainLabel.UNCLASSIFIED)
 
 
 def in_yellow_prime(point, constants: AnalysisConstants) -> bool:
     """Membership in the square box Yellow' = [1/2-4d, 1/2+4d]^2."""
-    return _in_box(*_coords(point), constants)
+    x, y = map(float, point)
+    return _in_box(x, y, constants)
+
+
+def area_oracle(point, constants: AnalysisConstants) -> YellowLabel:
+    """The first A/B/C definition a point of Yellow' satisfies, else OutsideYellowPrime.
+
+    The six definitions tile the box, so a box point that matches none
+    is an error.
+    """
+    x, y = map(float, point)
+    if not _in_box(x, y, constants):
+        return YellowLabel.OUTSIDE
+    for label, hit in zip(YellowLabel, _yellow_area_tests(x, y)):
+        if hit:
+            return label
+    raise AssertionError(f"point {(x, y)} in Yellow' matched no A/B/C area")
 
 
 _MIRROR = {

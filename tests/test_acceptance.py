@@ -13,7 +13,7 @@ import pytest
 
 from conftest import oracle_pmf_vector
 from fetsim.cli import main as cli_main
-from fetsim.domains import DomainLabel, audit_partition, classify
+from fetsim.domains import DOMAINS, DomainLabel, audit_partition, classify
 from fetsim.duel import exact_duel, hoeffding_duel_bound, underdog_lower_bound
 from fetsim.dynamics import (
     AnalysisConstants,
@@ -119,7 +119,7 @@ def test_criterion_1_backend_equivalence():
     worst_tv = 0.0
     ok = True
     for a, b in PAIR_STATES:
-        domains_seen.add(classify((a / n, b / n), n, constants).value)
+        domains_seen.add(DOMAINS[classify(a / n, b / n, constants)].value)
         agent = _agent_one_round_counts(n, ell, a, b, trials, SEED)
         agg = _aggregate_one_round_counts(n, ell, a, b, trials, SEED)
         h1 = np.bincount(agent, minlength=n + 1) / trials
@@ -411,7 +411,7 @@ def test_criterion_8_partition_audit():
     the cyan corner are covered and correctly labelled."""
     n = 128
     constants = AnalysisConstants.for_population(n, delta=0.05, c_sample=3.0)
-    report = audit_partition(n, constants)
+    report = audit_partition(constants)
     corners_ok = (
         report["corner_absorbing_label"] == DomainLabel.CYAN0.value
         and report["corner_cyan_label"] == DomainLabel.CYAN1.value

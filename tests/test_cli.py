@@ -18,7 +18,7 @@ import fetsim
 from fetsim import harness
 from fetsim.cli import build_parser, main
 from fetsim.config import parse_config_file, parse_value
-from fetsim.domains import DomainLabel, label_paths
+from fetsim.domains import DOMAINS, DomainLabel, label_paths
 from fetsim.errors import UsageError
 from fetsim.markov import absorption_times, build_kernel
 from fetsim.protocol import SimConfig
@@ -267,6 +267,19 @@ class TestAuditCommand:
         assert not (tmp_path / "audit.json").exists()
 
     @pytest.mark.parametrize("command", ["audit", "classify"])
+    def test_vanishing_cyan_constants_are_error(self, capsys, tmp_path, command):
+        # A c_sample this large is finite, but gamma and K underflow to 0
+        # and c ln n overflows; the constants fail before any ell is derived.
+        argv = [command, "--n", "16" if command == "audit" else "128", "--c-sample", "1e308"]
+        if command == "classify":
+            argv += ["--x", "0.5", "--y", "0.5"]
+        else:
+            argv += ["--out", str(tmp_path / "audit.json")]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", "error: gamma and K must be positive\n")
+        assert not (tmp_path / "audit.json").exists()
+
+    @pytest.mark.parametrize("command", ["audit", "classify"])
     def test_population_of_two_names_n(self, capsys, tmp_path, command):
         # At n = 2, ln n < 1 and the partition constants do not exist;
         # the error used to name only the derived lambda_n.
@@ -422,7 +435,7 @@ class TestSimulateCommand:
             assert row["x_t"] == repr(k / n)
         assert rows[-1]["x_t"] == "0.0"
         domains, _ = label_paths([67, 62], n, 0.05, math.ceil(3 * math.log(n)))
-        assert domains.tolist() == [tuple(DomainLabel).index(DomainLabel.GREEN0)]
+        assert domains.tolist() == [DOMAINS.index(DomainLabel.GREEN0)]
 
     def test_two_to_the_forty_agents(self, capsys, tmp_path):
         # Presets are built as class counts, so neither set-up nor the
@@ -963,9 +976,49 @@ _OUTPUT_DIGESTS = {
     ("audit", "--n", "16", "--out", "{out}/audit.json"): (0, {
         "audit.json": "fc55317db5c5c2c75c4309574a8fc8fff772241a85f469ba0a1e4e4bfff0cba2",
     }),
+    # n = 200 has uncovered points (and a reflection-asymmetric gap set).
+    ("audit", "--n", "200", "--delta", "0.05", "--out", "{out}/audit.json"): (0, {
+        "audit.json": "4254e47821560dc4e8884255f93d1ab3ca989edac5540712609f4ffc244ad66e",
+    }),
     ("chain", "--n", "8", "--ell", "4", "--out", "{out}/chain.json"): (0, {
         "chain.json": "58da6b1ff16762a78577e648b49c86365d51590120544cfa6b109c2a246d9ad9",
     }),
+}
+
+
+# sha256 of `fetsim classify` stdout at one point per domain and per
+# Yellow' area (the labels it prints follow each entry).
+_CLASSIFY_DIGESTS = {
+    ("--x", "0.2", "--y", "0.5", "--n", "128"):  # Green1, OutsideYellowPrime
+        "7e281a3163bc8df70e3d9f279fd74ae34636556cb164178320e35912c5ec6256",
+    ("--x", "0.8", "--y", "0.5", "--n", "128"):  # Green0, OutsideYellowPrime
+        "155fc44bcb92ede482f4fe284b4bfb22ee970c0132ecb01af276f027508a7c7c",
+    ("--x", "0.15", "--y", "0.2", "--n", "4096", "--delta", "0.1"):  # Purple1, C1
+        "1c59e20ee742b5d010e535fe3c75c4cec9ec3b2d65caa82c53ea985faa3e20ba",
+    ("--x", "0.85", "--y", "0.8", "--n", "4096", "--delta", "0.1"):  # Purple0, C0
+        "23960e5f264f8288f1351a159e4b0ae39f808d4ef889d14738b3f9fe5c0d5d2b",
+    ("--x", "0.18", "--y", "0.12", "--n", "8192", "--delta", "0.1"):  # Red1, B0
+        "490f845ddb5ff29eff07b4986fb16e4f71fa21182ff6036c2066305f87424681",
+    ("--x", "0.82", "--y", "0.88", "--n", "8192", "--delta", "0.1"):  # Red0, B1
+        "846f1f6e1602c67ddbf39b78d5efeb972f2d88853660434c0a01d996ece3f5f3",
+    ("--x", "0.0078125", "--y", "0.0078125", "--n", "128"):  # Cyan1, OutsideYellowPrime
+        "7ee76e9ed06438691b5d5140ea1d75e333fe0ba775e39cce54371ff2bcf17b0f",
+    ("--x", "1", "--y", "1", "--n", "128"):  # Cyan0, OutsideYellowPrime
+        "402402fff6aceff72228b87d6b91b4fd9b020bda2d7886a0726bbba8c2c323ac",
+    ("--x", "0.065", "--y", "0.015", "--n", "200"):  # Unclassified, OutsideYellowPrime
+        "e9311c5702069b10f83836191e886ae2eeedd650a71291363d846747ea13b67d",
+    ("--x", "0.5", "--y", "0.5", "--n", "128", "--delta", "0.1"):  # Yellow, A1
+        "1b0d4096679e4a1de540fa65df7bb4150d8878ba784fafce3e939c50132dbf46",
+    ("--x", "0.52", "--y", "0.45", "--n", "128", "--delta", "0.1"):  # Yellow, A0
+        "21cde5e0cff2edc2cd52393c70fff73131fbc624069514b4f9a2e53cd0e64489",
+    ("--x", "0.52", "--y", "0.53", "--n", "128", "--delta", "0.1"):  # Yellow, B1
+        "b0574d300413583df781e5dc5ab44da5435916a085ecd53e29fc1fbbbe8bc499",
+    ("--x", "0.48", "--y", "0.47", "--n", "128", "--delta", "0.1"):  # Yellow, B0
+        "6a598846e7483b92b11701289418c49ed692a45f9cb0984920e5bdfef4fedda3",
+    ("--x", "0.45", "--y", "0.47", "--n", "128", "--delta", "0.1"):  # Yellow, C1
+        "c93f2df4082e2bab0e26b44636f97243b226823c71db3f2280b8eb317b90f1a5",
+    ("--x", "0.55", "--y", "0.53", "--n", "128", "--delta", "0.1"):  # Yellow, C0
+        "16e6487fb8109cedc5caa2221cd0fd0c6dbc248adac04a0cc26f070db4b5f4a3",
 }
 
 
@@ -997,3 +1050,8 @@ class TestOutputBytes:
                     "--out", str(tmp_path / lemma))
         one, suite = _digests(tmp_path / "green"), _digests(tmp_path / "all")
         assert one == {name: suite[name] for name in ("green.csv", "green.json")}
+
+    @pytest.mark.parametrize("argv", list(_CLASSIFY_DIGESTS), ids=lambda argv: " ".join(argv))
+    def test_classify_stdout_is_pinned(self, capsys, argv):
+        code, out, _ = run_cli(capsys, "classify", *argv)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, _CLASSIFY_DIGESTS[argv])

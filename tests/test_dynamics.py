@@ -175,7 +175,6 @@ class TestAnalysisConstants:
         assert c.lambda_n == pytest.approx(1.0 / log_n**0.55, abs=1e-12)
         assert c.gamma == pytest.approx((1 - 1 / math.e) * math.exp(-6.0) / 2, abs=1e-15)
         assert c.K == pytest.approx(3.0 * math.exp(-6.0) / 2, abs=1e-15)
-        assert c.alpha == 9.0
         assert c.ell == math.ceil(3.0 * log_n)
 
     def test_explicit_ell_defines_effective_c(self):

@@ -12,10 +12,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import cyan_oracle, split_paths, yellow_oracle
+from conftest import cyan_oracle, domain_oracle, split_paths, yellow_oracle
 from fetsim import harness
 from fetsim.cli import main
-from fetsim.errors import PlantingError, UsageError
+from fetsim.errors import DomainError, PlantingError, UsageError
 from fetsim.harness import (
     POINT_FIELDS,
     SLOPE_TOLERANCE,
@@ -32,7 +32,7 @@ from fetsim.harness import (
     verify_red,
     verify_yellow,
 )
-from fetsim.domains import DomainLabel, classify
+from fetsim.domains import DomainLabel
 from fetsim.dynamics import AnalysisConstants, expected_next_fraction
 from fetsim.protocol import SimConfig, derive_rng, run_trials, step_aggregate
 
@@ -50,7 +50,7 @@ def verify(tmp_path, lemma, config, out="out"):
 class TestPlanting:
     def test_valid_plant(self):
         c = AnalysisConstants.for_population(4096, delta=0.2, c_sample=3.0)
-        kx, ky = plant_pair(4096, c, 0.2, 0.5, DomainLabel.GREEN1)
+        kx, ky = plant_pair(c, 0.2, 0.5, DomainLabel.GREEN1)
         assert (kx, ky) == (819, 2048)
 
     def test_empty_domain_aborts(self):
@@ -58,7 +58,7 @@ class TestPlanting:
         # any x to satisfy both band conditions.
         c = AnalysisConstants.for_population(4096, delta=0.05, c_sample=3.0)
         with pytest.raises(PlantingError):
-            plant_pair(4096, c, 0.3, 0.3 * (1 - c.lambda_n) * 0.9, DomainLabel.RED1)
+            plant_pair(c, 0.3, 0.3 * (1 - c.lambda_n) * 0.9, DomainLabel.RED1)
 
 
 class TestPlantedRows:
@@ -133,13 +133,13 @@ class TestCyan:
     @pytest.mark.parametrize("n, delta", [(512, 0.05), (1024, 0.1)])
     def test_expectation_grid_matches_pointwise_loop(self, n, delta):
         # The band labelled in one array call visits the same Cyan1
-        # points as a loop over the band with the scalar classifier.
+        # points as a loop over the band with the pointwise oracle.
         c = AnalysisConstants.for_population(n, delta=delta, c_sample=3.0)
         ell, log_n, reach = c.ell, math.log(n), math.ceil(delta * n)
         margins = []
         for k_y in range(1, n // ell + 1):
             for k_t in range(max(0, k_y - reach), min(math.ceil(n / log_n) - 1, k_y + reach) + 1):
-                if classify((k_t / n, k_y / n), n, c) is DomainLabel.CYAN1:
+                if domain_oracle((k_t / n, k_y / n), c) is DomainLabel.CYAN1:
                     g = expected_next_fraction(k_t / n, k_y / n, n, ell)
                     margins.append(g - (c.K * (k_y / n) * log_n - 1.0 / n))
         result = cyan_expectation_check(n, delta=delta, c_sample=3.0)
@@ -206,6 +206,12 @@ class TestSweeps:
             verify_yellow(n_list=[1024, 1024], trials=50)
         with pytest.raises(UsageError, match="n_list"):
             run_lemma("convergence", {"convergence_n_list": [128, 256, 128]})
+
+    def test_yellow_needs_the_partition(self):
+        # At n = 2 the partition constants do not exist (ln n < 1), so
+        # there is no Yellow' to escape from.
+        with pytest.raises(DomainError, match="n must be >= 3"):
+            verify_yellow(n_list=[2, 3], c_sample=0.5, trials=5)
 
     def test_repeated_preset_rejected(self):
         # A repeated preset would count one cell's trials twice in the

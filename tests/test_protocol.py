@@ -17,7 +17,7 @@ from conftest import (
     split_paths,
 )
 from fetsim import protocol
-from fetsim.domains import DomainLabel, YellowLabel, label_paths
+from fetsim.domains import AREAS, DOMAINS, DomainLabel, YellowLabel, label_paths
 from fetsim.duel import _binomial_pmf_rows, exact_duel
 from fetsim.dynamics import expected_next_fraction, flip_probs
 from fetsim.errors import DomainError, StructuralError, UsageError
@@ -596,7 +596,7 @@ class TestRunTrial:
         assert counts[0] / 128 == pytest.approx(1 / 128)
         # One label per consecutive pair: every round but the last.
         assert len(domains) == len(yellows) == lengths[0] - 1
-        assert domains[0] == tuple(DomainLabel).index(DomainLabel.CYAN1)
+        assert domains[0] == DOMAINS.index(DomainLabel.CYAN1)
 
     @pytest.mark.parametrize("backend", ["agent", "aggregate"])
     @pytest.mark.parametrize("source_opinion", [0, 1])
@@ -621,8 +621,8 @@ class TestRunTrial:
         assert counts[-1] == 2
         domains, yellows = label_paths(counts, 2, config.delta, config.ell)
         assert len(domains) == len(yellows) == lengths[0] - 1
-        assert np.all(domains == tuple(DomainLabel).index(DomainLabel.UNCLASSIFIED))
-        assert np.all(yellows == tuple(YellowLabel).index(YellowLabel.OUTSIDE))
+        assert np.all(domains == DOMAINS.index(DomainLabel.UNCLASSIFIED))
+        assert np.all(yellows == AREAS.index(YellowLabel.OUTSIDE))
 
     def test_cap_without_consensus_is_not_an_error(self):
         # The naive comparison variant with a hostile start may stall;
@@ -723,7 +723,7 @@ class TestRunTrial:
         domains, _ = label_paths(counts, 4096, config.delta, config.ell)
         ends = np.cumsum(lengths)
         assert np.all(counts[ends - 1] == 4096)
-        upward = [tuple(DomainLabel).index(d) for d in (DomainLabel.PURPLE1, DomainLabel.GREEN1)]
+        upward = [DOMAINS.index(d) for d in (DomainLabel.PURPLE1, DomainLabel.GREEN1)]
         up = np.isin(domains, upward)
         through = sum(up[end - size : end - 1].any() for end, size in zip(ends, lengths))
         assert through / trials >= 0.95
