@@ -31,13 +31,7 @@ from . import __version__
 from .config import check_delta, parse_config_file
 from .domains import AREAS, DOMAINS, audit_partition, classify, classify_yellow, label_paths
 from .duel import exact_duel, hoeffding_duel_bound, underdog_lower_bound
-from .dynamics import (
-    AnalysisConstants,
-    expected_next_fraction,
-    fixed_point_f,
-    flip_probs,
-    speed,
-)
+from .dynamics import AnalysisConstants, expected_next_fraction, fixed_point_f, flip_probs
 from .errors import DomainError, FetsimError, UsageError
 from .harness import LEMMAS, POINT_FIELDS, SWEEP_FIELDS, run_all, run_lemma
 from .protocol import SimConfig, run_trials
@@ -115,7 +109,7 @@ def _cmd_dynamics(args) -> int:
         "g": expected_next_fraction(args.x, args.y, args.n, args.ell),
         "p_keep_one": fp.p_keep_one,
         "p_gain_one": fp.p_gain_one,
-        "speed": speed(args.x, args.y),
+        "speed": abs(args.y - args.x),
     }
     try:
         payload["fixed_point"] = fixed_point_f(args.x, args.ell, args.n, args.delta)

@@ -1,5 +1,5 @@
 """Deterministic analytical layer: flip probabilities, the expectation
-map g, its fixed point f, and the per-round speed.
+map g and its fixed point f.
 
 Conditioned on two consecutive opinion-1 fractions (x_t, x_{t+1}), each
 non-source agent flips independently, with probabilities that reduce to
@@ -37,7 +37,6 @@ __all__ = [
     "expected_next_fraction",
     "fixed_point_f",
     "flip_probs",
-    "speed",
 ]
 
 FIXED_POINT_TOL = 1e-12
@@ -144,11 +143,6 @@ def expected_next_fraction(x_t, x_t1, n: int, ell: int):
     # p_gt = P(B(x_t1) > B(x_t)) = P(B(x_t) < B(x_t1)), p_eq ties.
     p_gt, p_eq = duels(int(ell), x_t, x_t1)
     return p_gt + np.asarray(x_t1, dtype=float) * p_eq + (1.0 - (p_gt + p_eq)) / n
-
-
-def speed(x_t: float, x_t1: float) -> float:
-    """Per-round drift magnitude |x_{t+1} - x_t| of a grid point."""
-    return abs(float(x_t1) - float(x_t))
 
 
 def fixed_point_f(

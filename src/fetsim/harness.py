@@ -274,6 +274,11 @@ def _pointwise(
     )
 
 
+def _one_round_ell(n: int, delta: float) -> int:
+    """ceil((2/delta^2) ln n): Green's least ell and Purple's default."""
+    return math.ceil((2.0 / delta**2) * math.log(n))
+
+
 def verify_green(
     n: int = 4096,
     ell: int | None = None,
@@ -290,7 +295,7 @@ def verify_green(
     ell practical.
     """
     _check(n=n, delta=delta, trials=trials)
-    needed = math.ceil((2.0 / delta**2) * math.log(n))
+    needed = _one_round_ell(n, delta)
     ell = needed if ell is None else ell
     _check(ell=ell)
     if ell < needed:
@@ -326,7 +331,7 @@ def verify_purple(
     (2/delta^2) ln n, so delta is again larger than the sweep default.
     """
     _check(n=n, delta=delta, trials=trials)
-    ell = math.ceil((2.0 / delta**2) * math.log(n)) if ell is None else ell
+    ell = _one_round_ell(n, delta) if ell is None else ell
     _check(ell=ell)
     config = SimConfig(n=n, ell=ell, delta=delta, seed=seed)
 
@@ -679,7 +684,8 @@ _RUNNERS = {
 
 
 def _lemma_kwargs(lemma: str, settings: dict) -> dict:
-    """The lemma's overrides from settings; every resolved parameter passes _check.
+    """The lemma's overrides from settings; every resolved parameter passes _check,
+    and every size the lemma simulates builds its SimConfig.
 
     settings may carry a global "seed" and "trials" as well as
     lemma-prefixed keys like "green_trials" or "yellow_n_list".  A key
@@ -707,7 +713,18 @@ def _lemma_kwargs(lemma: str, settings: dict) -> dict:
             kwargs[key[len(prefix):]] = value
     bound = signature.bind(**kwargs)
     bound.apply_defaults()
-    _check(**{key: value for key, value in bound.arguments.items() if value is not None})
+    args = bound.arguments
+    _check(**{key: value for key, value in args.items() if value is not None})
+    # The joint limits (ell <= n; for the partition n >= 3 and positive gamma
+    # and K) through the SimConfig of every size the lemma simulates.
+    for n in args.get("n_list", [args.get("n")]):
+        ell = args.get("ell")
+        if ell is None and lemma in ("green", "purple"):
+            ell = _one_round_ell(n, args["delta"])
+        config = SimConfig(n=n, ell=ell, c_sample=args.get("c_sample", 3.0),
+                           delta=args["delta"], seed=args["seed"])
+        if lemma != "convergence":
+            config.constants()
     return kwargs
 
 

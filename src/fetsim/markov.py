@@ -18,9 +18,7 @@ h - Q h = 1 for the expected hitting times of the absorbing state
 The pair-state chain assumes the stored counters are i.i.d.
 Bin(ell, k_t/n), which holds after any round but not for an adversarial
 start.  The aggregate backend bridges that first round exactly by
-drawing it from the (opinion, stored counter) class counts.  The tests
-cross-check both backends of the protocol's trial driver against
-``expected_consensus_time_all_wrong``.
+drawing it from the (opinion, stored counter) class counts.
 """
 
 from __future__ import annotations
@@ -35,12 +33,7 @@ from .config import check_number
 from .duel import _binomial_pmf_rows, duels
 from .errors import StructuralError, UsageError
 
-__all__ = [
-    "Kernel",
-    "absorption_times",
-    "build_kernel",
-    "expected_consensus_time_all_wrong",
-]
+__all__ = ["Kernel", "absorption_times", "build_kernel"]
 
 PRUNE_THRESHOLD = 1e-15
 
@@ -185,14 +178,13 @@ def _check_absorbing(kernel: Kernel) -> None:
         )
 
 
-def _bicgstab(a, b: np.ndarray) -> tuple[np.ndarray, int]:
-    """BiCGSTAB for a x = b: rtol 1e-12, atol 0, x0 = 0, no preconditioner.
+def _bicgstab(matvec, b: np.ndarray) -> tuple[np.ndarray, int]:
+    """BiCGSTAB for a x = b, matvec(x) = a x: rtol 1e-12, atol 0, x0 = 0, no preconditioner.
 
-    a is a callable x -> a x or any object with ``@``.  A port of scipy 1.17.1's
-    pure-Python ``bicgstab``, with r in place of its copy s: the same numpy operations
-    in order, so x and info (0, 10 * N, -10 or -11) match scipy's bit for bit.
+    A port of scipy 1.17.1's pure-Python ``bicgstab``, with r in place of its copy s:
+    the same numpy operations in order, so x and info (0, 10 * N, -10 or -11) match
+    scipy's bit for bit.
     """
-    matvec = a if callable(a) else a.__matmul__
     bnrm2 = np.linalg.norm(b)
     atol = max(0.0, 1e-12 * float(bnrm2))
     if bnrm2 == 0:
@@ -263,18 +255,3 @@ def absorption_times(kernel: Kernel) -> np.ndarray:
             f"linear solve residual {residual:.3e} exceeds 1e-10 (bicgstab info {info})"
         )
     return np.append(h_transient, 0.0)
-
-
-def expected_consensus_time_all_wrong(kernel: Kernel, times: np.ndarray) -> float:
-    """Exact expected consensus round from the all-wrong start.
-
-    With counters zeroed, a round-0 agent flips to 1 iff it sees at
-    least one 1 among its ell fresh samples, so
-    k_1 = 1 + Bin(n - 1, 1 - (1 - 1/n)^ell) and the consensus round
-    equals the kernel hitting time from (1, k_1).
-    """
-    n, ell = kernel.n, kernel.ell
-    p_flip = 1.0 - (1.0 - 1.0 / n) ** ell
-    weights = _binomial_pmf_rows(n - 1, np.array([p_flip]))[0]  # over k_1 - 1
-    start = kernel.state_index(1, 1)  # states (1, 1) .. (1, n) are n + 1 apart
-    return float(weights @ times[start :: n + 1])

@@ -10,7 +10,9 @@ vectorized markov.build_kernel; the other (``reference_kernel`` with
 scipy's solve on a boolean-mask Q, which the library must match bit
 for bit.  The single-agent FET rule (``agent_round``), the scalar
 log-space ``binomial_pmf`` and ``binomial_pmf_vector``, the kernel row reader
-``next_count_distribution``, the population fraction, the swapped duel,
+``next_count_distribution``, the exact all-wrong consensus time
+``expected_consensus_time_all_wrong`` (which the trial driver's
+backends are cross-checked against), the population fraction, the swapped duel,
 the label and point mirrors, the grid and Yellow' membership tests,
 the list of every matching domain, the pointwise label oracles
 ``domain_oracle`` and ``area_oracle`` (Python loops over the
@@ -218,6 +220,21 @@ def next_count_distribution(kernel: Kernel, k_t: int, k_t1: int) -> np.ndarray:
     for idx, p in zip(row.indices, row.data):
         out[idx // (kernel.n + 1)] += p  # column (k_{t+2} - 1) * (n + 1) + k_t1
     return out
+
+
+def expected_consensus_time_all_wrong(kernel: Kernel, times: np.ndarray) -> float:
+    """Exact expected consensus round from the all-wrong start.
+
+    With counters zeroed, a round-0 agent flips to 1 iff it sees at
+    least one 1 among its ell fresh samples, so
+    k_1 = 1 + Bin(n - 1, 1 - (1 - 1/n)^ell) and the consensus round
+    equals the kernel hitting time from (1, k_1).
+    """
+    n, ell = kernel.n, kernel.ell
+    p_flip = 1.0 - (1.0 - 1.0 / n) ** ell
+    weights = _binomial_pmf_rows(n - 1, np.array([p_flip]))[0]  # over k_1 - 1
+    start = kernel.state_index(1, 1)  # states (1, 1) .. (1, n) are n + 1 apart
+    return float(weights @ times[start :: n + 1])
 
 
 def init_adversarial(

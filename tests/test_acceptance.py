@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import oracle_pmf_vector
+from conftest import expected_consensus_time_all_wrong, oracle_pmf_vector
 from fetsim.cli import main as cli_main
 from fetsim.domains import DOMAINS, DomainLabel, audit_partition, classify
 from fetsim.duel import exact_duel, hoeffding_duel_bound, underdog_lower_bound
@@ -30,7 +30,7 @@ from fetsim.harness import (
     verify_purple,
     verify_red,
 )
-from fetsim.markov import absorption_times, build_kernel, expected_consensus_time_all_wrong
+from fetsim.markov import absorption_times, build_kernel
 from fetsim.protocol import SimConfig, derive_rng, run_trials
 
 SEED = 0
@@ -79,7 +79,8 @@ def _agent_one_round_counts(n, ell, a, b, trials, seed):
     """Next-count sample from the planted pair via the agent backend.
 
     Opinions hold b ones (source first); counters are i.i.d.
-    Bin(ell, a/n), the post-round distribution at fraction a/n.
+    Bin(ell, a/n), the post-round distribution at fraction a/n.  So each
+    agent draws only the ell indices of its fresh sample.
     """
     rng = derive_rng(seed, "acc1-agent", a, b)
     opinions = np.zeros(n, dtype=np.uint8)
@@ -89,9 +90,8 @@ def _agent_one_round_counts(n, ell, a, b, trials, seed):
     while done < trials:
         m = min(20_000, trials - done)
         counters = rng.binomial(ell, a / n, size=(m, n))
-        idx = rng.integers(0, n, size=(m, n, 2 * ell), dtype=np.uint16)
-        obs = opinions[idx]
-        c_fresh = obs[:, :, :ell].sum(axis=2, dtype=np.int32)
+        idx = rng.integers(0, n, size=(m, n, ell), dtype=np.uint16)
+        c_fresh = opinions[idx].sum(axis=2, dtype=np.int32)
         cur = np.broadcast_to(opinions, (m, n))
         new = np.where(c_fresh > counters, 1, np.where(c_fresh < counters, 0, cur))
         new = new.astype(np.uint8)

@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -553,12 +554,12 @@ print(json.dumps(["chain", code, json.loads(out), scipy_modules()]))
 
 class TestPackageExports:
     def test_every_export_resolves(self):
-        # Every name in __all__ is bound on the package; the agent-level
-        # step and its arrays are internals, not exports.
-        for name in fetsim.__all__:
-            assert getattr(fetsim, name) is not None
-        for internal in ("Population", "step_agent_level"):
-            assert internal not in fetsim.__all__ and not hasattr(fetsim, internal)
+        # Names are imported from their modules: the root binds no library
+        # name, only __version__ and the submodules imported so far.
+        bound = {name for name, value in vars(fetsim).items()
+                 if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+        assert bound == set() and not hasattr(fetsim, "__all__")
+        assert isinstance(fetsim.__version__, str)
 
 
 class TestImportDiet:
@@ -585,6 +586,24 @@ class TestImportDiet:
         assert "scipy.sparse" in loaded
         for heavy in ("scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph"):
             assert heavy not in loaded, f"chain loaded {heavy}"
+
+
+# Configs whose parameters each pass their own check but not their joint
+# limits, which every size's SimConfig and partition enforce:
+# (name, lemma, config lines, message).
+_JOINT_LIMITS = [
+    ("n_below_3", "yellow", "yellow_n_list = 64, 2\nyellow_c_sample = 0.5",
+     "population size n must be >= 3 for the domain partition, which needs ln n > 1, got n = 2"),
+    ("ell_above_n", "purple", "purple_ell = 100000", "need 1 <= ell <= n, got ell=100000, n=4096"),
+    ("default_ell_above_n", "purple", "purple_delta = 0.01",
+     "need 1 <= ell <= n, got ell=166356, n=4096"),
+    ("ell_above_n", "red", "red_c_sample = 10000", "need 1 <= ell <= n, got ell=90110, n=8192"),
+    ("n_below_3", "red", "red_n = 2\nred_c_sample = 0.5",
+     "population size n must be >= 3 for the domain partition, which needs ln n > 1, got n = 2"),
+    ("ell_above_n", "cyan", "cyan_n = 2", "need 1 <= ell <= n, got ell=3, n=2"),
+    ("ell_above_n", "convergence", "convergence_n_list = 2, 64",
+     "need 1 <= ell <= n, got ell=3, n=2"),
+]
 
 
 class TestVerifyCommand:
@@ -655,11 +674,14 @@ class TestVerifyCommand:
             ("convergence", "convergence_presets = yellow_center, yellow_center",
              "presets must not repeat an entry"),
             ("convergence", "convergence_presets = 0.5, all_wrong", "preset must be a string"),
-        ],
+        ] + [(lemma, line, needle) for _, own, line, needle in _JOINT_LIMITS
+             for lemma in ("all", own)],
         ids=["purple_ell_str", "purple_ell_zero", "cyan_epsilon_str", "cyan_epsilon_negative",
              "all_last_lemma_trials_zero", "all_last_lemma_n_list", "all_unknown_preset",
              "convergence_fraction_out_of_range", "convergence_repeated_preset",
-             "convergence_number_preset"],
+             "convergence_number_preset"] + [
+            f"{'all_' if lemma == 'all' else ''}{own}_{name}"
+            for name, own, _, _ in _JOINT_LIMITS for lemma in ("all", own)],
     )
     def test_bad_parameter_rejected_before_any_trial(
         self, capsys, tmp_path, monkeypatch, lemma, line, needle
@@ -1021,6 +1043,18 @@ _CLASSIFY_DIGESTS = {
         "16e6487fb8109cedc5caa2221cd0fd0c6dbc248adac04a0cc26f070db4b5f4a3",
 }
 
+# sha256 of the stdout of duel and dynamics (speed and null fields included).
+_POINT_DIGESTS = {
+    ("duel", "--k", "64", "--p", "0.45", "--q", "0.55", "--bounds"):
+        "03645a2db712031457aedda74eb7d238591e5b2e9565a1333c6acd8095fc8db0",
+    ("duel", "--k", "7", "--p", "0.3", "--q", "0.3", "--bounds"):  # p = q: bounds null
+        "f64cb226ef0f628c37778e7b218c8c8e7968594f1ac5b54acf69222a9d3622e0",
+    ("dynamics", "--x", "0.52", "--y", "0.53", "--n", "4096", "--ell", "64"):
+        "1f6c4f076d174f666f7a8a96d89ab3495cd2ff87da0f1e85d86d654470224748",
+    ("dynamics", "--x", "0.2", "--y", "0.5", "--n", "128", "--ell", "15"):  # no fixed point
+        "ce68d3635bd0c9c8de52d28dc94537d97be97ec621e7f1ff74f4c7692ce11a4c",
+}
+
 
 def _digests(directory):
     """sha256 of every file below directory, by relative path."""
@@ -1055,3 +1089,8 @@ class TestOutputBytes:
     def test_classify_stdout_is_pinned(self, capsys, argv):
         code, out, _ = run_cli(capsys, "classify", *argv)
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, _CLASSIFY_DIGESTS[argv])
+
+    @pytest.mark.parametrize("argv", list(_POINT_DIGESTS), ids=lambda argv: " ".join(argv))
+    def test_duel_and_dynamics_stdout_is_pinned(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, _POINT_DIGESTS[argv])

@@ -1,4 +1,4 @@
-"""Expectation map g, flip probabilities, fixed point f, speed."""
+"""Expectation map g, flip probabilities, fixed point f."""
 
 import math
 
@@ -14,7 +14,6 @@ from fetsim.dynamics import (
     expected_next_fraction,
     fixed_point_f,
     flip_probs,
-    speed,
 )
 from fetsim.errors import DomainError
 
@@ -94,13 +93,6 @@ class TestExpectedNextFractionBroadcast:
     def test_population_size_checked(self):
         with pytest.raises(DomainError):
             expected_next_fraction(np.array([[0.0], [1.0]]), np.array([1.0]), 1, 1)
-
-
-class TestSpeed:
-    def test_values(self):
-        assert speed(0.5, 0.5) == 0.0
-        assert speed(0.2, 0.35) == pytest.approx(0.15, abs=1e-15)
-        assert speed(1.0, 0.0) == 1.0
 
 
 class TestFixedPoint:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import (
+    expected_consensus_time_all_wrong,
     next_count_distribution,
     oracle_kernel,
     reference_absorption_times,
@@ -27,7 +28,6 @@ from fetsim.markov import (
     _reaching,
     absorption_times,
     build_kernel,
-    expected_consensus_time_all_wrong,
 )
 from fetsim.protocol import SimConfig, run_trials
 
@@ -340,7 +340,7 @@ def _first_step_system(n, ell):
 
 
 def _assert_same_solve(a, b):
-    x, info = _bicgstab(a, b)
+    x, info = _bicgstab(a.__matmul__, b)
     x_ref, info_ref = bicgstab(a, b, rtol=1e-12, atol=0.0)
     assert info == info_ref
     assert x.tobytes() == x_ref.tobytes()
