@@ -20,10 +20,13 @@ is simulated once and shared, read-only: Yellow's default sweep is
 exactly convergence's yellow_center cells.
 
 Scaling claims (Yellow escape, end-to-end convergence) are tested as
-properties: one reducer (_sweep) takes the quantiles of the measured
+properties: one reducer (_sweep) takes the q50 and q99 of the measured
 times per size and fits their q99 against (ln n)^{5/2} on a log-log
 scale.  Only Yellow's verdict uses the fit (at least two sizes,
 R^2 >= 0.9, slope <= SLOPE_TOLERANCE); convergence just reports it.
+These quantiles, Yellow's q95 and convergence's per-cell q99 come from
+_percentile: np.percentile's linear method, bit for bit, on one np.sort
+per sample (np.percentile itself imports numpy.ma).
 
 The analytic part of the Cyan check evaluates the expectation map on
 its whole grid at once, from one broadcast duels call.
@@ -37,6 +40,7 @@ files: a LemmaReport is plain data, and the CLI writes it as
 from __future__ import annotations
 
 import dataclasses
+import functools
 import inspect
 from collections import Counter
 import math
@@ -45,7 +49,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import numpy.ma  # noqa: F401  (np.percentile imports it on first call; do so at start-up)
 
 from .config import check_delta, check_number
 from .domains import AREAS, DOMAINS, DomainLabel, YellowLabel, classify, label_paths
@@ -504,15 +507,27 @@ def _fit_loglog(ns: list[int], values: list[float]) -> dict:
     return {"C": float(envelope), "slope": float(slope), "r2": float(r2)}
 
 
+def _percentile(ordered: np.ndarray, q: float) -> float:
+    """np.percentile(sample, q) of the sorted sample, bit for bit (its
+    default linear method), without np.percentile, which imports numpy.ma."""
+    v = (ordered.size - 1) * (q / 100)
+    # From the last index on, numpy takes the last element as both neighbours.
+    lo = math.floor(v) if v < ordered.size - 1 else -1
+    a, b = ordered[lo], ordered[lo + 1 if lo >= 0 else -1]
+    d, g = b - a, v - lo
+    return float(b - d * (1 - g) if g >= 0.5 else a + d * g)
+
+
 def _sweep(n_list, samples: list[np.ndarray]) -> tuple[list[dict], dict]:
     """A sweep's rows (n, quantile50, quantile99, fit_C, fit_r2), one per
     size's times in samples, and the log-log fit of their q99s."""
-    q99s = [float(np.percentile(times, 99)) for times in samples]
+    ordered = [np.sort(times) for times in samples]
+    q99s = [_percentile(times, 99) for times in ordered]
     fit = _fit_loglog(n_list, q99s)
     rows = [
-        {"n": n, "quantile50": float(np.percentile(times, 50)), "quantile99": q99,
+        {"n": n, "quantile50": _percentile(times, 50), "quantile99": q99,
          "fit_C": fit["C"], "fit_r2": fit["r2"]}
-        for n, times, q99 in zip(n_list, samples, q99s)
+        for n, times, q99 in zip(n_list, ordered, q99s)
     ]
     return rows, fit
 
@@ -562,7 +577,7 @@ def verify_yellow(
         b_scale = math.sqrt(c_sample) / c4 * math.log(n) ** 1.5
         b_dwell_stats[str(n)] = {
             "mean_longest_b_dwell": float(np.mean(b_dwells)),
-            "q95_longest_b_dwell": float(np.percentile(b_dwells, 95)),
+            "q95_longest_b_dwell": _percentile(np.sort(b_dwells), 95),
             "reference_scale": b_scale,
         }
 
@@ -627,7 +642,7 @@ def verify_convergence(
     )
     # Single budget constant across the sweep: envelope over all cells,
     # which the rows report as fit_C in place of the pooled fit's C.
-    cell_q99 = {key: float(np.percentile(cell, 99)) for key, cell in times.items()}
+    cell_q99 = {key: _percentile(np.sort(cell), 99) for key, cell in times.items()}
     envelope_c = max(q99 / math.log(n) ** 2.5 for (_, n), q99 in cell_q99.items())
     for row in sweep:
         row["fit_C"] = envelope_c
@@ -683,6 +698,17 @@ _RUNNERS = {
 }
 
 
+@functools.cache
+def _signatures() -> tuple[dict[str, inspect.Signature], frozenset[str]]:
+    """Each runner's signature and every settings key a lemma reads; once per process."""
+    signatures = {name: inspect.signature(fn) for name, fn in _RUNNERS.items()}
+    known = {"seed", "trials"} | {
+        f"{name}_{param}" for name, signature in signatures.items()
+        for param in signature.parameters
+    }
+    return signatures, frozenset(known)
+
+
 def _lemma_kwargs(lemma: str, settings: dict) -> dict:
     """The lemma's overrides from settings; every resolved parameter passes _check,
     and every size the lemma simulates builds its SimConfig.
@@ -694,15 +720,11 @@ def _lemma_kwargs(lemma: str, settings: dict) -> dict:
     """
     if lemma not in _RUNNERS:
         raise UsageError(f"unknown lemma {lemma!r}; choose from {LEMMAS}")
-    known = {"seed", "trials"} | {
-        f"{name}_{param}"
-        for name, fn in _RUNNERS.items()
-        for param in inspect.signature(fn).parameters
-    }
+    signatures, known = _signatures()
     unknown = sorted(set(settings) - known)
     if unknown:
         raise UsageError(f"unknown verify config key(s) {unknown}; use <lemma>_<parameter>")
-    signature = inspect.signature(_RUNNERS[lemma])
+    signature = signatures[lemma]
     kwargs = {}
     for key in ("seed", "trials"):
         if key in settings and key in signature.parameters:

@@ -535,18 +535,18 @@ def quiet(argv):
 
 work = Path(sys.argv[1])
 import fetsim.cli as cli
-print(json.dumps(["import", 0, scipy_modules()]))
+print(json.dumps(["import", 0, scipy_modules(), "numpy.ma" in sys.modules]))
 (work / "verify.cfg").write_text(
     "trials = 10\ncyan_n = 256\nyellow_n_list = 64, 128\nconvergence_n_list = 64, 128\n"
 )
 quiet(["verify", "--lemma", "all", "--config", str(work / "verify.cfg"),
       "--out", str(work / "reports")])
 verdicts = json.loads((work / "reports" / "summary.json").read_text())
-print(json.dumps(["verify", len(verdicts), scipy_modules()]))
+print(json.dumps(["verify", len(verdicts), scipy_modules(), "numpy.ma" in sys.modules]))
 (work / "sim.cfg").write_text("n = 4096\nseed = 3\n")
 code, _ = quiet(["simulate", "--config", str(work / "sim.cfg"), "--trials", "2",
                  "--out", str(work / "sim")])
-print(json.dumps(["simulate", code, scipy_modules()]))
+print(json.dumps(["simulate", code, scipy_modules(), "numpy.ma" in sys.modules]))
 code, out = quiet(["chain", "--n", "8", "--ell", "4"])
 print(json.dumps(["chain", code, json.loads(out), scipy_modules()]))
 """
@@ -567,6 +567,9 @@ class TestImportDiet:
         # scipy costs more start-up than most commands compute; only the
         # exact chain (fetsim.markov) may load it, and only when run, and
         # then only its sparse matrices: no scipy.linalg and LAPACK.
+        # numpy.ma (loaded by np.percentile, and by np.unique or
+        # np.setdiff1d without a return_* flag) stays out of every stage
+        # but the chain's, where scipy loads it.
         src = str(Path(fetsim.__file__).resolve().parent.parent)
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         env = dict(os.environ, PYTHONPATH=path)
@@ -578,8 +581,9 @@ class TestImportDiet:
         assert [stage[:2] for stage in stages] == [
             ["import", 0], ["verify", 6], ["simulate", 0], ["chain", 0]
         ]
-        for name, _, loaded in stages[:3]:
+        for name, _, loaded, masked in stages[:3]:
             assert loaded == [], f"scipy loaded by {name}: {loaded[:5]}"
+            assert not masked, f"numpy.ma loaded by {name}"
         chain, loaded = stages[3][2:]
         assert (chain["n"], chain["ell"]) == (8, 4)
         assert chain["max_expected_rounds"] >= chain["expected_rounds_from_corner"] > 0

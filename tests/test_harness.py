@@ -201,6 +201,23 @@ class TestSweeps:
         payload = json.loads((out / "convergence.json").read_text())
         assert payload["details"]["fit_pooled_q99"]["r2"] is None
 
+    @pytest.mark.parametrize(
+        "draw",
+        [lambda rng, m: rng.integers(0, 10_000, m), lambda rng, m: rng.lognormal(0.0, 4.0, m)],
+        ids=["int64", "float64"],
+    )
+    def test_percentile_has_numpys_bits(self, draw):
+        # The sweep quantiles skip np.percentile (it imports numpy.ma) but
+        # must give its linear method's floats exactly, ties included; the
+        # floats span magnitudes, where a + d*g and b - d*(1 - g) round apart.
+        rng = np.random.default_rng(7)
+        samples = [draw(rng, m) for m in range(1, 401)]
+        samples.append(np.array([3, 3, 3, 5, 5, 9, 9, 9, 9, 12]).astype(samples[0].dtype))
+        for sample in samples:
+            ordered = np.sort(sample)
+            for q in (0, 50, 95, 99, 100):
+                assert harness._percentile(ordered, q) == float(np.percentile(sample, q))
+
     def test_repeated_sweep_size_rejected(self):
         with pytest.raises(UsageError, match="n_list"):
             verify_yellow(n_list=[1024, 1024], trials=50)
