@@ -20,10 +20,11 @@ probabilities and gives each pair p_lt and p_eq from its own dot
 products, so a pair has the same bits alone, in a batch or in a grid.
 The scalar triple, the pair-state kernel and the expectation map call
 it; the aggregate backend, whose counts are distinct already, calls its
-two steps ``_duel_table`` and ``_pair_duels`` directly.  Closed-form
-lower bounds on the favorite's and the underdog's win probability are
-provided alongside, expressed through the Hoeffding tail and a
-Berry-Esseen normal correction respectively.
+two steps ``_duel_table`` and ``_pair_duels`` directly, with p-side
+rows that may come from another table.  Closed-form lower bounds on the
+favorite's and the underdog's win probability are provided alongside,
+expressed through the Hoeffding tail and a Berry-Esseen normal
+correction respectively.
 """
 
 from __future__ import annotations
@@ -164,9 +165,9 @@ def _duel_table(ell: int, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pmf, 1.0 - cdf
 
 
-def _pair_duels(pmf, above, i_p, i_q) -> tuple[np.ndarray, np.ndarray]:
-    """p_lt and p_eq of table rows i_p against rows i_q: np.vecdot's, clipped to [0, 1]."""
-    rows = pmf[i_p]
+def _pair_duels(p_pmf, q_table, i_p, i_q) -> tuple[np.ndarray, np.ndarray]:
+    """p_lt and p_eq of rows p_pmf[i_p] against q_table's rows i_q: np.vecdot's, clipped."""
+    rows, (pmf, above) = p_pmf[i_p], q_table
     return np.clip(np.vecdot(rows, above[i_q]), 0, 1), np.clip(np.vecdot(rows, pmf[i_q]), 0, 1)
 
 
@@ -189,7 +190,8 @@ def duels(ell: int, p, q) -> tuple[np.ndarray, np.ndarray]:
         bad = float(values[0] if values[0] < 0.0 else values[-1])
         raise DomainError(f"probabilities must lie in [0, 1], got {bad!r}")
     i_p, i_q = index[: p.size].reshape(p.shape), index[p.size :].reshape(q.shape)
-    return _pair_duels(*_duel_table(ell, values), i_p, i_q)
+    table = _duel_table(ell, values)
+    return _pair_duels(table[0], table, i_p, i_q)
 
 
 def exact_duel(k: int, p: float, q: float) -> DuelProbs:

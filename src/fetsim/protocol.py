@@ -27,7 +27,8 @@ agents.  The aggregate backend draws the first round from the
 histogram.  Afterwards every stored counter is an independent
 Bin(ell, x_t) draw, so each later round is two binomial draws over the
 pair of opinion-1 counts (k_t, k_{t+1}), with flip probabilities from
-one duel table (``duel._duel_table``) over the round's distinct counts;
+duel table rows (``duel._duel_table``) built once per round, for its
+new distinct counts (k_t's rows are carried from the round before);
 the test suite checks both laws against the agent level.
 
 A trial is the path of opinion-1 counts, one integer per round.
@@ -220,7 +221,7 @@ def step_aggregate(k_t, k_t1, config: SimConfig, rng: Generator) -> np.ndarray:
     and t+1, one entry per trial.  With source opinion 1 the next count
     is 1 + Bin(k_t1 - 1, keep) + Bin(n - k_t1, gain), flip probabilities
     from _flip_probs; with source opinion 0 the same draws run on the
-    0-opinion counts n - k.  All keep draws come first, then all gain.
+    0-opinion counts n - k.  One binomial call: all keep draws, then gain.
     """
     n = config.n
     k_t, k_t1 = np.asarray(k_t), np.asarray(k_t1)
@@ -230,35 +231,43 @@ def step_aggregate(k_t, k_t1, config: SimConfig, rng: Generator) -> np.ndarray:
         raise DomainError(f"counts must lie in [0, n={n}], got k_t={k_t}, k_t1={k_t1}")
     if np.any((n - k_t1 if config.source_opinion == 0 else k_t1) < 1):
         raise DomainError("k_t1 must count the source: at least one agent holds its opinion")
-    return _pair_draws(k_t1, *_flip_probs(k_t, k_t1, config), config, rng)
+    return _pair_draws(k_t1, *_flip_probs(k_t, k_t1, config)[:2], config, rng)
 
 
-def _flip_probs(k_t, k_t1, config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Flip probabilities (keep, gain) of each pair of opinion-1 counts.
+def _flip_probs(k_t, k_t1, config: SimConfig, carried=None):
+    """Flip probabilities (keep, gain) of each pair of counts, and the table to carry.
 
     With B(k) ~ Bin(ell, k/n), gain = P(B(k_t1) > B(k_t)) and
     keep = min(gain + P(B(k_t1) = B(k_t)), 1), taken on n - k for source
-    opinion 0.  One duel table over the distinct counts, then _pair_duels
-    over the distinct pairs, so no pair's values depend on others.
+    opinion 0.  One duel table over the distinct counts of k_t and k_t1,
+    or of k_t1 alone given k_t's carried (pmf rows, index per pair), then
+    _pair_duels over the distinct pairs, so no pair's values depend on
+    others.  The third value is k_t1's (pmf rows, index per pair).
     """
     n, shape = config.n, np.shape(k_t)
     if config.source_opinion == 0:
         k_t, k_t1 = n - k_t, n - k_t1
-    # Pairs are keyed by distinct-count index: a k_t * (n + 1) + k_t1 key
-    # would overflow int64 for n above about 3e9.
-    distinct, index = np.unique(np.stack([k_t, k_t1]), return_inverse=True)
-    index = index.reshape(2, -1)
-    pairs, inverse = np.unique(index[0] * distinct.size + index[1], return_inverse=True)
-    i_t, i_t1 = np.divmod(pairs, distinct.size)
-    gain, p_eq = _pair_duels(*_duel_table(config.ell, distinct / n), i_t, i_t1)
-    return np.minimum(gain + p_eq, 1.0)[inverse].reshape(shape), gain[inverse].reshape(shape)
+    # Pairs are keyed by row index: a k_t * (n + 1) + k_t1 key would
+    # overflow int64 for n above about 3e9.
+    if carried is None:
+        distinct, index = np.unique(np.stack([k_t, k_t1]), return_inverse=True)
+        i_t, i_t1 = index.reshape(2, -1)
+    else:
+        distinct, i_t1 = np.unique(k_t1, return_inverse=True)
+    table = _duel_table(config.ell, distinct / n)
+    rows_t, i_t = (table[0], i_t) if carried is None else carried
+    pairs, inverse = np.unique(i_t * distinct.size + i_t1, return_inverse=True)
+    gain, p_eq = _pair_duels(rows_t, table, *np.divmod(pairs, distinct.size))
+    keep = np.minimum(gain + p_eq, 1.0)[inverse].reshape(shape)
+    return keep, gain[inverse].reshape(shape), (table[0], i_t1)
 
 
 def _pair_draws(k_t1, keep, gain, config: SimConfig, rng: Generator) -> np.ndarray:
-    """Next opinion-1 counts from step_aggregate's two draws, keep draws first."""
+    """Next opinion-1 counts from step_aggregate's draws: one binomial call, keep draws first."""
     n, mirror = config.n, config.source_opinion == 0
-    held = n - k_t1 if mirror else k_t1  # agents holding the source's opinion
-    k_next = 1 + rng.binomial(held - 1, keep) + rng.binomial(n - held, gain)
+    held = np.asarray(n - k_t1 if mirror else k_t1)  # agents holding the source's opinion
+    draws = rng.binomial(np.append(held - 1, n - held), np.append(keep, gain))
+    k_next = (1 + draws[: held.size] + draws[held.size :]).reshape(held.shape)
     return n - k_next if mirror else k_next
 
 
@@ -396,7 +405,8 @@ def _aggregate_rounds(config: SimConfig, initial, trials: int, rngs: list) -> tu
 
     Each block draws its presets and class-count round, and its histograms
     are dropped; each later round takes _flip_probs once over all live
-    pairs, then every block makes step_aggregate's draws on its stream.
+    pairs, carrying its table rows to the next, then every block makes
+    step_aggregate's draws on its stream.
     """
     target = config.n * config.source_opinion
     lives, news = [[np.arange(trials)], []], [[], []]
@@ -407,13 +417,14 @@ def _aggregate_rounds(config: SimConfig, initial, trials: int, rngs: list) -> tu
         lives[1].append(first + np.flatnonzero(going))
         news[1].append(_class_round(hist[going], config, rng))
     lives, news = [np.concatenate(a) for a in lives], [np.concatenate(a) for a in news]
-    live, prev, counts = lives[1], news[0][lives[1]], news[1]
+    live, prev, counts, carried = lives[1], news[0][lives[1]], news[1], None
     for _ in range(1, config.max_rounds):
         going = counts != target
         live, prev, counts = live[going], prev[going], counts[going]
+        carried = carried and (carried[0], carried[1][going])
         if live.size == 0:
             break
-        keep, gain = _flip_probs(prev, counts, config)
+        keep, gain, carried = _flip_probs(prev, counts, config, carried)
         cuts, new = np.searchsorted(live, np.arange(len(rngs) + 1) * BLOCK), np.empty_like(counts)
         for b in np.flatnonzero(np.diff(cuts)):
             part = slice(cuts[b], cuts[b + 1])

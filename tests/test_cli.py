@@ -970,6 +970,7 @@ _OUTPUT_CONFIGS = {
     "sim.cfg": "n = 64\nseed = 3\ntrials = 3\npreset = half_half\n",
     "agent.cfg": "n = 64\nseed = 3\ntrials = 3\npreset = half_half\nbackend = agent\n"
     "source_opinion = 0\n",
+    "sim0.cfg": "n = 256\nseed = 3\ntrials = 3\npreset = yellow_center\nsource_opinion = 0\n",
 }
 _OUTPUT_DIGESTS = {
     ("verify", "--lemma", "all", "--config", "{cfg}/verify.cfg", "--out", "{out}"): (1, {
@@ -998,6 +999,13 @@ _OUTPUT_DIGESTS = {
         "trial_0.csv": "c300b0492d4a8965ff604b623e9a477ba0b69a2f79da9dc4b76c10d48a1c4a2f",
         "trial_1.csv": "4b189419a1bf4a2c666015d8be535b274c2d9f14d5a1cb3a43ebc9f3833cd710",
         "trial_2.csv": "c0f12f106869ccf0a87037c394a1d880c3b5c91b503ad3e9a1c228e104bb956b",
+    }),
+    # The aggregate backend's mirrored pair rounds (10-14 rounds a trial).
+    ("simulate", "--config", "{cfg}/sim0.cfg", "--out", "{out}"): (0, {
+        "summary.json": "e1284d974ee14054b8a0d8c8378ff48dd910db99e7585b06be9a1302872ef5e8",
+        "trial_0.csv": "6b10ace6bd9f7555f203448680e033767af814ed4b6805e9a67e4cf63f09cec6",
+        "trial_1.csv": "53ee788c245565e750c9947101eba94006afba641e8609f5a2ca341b5debe1c1",
+        "trial_2.csv": "bf16140dd470bd48232a5c6feebea5e312666a450e93473f250c1232c14a3dc2",
     }),
     ("audit", "--n", "16", "--out", "{out}/audit.json"): (0, {
         "audit.json": "fc55317db5c5c2c75c4309574a8fc8fff772241a85f469ba0a1e4e4bfff0cba2",

@@ -18,7 +18,7 @@ from conftest import (
 )
 from fetsim import protocol
 from fetsim.domains import AREAS, DOMAINS, DomainLabel, YellowLabel, label_paths
-from fetsim.duel import _binomial_pmf_rows, exact_duel
+from fetsim.duel import _binomial_pmf_rows, _duel_table, exact_duel
 from fetsim.dynamics import expected_next_fraction, flip_probs
 from fetsim.errors import DomainError, StructuralError, UsageError
 from fetsim.protocol import (
@@ -27,6 +27,7 @@ from fetsim.protocol import (
     SimConfig,
     _class_round,
     _flip_probs,
+    _pair_draws,
     _populations,
     _preset_counts,
     derive_rng,
@@ -228,6 +229,35 @@ class TestStepAggregate:
         assert abs(correct.mean() - expected) <= 3 * math.sqrt(var / trials)
 
 
+class TestPairDraws:
+    @pytest.mark.parametrize("source_opinion", [1, 0])
+    def test_one_call_draws_the_two_call_stream(self, source_opinion):
+        # One rng.binomial over the keep, then the gain parameters, is the
+        # stream of one keep call and then one gain call, on arrays and on
+        # scalars, with p = 0 and p = 1 and with no agent to draw for.
+        n = 1000
+        config = SimConfig(n=n, ell=21, source_opinion=source_opinion)
+        rng = derive_rng(3, "draw-inputs")
+        held = np.concatenate([[1, n, 1, n, 500, 500], rng.integers(1, n + 1, 194)])
+        keep = np.concatenate([[0.0, 1.0, 1.0, 0.0, 0.0, 1.0], rng.random(194)])
+        gain = np.concatenate([[1.0, 0.0, 0.0, 1.0, 1.0, 0.0], rng.random(194)])
+        k_t1 = held if source_opinion == 1 else n - held
+        merged, reference = derive_rng(4, "draws"), derive_rng(4, "draws")
+
+        def two_calls(held, keep, gain):
+            k_next = 1 + reference.binomial(held - 1, keep) + reference.binomial(n - held, gain)
+            return k_next if source_opinion == 1 else n - k_next
+
+        drawn = _pair_draws(k_t1, keep, gain, config, merged)
+        assert drawn.shape == held.shape
+        assert np.array_equal(drawn, two_calls(held, keep, gain))
+        for i in (4, 1, 0, 7, 7, 9):
+            one = _pair_draws(int(k_t1[i]), float(keep[i]), float(gain[i]), config, merged)
+            assert np.shape(one) == ()
+            assert one == two_calls(int(held[i]), float(keep[i]), float(gain[i]))
+        assert merged.random() == reference.random()
+
+
 class TestFlipProbs:
     @pytest.mark.parametrize("source_opinion", [1, 0])
     def test_pair_values_do_not_depend_on_the_batch(self, source_opinion):
@@ -239,7 +269,7 @@ class TestFlipProbs:
         rng = derive_rng(5, "pairs")
         k_t = np.concatenate([[0, 1, n - 1, n, 500], rng.integers(0, n + 1, 60)])
         k_t1 = np.concatenate([[n - 1, n, 1, 0, 500], rng.integers(1, n, 60)])
-        keep, gain = _flip_probs(k_t, k_t1, config)
+        keep, gain, _ = _flip_probs(k_t, k_t1, config)
         order = rng.permutation(k_t.size)
         shuffled = _flip_probs(k_t[order], k_t1[order], config)
         assert np.array_equal(shuffled[0], keep[order])
@@ -247,21 +277,47 @@ class TestFlipProbs:
         held_t, held_t1 = (k_t, k_t1) if source_opinion == 1 else (n - k_t, n - k_t1)
         for i in range(k_t.size):
             one = _flip_probs(k_t[i : i + 1], k_t1[i : i + 1], config)
-            assert np.array_equal(one, (keep[i : i + 1], gain[i : i + 1]))
-            assert np.array_equal(_flip_probs(k_t[i], k_t1[i], config), (keep[i], gain[i]))
+            assert np.array_equal(one[:2], (keep[i : i + 1], gain[i : i + 1]))
+            alone = _flip_probs(k_t[i], k_t1[i], config)
+            assert np.array_equal(alone[:2], (keep[i], gain[i]))
             self._assert_duel_bits(keep[i], gain[i], int(held_t[i]), int(held_t1[i]), n, ell)
+
+    @pytest.mark.parametrize("source_opinion", [1, 0])
+    def test_carried_table_gives_a_fresh_calls_bits(self, source_opinion):
+        # A round that takes its k_t rows from the previous round's table,
+        # filtered to the pairs that go on, gives the bits of a call that
+        # builds every row itself, and carries the rows of its own k_t1.
+        n, ell = 1000, 21
+        config = SimConfig(n=n, ell=ell, source_opinion=source_opinion)
+        rng = derive_rng(8, "carried")
+        k_0, k_1, k_2 = rng.integers(1, n, 80), rng.integers(1, n, 80), rng.integers(1, n, 80)
+        k_1[:3] = n * source_opinion
+        going = k_1 != n * source_opinion
+        _, _, (rows, index) = _flip_probs(k_0, k_1, config)
+        carried = _flip_probs(k_1[going], k_2[going], config, (rows, index[going]))
+        fresh = _flip_probs(k_1[going], k_2[going], config)
+        assert np.array_equal(carried[0], fresh[0])
+        assert np.array_equal(carried[1], fresh[1])
+        held = k_2[going] if source_opinion == 1 else n - k_2[going]
+        pmf = _binomial_pmf_rows(ell, held / n)
+        assert np.array_equal(carried[2][0][carried[2][1]], pmf)
+        assert np.array_equal(fresh[2][0][fresh[2][1]], pmf)
 
     def test_pairs_near_n_at_two_to_the_forty(self):
         # Pairs are keyed by distinct-count index, not by k_t * (n + 1) + k_t1,
         # which overflows int64 at this n: (n - 2^24, n) and (n, n - 2^24)
-        # would share a key.  Each pair near n keeps exact_duel's bits.
+        # would share a key.  Each pair near n keeps exact_duel's bits,
+        # from a fresh table and from one carried from the round before.
         n, ell, step = 1 << 40, 84, 1 << 24
         config = SimConfig(n=n, ell=ell)
         k_t = np.array([n - step, n, n, n - 1, n, n - 3, n - 2, 1, n - 1], dtype=np.int64)
         k_t1 = np.array([n, n - step, n - 1, n, n, n - 2, n - 3, n, n - 1], dtype=np.int64)
-        keep, gain = _flip_probs(k_t, k_t1, config)
+        keep, gain, _ = _flip_probs(k_t, k_t1, config)
+        _, _, carried = _flip_probs(k_t1, k_t, config)
+        again = _flip_probs(k_t, k_t1, config, carried)
         for i in range(k_t.size):
             self._assert_duel_bits(keep[i], gain[i], int(k_t[i]), int(k_t1[i]), n, ell)
+            self._assert_duel_bits(again[0][i], again[1][i], int(k_t[i]), int(k_t1[i]), n, ell)
 
     @staticmethod
     def _assert_duel_bits(keep, gain, k_t, k_t1, n, ell):
@@ -568,9 +624,9 @@ class TestRunTrial:
         # trial needs, not one per block and round.
         calls = []
 
-        def counted(k_t, k_t1, config):
+        def counted(k_t, k_t1, config, carried):
             calls.append(np.size(k_t))
-            return _flip_probs(k_t, k_t1, config)
+            return _flip_probs(k_t, k_t1, config, carried)
 
         monkeypatch.setattr(protocol, "_flip_probs", counted)
         config = SimConfig(n=4096, seed=6)
@@ -579,6 +635,28 @@ class TestRunTrial:
         assert len(calls) == lengths.max() - 2
         assert len(calls) < per_block.sum()
         assert calls[0] == np.count_nonzero(lengths > 2)
+
+    def test_duel_rows_built_once_per_round(self, monkeypatch):
+        # Each block's class round builds rows for its distinct counts; the
+        # first pair round for the union of its k_t and k_t1; every later
+        # round only for its distinct k_t1, reading k_t's rows from the
+        # table the round before carried.
+        rows = []
+
+        def counted(ell, values):
+            rows.append(len(values))
+            return _duel_table(ell, values)
+
+        monkeypatch.setattr(protocol, "_duel_table", counted)
+        counts, lengths = run_trials(SimConfig(n=4096, seed=6), "yellow_center", 4 * BLOCK)
+        paths = split_paths(counts, lengths)
+        expected = [len({path[0] for path in paths[first : first + BLOCK] if len(path) > 1})
+                    for first in range(0, 4 * BLOCK, BLOCK)]
+        expected.append(len({k for path in paths if len(path) > 2 for k in path[:2]}))
+        expected += [len({path[r] for path in paths if len(path) > r + 1})
+                     for r in range(2, lengths.max() - 1)]
+        assert lengths.max() > 4
+        assert rows == expected
 
     def test_presets_with_equal_populations_draw_apart(self):
         # cyan_corner builds the same population as all_wrong_max_counters,
