@@ -162,7 +162,7 @@ def _sim_config_from_settings(settings: dict) -> SimConfig:
 
 def _cmd_simulate(args) -> int:
     settings = parse_config_file(args.config)
-    if args.preset:
+    if args.preset is not None:
         settings["preset"] = args.preset
     if args.trials is not None:
         settings["trials"] = args.trials
@@ -249,7 +249,7 @@ def _cmd_chain(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    settings = parse_config_file(args.config) if args.config else {}
+    settings = parse_config_file(args.config) if args.config is not None else {}
     suite = args.lemma == "all"
     reports = run_all(settings) if suite else {args.lemma: run_lemma(args.lemma, settings)}
     verdicts = {lemma: report.verdict for lemma, report in reports.items()}

@@ -1,8 +1,10 @@
 """Statistical verification suite for the per-domain escape lemmas and
 the polylogarithmic convergence claim, at desk scale.
 
-Each ``verify_*`` function's signature holds the documented parameter
-point of its lemma, which ``run_lemma`` overrides from settings.  A
+The signature of each lemma's private runner (in ``_RUNNERS``) holds
+the documented parameter point of its lemma.  ``run_lemma`` overrides
+it from settings, and ``_lemma_kwargs`` resolves and checks those
+arguments, so a runner only builds its configs and runs.  A
 check plants initial states (validated by the classifier before use),
 observes the protocol without modifying its semantics, and reduces the
 observed counts to a PASS/FAIL verdict that is recomputable from the
@@ -56,19 +58,8 @@ from .dynamics import DUEL_ALPHA, AnalysisConstants, expected_next_fraction
 from .errors import PlantingError, UsageError
 from .protocol import SimConfig, _preset_fraction, derive_rng, run_trials, step_aggregate
 
-__all__ = [
-    "LemmaReport",
-    "cyan_expectation_check",
-    "run_all",
-    "verify_convergence",
-    "verify_cyan",
-    "verify_green",
-    "verify_purple",
-    "verify_red",
-    "verify_yellow",
-]
+__all__ = ["LemmaReport", "cyan_expectation_check", "run_all", "run_lemma"]
 
-LEMMAS = ("green", "purple", "red", "cyan", "yellow", "convergence")
 # Smallest accepted value of each integer parameter (per entry for n_list).
 _MINIMUMS = {"n": 2, "n_list": 2, "ell": 1, "trials": 1, "max_rounds": 1}
 # Log-log slope above which a sweep no longer counts as "growing no
@@ -277,12 +268,7 @@ def _pointwise(
     )
 
 
-def _one_round_ell(n: int, delta: float) -> int:
-    """ceil((2/delta^2) ln n): Green's least ell and Purple's default."""
-    return math.ceil((2.0 / delta**2) * math.log(n))
-
-
-def verify_green(
+def _verify_green(
     n: int = 4096,
     ell: int | None = None,
     delta: float = 0.2,
@@ -293,16 +279,10 @@ def verify_green(
 
     From a Green1 pair every non-source agent must adopt 1 in one round
     (fraction hits 1 exactly); mirrored for Green0 (fraction hits 1/n,
-    the pinned source).  Requires ell >= (2/delta^2) ln n, the default
-    ell; that forces a larger delta than the sweep default 0.05 to keep
-    ell practical.
+    the pinned source).  Requires ell >= (2/delta^2) ln n (_lemma_kwargs
+    checks it), the default ell; that forces a larger delta than the
+    sweep default 0.05 to keep ell practical.
     """
-    _check(n=n, delta=delta, trials=trials)
-    needed = _one_round_ell(n, delta)
-    ell = needed if ell is None else ell
-    _check(ell=ell)
-    if ell < needed:
-        raise UsageError(f"verify_green needs ell >= (2/delta^2) ln n = {needed}, got {ell}")
     config = SimConfig(n=n, ell=ell, delta=delta, seed=seed)
 
     def failed(label: DomainLabel, k_last: np.ndarray, *_) -> np.ndarray:
@@ -320,7 +300,7 @@ def verify_green(
     return _pointwise("green", _point_params(config, trials), rows)
 
 
-def verify_purple(
+def _verify_purple(
     n: int = 4096,
     ell: int | None = None,
     delta: float = 0.1,
@@ -333,9 +313,6 @@ def verify_purple(
     in Green1 w.h.p.; mirrored for Purple0.  The default ell is Green's
     (2/delta^2) ln n, so delta is again larger than the sweep default.
     """
-    _check(n=n, delta=delta, trials=trials)
-    ell = _one_round_ell(n, delta) if ell is None else ell
-    _check(ell=ell)
     config = SimConfig(n=n, ell=ell, delta=delta, seed=seed)
 
     def failed(label: DomainLabel, _k_last, current: np.ndarray, _rounds) -> np.ndarray:
@@ -354,7 +331,7 @@ def verify_purple(
     return _pointwise("purple", params, rows)
 
 
-def verify_red(
+def _verify_red(
     n: int = 8192,
     delta: float = 0.1,
     c_sample: float = 3.0,
@@ -367,7 +344,6 @@ def verify_red(
     so the check is that every trial leaves Red within
     (ln n)^{1/2 + 2 delta} rounds and never exits into Yellow or Red.
     """
-    _check(n=n, delta=delta, c_sample=c_sample, trials=trials)
     config = SimConfig(n=n, c_sample=c_sample, delta=delta, seed=seed)
     bound = math.log(n) ** (0.5 + 2.0 * delta)
     red = (DomainLabel.RED1, DomainLabel.RED0)
@@ -428,7 +404,7 @@ def cyan_expectation_check(
     }
 
 
-def verify_cyan(
+def _verify_cyan(
     n: int = 4096,
     delta: float = 0.05,
     c_sample: float = 3.0,
@@ -444,7 +420,6 @@ def verify_cyan(
     1/n^epsilon + 3 SE.  (ii) The expectation inequality of
     cyan_expectation_check must hold with zero violations.
     """
-    _check(n=n, delta=delta, c_sample=c_sample, trials=trials, epsilon=epsilon)
     config = SimConfig(n=n, c_sample=c_sample, delta=delta, seed=seed, max_rounds=1000)
     bound = math.log(n) / math.log(math.log(n))
     good_exits = [DOMAINS.index(DomainLabel.GREEN1), DOMAINS.index(DomainLabel.PURPLE1)]
@@ -532,7 +507,7 @@ def _sweep(n_list, samples: list[np.ndarray]) -> tuple[list[dict], dict]:
     return rows, fit
 
 
-def verify_yellow(
+def _verify_yellow(
     n_list=(1024, 2048, 4096, 8192),
     delta: float = 0.05,
     c_sample: float = 3.0,
@@ -550,13 +525,11 @@ def verify_yellow(
     in the B sub-areas per trial (reported qualitatively against the
     (sqrt(c)/c4) (ln n)^{3/2} scale, c4 = 1/(4 alpha)).
     """
-    _check(n_list=n_list, delta=delta, c_sample=c_sample, trials=trials, max_rounds=max_rounds)
     samples = []
     b_dwell_stats = {}
     all_escaped = True
     for n in n_list:
         config = SimConfig(n=n, c_sample=c_sample, delta=delta, seed=seed, max_rounds=max_rounds)
-        config.constants()  # Yellow' needs the partition, which needs n >= 3
         counts, lengths = _run_cell(config, "yellow_center", trials)
         _, areas = label_paths(counts, n, delta, config.ell)
         ends = np.cumsum(lengths)
@@ -606,7 +579,7 @@ def verify_yellow(
     )
 
 
-def verify_convergence(
+def _verify_convergence(
     n_list=(1024, 2048, 4096, 8192),
     presets=("all_wrong_max_counters", "yellow_center", "cyan_corner"),
     delta: float = 0.05,
@@ -623,10 +596,6 @@ def verify_convergence(
     within max_rounds.  The log-log fit of the pooled 99th-percentile
     times is reported alongside for scaling checks.
     """
-    _check(
-        n_list=n_list, presets=presets, delta=delta, c_sample=c_sample, trials=trials,
-        max_rounds=max_rounds,
-    )
     times: dict[tuple[str, int], np.ndarray] = {}
     all_converged = True
     for n in n_list:
@@ -689,13 +658,14 @@ def verify_convergence(
 
 
 _RUNNERS = {
-    "green": verify_green,
-    "purple": verify_purple,
-    "red": verify_red,
-    "cyan": verify_cyan,
-    "yellow": verify_yellow,
-    "convergence": verify_convergence,
+    "green": _verify_green,
+    "purple": _verify_purple,
+    "red": _verify_red,
+    "cyan": _verify_cyan,
+    "yellow": _verify_yellow,
+    "convergence": _verify_convergence,
 }
+LEMMAS = tuple(_RUNNERS)
 
 
 @functools.cache
@@ -710,13 +680,15 @@ def _signatures() -> tuple[dict[str, inspect.Signature], frozenset[str]]:
 
 
 def _lemma_kwargs(lemma: str, settings: dict) -> dict:
-    """The lemma's overrides from settings; every resolved parameter passes _check,
-    and every size the lemma simulates builds its SimConfig.
+    """The lemma's full, checked arguments: its runner's defaults plus the
+    overrides in settings, with Green's and Purple's ell derived if unset.
 
     settings may carry a global "seed" and "trials" as well as
     lemma-prefixed keys like "green_trials" or "yellow_n_list".  A key
     that names no parameter of any lemma is rejected; one for another
-    lemma is ignored.
+    lemma is ignored.  This is the one gate: every argument passes
+    _check, every size the lemma simulates builds its SimConfig, and
+    Green's ell must reach (2/delta^2) ln n; the runners check nothing.
     """
     if lemma not in _RUNNERS:
         raise UsageError(f"unknown lemma {lemma!r}; choose from {LEMMAS}")
@@ -737,24 +709,27 @@ def _lemma_kwargs(lemma: str, settings: dict) -> dict:
     bound.apply_defaults()
     args = bound.arguments
     _check(**{key: value for key, value in args.items() if value is not None})
+    if lemma in ("green", "purple"):
+        # ceil((2/delta^2) ln n): Green's least ell and Purple's default.
+        needed = math.ceil((2.0 / args["delta"] ** 2) * math.log(args["n"]))
+        args["ell"] = ell = needed if args["ell"] is None else args["ell"]
     # The joint limits (ell <= n; for the partition n >= 3 and positive gamma
     # and K) through the SimConfig of every size the lemma simulates.
     for n in args.get("n_list", [args.get("n")]):
-        ell = args.get("ell")
-        if ell is None and lemma in ("green", "purple"):
-            ell = _one_round_ell(n, args["delta"])
-        config = SimConfig(n=n, ell=ell, c_sample=args.get("c_sample", 3.0),
+        config = SimConfig(n=n, ell=args.get("ell"), c_sample=args.get("c_sample", 3.0),
                            delta=args["delta"], seed=args["seed"])
         if lemma != "convergence":
             config.constants()
-    return kwargs
+    if lemma == "green" and ell < needed:
+        raise UsageError(f"verify_green needs ell >= (2/delta^2) ln n = {needed}, got {ell}")
+    return args
 
 
 def run_lemma(lemma: str, settings: dict | None = None) -> LemmaReport:
-    """Run one lemma check at its signature's defaults plus overrides.
+    """Run one lemma check at its runner's defaults plus overrides.
 
-    settings are read by _lemma_kwargs.  The report's runtime_s is the
-    check's wall time.
+    _lemma_kwargs resolves and checks the arguments from settings before
+    any trial.  The report's runtime_s is the check's wall time.
     """
     kwargs = _lemma_kwargs(lemma, settings or {})
     start = time.perf_counter()

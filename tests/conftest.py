@@ -251,7 +251,7 @@ def split_paths(counts: np.ndarray, lengths: np.ndarray) -> list[list[int]]:
 
 
 def cyan_oracle(paths, n: int, constants: AnalysisConstants, bound: float) -> dict:
-    """verify_cyan's escape search and gamma branch, one trial and one pair at a time.
+    """Cyan's escape search and gamma branch, one trial and one pair at a time.
 
     A trial fails unless it enters Cyan1, then leaves it within bound
     rounds into Green1 or Purple1.
@@ -295,7 +295,7 @@ def cyan_oracle(paths, n: int, constants: AnalysisConstants, bound: float) -> di
 
 
 def yellow_oracle(paths, n: int, constants: AnalysisConstants, max_rounds: int):
-    """verify_yellow's per-trial escape times and longest B runs, pair by pair.
+    """Yellow's per-trial escape times and longest B runs, pair by pair.
 
     A trial that never leaves Yellow' gets escape time max_rounds.
     """

@@ -24,11 +24,7 @@ from fetsim.dynamics import (
 from fetsim.harness import (
     SLOPE_TOLERANCE,
     cyan_expectation_check,
-    verify_convergence,
-    verify_cyan,
-    verify_green,
-    verify_purple,
-    verify_red,
+    run_lemma,
 )
 from fetsim.markov import absorption_times, build_kernel
 from fetsim.protocol import SimConfig, derive_rng, run_trials
@@ -308,7 +304,7 @@ def test_criterion_5_convergence_scaling():
     for faster growth: q99 rising by more than a factor of about 2.06
     across the sweep (sqrt(n) gives slope 1.58, (ln n)^5 gives 2.0).
     """
-    report = verify_convergence(seed=SEED)
+    report = run_lemma("convergence", {"seed": SEED})
     converged_ok = report.details["all_converged"] and all(
         cell["within_budget_fraction"] >= 0.99
         for cell in report.details["cells"].values()
@@ -341,10 +337,9 @@ def test_criterion_6_lemma_suite():
     """Green/Purple/Red/Cyan verdicts PASS; Red never exits into
     Yellow or Red; Cyan exits land in Green1 or Purple1 in at least 99%
     of converging trials."""
-    green = verify_green(seed=SEED)
-    purple = verify_purple(seed=SEED)
-    red = verify_red(seed=SEED)
-    cyan = verify_cyan(seed=SEED)
+    green, purple, red, cyan = (
+        run_lemma(lemma, {"seed": SEED}) for lemma in ("green", "purple", "red", "cyan")
+    )
 
     verdicts_ok = all(
         r.verdict == "PASS" for r in (green, purple, red, cyan)

@@ -338,6 +338,20 @@ class TestSimulateCommand:
         assert code == 2
         assert "naive" in err
 
+    def test_empty_preset_is_usage_error(self, capsys, tmp_path):
+        # An empty --preset is a given value, not "unset": it must not
+        # fall back to the config's preset.
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("n = 64\npreset = half_half\n")
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(
+            capsys, "simulate", "--config", str(cfg), "--preset", "", "--out", str(out_dir)
+        )
+        assert (code, out) == (2, "")
+        (line,) = err.splitlines()
+        assert line.startswith("error: unknown preset ''")
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize(
         "cfg_line, flags",
         [("trials = 0", []), ("trials = 2", ["--trials", "0"])],
@@ -624,6 +638,23 @@ class TestVerifyCommand:
         assert (out_dir / "green.csv").exists()
         assert (out_dir / "green.json").exists()
 
+    @pytest.mark.parametrize("lemma", ["green", "all"])
+    def test_empty_config_is_usage_error(self, capsys, tmp_path, monkeypatch, lemma):
+        # An empty --config names no file; it must not run the defaults.
+        def no_trials(*_args, **_kwargs):
+            raise AssertionError("a trial ran for an unreadable config")
+
+        monkeypatch.setattr(harness, "run_trials", no_trials)
+        monkeypatch.setattr(harness, "step_aggregate", no_trials)
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(
+            capsys, "verify", "--lemma", lemma, "--config", "", "--out", str(out_dir)
+        )
+        assert (code, out) == (2, "")
+        (line,) = err.splitlines()
+        assert line.startswith("error: cannot read config file .: ")
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize(
         "lemma, line",
         [
@@ -678,12 +709,19 @@ class TestVerifyCommand:
             ("convergence", "convergence_presets = yellow_center, yellow_center",
              "presets must not repeat an entry"),
             ("convergence", "convergence_presets = 0.5, all_wrong", "preset must be a string"),
+            ("green", "green_ell = 100", "needs ell >= (2/delta^2) ln n = 416, got 100"),
+            ("all", "green_ell = 100", "needs ell >= (2/delta^2) ln n = 416, got 100"),
+            # Green's precondition is checked with the other lemmas'
+            # parameters, so it is reported before a later lemma's fault.
+            ("all", "green_ell = 100\nconvergence_trials = 0",
+             "needs ell >= (2/delta^2) ln n = 416, got 100"),
         ] + [(lemma, line, needle) for _, own, line, needle in _JOINT_LIMITS
              for lemma in ("all", own)],
         ids=["purple_ell_str", "purple_ell_zero", "cyan_epsilon_str", "cyan_epsilon_negative",
              "all_last_lemma_trials_zero", "all_last_lemma_n_list", "all_unknown_preset",
              "convergence_fraction_out_of_range", "convergence_repeated_preset",
-             "convergence_number_preset"] + [
+             "convergence_number_preset", "green_ell_below_one_round",
+             "all_green_ell_below_one_round", "all_green_ell_before_later_fault"] + [
             f"{'all_' if lemma == 'all' else ''}{own}_{name}"
             for name, own, _, _ in _JOINT_LIMITS for lemma in ("all", own)],
     )
@@ -971,6 +1009,13 @@ _OUTPUT_CONFIGS = {
     "agent.cfg": "n = 64\nseed = 3\ntrials = 3\npreset = half_half\nbackend = agent\n"
     "source_opinion = 0\n",
     "sim0.cfg": "n = 256\nseed = 3\ntrials = 3\npreset = yellow_center\nsource_opinion = 0\n",
+    # One override of each kind: an explicit and a derived one-round ell
+    # (purple_ell is 1,375; Purple is empty at delta >= 1/6), another
+    # lemma's n and delta, a global seed and trials beside green_trials.
+    "override.cfg": "seed = 7\ntrials = 12\ngreen_ell = 500\ngreen_trials = 20\n"
+    "purple_delta = 0.11\nred_n = 16384\nred_delta = 0.09\ncyan_epsilon = 0.5\n"
+    "cyan_n = 256\nyellow_n_list = 64, 128\nconvergence_n_list = 64, 128\n"
+    "convergence_presets = all_wrong, cyan_corner\n",
 }
 _OUTPUT_DIGESTS = {
     ("verify", "--lemma", "all", "--config", "{cfg}/verify.cfg", "--out", "{out}"): (1, {
@@ -987,6 +1032,21 @@ _OUTPUT_DIGESTS = {
         "summary.json": "0a223806a2e75c73d60a27427bd2354228b7aef58f80140e832a9fdebf0f8ec3",
         "yellow.csv": "2fee427bffeb8889eeb8c00c6dbfeb7bb33e006d086dd9baf26a1b2a0f7d9064",
         "yellow.json": "e0adee386b0edea28b8257c065d51f2b20d9e78a2383e7cd97cc3cb6c88b2f7a",
+    }),
+    ("verify", "--config", "{cfg}/override.cfg", "--lemma", "all", "--out", "{out}"): (0, {
+        "convergence.csv": "6ef1df6686823a1c3e2f33478a1bfd65bae321e971a67146eb40f0c24d2abc38",
+        "convergence.json": "1167093d3497e7f1bf21dd7f7063081723b6efa8cea7000f02d9fb222bd9123f",
+        "cyan.csv": "673669b53e51f0cac888bbf4efd6aab509f0a360acfeca31851ea34c8c7a8cd5",
+        "cyan.json": "bd776688c079b79789fe24649203f845daefbf7f8badd6c7b08c145d01e3fae9",
+        "green.csv": "7671bf65c17c413ec185cb14a3283342148454a9f92034e7f13402a1a4b8b3e7",
+        "green.json": "e7bc860748225bbc14be582b0d301bb310fbcb992e95c4cf71f2d7daa8a6876e",
+        "purple.csv": "82bd737f11e8c754c873d1c749896162e11aa19c21da44ea66a1f0b773814670",
+        "purple.json": "36d7ac64487e1c0a3f514b700fddca1c9480b02ce0aca0044e043852e0eec68e",
+        "red.csv": "a53684c426f0dfb7830843e3a5d0e0bc6bf005e5d96a109dd2d6b3775ef21a75",
+        "red.json": "618d884dfd7fb5e74c0b36bbfe9fb9e6798ae4ed71f8b5a0b0a18b4ce13a38f1",
+        "summary.json": "d33ed4da5b246494b22630d85af144d414b3ee2dee54f2bcbbb02ad5206717e8",
+        "yellow.csv": "5ca9a54e5916bf0b4d9cac4937bf5cd192c294fef44c2778f22d8a487ab962c4",
+        "yellow.json": "ff682ecf2ce372f9230ff00318c11ce205f21cba82776070c171e435ec8f0dea",
     }),
     ("simulate", "--config", "{cfg}/sim.cfg", "--out", "{out}"): (0, {
         "summary.json": "5dd7a9e431c28f1399de4df271fd7e58e972a758294bdf3653f095bb4160d21a",

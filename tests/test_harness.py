@@ -26,11 +26,6 @@ from fetsim.harness import (
     cyan_expectation_check,
     plant_pair,
     run_lemma,
-    verify_cyan,
-    verify_green,
-    verify_purple,
-    verify_red,
-    verify_yellow,
 )
 from fetsim.domains import DomainLabel
 from fetsim.dynamics import AnalysisConstants, expected_next_fraction
@@ -87,7 +82,7 @@ class TestPlantedRows:
 
 class TestGreen:
     def test_documented_point_passes(self):
-        report = verify_green(trials=150, seed=0)
+        report = run_lemma("green", {"trials": 150, "seed": 0})
         assert report.verdict == "PASS"
         assert {row["domain"] for row in report.points} == {"Green1", "Green0"}
         for row in report.points:
@@ -95,12 +90,12 @@ class TestGreen:
 
     def test_ell_precondition(self):
         with pytest.raises(UsageError):
-            verify_green(n=4096, delta=0.2, ell=100)
+            run_lemma("green", {"green_n": 4096, "green_delta": 0.2, "green_ell": 100})
 
 
 class TestPurple:
     def test_documented_point_passes(self):
-        report = verify_purple(trials=150, seed=0)
+        report = run_lemma("purple", {"trials": 150, "seed": 0})
         assert report.verdict == "PASS"
         xs = {row["point_x"] for row in report.points}
         boundary = math.ceil(4096 / math.log(4096)) / 4096
@@ -109,7 +104,7 @@ class TestPurple:
 
 class TestRed:
     def test_exit_fast_and_never_into_yellow_or_red(self):
-        report = verify_red(trials=150, seed=0)
+        report = run_lemma("red", {"trials": 150, "seed": 0})
         assert report.verdict == "PASS"
         tally = report.details["exit_label_tally"]
         assert set(tally) <= {"Green1", "Purple1", "Green0", "Purple0", "Cyan1", "Cyan0"}
@@ -118,7 +113,7 @@ class TestRed:
 
 class TestCyan:
     def test_simulated_and_analytic_pass(self):
-        report = verify_cyan(trials=120, seed=0)
+        report = run_lemma("cyan", {"trials": 120, "seed": 0})
         assert report.verdict == "PASS"
         assert report.details["analytic"]["violations"] == 0
         assert report.details["max_exit_rounds"] < report.params["exit_round_bound"]
@@ -165,7 +160,9 @@ class TestCyan:
 
 class TestSweeps:
     def test_yellow_reduced_sweep_reports(self):
-        report = verify_yellow(n_list=(256, 512), trials=40, seed=1, max_rounds=4000)
+        report = run_lemma("yellow", {
+            "yellow_n_list": (256, 512), "trials": 40, "seed": 1, "yellow_max_rounds": 4000
+        })
         assert report.kind == "sweep"
         assert len(report.sweep) == 2
         for row in report.sweep:
@@ -176,7 +173,7 @@ class TestSweeps:
     def test_yellow_one_size_is_fail(self):
         # One size fits no scaling: the fit has no slope or R^2, and the
         # verdict is FAIL.
-        report = verify_yellow(n_list=[1024], trials=50)
+        report = run_lemma("yellow", {"yellow_n_list": [1024], "trials": 50})
         assert report.details["all_escaped"]
         fit = report.details["fit"]
         assert (fit["slope"], fit["r2"]) == (None, None)
@@ -220,7 +217,7 @@ class TestSweeps:
 
     def test_repeated_sweep_size_rejected(self):
         with pytest.raises(UsageError, match="n_list"):
-            verify_yellow(n_list=[1024, 1024], trials=50)
+            run_lemma("yellow", {"yellow_n_list": [1024, 1024], "trials": 50})
         with pytest.raises(UsageError, match="n_list"):
             run_lemma("convergence", {"convergence_n_list": [128, 256, 128]})
 
@@ -228,7 +225,7 @@ class TestSweeps:
         # At n = 2 the partition constants do not exist (ln n < 1), so
         # there is no Yellow' to escape from.
         with pytest.raises(DomainError, match="n must be >= 3"):
-            verify_yellow(n_list=[2, 3], c_sample=0.5, trials=5)
+            run_lemma("yellow", {"yellow_n_list": [2, 3], "yellow_c_sample": 0.5, "trials": 5})
 
     def test_repeated_preset_rejected(self):
         # A repeated preset would count one cell's trials twice in the
@@ -279,7 +276,7 @@ def _random_paths(n, centre, spread, trials, max_rounds, seed):
 
 
 class TestTrialReductions:
-    """verify_cyan's and verify_yellow's array reductions against the per-trial oracles."""
+    """Cyan's and Yellow's array reductions against the per-trial oracles."""
 
     def test_first_in_window(self):
         mask = np.array([0, 1, 0, 0, 1, 1, 0, 1], dtype=bool)
@@ -304,7 +301,7 @@ class TestTrialReductions:
         )} | {"failures": report.points[0]["failures"]}
 
     def test_cyan_matches_oracle(self):
-        report = verify_cyan(n=256, trials=40, seed=5)
+        report = run_lemma("cyan", {"cyan_n": 256, "trials": 40, "seed": 5})
         config = SimConfig(n=256, seed=5, max_rounds=1000)
         paths = split_paths(*run_trials(config, "cyan_corner", 40))
         bound = math.log(256) / math.log(math.log(256))
@@ -316,7 +313,7 @@ class TestTrialReductions:
         n, trials = 4096, 300
         counts, lengths = _random_paths(n, 450, 150, trials, 12, seed=1)
         monkeypatch.setattr(harness, "run_trials", lambda *_: (counts, lengths))
-        report = verify_cyan(n=n, trials=trials)
+        report = run_lemma("cyan", {"cyan_n": n, "trials": trials})
         bound = math.log(n) / math.log(math.log(n))
         paths = split_paths(counts, lengths)
         expected = cyan_oracle(paths, n, SimConfig(n=n).constants(), bound)
@@ -345,7 +342,8 @@ class TestTrialReductions:
     def test_yellow_matches_oracle(self, delta, max_rounds):
         # At delta = 0.15 Yellow' covers the whole grid: no trial escapes.
         n_list, trials = (256, 512), 40
-        report = verify_yellow(n_list=n_list, delta=delta, trials=trials, max_rounds=max_rounds)
+        report = run_lemma("yellow", {"yellow_n_list": n_list, "yellow_delta": delta,
+                                      "trials": trials, "yellow_max_rounds": max_rounds})
         paths_by_n = {
             n: split_paths(*run_trials(
                 SimConfig(n=n, delta=delta, max_rounds=max_rounds), "yellow_center", trials
@@ -361,7 +359,8 @@ class TestTrialReductions:
         fake = {n: _random_paths(n, n // 2 + n // 16, n // 32, trials, max_rounds, n)
                 for n in n_list}
         monkeypatch.setattr(harness, "run_trials", lambda config, *_: fake[config.n])
-        report = verify_yellow(n_list=n_list, trials=trials, max_rounds=max_rounds)
+        report = run_lemma("yellow", {"yellow_n_list": n_list, "trials": trials,
+                                      "yellow_max_rounds": max_rounds})
         paths_by_n = {n: split_paths(*fake[n]) for n in n_list}
         escapes = self._check_yellow(report, paths_by_n, 0.05, max_rounds)
         assert 0 < sum(e < max_rounds for e in escapes) < len(escapes)
@@ -503,7 +502,7 @@ class TestRunLemma:
                 array[0] = 0
 
     def test_whp_rows_carry_empirical_exponent(self):
-        report = verify_green(trials=40, seed=5)
+        report = run_lemma("green", {"trials": 40, "seed": 5})
         for row in report.points:
             assert row["empirical_exponent_floor"] > 0
 
@@ -512,8 +511,6 @@ class TestRunLemma:
             run_lemma("mauve")
 
     def test_zero_trials_rejected_not_defaulted(self):
-        with pytest.raises(UsageError, match="trials"):
-            verify_green(trials=0)
         with pytest.raises(UsageError, match="trials"):
             run_lemma("green", {"trials": 0})
 
