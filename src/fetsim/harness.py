@@ -3,15 +3,16 @@ the polylogarithmic convergence claim, at desk scale.
 
 The signature of each lemma's private runner (in ``_RUNNERS``) holds
 the documented parameter point of its lemma.  ``run_lemma`` overrides
-it from settings, and ``_lemma_kwargs`` resolves and checks those
-arguments, so a runner only builds its configs and runs.  A
-check plants initial states (validated by the classifier before use),
-observes the protocol without modifying its semantics, and reduces the
-observed counts to a PASS/FAIL verdict that is recomputable from the
-reported raw numbers.  High-probability claims are tested as "failure
-fraction <= 1/n^epsilon + 3 standard errors" with epsilon = 1 by
-default; the underlying exponents are unspecified constants, so
-epsilon is a knob and every report carries the raw counts.
+it from settings; ``_lemma_kwargs`` resolves and checks those
+arguments and plants Green's, Purple's and Red's pairs (the classifier
+must agree) before any trial.  A runner builds its configs, observes
+the protocol without modifying its semantics and returns what it
+measured; ``run_lemma`` alone builds the report and its PASS/FAIL
+verdict, which is recomputable from the reported raw numbers.
+High-probability claims are tested as "failure fraction <=
+1/n^epsilon + 3 standard errors" with epsilon = 1 by default; the
+underlying exponents are unspecified constants, so epsilon is a knob
+and every report carries the raw counts.
 
 Green, Purple and Red share one planted-pair runner: the trials of a
 planted pair step together, one round or until they leave its domain.
@@ -41,14 +42,13 @@ files: a LemmaReport is plain data, and the CLI writes it as
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import inspect
 from collections import Counter
 import math
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -76,11 +76,11 @@ SWEEP_FIELDS = ("n", "quantile50", "quantile99", "fit_C", "fit_r2")
 
 @dataclass
 class LemmaReport:
-    """Verdict plus the raw counts it was computed from.
+    """Verdict plus the raw counts it was computed from; run_lemma builds it.
 
     kind selects the CSV schema: POINT_FIELDS of the points for
     "pointwise", SWEEP_FIELDS of the sweep rows for "sweep".  runtime_s
-    (set by run_lemma) and the trial cells its lemma simulated and
+    (the runner's wall time) and the trial cells its lemma simulated and
     reused (set by run_all) are for interactive display and excluded
     from to_dict, so that equal (config, seed) runs write byte-identical
     files.
@@ -89,11 +89,11 @@ class LemmaReport:
     lemma: str
     params: dict
     kind: str
-    verdict: str = "FAIL"
-    points: list[dict] = field(default_factory=list)
-    sweep: list[dict] = field(default_factory=list)
-    details: dict = field(default_factory=dict)
-    runtime_s: float = 0.0
+    verdict: str
+    points: list[dict]
+    sweep: list[dict]
+    details: dict
+    runtime_s: float
     trial_cells: tuple[int, int] = (0, 0)  # (simulated, reused)
 
     def to_dict(self) -> dict:
@@ -139,7 +139,7 @@ def _run_cell(config: SimConfig, preset: str, trials: int) -> tuple[np.ndarray, 
     hashable), the preset and the trial count.
     """
     global _reused
-    key = (dataclasses.astuple(config), preset, trials)
+    key = (astuple(config), preset, trials)
     cells = {} if _cells is None else _cells
     if key in cells:
         _reused += 1
@@ -253,19 +253,31 @@ def _point_params(config: SimConfig, trials: int, **extra) -> dict:
     }
 
 
-def _pointwise(
-    lemma: str, params: dict, rows: list[dict], details: dict | None = None, ok: bool = True
-) -> LemmaReport:
-    """A pointwise report; PASS iff ok holds and every row passed."""
-    ok = ok and all(row["verdict"] == "PASS" for row in rows)
-    return LemmaReport(
-        lemma=lemma,
-        params=params,
-        kind="pointwise",
-        points=rows,
-        details=details or {},
-        verdict="PASS" if ok else "FAIL",
-    )
+def _planted(lemma: str, n: int, delta: float) -> list[tuple[float, float, DomainLabel]]:
+    """The (x, y, label) pairs that Green, Purple or Red plants at (n, delta)."""
+    boundary_x = math.ceil(n / math.log(n)) / n
+    return {
+        "green": [
+            (0.2, 0.5, DomainLabel.GREEN1),
+            (0.25, 0.5, DomainLabel.GREEN1),
+            (0.0, 1.0, DomainLabel.GREEN1),
+            (0.8, 0.5, DomainLabel.GREEN0),
+            (0.75, 0.5, DomainLabel.GREEN0),
+            (1.0, 1.0 / n, DomainLabel.GREEN0),
+        ],
+        "purple": [
+            (0.15, 0.2, DomainLabel.PURPLE1),
+            (boundary_x, boundary_x + delta / 2, DomainLabel.PURPLE1),
+            (0.85, 0.8, DomainLabel.PURPLE0),
+            (1.0 - boundary_x, 1.0 - boundary_x - delta / 2, DomainLabel.PURPLE0),
+        ],
+        "red": [
+            (0.18, 0.12, DomainLabel.RED1),
+            (0.17, 0.12, DomainLabel.RED1),
+            (0.82, 0.88, DomainLabel.RED0),
+            (0.83, 0.88, DomainLabel.RED0),
+        ],
+    }[lemma]
 
 
 def _verify_green(
@@ -274,7 +286,7 @@ def _verify_green(
     delta: float = 0.2,
     trials: int = 400,
     seed: int = 0,
-) -> LemmaReport:
+) -> tuple[dict, list[dict], dict, bool]:
     """One-round consensus from the Green area.
 
     From a Green1 pair every non-source agent must adopt 1 in one round
@@ -288,16 +300,9 @@ def _verify_green(
     def failed(label: DomainLabel, k_last: np.ndarray, *_) -> np.ndarray:
         return k_last != (n if label is DomainLabel.GREEN1 else 1)
 
-    planted = [
-        (0.2, 0.5, DomainLabel.GREEN1),
-        (0.25, 0.5, DomainLabel.GREEN1),
-        (0.0, 1.0, DomainLabel.GREEN1),
-        (0.8, 0.5, DomainLabel.GREEN0),
-        (0.75, 0.5, DomainLabel.GREEN0),
-        (1.0, 1.0 / n, DomainLabel.GREEN0),
-    ]
+    planted = _planted("green", n, delta)
     rows = _planted_rows("green", config, trials, planted, _whp_threshold(n, trials), failed)
-    return _pointwise("green", _point_params(config, trials), rows)
+    return _point_params(config, trials), rows, {}, True
 
 
 def _verify_purple(
@@ -306,7 +311,7 @@ def _verify_purple(
     delta: float = 0.1,
     trials: int = 400,
     seed: int = 0,
-) -> LemmaReport:
+) -> tuple[dict, list[dict], dict, bool]:
     """One-round transition Purple -> Green.
 
     From a Purple1 pair, the successor pair (x_{t+1}, x_{t+2}) must be
@@ -319,16 +324,9 @@ def _verify_purple(
         target = DomainLabel.GREEN1 if label is DomainLabel.PURPLE1 else DomainLabel.GREEN0
         return current != DOMAINS.index(target)
 
-    boundary_x = math.ceil(n / math.log(n)) / n
-    planted = [
-        (0.15, 0.2, DomainLabel.PURPLE1),
-        (boundary_x, boundary_x + delta / 2, DomainLabel.PURPLE1),
-        (0.85, 0.8, DomainLabel.PURPLE0),
-        (1.0 - boundary_x, 1.0 - boundary_x - delta / 2, DomainLabel.PURPLE0),
-    ]
+    planted = _planted("purple", n, delta)
     rows = _planted_rows("purple", config, trials, planted, _whp_threshold(n, trials), failed)
-    params = _point_params(config, trials, lambda_n=config.constants().lambda_n)
-    return _pointwise("purple", params, rows)
+    return _point_params(config, trials, lambda_n=config.constants().lambda_n), rows, {}, True
 
 
 def _verify_red(
@@ -337,7 +335,7 @@ def _verify_red(
     c_sample: float = 3.0,
     trials: int = 400,
     seed: int = 0,
-) -> LemmaReport:
+) -> tuple[dict, list[dict], dict, bool]:
     """Exit time and exit target from the Red area.
 
     The in-Red decay x_{t+1} < (1 - lambda_n) x_t holds by membership,
@@ -354,18 +352,13 @@ def _verify_red(
         exit_tally.update(DOMAINS[position].value for position in current.tolist())
         return (rounds >= bound) | np.isin(current, forbidden)
 
-    planted = [
-        (0.18, 0.12, DomainLabel.RED1),
-        (0.17, 0.12, DomainLabel.RED1),
-        (0.82, 0.88, DomainLabel.RED0),
-        (0.83, 0.88, DomainLabel.RED0),
-    ]
+    planted = _planted("red", n, delta)
     rows = _planted_rows(
         "red", config, trials, planted, 0.0, failed, stay=red, cap=10 * math.ceil(bound)
     )
     lambda_n = config.constants().lambda_n
     params = _point_params(config, trials, exit_round_bound=bound, lambda_n=lambda_n)
-    return _pointwise("red", params, rows, {"exit_label_tally": dict(exit_tally)})
+    return params, rows, {"exit_label_tally": dict(exit_tally)}, True
 
 
 def cyan_expectation_check(
@@ -411,7 +404,7 @@ def _verify_cyan(
     trials: int = 400,
     seed: int = 0,
     epsilon: float = 1.0,
-) -> LemmaReport:
+) -> tuple[dict, list[dict], dict, bool]:
     """Cyan bounce: simulated escape and the analytic growth inequality.
 
     (i) From the cyan corner (only the source correct, counters maximally
@@ -458,7 +451,7 @@ def _verify_cyan(
             "next_fraction_above_half_after_first_crossing": above_half,
         },
     }
-    return _pointwise("cyan", params, [row], details, ok=analytic["violations"] == 0)
+    return params, [row], details, analytic["violations"] == 0
 
 
 def _fit_loglog(ns: list[int], values: list[float]) -> dict:
@@ -514,7 +507,7 @@ def _verify_yellow(
     trials: int = 200,
     seed: int = 0,
     max_rounds: int = 10_000,
-) -> LemmaReport:
+) -> tuple[dict, list[dict], dict, bool]:
     """Escape time of the central box Yellow' across a population sweep.
 
     From centered starts, measures the first round the pair leaves
@@ -556,27 +549,21 @@ def _verify_yellow(
 
     sweep, fit = _sweep(n_list, samples)
     fits = len(n_list) >= 2 and fit["r2"] >= 0.9 and fit["slope"] <= SLOPE_TOLERANCE
-    ok = all_escaped and fits
-    return LemmaReport(
-        lemma="yellow",
-        params={
-            "n_list": list(n_list),
-            "delta": delta,
-            "c_sample": c_sample,
-            "trials": trials,
-            "seed": seed,
-            "max_rounds": max_rounds,
-        },
-        kind="sweep",
-        sweep=sweep,
-        details={
-            "fit": fit,
-            "all_escaped": all_escaped,
-            "b_dwell": b_dwell_stats,
-            "slope_tolerance": SLOPE_TOLERANCE,
-        },
-        verdict="PASS" if ok else "FAIL",
-    )
+    params = {
+        "n_list": list(n_list),
+        "delta": delta,
+        "c_sample": c_sample,
+        "trials": trials,
+        "seed": seed,
+        "max_rounds": max_rounds,
+    }
+    details = {
+        "fit": fit,
+        "all_escaped": all_escaped,
+        "b_dwell": b_dwell_stats,
+        "slope_tolerance": SLOPE_TOLERANCE,
+    }
+    return params, sweep, details, all_escaped and fits
 
 
 def _verify_convergence(
@@ -587,7 +574,7 @@ def _verify_convergence(
     trials: int = 200,
     seed: int = 0,
     max_rounds: int = 10_000,
-) -> LemmaReport:
+) -> tuple[dict, list[dict], dict, bool]:
     """End-to-end convergence times from adversarial presets.
 
     PASS requires every cell (preset, n) to converge in at least 99% of
@@ -633,28 +620,22 @@ def _verify_convergence(
     # and every trial converged.  The pooled-q99 log-log fit (slope and
     # R^2) is reported in details + CSV for the scaling acceptance check,
     # which gates on the slope (<= SLOPE_TOLERANCE) and reports R^2 as data.
-    ok = all_converged and frac_ok
-    return LemmaReport(
-        lemma="convergence",
-        params={
-            "n_list": list(n_list),
-            "presets": list(presets),
-            "delta": delta,
-            "c_sample": c_sample,
-            "trials": trials,
-            "seed": seed,
-            "max_rounds": max_rounds,
-        },
-        kind="sweep",
-        sweep=sweep,
-        details={
-            "fit_pooled_q99": fit,
-            "envelope_C": envelope_c,
-            "cells": cells,
-            "all_converged": all_converged,
-        },
-        verdict="PASS" if ok else "FAIL",
-    )
+    params = {
+        "n_list": list(n_list),
+        "presets": list(presets),
+        "delta": delta,
+        "c_sample": c_sample,
+        "trials": trials,
+        "seed": seed,
+        "max_rounds": max_rounds,
+    }
+    details = {
+        "fit_pooled_q99": fit,
+        "envelope_C": envelope_c,
+        "cells": cells,
+        "all_converged": all_converged,
+    }
+    return params, sweep, details, all_converged and frac_ok
 
 
 _RUNNERS = {
@@ -687,8 +668,9 @@ def _lemma_kwargs(lemma: str, settings: dict) -> dict:
     lemma-prefixed keys like "green_trials" or "yellow_n_list".  A key
     that names no parameter of any lemma is rejected; one for another
     lemma is ignored.  This is the one gate: every argument passes
-    _check, every size the lemma simulates builds its SimConfig, and
-    Green's ell must reach (2/delta^2) ln n; the runners check nothing.
+    _check, every size the lemma simulates builds its SimConfig, Green's
+    ell must reach (2/delta^2) ln n, and every pair that Green, Purple or
+    Red plants must classify into its domain; the runners check nothing.
     """
     if lemma not in _RUNNERS:
         raise UsageError(f"unknown lemma {lemma!r}; choose from {LEMMAS}")
@@ -719,23 +701,31 @@ def _lemma_kwargs(lemma: str, settings: dict) -> dict:
         config = SimConfig(n=n, ell=args.get("ell"), c_sample=args.get("c_sample", 3.0),
                            delta=args["delta"], seed=args["seed"])
         if lemma != "convergence":
-            config.constants()
+            constants = config.constants()
     if lemma == "green" and ell < needed:
-        raise UsageError(f"verify_green needs ell >= (2/delta^2) ln n = {needed}, got {ell}")
+        raise UsageError(f"green needs ell >= (2/delta^2) ln n = {needed}, got {ell}")
+    if lemma in ("green", "purple", "red"):
+        for x, y, label in _planted(lemma, args["n"], args["delta"]):
+            plant_pair(constants, x, y, label)
     return args
 
 
 def run_lemma(lemma: str, settings: dict | None = None) -> LemmaReport:
     """Run one lemma check at its runner's defaults plus overrides.
 
-    _lemma_kwargs resolves and checks the arguments from settings before
-    any trial.  The report's runtime_s is the check's wall time.
+    _lemma_kwargs resolves and checks the arguments before any trial.
+    From the runner's (params, rows, details, ok) this builds the report:
+    rows are a "sweep" for a lemma with an n_list, else "pointwise"
+    points; PASS iff ok and every point passed.  runtime_s times the runner.
     """
     kwargs = _lemma_kwargs(lemma, settings or {})
     start = time.perf_counter()
-    report = _RUNNERS[lemma](**kwargs)
-    report.runtime_s = time.perf_counter() - start
-    return report
+    params, rows, details, ok = _RUNNERS[lemma](**kwargs)
+    runtime_s = time.perf_counter() - start
+    kind, points, sweep = ("sweep", [], rows) if "n_list" in kwargs else ("pointwise", rows, [])
+    ok = ok and all(row["verdict"] == "PASS" for row in points)
+    verdict = "PASS" if ok else "FAIL"
+    return LemmaReport(lemma, params, kind, verdict, points, sweep, details, runtime_s)
 
 
 def run_all(settings: dict | None = None) -> dict[str, LemmaReport]:

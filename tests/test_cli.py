@@ -606,9 +606,16 @@ class TestImportDiet:
             assert heavy not in loaded, f"chain loaded {heavy}"
 
 
+# The error of Green's ell precondition, matched from the line's start so
+# that it names the lemma, and that of Red's first planted pair.
+_GREEN_ELL = "error: green needs ell >= (2/delta^2) ln n = 416, got 100"
+_RED_PLANTING = (
+    "planted point (1475/8192, 983/8192) classifies as Yellow, expected Red1 (delta=0.2): "
+    "the target domain may be empty at these parameters"
+)
 # Configs whose parameters each pass their own check but not their joint
-# limits, which every size's SimConfig and partition enforce:
-# (name, lemma, config lines, message).
+# limits, which every size's SimConfig and partition and every planted
+# pair enforce: (name, lemma, config lines, message).
 _JOINT_LIMITS = [
     ("n_below_3", "yellow", "yellow_n_list = 64, 2\nyellow_c_sample = 0.5",
      "population size n must be >= 3 for the domain partition, which needs ln n > 1, got n = 2"),
@@ -621,6 +628,10 @@ _JOINT_LIMITS = [
     ("ell_above_n", "cyan", "cyan_n = 2", "need 1 <= ell <= n, got ell=3, n=2"),
     ("ell_above_n", "convergence", "convergence_n_list = 2, 64",
      "need 1 <= ell <= n, got ell=3, n=2"),
+    ("planted_outside_domain", "purple", "purple_delta = 0.2",
+     "planted point (614/4096, 819/4096) classifies as Yellow, expected Purple1 (delta=0.2): "
+     "the target domain may be empty at these parameters"),
+    ("planted_outside_domain", "red", "red_delta = 0.2", _RED_PLANTING),
 ]
 
 
@@ -709,19 +720,21 @@ class TestVerifyCommand:
             ("convergence", "convergence_presets = yellow_center, yellow_center",
              "presets must not repeat an entry"),
             ("convergence", "convergence_presets = 0.5, all_wrong", "preset must be a string"),
-            ("green", "green_ell = 100", "needs ell >= (2/delta^2) ln n = 416, got 100"),
-            ("all", "green_ell = 100", "needs ell >= (2/delta^2) ln n = 416, got 100"),
-            # Green's precondition is checked with the other lemmas'
-            # parameters, so it is reported before a later lemma's fault.
-            ("all", "green_ell = 100\nconvergence_trials = 0",
-             "needs ell >= (2/delta^2) ln n = 416, got 100"),
+            ("green", "green_ell = 100", _GREEN_ELL),
+            ("all", "green_ell = 100", _GREEN_ELL),
+            # Green's precondition and Red's planted pairs are checked with
+            # the other lemmas' parameters, so each is reported before a
+            # later lemma's fault.
+            ("all", "green_ell = 100\nconvergence_trials = 0", _GREEN_ELL),
+            ("all", "red_delta = 0.2\nconvergence_trials = 0", _RED_PLANTING),
         ] + [(lemma, line, needle) for _, own, line, needle in _JOINT_LIMITS
              for lemma in ("all", own)],
         ids=["purple_ell_str", "purple_ell_zero", "cyan_epsilon_str", "cyan_epsilon_negative",
              "all_last_lemma_trials_zero", "all_last_lemma_n_list", "all_unknown_preset",
              "convergence_fraction_out_of_range", "convergence_repeated_preset",
              "convergence_number_preset", "green_ell_below_one_round",
-             "all_green_ell_below_one_round", "all_green_ell_before_later_fault"] + [
+             "all_green_ell_below_one_round", "all_green_ell_before_later_fault",
+             "all_red_planting_before_later_fault"] + [
             f"{'all_' if lemma == 'all' else ''}{own}_{name}"
             for name, own, _, _ in _JOINT_LIMITS for lemma in ("all", own)],
     )

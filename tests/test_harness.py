@@ -92,6 +92,15 @@ class TestGreen:
         with pytest.raises(UsageError):
             run_lemma("green", {"green_n": 4096, "green_delta": 0.2, "green_ell": 100})
 
+    def test_failed_rows_fail_the_lemma(self, monkeypatch):
+        # No failure fraction is <= -1, so every row fails, and with it
+        # the pointwise verdict.
+        monkeypatch.setattr(harness, "_whp_threshold", lambda *_args: -1.0)
+        report = run_lemma("green", {"trials": 10})
+        assert report.kind == "pointwise" and len(report.points) == 6
+        assert {row["verdict"] for row in report.points} == {"FAIL"}
+        assert report.verdict == "FAIL"
+
 
 class TestPurple:
     def test_documented_point_passes(self):
@@ -118,6 +127,19 @@ class TestCyan:
         assert report.details["analytic"]["violations"] == 0
         assert report.details["max_exit_rounds"] < report.params["exit_round_bound"]
         assert set(report.details["exit_label_tally"]) <= {"Green1", "Purple1"}
+
+    def test_analytic_violation_fails_while_the_row_passes(self, monkeypatch):
+        # The lemma's own condition (zero analytic violations) fails it
+        # even when every simulated row passes.
+        check = harness.cyan_expectation_check
+        monkeypatch.setattr(
+            harness, "cyan_expectation_check", lambda *a, **k: {**check(*a, **k), "violations": 1}
+        )
+        report = run_lemma("cyan", {"cyan_n": 256, "trials": 20})
+        (row,) = report.points
+        assert row["verdict"] == "PASS"
+        assert report.details["analytic"]["violations"] == 1
+        assert report.verdict == "FAIL"
 
     def test_expectation_grid_small_population(self):
         result = cyan_expectation_check(512, delta=0.05, c_sample=3.0)
@@ -258,6 +280,17 @@ class TestSweeps:
         assert report.verdict == "PASS"
         for cell in report.details["cells"].values():
             assert cell["within_budget_fraction"] >= 0.99
+
+    def test_convergence_fails_when_a_trial_does_not_converge(self):
+        # One round reaches consensus from no preset: the sweep's rows
+        # carry no verdict, so all_converged alone fails it.
+        report = run_lemma(
+            "convergence",
+            {"convergence_n_list": (64, 128), "trials": 10, "convergence_max_rounds": 1},
+        )
+        assert report.kind == "sweep" and report.points == []
+        assert report.details["all_converged"] is False
+        assert report.verdict == "FAIL"
 
 
 def _random_paths(n, centre, spread, trials, max_rounds, seed):
