@@ -76,7 +76,9 @@ def _agent_one_round_counts(n, ell, a, b, trials, seed):
 
     Opinions hold b ones (source first); counters are i.i.d.
     Bin(ell, a/n), the post-round distribution at fraction a/n.  So each
-    agent draws only the ell indices of its fresh sample.
+    agent draws only the ell indices of its fresh sample, and since the
+    ones are the prefix opinions[:b], its fresh count is the number of
+    indices below b: the gathered opinions' sum, without the gather.
     """
     rng = derive_rng(seed, "acc1-agent", a, b)
     opinions = np.zeros(n, dtype=np.uint8)
@@ -87,7 +89,7 @@ def _agent_one_round_counts(n, ell, a, b, trials, seed):
         m = min(20_000, trials - done)
         counters = rng.binomial(ell, a / n, size=(m, n))
         idx = rng.integers(0, n, size=(m, n, ell), dtype=np.uint16)
-        c_fresh = opinions[idx].sum(axis=2, dtype=np.int32)
+        c_fresh = (idx < b).sum(axis=2, dtype=np.int32)
         cur = np.broadcast_to(opinions, (m, n))
         new = np.where(c_fresh > counters, 1, np.where(c_fresh < counters, 0, cur))
         new = new.astype(np.uint8)

@@ -19,6 +19,8 @@ from scipy import sparse
 from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.linalg import bicgstab, spsolve
 
+from fetsim import duel, markov
+from fetsim.duel import _binomial_pmf_rows
 from fetsim.dynamics import expected_next_fraction
 from fetsim.errors import StructuralError, UsageError
 from fetsim.markov import (
@@ -122,15 +124,45 @@ class TestBuildKernel:
         h = absorption_times(k)
         assert h.tobytes() == reference_absorption_times(matrix, k.absorbing_index).tobytes()
 
+    @pytest.mark.parametrize("n, ell", [(17, 9), (64, 13)])
+    def test_blocks_one_at_a_time_bit_identical(self, n, ell, monkeypatch):
+        # With no room for a stack, every mirror pair runs as two groups
+        # of one through the same loop: the path n = 256 takes.
+        monkeypatch.setattr(markov, "STACK_BYTES", 0)
+        matrix, pruned = reference_kernel(n, ell)
+        k = build_kernel(n, ell)
+        assert np.array_equal(k.matrix.data, matrix.data)
+        assert np.array_equal(k.matrix.indices, matrix.indices)
+        assert np.array_equal(k.matrix.indptr, matrix.indptr)
+        assert k.pruned_mass == pruned
+
+    def test_mirror_blocks_share_pmf_calls(self, monkeypatch):
+        # One call per operand width for each pair (b, n + 1 - b), plus
+        # the duels call: 2 * ceil(n / 2) + 1, against 2n + 1 per block.
+        calls = []
+
+        def counted(k, p):
+            calls.append(k)
+            return _binomial_pmf_rows(k, p)
+
+        monkeypatch.setattr(markov, "_binomial_pmf_rows", counted)
+        monkeypatch.setattr(duel, "_binomial_pmf_rows", counted)
+        build_kernel(96, 14)
+        assert len(calls) == 97
+
     def test_peak_memory_bounded_by_kept_entries(self):
         # States are numbered k_t1-major, so each k_t1 block, pruned as
-        # it is built, is appended to the final CSR arrays, which grow in
-        # place by 1.25x: one copy of the kept entries (579,302 at
-        # (128, 15), 12 bytes each) plus growth slack, 9.1 MB measured.
-        # Scattering k_t-major rows from per-block lists held two copies
-        # (14.9 MB), a concatenate-and-gather assembly a third (19.7 MB),
-        # and holding the dense (n+1) x n x n block (16.9 MB) on top, as
-        # a whole-kernel prune does, measured 49.9 MB.
+        # it is built, goes straight into one buffer for the final CSR
+        # arrays, blocks 1..b from the front and their mirrors n + 1 - b
+        # from the back; it grows in place by 1.25x, its back segment
+        # moved without a copy: one copy of the kept entries (579,302 at
+        # (128, 15), 12 bytes each) plus growth slack, 8.8 MB measured.
+        # The mirrors in a second buffer broke this bound, each half
+        # holding about 50.5 % of the entries.  Scattering k_t-major rows
+        # from per-block lists held two copies (14.9 MB), a
+        # concatenate-and-gather assembly a third (19.7 MB), and holding
+        # the dense (n+1) x n x n block (16.9 MB) on top, as a
+        # whole-kernel prune does, measured 49.9 MB.
         tracemalloc.start()
         try:
             k = build_kernel(128, 15)
