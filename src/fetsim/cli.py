@@ -33,7 +33,7 @@ from .domains import AREAS, DOMAINS, audit_partition, classify, classify_yellow,
 from .duel import exact_duel, hoeffding_duel_bound, underdog_lower_bound
 from .dynamics import AnalysisConstants, expected_next_fraction, fixed_point_f, flip_probs
 from .errors import DomainError, FetsimError, UsageError
-from .harness import LEMMAS, POINT_FIELDS, SWEEP_FIELDS, run_all, run_lemma
+from .harness import LEMMAS, POINT_FIELDS, SWEEP_FIELDS, _percentile, run_all, run_lemma
 from .protocol import SimConfig, run_trials
 
 SIM_CONFIG_KEYS = tuple(field.name for field in dataclasses.fields(SimConfig))
@@ -123,9 +123,7 @@ def _cmd_classify(args) -> int:
     for flag, value in (("--x", args.x), ("--y", args.y)):
         if not (math.isfinite(value) and 0.0 <= value <= 1.0):
             raise UsageError(f"{flag} must be a fraction in [0, 1], got {value!r}")
-    constants = AnalysisConstants.for_population(
-        args.n, delta=args.delta, c_sample=args.c_sample
-    )
+    constants = AnalysisConstants.for_population(args.n, delta=args.delta)
     _write_json(
         {
             "x_t": args.x,
@@ -140,9 +138,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    constants = AnalysisConstants.for_population(
-        args.n, delta=args.delta, c_sample=args.c_sample
-    )
+    constants = AnalysisConstants.for_population(args.n, delta=args.delta)
     _write_json(audit_partition(constants), args.out)
     if args.out:
         print(f"audit report written to {args.out}", file=sys.stderr)
@@ -172,7 +168,7 @@ def _cmd_simulate(args) -> int:
     out_dir = Path(args.out)
 
     counts, lengths = run_trials(config, preset, trials)  # before any output directory
-    domains, yellows = label_paths(counts, config.n, config.delta, config.ell)
+    domains, yellows = label_paths(counts, config.n, config.delta)
     ends = np.cumsum(lengths)
     for t, (start, end) in enumerate(zip((ends - lengths).tolist(), ends.tolist())):
         # Row t holds x_t and the labels of the pair (x_t, x_{t+1}); the
@@ -186,20 +182,15 @@ def _cmd_simulate(args) -> int:
     # Every slot but each path's last is a pair of that path.
     visits = np.bincount(np.delete(domains, ends[:-1] - 1), minlength=len(DOMAINS))
     converged = counts[ends - 1] == config.n * config.source_opinion
-    rounds = np.sort((lengths - 1)[converged]).tolist()
-    quantiles = {}
-    if rounds:
-        def q(frac: float) -> float:
-            return float(rounds[min(len(rounds) - 1, int(frac * (len(rounds) - 1)))])
-
-        quantiles = {"q50": q(0.5), "q90": q(0.9), "q99": q(0.99)}
+    rounds = np.sort((lengths - 1)[converged])
+    quantiles = {f"q{q}": _percentile(rounds, q) for q in (50, 90, 99)} if rounds.size else {}
     summary = {
         "preset": str(preset),
         "trials": trials,
         "converged_round_per_trial": [
             r if ok else None for r, ok in zip((lengths - 1).tolist(), converged.tolist())
         ],
-        "converged_fraction": len(rounds) / trials,
+        "converged_fraction": rounds.size / trials,
         "quantiles": quantiles,
         "domain_visit_counts": dict(
             sorted((label.value, int(v)) for label, v in zip(DOMAINS, visits) if v)
@@ -274,7 +265,6 @@ def _cmd_verify(args) -> int:
 
 _INT, _FLOAT = {"type": int, "required": True}, {"type": float, "required": True}
 _DELTA, _OUT = ("--delta", {"type": float, "default": 0.05}), ("--out", {})
-_C_SAMPLE = ("--c-sample", {"type": float, "default": 3.0, "dest": "c_sample"})
 # Subcommand: (help, handler, ((flag, add_argument keywords), ...)).
 _COMMANDS = {
     "duel": ("exact binomial duel probabilities", _cmd_duel, (
@@ -283,8 +273,8 @@ _COMMANDS = {
     "dynamics": ("expectation map and fixed point", _cmd_dynamics, (
         ("--x", _FLOAT), ("--y", _FLOAT), ("--n", _INT), ("--ell", _INT), _DELTA)),
     "classify": ("domain label of a grid point", _cmd_classify, (
-        ("--x", _FLOAT), ("--y", _FLOAT), ("--n", _INT), _DELTA, _C_SAMPLE)),
-    "audit": ("partition coverage audit", _cmd_audit, (("--n", _INT), _DELTA, _C_SAMPLE, _OUT)),
+        ("--x", _FLOAT), ("--y", _FLOAT), ("--n", _INT), _DELTA)),
+    "audit": ("partition coverage audit", _cmd_audit, (("--n", _INT), _DELTA, _OUT)),
     "simulate": ("Monte-Carlo trials from a config file", _cmd_simulate, (
         ("--config", {"required": True}), ("--preset", {}), ("--trials", {"type": int}),
         ("--out", {"default": "simulate-out"}))),

@@ -193,22 +193,23 @@ def classify_yellow(x, y, constants: AnalysisConstants):
     )[()]
 
 
-def label_paths(counts, n: int, delta: float, ell: int) -> tuple[np.ndarray, np.ndarray]:
+def label_paths(counts, n: int, delta: float) -> tuple[np.ndarray, np.ndarray]:
     """Domain and Yellow' area of every consecutive pair of a count array.
 
     counts holds trial paths end to end, as run_trials returns them.
     Slot j of each returned array labels the pair (counts[j]/n,
     counts[j+1]/n) by its position in DOMAINS and in AREAS, all in one
-    array pass; the partition constants are those of (n, delta, ell).
-    The slot at each path's last count pairs it with the next path's
-    first, so callers skip it.  The constants need ln n > 1: at n = 2
-    every pair is Unclassified and outside Yellow'.
+    array pass; the partition constants are those of (n, delta), which
+    do not depend on the sample size.  The slot at each path's last
+    count pairs it with the next path's first, so callers skip it.  The
+    constants need ln n > 1: at n = 2 every pair is Unclassified and
+    outside Yellow'.
     """
     k = np.asarray(counts)
     x, y = k[:-1] / n, k[1:] / n
     if math.log(n) <= 1.0:
         return np.full(x.shape, len(DOMAINS) - 1), np.full(x.shape, len(AREAS) - 1)
-    constants = AnalysisConstants.for_population(n, delta=delta, ell=ell)
+    constants = AnalysisConstants.for_population(n, delta=delta)
     return classify(x, y, constants), classify_yellow(x, y, constants)
 
 
@@ -250,7 +251,6 @@ def audit_partition(constants: AnalysisConstants) -> dict:
     return {
         "n": n,
         "delta": constants.delta,
-        "c_sample": constants.c_sample,
         "yellow_reading": YELLOW_READING,
         "total_points": (n + 1) ** 2,
         "uncovered_count": len(uncovered),

@@ -34,6 +34,7 @@ from .errors import DomainError
 __all__ = [
     "AnalysisConstants",
     "FlipProbs",
+    "cyan_constants",
     "expected_next_fraction",
     "fixed_point_f",
     "flip_probs",
@@ -60,65 +61,47 @@ class FlipProbs:
 
 @dataclass(frozen=True)
 class AnalysisConstants:
-    """Derived constants of the domain partition and the Cyan growth bound.
+    """Constants of the domain partition at population size n.
 
-    delta is the margin of the partition; lambda_n the Red-area shrink
-    factor 1/(ln n)^(1/2+delta); gamma and K the Cyan thresholds
-    (1-1/e) e^{-2c}/2 and c e^{-2c}/2 for ell = c ln n.  for_population
-    builds and checks them.
+    delta is the margin of the partition and lambda_n the Red-area
+    shrink factor 1/(ln n)^(1/2+delta); for_population builds and checks
+    them.  The partition does not depend on the sample size: Cyan's
+    gamma and K come from cyan_constants.
     """
 
     n: int
     delta: float
-    c_sample: float
     lambda_n: float
-    gamma: float
-    K: float
-    ell: int
 
     @classmethod
-    def for_population(
-        cls,
-        n: int,
-        delta: float = 0.05,
-        c_sample: float = 3.0,
-        ell: int | None = None,
-    ) -> "AnalysisConstants":
-        """Build the constants for population size n.
-
-        Without ell, the sample size is ceil(c ln n).  An explicit ell
-        is kept as given, and the effective c is ell / ln n so that
-        gamma and K stay consistent with it (a float round-trip
-        through c could tip the ceiling by one).
-        """
+    def for_population(cls, n: int, delta: float = 0.05) -> "AnalysisConstants":
+        """Build the constants for population size n >= 3 and delta in (0, 1/2)."""
         if n < 3:
             raise DomainError(
                 f"population size n must be >= 3 for the domain partition, which needs "
                 f"ln n > 1, got n = {n!r}"
             )
-        log_n = math.log(n)
-        c = ell / log_n if ell is not None else float(c_sample)
-        if not 0 < c < math.inf:
-            raise DomainError(f"c_sample must be positive and finite, got {c!r}")
         if not 0.0 < delta < 0.5:
             raise DomainError(f"delta must be in (0, 1/2), got {delta!r}")
-        gamma = (1.0 - 1.0 / math.e) * math.exp(-2.0 * c) / 2.0
-        K = c * math.exp(-2.0 * c) / 2.0
-        if gamma <= 0.0 or K <= 0.0:
-            raise DomainError("gamma and K must be positive")
-        return cls(
-            n=n,
-            delta=delta,
-            c_sample=c,
-            lambda_n=1.0 / log_n ** (0.5 + delta),
-            gamma=gamma,
-            K=K,
-            ell=int(ell) if ell is not None else math.ceil(c * log_n),
-        )
+        return cls(n=n, delta=delta, lambda_n=1.0 / math.log(n) ** (0.5 + delta))
 
     @property
     def log_n(self) -> float:
         return math.log(self.n)
+
+
+def cyan_constants(n: int, ell: int) -> tuple[float, float]:
+    """Cyan's thresholds gamma = (1-1/e) e^{-2c}/2 and K = c e^{-2c}/2 at c = ell / ln n.
+
+    ell is the trials' sample size, so c is the one they ran at, not the
+    c_sample that ell was rounded up from.  Both must be positive.
+    """
+    c = ell / math.log(n)
+    gamma = (1.0 - 1.0 / math.e) * math.exp(-2.0 * c) / 2.0
+    K = c * math.exp(-2.0 * c) / 2.0
+    if gamma <= 0.0 or K <= 0.0:
+        raise DomainError("gamma and K must be positive")
+    return gamma, K
 
 
 def flip_probs(x_t: float, x_t1: float, ell: int) -> FlipProbs:

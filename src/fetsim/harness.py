@@ -54,7 +54,7 @@ import numpy as np
 
 from .config import check_delta, check_number
 from .domains import AREAS, DOMAINS, DomainLabel, YellowLabel, classify, label_paths
-from .dynamics import DUEL_ALPHA, AnalysisConstants, expected_next_fraction
+from .dynamics import DUEL_ALPHA, AnalysisConstants, cyan_constants, expected_next_fraction
 from .errors import PlantingError, UsageError
 from .protocol import SimConfig, _preset_fraction, derive_rng, run_trials, step_aggregate
 
@@ -361,21 +361,18 @@ def _verify_red(
     return params, rows, {"exit_label_tally": dict(exit_tally)}, True
 
 
-def cyan_expectation_check(
-    n: int,
-    delta: float = 0.05,
-    c_sample: float = 3.0,
-) -> dict:
+def cyan_expectation_check(n: int, delta: float, ell: int) -> dict:
     """Analytic Cyan growth inequality on the full eligible grid.
 
     For every grid pair in Cyan1 with x_t < 1/ln n and
     0 < x_{t+1} <= 1/ell, checks
-    E[x_{t+2}] >= K x_{t+1} ln n - 1/n with K = c e^{-2c} / 2.
+    E[x_{t+2}] >= K x_{t+1} ln n - 1/n with K = c e^{-2c} / 2 at the
+    c = ell / ln n of the sample size (cyan_constants).
     Returns counts and the worst margin; zero violations expected.
     Memory is that of a few arrays over the (k_t, k_y) box.
     """
-    constants = AnalysisConstants.for_population(n, delta=delta, c_sample=c_sample)
-    ell = constants.ell
+    constants = AnalysisConstants.for_population(n, delta=delta)
+    _, K = cyan_constants(n, ell)
     log_n = math.log(n)
     k_t = np.arange(math.ceil(n / log_n))  # x_t < 1/ln n
     k_y = np.arange(1, math.floor(n / ell) + 1)  # 0 < x_{t+1} <= 1/ell
@@ -384,13 +381,13 @@ def cyan_expectation_check(
     # keeps only the diagonal band.
     cyan = classify(k_t[:, None] / n, k_y / n, constants) == DOMAINS.index(DomainLabel.CYAN1)
     g = expected_next_fraction(k_t[:, None] / n, k_y / n, n, ell)
-    margins = (g - (constants.K * (k_y / n) * log_n - 1.0 / n))[cyan]
+    margins = (g - (K * (k_y / n) * log_n - 1.0 / n))[cyan]
     violations = int((margins < 0).sum())
     worst_margin = float(margins.min(initial=math.inf))
     return {
         "n": n,
         "ell": ell,
-        "K": constants.K,
+        "K": K,
         "grid_points_checked": int(margins.size),
         "violations": violations,
         "worst_margin": worst_margin,
@@ -417,9 +414,9 @@ def _verify_cyan(
     bound = math.log(n) / math.log(math.log(n))
     good_exits = [DOMAINS.index(DomainLabel.GREEN1), DOMAINS.index(DomainLabel.PURPLE1)]
 
-    gamma = config.constants().gamma
+    gamma, _ = cyan_constants(n, config.ell)
     counts, lengths = _run_cell(config, "cyan_corner", trials)
-    domains, _ = label_paths(counts, n, delta, config.ell)
+    domains, _ = label_paths(counts, n, delta)
     ends = np.cumsum(lengths)
     last = ends - 1  # a path's last slot pairs it with the next path
     cyan = domains == DOMAINS.index(DomainLabel.CYAN1)
@@ -439,7 +436,7 @@ def _verify_cyan(
     above_half = int((counts[first[crossed] + 2] / n > 0.5).sum())
     gate = _whp_threshold(n, trials, epsilon)
     row = _point_row(1, 1, n, DomainLabel.CYAN1, trials, failures, gate)
-    analytic = cyan_expectation_check(n, delta=delta, c_sample=c_sample)
+    analytic = cyan_expectation_check(n, delta, config.ell)
     params = _point_params(config, trials, epsilon=epsilon, exit_round_bound=bound)
     details = {
         "exit_label_tally": dict(exit_tally),
@@ -516,7 +513,7 @@ def _verify_yellow(
     with r2 >= 0.9 and slope <= SLOPE_TOLERANCE (one size fits no
     scaling, so it is FAIL).  Also tallies the longest consecutive stay
     in the B sub-areas per trial (reported qualitatively against the
-    (sqrt(c)/c4) (ln n)^{3/2} scale, c4 = 1/(4 alpha)).
+    (sqrt(c)/c4) (ln n)^{3/2} scale, c = ell / ln n, c4 = 1/(4 alpha)).
     """
     samples = []
     b_dwell_stats = {}
@@ -524,7 +521,7 @@ def _verify_yellow(
     for n in n_list:
         config = SimConfig(n=n, c_sample=c_sample, delta=delta, seed=seed, max_rounds=max_rounds)
         counts, lengths = _run_cell(config, "yellow_center", trials)
-        _, areas = label_paths(counts, n, delta, config.ell)
+        _, areas = label_paths(counts, n, delta)
         ends = np.cumsum(lengths)
         starts, last = ends - lengths, ends - 1
         esc = _first(areas == AREAS.index(YellowLabel.OUTSIDE), starts, last)
@@ -540,7 +537,7 @@ def _verify_yellow(
         b_dwells = np.zeros(trials, dtype=np.int64)
         np.maximum.at(b_dwells, trial, runs)
         c4 = 1.0 / (4.0 * DUEL_ALPHA)
-        b_scale = math.sqrt(c_sample) / c4 * math.log(n) ** 1.5
+        b_scale = math.sqrt(config.ell / math.log(n)) / c4 * math.log(n) ** 1.5
         b_dwell_stats[str(n)] = {
             "mean_longest_b_dwell": float(np.mean(b_dwells)),
             "q95_longest_b_dwell": _percentile(np.sort(b_dwells), 95),
@@ -695,13 +692,15 @@ def _lemma_kwargs(lemma: str, settings: dict) -> dict:
         # ceil((2/delta^2) ln n): Green's least ell and Purple's default.
         needed = math.ceil((2.0 / args["delta"] ** 2) * math.log(args["n"]))
         args["ell"] = ell = needed if args["ell"] is None else args["ell"]
-    # The joint limits (ell <= n; for the partition n >= 3 and positive gamma
-    # and K) through the SimConfig of every size the lemma simulates.
+    # The joint limits (ell <= n; n >= 3 for the partition; Cyan's positive
+    # gamma and K) through the SimConfig of every size the lemma simulates.
     for n in args.get("n_list", [args.get("n")]):
         config = SimConfig(n=n, ell=args.get("ell"), c_sample=args.get("c_sample", 3.0),
                            delta=args["delta"], seed=args["seed"])
         if lemma != "convergence":
             constants = config.constants()
+        if lemma == "cyan":
+            cyan_constants(n, config.ell)
     if lemma == "green" and ell < needed:
         raise UsageError(f"green needs ell >= (2/delta^2) ln n = {needed}, got {ell}")
     if lemma in ("green", "purple", "red"):

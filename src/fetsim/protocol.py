@@ -147,7 +147,7 @@ class SimConfig:
             )
 
     def constants(self) -> AnalysisConstants:
-        return AnalysisConstants.for_population(self.n, delta=self.delta, ell=self.ell)
+        return AnalysisConstants.for_population(self.n, delta=self.delta)
 
 
 def step_agent_level(

@@ -250,7 +250,7 @@ def split_paths(counts: np.ndarray, lengths: np.ndarray) -> list[list[int]]:
     return [path.tolist() for path in np.split(counts, np.cumsum(lengths)[:-1])]
 
 
-def cyan_oracle(paths, n: int, constants: AnalysisConstants, bound: float) -> dict:
+def cyan_oracle(paths, n: int, constants: AnalysisConstants, gamma: float, bound: float) -> dict:
     """Cyan's escape search and gamma branch, one trial and one pair at a time.
 
     A trial fails unless it enters Cyan1, then leaves it within bound
@@ -279,7 +279,7 @@ def cyan_oracle(paths, n: int, constants: AnalysisConstants, bound: float) -> di
         exit_rounds.append(t1 - t0)
         if not (t1 - t0 < bound and labels[t1] in good_exits):
             failures += 1
-        crossings = [i for i in range(t0, t1) if counts[i + 1] / n > constants.gamma]
+        crossings = [i for i in range(t0, t1) if counts[i + 1] / n > gamma]
         if crossings:
             gamma_crossed += 1
             first = crossings[0]

@@ -112,7 +112,7 @@ def test_criterion_1_backend_equivalence():
     """Agent-level and aggregate one-round laws agree: TV < 0.02 and
     both means within 3 binomial SE of the expectation map."""
     n, ell, trials = N1, ELL1, TRIALS1
-    constants = AnalysisConstants.for_population(n, delta=0.05, ell=ell)
+    constants = AnalysisConstants.for_population(n, delta=0.05)
     domains_seen = set()
     worst_tv = 0.0
     ok = True
@@ -263,7 +263,7 @@ def test_criterion_4_analytic_claims():
                 growth_violations += 1
 
     # (d) Cyan expectation inequality over the full eligible grid.
-    cyan = cyan_expectation_check(n, delta=delta, c_sample=3.0)
+    cyan = cyan_expectation_check(n, delta, math.ceil(3.0 * math.log(n)))
 
     ok = (
         monotone_violations == 0
@@ -407,7 +407,7 @@ def test_criterion_8_partition_audit():
     """Audit completes at n=128, delta=0.05; the absorbing corner and
     the cyan corner are covered and correctly labelled."""
     n = 128
-    constants = AnalysisConstants.for_population(n, delta=0.05, c_sample=3.0)
+    constants = AnalysisConstants.for_population(n, delta=0.05)
     report = audit_partition(constants)
     corners_ok = (
         report["corner_absorbing_label"] == DomainLabel.CYAN0.value

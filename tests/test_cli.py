@@ -5,7 +5,6 @@ import csv
 import dataclasses
 import hashlib
 import json
-import math
 import os
 import re
 import subprocess
@@ -13,6 +12,7 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fetsim
@@ -251,35 +251,6 @@ class TestAuditCommand:
         assert payload["corner_cyan_label"] == "Cyan1"
         assert "yellow_reading" in payload
 
-
-    @pytest.mark.parametrize("command", ["audit", "classify"])
-    @pytest.mark.parametrize("value", ["nan", "inf", "0"])
-    def test_bad_c_sample_is_error(self, capsys, tmp_path, command, value):
-        # A NaN c_sample used to pass into the partition constants.
-        argv = [command, "--n", "16", "--c-sample", value]
-        if command == "classify":
-            argv += ["--x", "0.5", "--y", "0.5"]
-        else:
-            argv += ["--out", str(tmp_path / "audit.json")]
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: c_sample must be positive and finite")
-        assert not (tmp_path / "audit.json").exists()
-
-    @pytest.mark.parametrize("command", ["audit", "classify"])
-    def test_vanishing_cyan_constants_are_error(self, capsys, tmp_path, command):
-        # A c_sample this large is finite, but gamma and K underflow to 0
-        # and c ln n overflows; the constants fail before any ell is derived.
-        argv = [command, "--n", "16" if command == "audit" else "128", "--c-sample", "1e308"]
-        if command == "classify":
-            argv += ["--x", "0.5", "--y", "0.5"]
-        else:
-            argv += ["--out", str(tmp_path / "audit.json")]
-        code, out, err = run_cli(capsys, *argv)
-        assert (code, out, err) == (2, "", "error: gamma and K must be positive\n")
-        assert not (tmp_path / "audit.json").exists()
-
     @pytest.mark.parametrize("command", ["audit", "classify"])
     def test_population_of_two_names_n(self, capsys, tmp_path, command):
         # At n = 2, ln n < 1 and the partition constants do not exist;
@@ -317,6 +288,34 @@ class TestSimulateCommand:
         assert list(rows[0]) == ["round", "x_t", "domain", "yellow_label"]
         assert rows[0]["x_t"] == repr(1 / 64)
         assert rows[-1]["domain"] == ""
+
+    def test_quantiles_take_the_linear_rule(self, capsys, tmp_path):
+        # The converged rounds' q50, q90 and q99 are np.percentile's
+        # linear ones, as in verify's reports.
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("n = 64\nseed = 3\ntrials = 3\npreset = half_half\n")
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(out_dir))
+        assert code == 0, err
+        summary = json.loads((out_dir / "summary.json").read_text())
+        rounds = [r for r in summary["converged_round_per_trial"] if r is not None]
+        assert len(rounds) == 3
+        assert summary["quantiles"] == {
+            f"q{q}": float(np.percentile(rounds, q)) for q in (50, 90, 99)
+        }
+
+    def test_sample_size_near_n(self, capsys, tmp_path):
+        # At ell = 4000 and n = 4096, c = ell / ln n is 481 and Cyan's
+        # gamma and K underflow to 0; the partition that labels the
+        # trials does not use them.
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("n = 4096\nell = 4000\nseed = 0\ntrials = 2\n")
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(out_dir))
+        assert code == 0, err
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "summary.json", "trial_0.csv", "trial_1.csv"
+        ]
 
     def test_every_sim_config_field_is_a_config_key(self, capsys, tmp_path):
         # Each SimConfig field at its default (n and ell set) is a known key.
@@ -449,7 +448,7 @@ class TestSimulateCommand:
             k = round(float(row["x_t"]) * n)
             assert row["x_t"] == repr(k / n)
         assert rows[-1]["x_t"] == "0.0"
-        domains, _ = label_paths([67, 62], n, 0.05, math.ceil(3 * math.log(n)))
+        domains, _ = label_paths([67, 62], n, 0.05)
         assert domains.tolist() == [DOMAINS.index(DomainLabel.GREEN0)]
 
     def test_two_to_the_forty_agents(self, capsys, tmp_path):
@@ -626,6 +625,8 @@ _JOINT_LIMITS = [
     ("n_below_3", "red", "red_n = 2\nred_c_sample = 0.5",
      "population size n must be >= 3 for the domain partition, which needs ln n > 1, got n = 2"),
     ("ell_above_n", "cyan", "cyan_n = 2", "need 1 <= ell <= n, got ell=3, n=2"),
+    # ell = 3,328 at n = 4096 is c = 400, where Cyan's gamma and K underflow to 0.
+    ("vanishing_gamma_and_k", "cyan", "cyan_c_sample = 400", "gamma and K must be positive"),
     ("ell_above_n", "convergence", "convergence_n_list = 2, 64",
      "need 1 <= ell <= n, got ell=3, n=2"),
     ("planted_outside_domain", "purple", "purple_delta = 0.2",
@@ -712,6 +713,7 @@ class TestVerifyCommand:
             ("purple", "purple_ell = 0", "ell must be >= 1"),
             ("cyan", "cyan_epsilon = abc", "epsilon must be a real number"),
             ("cyan", "cyan_epsilon = -1", "epsilon must be positive"),
+            ("cyan", "cyan_c_sample = 0", "c_sample must be positive"),
             ("all", "trials = 4000\nconvergence_trials = 0", "trials must be >= 1"),
             ("all", "convergence_n_list = 64,1", "n_list must be >= 2"),
             ("all", "convergence_presets = mauve,", "unknown preset 'mauve'; known: ("),
@@ -730,6 +732,7 @@ class TestVerifyCommand:
         ] + [(lemma, line, needle) for _, own, line, needle in _JOINT_LIMITS
              for lemma in ("all", own)],
         ids=["purple_ell_str", "purple_ell_zero", "cyan_epsilon_str", "cyan_epsilon_negative",
+             "cyan_c_sample_zero",
              "all_last_lemma_trials_zero", "all_last_lemma_n_list", "all_unknown_preset",
              "convergence_fraction_out_of_range", "convergence_repeated_preset",
              "convergence_number_preset", "green_ell_below_one_round",
@@ -768,6 +771,15 @@ class TestVerifyCommand:
         assert cells == ["0 simulated, 0 reused)"] * 3 + [
             "1 simulated, 0 reused)", "2 simulated, 0 reused)", "4 simulated, 2 reused)"
         ]
+
+    def test_green_sample_size_near_n_passes_the_gate(self, capsys, tmp_path):
+        # Only Cyan needs positive gamma and K, which underflow at
+        # ell = 4000 and n = 4096; Green runs its trials there.
+        cfg = tmp_path / "verify.cfg"
+        cfg.write_text("green_ell = 4000\ngreen_trials = 5\n")
+        code, out, err = run_cli(capsys, "verify", "--lemma", "green", "--config", str(cfg))
+        assert code in (0, 1), err
+        assert set(json.loads(out)) == {"green"}
 
     def test_key_for_another_lemma_is_accepted(self, capsys, tmp_path):
         cfg = tmp_path / "verify.cfg"
@@ -842,29 +854,25 @@ _CLI_TEXTS = {
         0,
         (
             "usage: fetsim classify [-h] --x X --y Y --n N [--delta DELTA]\n"
-            "                       [--c-sample C_SAMPLE]\n"
             "\n"
             "options:\n"
-            "  -h, --help           show this help message and exit\n"
+            "  -h, --help     show this help message and exit\n"
             "  --x X\n"
             "  --y Y\n"
             "  --n N\n"
             "  --delta DELTA\n"
-            "  --c-sample C_SAMPLE\n"
         ),
         "",
     ),
     "audit -h": (
         0,
         (
-            "usage: fetsim audit [-h] --n N [--delta DELTA] [--c-sample C_SAMPLE]\n"
-            "                    [--out OUT]\n"
+            "usage: fetsim audit [-h] --n N [--delta DELTA] [--out OUT]\n"
             "\n"
             "options:\n"
-            "  -h, --help           show this help message and exit\n"
+            "  -h, --help     show this help message and exit\n"
             "  --n N\n"
             "  --delta DELTA\n"
-            "  --c-sample C_SAMPLE\n"
             "  --out OUT\n"
         ),
         "",
@@ -934,7 +942,6 @@ _CLI_TEXTS = {
         "",
         (
             "usage: fetsim classify [-h] --x X --y Y --n N [--delta DELTA]\n"
-            "                       [--c-sample C_SAMPLE]\n"
             "fetsim classify: error: the following arguments are required: --x, --y, --n\n"
         ),
     ),
@@ -942,8 +949,7 @@ _CLI_TEXTS = {
         2,
         "",
         (
-            "usage: fetsim audit [-h] --n N [--delta DELTA] [--c-sample C_SAMPLE]\n"
-            "                    [--out OUT]\n"
+            "usage: fetsim audit [-h] --n N [--delta DELTA] [--out OUT]\n"
             "fetsim audit: error: the following arguments are required: --n\n"
         ),
     ),
@@ -1035,7 +1041,7 @@ _OUTPUT_DIGESTS = {
         "convergence.csv": "159d180c3f8c589ad8a22edb39d1f00b83f76c7a2f6bd94231c8e019ba9529e3",
         "convergence.json": "23e457237d281c9799b3b9dc8ef3d0f8022753671f5efa0c298f22dcc1b62c49",
         "cyan.csv": "d7b54bfef2f1829067c8819e0093dae563e21ae47a7bf4e1ad3f3f26112d13d7",
-        "cyan.json": "d830187cc35e2e992188e87397fce919a00122d78ad8cd8f33c9f56b9a62693a",
+        "cyan.json": "e79fd9e75d7318a856f517d71dffad08ba22c10836fcc34da6c3a70d4a6c3fd0",
         "green.csv": "9c4ee8424e746c856a642283d297e788aa224b80932e62337f0572a67f429f2b",
         "green.json": "31fbf59beba59de2e4eb7a69f064f9dcd24f347d1b6491db489b5842ebcc8e9e",
         "purple.csv": "e4d6ec9be61af76a893ba49aafb983e1ebc3f5733fdfbef05f91560a53b03d8a",
@@ -1044,13 +1050,13 @@ _OUTPUT_DIGESTS = {
         "red.json": "fed6e353bffba3759a4c4bba382300d147b5992d0b9335f4ef222b909d3dd730",
         "summary.json": "0a223806a2e75c73d60a27427bd2354228b7aef58f80140e832a9fdebf0f8ec3",
         "yellow.csv": "2fee427bffeb8889eeb8c00c6dbfeb7bb33e006d086dd9baf26a1b2a0f7d9064",
-        "yellow.json": "e0adee386b0edea28b8257c065d51f2b20d9e78a2383e7cd97cc3cb6c88b2f7a",
+        "yellow.json": "1209bf0e60276f56a1887232f845a5987d01089f041f681ad061fb36e6474ce4",
     }),
     ("verify", "--config", "{cfg}/override.cfg", "--lemma", "all", "--out", "{out}"): (0, {
         "convergence.csv": "6ef1df6686823a1c3e2f33478a1bfd65bae321e971a67146eb40f0c24d2abc38",
         "convergence.json": "1167093d3497e7f1bf21dd7f7063081723b6efa8cea7000f02d9fb222bd9123f",
         "cyan.csv": "673669b53e51f0cac888bbf4efd6aab509f0a360acfeca31851ea34c8c7a8cd5",
-        "cyan.json": "bd776688c079b79789fe24649203f845daefbf7f8badd6c7b08c145d01e3fae9",
+        "cyan.json": "f9cbf75d019d2f011cfae5e80e0df5d879080183cf05739c68a37855cf7a20ac",
         "green.csv": "7671bf65c17c413ec185cb14a3283342148454a9f92034e7f13402a1a4b8b3e7",
         "green.json": "e7bc860748225bbc14be582b0d301bb310fbcb992e95c4cf71f2d7daa8a6876e",
         "purple.csv": "82bd737f11e8c754c873d1c749896162e11aa19c21da44ea66a1f0b773814670",
@@ -1059,33 +1065,33 @@ _OUTPUT_DIGESTS = {
         "red.json": "618d884dfd7fb5e74c0b36bbfe9fb9e6798ae4ed71f8b5a0b0a18b4ce13a38f1",
         "summary.json": "d33ed4da5b246494b22630d85af144d414b3ee2dee54f2bcbbb02ad5206717e8",
         "yellow.csv": "5ca9a54e5916bf0b4d9cac4937bf5cd192c294fef44c2778f22d8a487ab962c4",
-        "yellow.json": "ff682ecf2ce372f9230ff00318c11ce205f21cba82776070c171e435ec8f0dea",
+        "yellow.json": "23b2a37c62f8e065dc55e9631ff00191502f0f340c4db3025e594eda3d63bbd4",
     }),
     ("simulate", "--config", "{cfg}/sim.cfg", "--out", "{out}"): (0, {
-        "summary.json": "5dd7a9e431c28f1399de4df271fd7e58e972a758294bdf3653f095bb4160d21a",
+        "summary.json": "3a4ae800b8c9e648942c29c92f2f1373fe2969170fa03904b82dc3711b5fe489",
         "trial_0.csv": "ebfc207665eb087e8af89bda36a60d7c8e6f6d1705ed4c46c614c462093fa6b0",
         "trial_1.csv": "68e308d7ed81174e510b7a7dcb39c949b7e40a573ec89e08ad118268617df795",
         "trial_2.csv": "0541878f451d574f5e13ae118b87f774b64d382916b55b0e333ba472fc3e86c9",
     }),
     ("simulate", "--config", "{cfg}/agent.cfg", "--out", "{out}"): (0, {
-        "summary.json": "7191d1ed3014c44dfa228f4e0162c8c4b30f5a650e52b45b1a52aee5a0a54f25",
+        "summary.json": "a3a53c9f88b51413b5d3ae5a593aee58491cd8b9eee2d99515168328f5393244",
         "trial_0.csv": "c300b0492d4a8965ff604b623e9a477ba0b69a2f79da9dc4b76c10d48a1c4a2f",
         "trial_1.csv": "4b189419a1bf4a2c666015d8be535b274c2d9f14d5a1cb3a43ebc9f3833cd710",
         "trial_2.csv": "c0f12f106869ccf0a87037c394a1d880c3b5c91b503ad3e9a1c228e104bb956b",
     }),
     # The aggregate backend's mirrored pair rounds (10-14 rounds a trial).
     ("simulate", "--config", "{cfg}/sim0.cfg", "--out", "{out}"): (0, {
-        "summary.json": "e1284d974ee14054b8a0d8c8378ff48dd910db99e7585b06be9a1302872ef5e8",
+        "summary.json": "0655551bff88324f501f7616dc4e2527f14a51821703360ef8803b22bf0ba176",
         "trial_0.csv": "6b10ace6bd9f7555f203448680e033767af814ed4b6805e9a67e4cf63f09cec6",
         "trial_1.csv": "53ee788c245565e750c9947101eba94006afba641e8609f5a2ca341b5debe1c1",
         "trial_2.csv": "bf16140dd470bd48232a5c6feebea5e312666a450e93473f250c1232c14a3dc2",
     }),
     ("audit", "--n", "16", "--out", "{out}/audit.json"): (0, {
-        "audit.json": "fc55317db5c5c2c75c4309574a8fc8fff772241a85f469ba0a1e4e4bfff0cba2",
+        "audit.json": "908a8e2153a19290f41f34efbc3f294a03cfba2d55a9a094f9914a09a57f06d0",
     }),
     # n = 200 has uncovered points (and a reflection-asymmetric gap set).
     ("audit", "--n", "200", "--delta", "0.05", "--out", "{out}/audit.json"): (0, {
-        "audit.json": "4254e47821560dc4e8884255f93d1ab3ca989edac5540712609f4ffc244ad66e",
+        "audit.json": "6aea4f8e3bb629aa805e29fd9b2b9bfd9f4c57f506205cc58bf36ea4bbdc9811",
     }),
     ("chain", "--n", "8", "--ell", "4", "--out", "{out}/chain.json"): (0, {
         "chain.json": "58da6b1ff16762a78577e648b49c86365d51590120544cfa6b109c2a246d9ad9",

@@ -32,8 +32,8 @@ from fetsim.errors import UsageError
 GAPS_200 = [[13, 3], [16, 6], [17, 7], [19, 9], [20, 10], [22, 12], [36, 26]]
 
 
-def consts(n, delta=0.05, c_sample=3.0):
-    return AnalysisConstants.for_population(n, delta=delta, c_sample=c_sample)
+def consts(n, delta=0.05):
+    return AnalysisConstants.for_population(n, delta=delta)
 
 
 def domain(point, c):
@@ -268,24 +268,23 @@ class TestLabelPaths:
             rng.integers(0, n + 1, size=25).tolist(),
             [n // 2, n // 2 + n // 400, n // 2 - n // 300, n // 2],  # inside Yellow'
         ]
-        ell = 1 if n == 2 else 25
-        domains, yellows = label_paths(np.concatenate(paths), n, 0.05, ell)
+        domains, yellows = label_paths(np.concatenate(paths), n, 0.05)
         assert len(domains) == len(yellows) == sum(map(len, paths)) - 1
         end = 0
         for path in paths:
             end += len(path)
             own = domains[end - len(path) : end - 1], yellows[end - len(path) : end - 1]
-            alone = label_paths(np.array(path), n, 0.05, ell)
+            alone = label_paths(np.array(path), n, 0.05)
             assert all(np.array_equal(a, b) for a, b in zip(own, alone))
             if n == 2:
                 assert set(own[0].tolist()) <= {len(DOMAINS) - 1}
                 assert set(own[1].tolist()) <= {len(AREAS) - 1}
                 continue
-            c = AnalysisConstants.for_population(n, delta=0.05, ell=25)
+            c = AnalysisConstants.for_population(n, delta=0.05)
             for (k0, k1), label, yellow in zip(zip(path, path[1:]), *own):
                 assert DOMAINS[label] is domain_oracle((k0 / n, k1 / n), c)
                 assert AREAS[yellow] is area_oracle((k0 / n, k1 / n), c)
 
     def test_no_paths(self):
-        domains, yellows = label_paths(np.zeros(0, dtype=np.int64), 64, 0.05, 13)
+        domains, yellows = label_paths(np.zeros(0, dtype=np.int64), 64, 0.05)
         assert domains.size == yellows.size == 0

@@ -11,6 +11,7 @@ from fetsim.duel import exact_duel
 from fetsim.dynamics import (
     AnalysisConstants,
     FlipProbs,
+    cyan_constants,
     expected_next_fraction,
     fixed_point_f,
     flip_probs,
@@ -162,17 +163,24 @@ class TestFixedPoint:
 
 class TestAnalysisConstants:
     def test_derived_values(self):
-        c = AnalysisConstants.for_population(4096, delta=0.05, c_sample=3.0)
+        c = AnalysisConstants.for_population(4096, delta=0.05)
         log_n = math.log(4096)
         assert c.lambda_n == pytest.approx(1.0 / log_n**0.55, abs=1e-12)
-        assert c.gamma == pytest.approx((1 - 1 / math.e) * math.exp(-6.0) / 2, abs=1e-15)
-        assert c.K == pytest.approx(3.0 * math.exp(-6.0) / 2, abs=1e-15)
-        assert c.ell == math.ceil(3.0 * log_n)
+        gamma, K = cyan_constants(4096, 25)
+        c_eff = 25 / log_n  # 3.0056
+        assert gamma == pytest.approx((1 - 1 / math.e) * math.exp(-2.0 * c_eff) / 2, abs=1e-15)
+        assert K == pytest.approx(c_eff * math.exp(-2.0 * c_eff) / 2, abs=1e-15)
 
     def test_explicit_ell_defines_effective_c(self):
-        c = AnalysisConstants.for_population(4096, delta=0.1, ell=1664)
-        assert c.ell == 1664
-        assert c.c_sample == pytest.approx(1664 / math.log(4096), abs=1e-12)
+        c = 1664 / math.log(4096)
+        gamma, K = cyan_constants(4096, 1664)
+        assert gamma == pytest.approx((1 - 1 / math.e) * math.exp(-2.0 * c) / 2, rel=1e-12)
+        assert K == pytest.approx(c * math.exp(-2.0 * c) / 2, rel=1e-12)
+
+    def test_vanishing_cyan_constants(self):
+        # At c = 4000 / ln 4096 = 481, e^{-2c} underflows to 0.
+        with pytest.raises(DomainError, match="gamma and K must be positive"):
+            cyan_constants(4096, 4000)
 
     def test_validation(self):
         with pytest.raises(DomainError):

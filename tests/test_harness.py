@@ -28,7 +28,7 @@ from fetsim.harness import (
     run_lemma,
 )
 from fetsim.domains import DomainLabel
-from fetsim.dynamics import AnalysisConstants, expected_next_fraction
+from fetsim.dynamics import AnalysisConstants, cyan_constants, expected_next_fraction
 from fetsim.protocol import SimConfig, derive_rng, run_trials, step_aggregate
 
 
@@ -44,14 +44,14 @@ def verify(tmp_path, lemma, config, out="out"):
 
 class TestPlanting:
     def test_valid_plant(self):
-        c = AnalysisConstants.for_population(4096, delta=0.2, c_sample=3.0)
+        c = AnalysisConstants.for_population(4096, delta=0.2)
         kx, ky = plant_pair(c, 0.2, 0.5, DomainLabel.GREEN1)
         assert (kx, ky) == (819, 2048)
 
     def test_empty_domain_aborts(self):
         # Red is empty at (n=4096, delta=0.05): lambda_n is too large for
         # any x to satisfy both band conditions.
-        c = AnalysisConstants.for_population(4096, delta=0.05, c_sample=3.0)
+        c = AnalysisConstants.for_population(4096, delta=0.05)
         with pytest.raises(PlantingError):
             plant_pair(c, 0.3, 0.3 * (1 - c.lambda_n) * 0.9, DomainLabel.RED1)
 
@@ -141,8 +141,16 @@ class TestCyan:
         assert report.details["analytic"]["violations"] == 1
         assert report.verdict == "FAIL"
 
+    def test_gamma_and_k_read_c_from_the_trials_ell(self):
+        # Both Cyan thresholds are taken at the c = ell / ln n of the
+        # trials' sample size: ell = 17 at n = 256 is c = 3.066, not 3.
+        report = run_lemma("cyan", {"cyan_n": 256, "trials": 20})
+        gamma, K = cyan_constants(256, report.params["ell"])
+        assert report.details["analytic"]["K"] == K
+        assert report.details["large_fraction_branch"]["gamma"] == gamma
+
     def test_expectation_grid_small_population(self):
-        result = cyan_expectation_check(512, delta=0.05, c_sample=3.0)
+        result = cyan_expectation_check(512, 0.05, math.ceil(3.0 * math.log(512)))
         assert result["violations"] == 0
         assert result["grid_points_checked"] > 0
         assert result["worst_margin"] > 0
@@ -151,15 +159,16 @@ class TestCyan:
     def test_expectation_grid_matches_pointwise_loop(self, n, delta):
         # The band labelled in one array call visits the same Cyan1
         # points as a loop over the band with the pointwise oracle.
-        c = AnalysisConstants.for_population(n, delta=delta, c_sample=3.0)
-        ell, log_n, reach = c.ell, math.log(n), math.ceil(delta * n)
+        c = AnalysisConstants.for_population(n, delta=delta)
+        ell, log_n, reach = math.ceil(3.0 * math.log(n)), math.log(n), math.ceil(delta * n)
+        _, K = cyan_constants(n, ell)
         margins = []
         for k_y in range(1, n // ell + 1):
             for k_t in range(max(0, k_y - reach), min(math.ceil(n / log_n) - 1, k_y + reach) + 1):
                 if domain_oracle((k_t / n, k_y / n), c) is DomainLabel.CYAN1:
                     g = expected_next_fraction(k_t / n, k_y / n, n, ell)
-                    margins.append(g - (c.K * (k_y / n) * log_n - 1.0 / n))
-        result = cyan_expectation_check(n, delta=delta, c_sample=3.0)
+                    margins.append(g - (K * (k_y / n) * log_n - 1.0 / n))
+        result = cyan_expectation_check(n, delta, ell)
         assert result["grid_points_checked"] == len(margins) > 0
         assert result["worst_margin"] == min(margins)
         assert result["violations"] == sum(m < 0 for m in margins)
@@ -172,7 +181,7 @@ class TestCyan:
         # pmf rows would need about 10 MB per table.
         tracemalloc.start()
         try:
-            result = cyan_expectation_check(4096, delta=0.05, c_sample=3.0)
+            result = cyan_expectation_check(4096, 0.05, 25)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -338,7 +347,9 @@ class TestTrialReductions:
         config = SimConfig(n=256, seed=5, max_rounds=1000)
         paths = split_paths(*run_trials(config, "cyan_corner", 40))
         bound = math.log(256) / math.log(math.log(256))
-        assert self._cyan_details(report) == cyan_oracle(paths, 256, config.constants(), bound)
+        gamma, _ = cyan_constants(256, config.ell)
+        expected = cyan_oracle(paths, 256, config.constants(), gamma, bound)
+        assert self._cyan_details(report) == expected
 
     def test_cyan_matches_oracle_on_wandering_paths(self, monkeypatch):
         # Paths that never enter Cyan1, stay in it, leave it late or into
@@ -349,7 +360,8 @@ class TestTrialReductions:
         report = run_lemma("cyan", {"cyan_n": n, "trials": trials})
         bound = math.log(n) / math.log(math.log(n))
         paths = split_paths(counts, lengths)
-        expected = cyan_oracle(paths, n, SimConfig(n=n).constants(), bound)
+        config = SimConfig(n=n)
+        expected = cyan_oracle(paths, n, config.constants(), cyan_constants(n, config.ell)[0], bound)
         assert 0 < expected["failures"] < trials
         assert len(expected["exit_label_tally"]) >= 3
         assert expected["next_fraction_above_half_after_first_crossing"] > 0

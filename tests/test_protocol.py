@@ -670,7 +670,7 @@ class TestRunTrial:
     def test_trajectory_pairs_labelled(self):
         config = SimConfig(n=128, c_sample=3.0, seed=12)
         counts, lengths = run_trials(config, "all_wrong_max_counters", 1)
-        domains, yellows = label_paths(counts, 128, config.delta, config.ell)
+        domains, yellows = label_paths(counts, 128, config.delta)
         assert counts[0] / 128 == pytest.approx(1 / 128)
         # One label per consecutive pair: every round but the last.
         assert len(domains) == len(yellows) == lengths[0] - 1
@@ -697,7 +697,7 @@ class TestRunTrial:
         config = SimConfig(n=2, ell=1)
         counts, lengths = run_trials(config, "all_wrong", 1)
         assert counts[-1] == 2
-        domains, yellows = label_paths(counts, 2, config.delta, config.ell)
+        domains, yellows = label_paths(counts, 2, config.delta)
         assert len(domains) == len(yellows) == lengths[0] - 1
         assert np.all(domains == DOMAINS.index(DomainLabel.UNCLASSIFIED))
         assert np.all(yellows == AREAS.index(YellowLabel.OUTSIDE))
@@ -798,7 +798,7 @@ class TestRunTrial:
         config = SimConfig(n=4096, c_sample=3.0, seed=17, backend="aggregate")
         trials = 100
         counts, lengths = run_trials(config, "cyan_corner", trials)
-        domains, _ = label_paths(counts, 4096, config.delta, config.ell)
+        domains, _ = label_paths(counts, 4096, config.delta)
         ends = np.cumsum(lengths)
         assert np.all(counts[ends - 1] == 4096)
         upward = [DOMAINS.index(d) for d in (DomainLabel.PURPLE1, DomainLabel.GREEN1)]
