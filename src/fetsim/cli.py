@@ -31,7 +31,7 @@ from . import __version__
 from .config import check_delta, parse_config_file
 from .domains import AREAS, DOMAINS, audit_partition, classify, classify_yellow, label_paths
 from .duel import exact_duel, hoeffding_duel_bound, underdog_lower_bound
-from .dynamics import AnalysisConstants, expected_next_fraction, fixed_point_f, flip_probs
+from .dynamics import expected_next_fraction, fixed_point_f, flip_probs
 from .errors import DomainError, FetsimError, UsageError
 from .harness import LEMMAS, POINT_FIELDS, SWEEP_FIELDS, _percentile, run_all, run_lemma
 from .protocol import SimConfig, run_trials
@@ -123,23 +123,23 @@ def _cmd_classify(args) -> int:
     for flag, value in (("--x", args.x), ("--y", args.y)):
         if not (math.isfinite(value) and 0.0 <= value <= 1.0):
             raise UsageError(f"{flag} must be a fraction in [0, 1], got {value!r}")
-    constants = AnalysisConstants.for_population(args.n, delta=args.delta)
+    # The nearest grid point, rounded as plant_pair rounds.
+    a, b = int(round(args.x * args.n)), int(round(args.y * args.n))
     _write_json(
         {
             "x_t": args.x,
             "x_t1": args.y,
             "n": args.n,
             "delta": args.delta,
-            "domain": DOMAINS[classify(args.x, args.y, constants)].value,
-            "yellow": AREAS[classify_yellow(args.x, args.y, constants)].value,
+            "domain": DOMAINS[classify(a, b, args.n, args.delta)].value,
+            "yellow": AREAS[classify_yellow(a, b, args.n, args.delta)].value,
         }
     )
     return 0
 
 
 def _cmd_audit(args) -> int:
-    constants = AnalysisConstants.for_population(args.n, delta=args.delta)
-    _write_json(audit_partition(constants), args.out)
+    _write_json(audit_partition(args.n, args.delta), args.out)
     if args.out:
         print(f"audit report written to {args.out}", file=sys.stderr)
     return 0

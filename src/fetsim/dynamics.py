@@ -32,7 +32,6 @@ from .duel import duels
 from .errors import DomainError
 
 __all__ = [
-    "AnalysisConstants",
     "FlipProbs",
     "cyan_constants",
     "expected_next_fraction",
@@ -57,37 +56,6 @@ class FlipProbs:
                 f"FlipProbs requires 0 <= p_gain_one <= p_keep_one <= 1, "
                 f"got gain={self.p_gain_one!r}, keep={self.p_keep_one!r}"
             )
-
-
-@dataclass(frozen=True)
-class AnalysisConstants:
-    """Constants of the domain partition at population size n.
-
-    delta is the margin of the partition and lambda_n the Red-area
-    shrink factor 1/(ln n)^(1/2+delta); for_population builds and checks
-    them.  The partition does not depend on the sample size: Cyan's
-    gamma and K come from cyan_constants.
-    """
-
-    n: int
-    delta: float
-    lambda_n: float
-
-    @classmethod
-    def for_population(cls, n: int, delta: float = 0.05) -> "AnalysisConstants":
-        """Build the constants for population size n >= 3 and delta in (0, 1/2)."""
-        if n < 3:
-            raise DomainError(
-                f"population size n must be >= 3 for the domain partition, which needs "
-                f"ln n > 1, got n = {n!r}"
-            )
-        if not 0.0 < delta < 0.5:
-            raise DomainError(f"delta must be in (0, 1/2), got {delta!r}")
-        return cls(n=n, delta=delta, lambda_n=1.0 / math.log(n) ** (0.5 + delta))
-
-    @property
-    def log_n(self) -> float:
-        return math.log(self.n)
 
 
 def cyan_constants(n: int, ell: int) -> tuple[float, float]:

@@ -53,8 +53,8 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .config import check_delta, check_number
-from .domains import AREAS, DOMAINS, DomainLabel, YellowLabel, classify, label_paths
-from .dynamics import DUEL_ALPHA, AnalysisConstants, cyan_constants, expected_next_fraction
+from .domains import AREAS, DOMAINS, DomainLabel, YellowLabel, classify, label_paths, lambda_n
+from .dynamics import DUEL_ALPHA, cyan_constants, expected_next_fraction
 from .errors import PlantingError, UsageError
 from .protocol import SimConfig, _preset_fraction, derive_rng, run_trials, step_aggregate
 
@@ -163,7 +163,8 @@ def _whp_threshold(n: int, trials: int, epsilon: float = 1.0) -> float:
 
 
 def plant_pair(
-    constants: AnalysisConstants,
+    n: int,
+    delta: float,
     x: float,
     y: float,
     expected: DomainLabel,
@@ -173,13 +174,12 @@ def plant_pair(
     Guards against (n, delta) combinations where the target domain is
     empty or the rounding crossed a boundary.
     """
-    n = constants.n
     k_x, k_y = int(round(x * n)), int(round(y * n))
-    got = DOMAINS[classify(k_x / n, k_y / n, constants)]
+    got = DOMAINS[classify(k_x, k_y, n, delta)]
     if got != expected:
         raise PlantingError(
             f"planted point ({k_x}/{n}, {k_y}/{n}) classifies as {got.value}, "
-            f"expected {expected.value} (delta={constants.delta}): "
+            f"expected {expected.value} (delta={delta}): "
             "the target domain may be empty at these parameters"
         )
     return k_x, k_y
@@ -224,11 +224,11 @@ def _planted_rows(
     counts, the classify positions of the last pairs and the
     rounds taken.
     """
-    n, constants = config.n, config.constants()
+    n, delta = config.n, config.delta
     stay = [DOMAINS.index(label) for label in stay]
     rows = []
     for x, y, label in planted:
-        k_x, k_y = plant_pair(constants, x, y, label)
+        k_x, k_y = plant_pair(n, delta, x, y, label)
         rng = derive_rng(config.seed, lemma, k_x, k_y)
         k_t, k_t1 = np.full(trials, k_x), np.full(trials, k_y)
         current = np.full(trials, DOMAINS.index(label))
@@ -237,7 +237,7 @@ def _planted_rows(
         while live.size:
             k_next = step_aggregate(k_t[live], k_t1[live], config, rng)
             k_t[live], k_t1[live] = k_t1[live], k_next
-            current[live] = classify(k_t[live] / n, k_next / n, constants)
+            current[live] = classify(k_t[live], k_next, n, delta)
             rounds[live] += 1
             live = live[np.isin(current[live], stay) & (rounds[live] < cap)]
         failures = int(failed(label, k_t1, current, rounds).sum())
@@ -326,7 +326,7 @@ def _verify_purple(
 
     planted = _planted("purple", n, delta)
     rows = _planted_rows("purple", config, trials, planted, _whp_threshold(n, trials), failed)
-    return _point_params(config, trials, lambda_n=config.constants().lambda_n), rows, {}, True
+    return _point_params(config, trials, lambda_n=lambda_n(n, delta)), rows, {}, True
 
 
 def _verify_red(
@@ -356,8 +356,7 @@ def _verify_red(
     rows = _planted_rows(
         "red", config, trials, planted, 0.0, failed, stay=red, cap=10 * math.ceil(bound)
     )
-    lambda_n = config.constants().lambda_n
-    params = _point_params(config, trials, exit_round_bound=bound, lambda_n=lambda_n)
+    params = _point_params(config, trials, exit_round_bound=bound, lambda_n=lambda_n(n, delta))
     return params, rows, {"exit_label_tally": dict(exit_tally)}, True
 
 
@@ -371,7 +370,6 @@ def cyan_expectation_check(n: int, delta: float, ell: int) -> dict:
     Returns counts and the worst margin; zero violations expected.
     Memory is that of a few arrays over the (k_t, k_y) box.
     """
-    constants = AnalysisConstants.for_population(n, delta=delta)
     _, K = cyan_constants(n, ell)
     log_n = math.log(n)
     k_t = np.arange(math.ceil(n / log_n))  # x_t < 1/ln n
@@ -379,7 +377,7 @@ def cyan_expectation_check(n: int, delta: float, ell: int) -> dict:
     # The whole (k_t, k_y) box is labelled in one classify call and its
     # g computed in one broadcast call; Cyan1's |x_{t+1} - x_t| < delta
     # keeps only the diagonal band.
-    cyan = classify(k_t[:, None] / n, k_y / n, constants) == DOMAINS.index(DomainLabel.CYAN1)
+    cyan = classify(k_t[:, None], k_y, n, delta) == DOMAINS.index(DomainLabel.CYAN1)
     g = expected_next_fraction(k_t[:, None] / n, k_y / n, n, ell)
     margins = (g - (K * (k_y / n) * log_n - 1.0 / n))[cyan]
     violations = int((margins < 0).sum())
@@ -690,7 +688,12 @@ def _lemma_kwargs(lemma: str, settings: dict) -> dict:
     _check(**{key: value for key, value in args.items() if value is not None})
     if lemma in ("green", "purple"):
         # ceil((2/delta^2) ln n): Green's least ell and Purple's default.
-        needed = math.ceil((2.0 / args["delta"] ** 2) * math.log(args["n"]))
+        square = args["delta"] ** 2
+        needed = (2.0 / square) * math.log(args["n"]) if square else math.inf
+        if needed == math.inf:  # delta^2 underflowed, or the quotient overflowed
+            raise UsageError(f"{lemma} needs ell >= (2/delta^2) ln n, which is infinite "
+                             f"at delta = {args['delta']!r}")
+        needed = math.ceil(needed)
         args["ell"] = ell = needed if args["ell"] is None else args["ell"]
     # The joint limits (ell <= n; n >= 3 for the partition; Cyan's positive
     # gamma and K) through the SimConfig of every size the lemma simulates.
@@ -698,14 +701,14 @@ def _lemma_kwargs(lemma: str, settings: dict) -> dict:
         config = SimConfig(n=n, ell=args.get("ell"), c_sample=args.get("c_sample", 3.0),
                            delta=args["delta"], seed=args["seed"])
         if lemma != "convergence":
-            constants = config.constants()
+            lambda_n(n, args["delta"])
         if lemma == "cyan":
             cyan_constants(n, config.ell)
     if lemma == "green" and ell < needed:
         raise UsageError(f"green needs ell >= (2/delta^2) ln n = {needed}, got {ell}")
     if lemma in ("green", "purple", "red"):
         for x, y, label in _planted(lemma, args["n"], args["delta"]):
-            plant_pair(constants, x, y, label)
+            plant_pair(args["n"], args["delta"], x, y, label)
     return args
 
 

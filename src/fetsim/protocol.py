@@ -59,7 +59,6 @@ from numpy.random import Generator, Philox
 
 from .config import check_delta, check_number
 from .duel import _duel_table, _pair_duels
-from .dynamics import AnalysisConstants
 from .errors import DomainError, UsageError
 
 __all__ = [
@@ -129,7 +128,9 @@ class SimConfig:
         if self.n < 2:
             raise UsageError(f"population size must be >= 2, got {self.n}")
         if self.ell is None:
-            self.ell = math.ceil(self.c_sample * math.log(self.n))
+            ell = self.c_sample * math.log(self.n)
+            # A huge c_sample gives inf, which has no ceiling and fails the range check.
+            self.ell = math.ceil(ell) if math.isfinite(ell) else ell
         if not 1 <= self.ell <= self.n:
             raise UsageError(f"need 1 <= ell <= n, got ell={self.ell}, n={self.n}")
         if self.max_rounds < 1:
@@ -145,9 +146,6 @@ class SimConfig:
                 "variant 'naive' needs backend 'agent': the aggregate backend "
                 "only implements FET rounds"
             )
-
-    def constants(self) -> AnalysisConstants:
-        return AnalysisConstants.for_population(self.n, delta=self.delta)
 
 
 def step_agent_level(

@@ -39,7 +39,7 @@ from scipy.special import gammaln
 
 from fetsim.domains import DomainLabel, YellowLabel, _domain_tests, _in_box, _yellow_area_tests
 from fetsim.duel import DuelProbs, _binomial_pmf_rows, _check_count, _check_prob, duels
-from fetsim.dynamics import AnalysisConstants, flip_probs
+from fetsim.dynamics import flip_probs
 from fetsim.errors import DomainError
 from fetsim.markov import PRUNE_THRESHOLD, Kernel
 from fetsim.protocol import SimConfig, _populations, _preset_counts
@@ -250,7 +250,7 @@ def split_paths(counts: np.ndarray, lengths: np.ndarray) -> list[list[int]]:
     return [path.tolist() for path in np.split(counts, np.cumsum(lengths)[:-1])]
 
 
-def cyan_oracle(paths, n: int, constants: AnalysisConstants, gamma: float, bound: float) -> dict:
+def cyan_oracle(paths, n: int, delta: float, gamma: float, bound: float) -> dict:
     """Cyan's escape search and gamma branch, one trial and one pair at a time.
 
     A trial fails unless it enters Cyan1, then leaves it within bound
@@ -263,7 +263,7 @@ def cyan_oracle(paths, n: int, constants: AnalysisConstants, gamma: float, bound
     gamma_crossed = 0
     gamma_then_above_half = 0
     for counts in paths:
-        labels = [domain_oracle((a / n, b / n), constants) for a, b in zip(counts, counts[1:])]
+        labels = [domain_oracle((a, b), n, delta) for a, b in zip(counts, counts[1:])]
         t0 = next((i for i, lab in enumerate(labels) if lab is DomainLabel.CYAN1), None)
         if t0 is None:
             failures += 1
@@ -294,14 +294,14 @@ def cyan_oracle(paths, n: int, constants: AnalysisConstants, gamma: float, bound
     }
 
 
-def yellow_oracle(paths, n: int, constants: AnalysisConstants, max_rounds: int):
+def yellow_oracle(paths, n: int, delta: float, max_rounds: int):
     """Yellow's per-trial escape times and longest B runs, pair by pair.
 
     A trial that never leaves Yellow' gets escape time max_rounds.
     """
     escapes, b_dwells = [], []
     for counts in paths:
-        yellows = [area_oracle((a / n, b / n), constants) for a, b in zip(counts, counts[1:])]
+        yellows = [area_oracle((a, b), n, delta) for a, b in zip(counts, counts[1:])]
         esc = next((i for i, lab in enumerate(yellows) if lab is YellowLabel.OUTSIDE), None)
         escapes.append(max_rounds if esc is None else esc)
         longest = current = 0
@@ -372,36 +372,37 @@ def on_grid(point: tuple[float, float], n: int, tol: float = 1e-12) -> bool:
     return all(abs(x * n - round(x * n)) <= tol * n for x in point)
 
 
-def matching_domains(point, constants: AnalysisConstants) -> list[DomainLabel]:
-    """All domain definitions a point (x_t, x_{t+1}) satisfies, in precedence order."""
-    x, y = map(float, point)
-    return [label for label, hit in zip(DomainLabel, _domain_tests(x, y, constants)) if hit]
+def matching_domains(point, n: int, delta: float) -> list[DomainLabel]:
+    """All domain definitions the counts (k_t, k_{t+1}) satisfy, in precedence order."""
+    a, b = map(int, point)
+    return [label for label, hit in zip(DomainLabel, _domain_tests(a, b, n, delta)) if hit]
 
 
-def domain_oracle(point, constants: AnalysisConstants) -> DomainLabel:
-    """The first domain definition a point satisfies, else Unclassified."""
-    return next(iter(matching_domains(point, constants)), DomainLabel.UNCLASSIFIED)
+def domain_oracle(point, n: int, delta: float) -> DomainLabel:
+    """The first domain definition the counts satisfy, else Unclassified."""
+    return next(iter(matching_domains(point, n, delta)), DomainLabel.UNCLASSIFIED)
 
 
-def in_yellow_prime(point, constants: AnalysisConstants) -> bool:
-    """Membership in the square box Yellow' = [1/2-4d, 1/2+4d]^2."""
-    x, y = map(float, point)
-    return _in_box(x, y, constants)
+def in_yellow_prime(point, n: int, delta: float) -> bool:
+    """Membership of the counts in the square box Yellow' = [1/2-4d, 1/2+4d]^2."""
+    a, b = map(int, point)
+    return _in_box(a, b, n, delta)
 
 
-def area_oracle(point, constants: AnalysisConstants) -> YellowLabel:
-    """The first A/B/C definition a point of Yellow' satisfies, else OutsideYellowPrime.
+def area_oracle(point, n: int, delta: float) -> YellowLabel:
+    """The first A/B/C definition the counts of a point of Yellow' satisfy, else
+    OutsideYellowPrime.
 
     The six definitions tile the box, so a box point that matches none
     is an error.
     """
-    x, y = map(float, point)
-    if not _in_box(x, y, constants):
+    a, b = map(int, point)
+    if not _in_box(a, b, n, delta):
         return YellowLabel.OUTSIDE
-    for label, hit in zip(YellowLabel, _yellow_area_tests(x, y)):
+    for label, hit in zip(YellowLabel, _yellow_area_tests(a, b, n)):
         if hit:
             return label
-    raise AssertionError(f"point {(x, y)} in Yellow' matched no A/B/C area")
+    raise AssertionError(f"counts {(a, b)} in Yellow' matched no A/B/C area")
 
 
 _MIRROR = {

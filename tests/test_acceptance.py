@@ -16,7 +16,6 @@ from fetsim.cli import main as cli_main
 from fetsim.domains import DOMAINS, DomainLabel, audit_partition, classify
 from fetsim.duel import exact_duel, hoeffding_duel_bound, underdog_lower_bound
 from fetsim.dynamics import (
-    AnalysisConstants,
     expected_next_fraction,
     fixed_point_f,
     flip_probs,
@@ -112,12 +111,11 @@ def test_criterion_1_backend_equivalence():
     """Agent-level and aggregate one-round laws agree: TV < 0.02 and
     both means within 3 binomial SE of the expectation map."""
     n, ell, trials = N1, ELL1, TRIALS1
-    constants = AnalysisConstants.for_population(n, delta=0.05)
     domains_seen = set()
     worst_tv = 0.0
     ok = True
     for a, b in PAIR_STATES:
-        domains_seen.add(DOMAINS[classify(a / n, b / n, constants)].value)
+        domains_seen.add(DOMAINS[classify(a, b, n, 0.05)].value)
         agent = _agent_one_round_counts(n, ell, a, b, trials, SEED)
         agg = _aggregate_one_round_counts(n, ell, a, b, trials, SEED)
         h1 = np.bincount(agent, minlength=n + 1) / trials
@@ -407,8 +405,7 @@ def test_criterion_8_partition_audit():
     """Audit completes at n=128, delta=0.05; the absorbing corner and
     the cyan corner are covered and correctly labelled."""
     n = 128
-    constants = AnalysisConstants.for_population(n, delta=0.05)
-    report = audit_partition(constants)
+    report = audit_partition(n, 0.05)
     corners_ok = (
         report["corner_absorbing_label"] == DomainLabel.CYAN0.value
         and report["corner_cyan_label"] == DomainLabel.CYAN1.value

@@ -19,7 +19,7 @@ import fetsim
 from fetsim import harness
 from fetsim.cli import build_parser, main
 from fetsim.config import parse_config_file, parse_value
-from fetsim.domains import DOMAINS, DomainLabel, label_paths
+from fetsim.domains import AREAS, DOMAINS, DomainLabel, classify, classify_yellow, label_paths
 from fetsim.errors import UsageError
 from fetsim.markov import absorption_times, build_kernel
 from fetsim.protocol import SimConfig
@@ -225,6 +225,24 @@ class TestClassifyCommand:
         assert payload["domain"] == "Yellow"
         assert payload["yellow"] == "A1"
 
+    def test_labels_the_nearest_grid_point(self, capsys):
+        # At n = 100 these k give (k/n) * n != k in floats; the command
+        # still prints the label of the grid point (k_x, k_y), as the
+        # classifiers give it on the audit's whole grid.
+        n, delta = 100, 0.05
+        inexact = [k for k in range(n + 1) if (k / n) * n != k]
+        assert inexact == [7, 14, 28, 29, 55, 56, 57, 58]
+        k = np.arange(n + 1)
+        domains = classify(k[:, None], k[None, :], n, delta)
+        areas = classify_yellow(k[:, None], k[None, :], n, delta)
+        for kx in inexact:
+            for ky in inexact:
+                _, out, _ = run_cli(capsys, "classify", "--x", repr(kx / n), "--y", repr(ky / n),
+                                    "--n", str(n))
+                payload = json.loads(out)
+                assert payload["domain"] == DOMAINS[domains[kx, ky]].value
+                assert payload["yellow"] == AREAS[areas[kx, ky]].value
+
     @pytest.mark.parametrize(
         "flag, value",
         [("--x", "nan"), ("--x", "1.5"), ("--y", "inf"), ("--y", "-0.1")],
@@ -378,13 +396,15 @@ class TestSimulateCommand:
             ("n = 64\nc_sample = abc", "c_sample must be a real number"),
             ("n = 64\nc_sample = nan", "c_sample must be finite"),
             ("n = 64\nc_sample = inf", "c_sample must be finite"),
+            # c_sample * ln n overflows to inf, which has no ceiling.
+            ("n = 1000000\nc_sample = 1e308", "need 1 <= ell <= n, got ell=inf, n=1000000"),
             ("n = 64\nmax_rounds = 2.5", "max_rounds must be an integer"),
             ("n = 64\nsource_opinion = one", "source_opinion must be an integer"),
             ("n = 64\nbackned = agent", "backned"),
             ("n = 64\nn = 128", "key 'n' is given twice, on lines 1 and 2"),
         ],
         ids=["n_float", "ell_float", "seed_str", "delta_str", "delta_range", "c_sample_str",
-             "c_sample_nan", "c_sample_inf", "max_rounds_float", "source_str", "unknown_key",
+             "c_sample_nan", "c_sample_inf", "ell_overflows", "max_rounds_float", "source_str", "unknown_key",
              "repeated_key"],
     )
     def test_bad_config_is_usage_error(self, capsys, tmp_path, lines, needle):
@@ -608,6 +628,7 @@ class TestImportDiet:
 # The error of Green's ell precondition, matched from the line's start so
 # that it names the lemma, and that of Red's first planted pair.
 _GREEN_ELL = "error: green needs ell >= (2/delta^2) ln n = 416, got 100"
+_INFINITE_ELL = "error: {} needs ell >= (2/delta^2) ln n, which is infinite at delta = {}"
 _RED_PLANTING = (
     "planted point (1475/8192, 983/8192) classifies as Yellow, expected Red1 (delta=0.2): "
     "the target domain may be empty at these parameters"
@@ -729,6 +750,11 @@ class TestVerifyCommand:
             # later lemma's fault.
             ("all", "green_ell = 100\nconvergence_trials = 0", _GREEN_ELL),
             ("all", "red_delta = 0.2\nconvergence_trials = 0", _RED_PLANTING),
+            # A derived ell with no finite value: 2/delta^2 or c_sample * ln n is inf.
+            ("green", "green_delta = 1e-200", _INFINITE_ELL.format("green", "1e-200")),
+            ("green", "green_delta = 1e-160", _INFINITE_ELL.format("green", "1e-160")),
+            ("purple", "purple_delta = 1e-200", _INFINITE_ELL.format("purple", "1e-200")),
+            ("red", "red_c_sample = 1e308", "need 1 <= ell <= n, got ell=inf, n=8192"),
         ] + [(lemma, line, needle) for _, own, line, needle in _JOINT_LIMITS
              for lemma in ("all", own)],
         ids=["purple_ell_str", "purple_ell_zero", "cyan_epsilon_str", "cyan_epsilon_negative",
@@ -737,7 +763,9 @@ class TestVerifyCommand:
              "convergence_fraction_out_of_range", "convergence_repeated_preset",
              "convergence_number_preset", "green_ell_below_one_round",
              "all_green_ell_below_one_round", "all_green_ell_before_later_fault",
-             "all_red_planting_before_later_fault"] + [
+             "all_red_planting_before_later_fault", "green_delta_squared_underflows",
+             "green_quotient_overflows", "purple_delta_squared_underflows",
+             "red_c_sample_overflows"] + [
             f"{'all_' if lemma == 'all' else ''}{own}_{name}"
             for name, own, _, _ in _JOINT_LIMITS for lemma in ("all", own)],
     )
@@ -751,10 +779,13 @@ class TestVerifyCommand:
         monkeypatch.setattr(harness, "step_aggregate", no_trials)
         cfg = tmp_path / "verify.cfg"
         cfg.write_text(line + "\n")
-        code, out, err = run_cli(capsys, "verify", "--lemma", lemma, "--config", str(cfg))
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error:") and needle in err
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(capsys, "verify", "--lemma", lemma, "--config", str(cfg),
+                                 "--out", str(out_dir))
+        assert (code, out) == (2, "")
+        (error,) = err.splitlines()
+        assert error.startswith("error:") and needle in error
+        assert not out_dir.exists()
 
     def test_suite_prints_runtime_and_trial_cells_per_lemma(self, capsys, tmp_path):
         # Yellow's sweep is convergence's yellow_center cells, so
@@ -1087,11 +1118,11 @@ _OUTPUT_DIGESTS = {
         "trial_2.csv": "bf16140dd470bd48232a5c6feebea5e312666a450e93473f250c1232c14a3dc2",
     }),
     ("audit", "--n", "16", "--out", "{out}/audit.json"): (0, {
-        "audit.json": "908a8e2153a19290f41f34efbc3f294a03cfba2d55a9a094f9914a09a57f06d0",
+        "audit.json": "4f72e7865895572f3a8bd738548a4dfd7c5504b61517675afc7adbe029420a24",
     }),
-    # n = 200 has uncovered points (and a reflection-asymmetric gap set).
+    # The float partition left 7 points uncovered at n = 200; on counts none is.
     ("audit", "--n", "200", "--delta", "0.05", "--out", "{out}/audit.json"): (0, {
-        "audit.json": "6aea4f8e3bb629aa805e29fd9b2b9bfd9f4c57f506205cc58bf36ea4bbdc9811",
+        "audit.json": "c2024c92c79c830b51d5496f9c4adc8d26aec2f3a0dff6c319e7dad3d4c42b93",
     }),
     ("chain", "--n", "8", "--ell", "4", "--out", "{out}/chain.json"): (0, {
         "chain.json": "58da6b1ff16762a78577e648b49c86365d51590120544cfa6b109c2a246d9ad9",
@@ -1118,8 +1149,8 @@ _CLASSIFY_DIGESTS = {
         "7ee76e9ed06438691b5d5140ea1d75e333fe0ba775e39cce54371ff2bcf17b0f",
     ("--x", "1", "--y", "1", "--n", "128"):  # Cyan0, OutsideYellowPrime
         "402402fff6aceff72228b87d6b91b4fd9b020bda2d7886a0726bbba8c2c323ac",
-    ("--x", "0.065", "--y", "0.015", "--n", "200"):  # Unclassified, OutsideYellowPrime
-        "e9311c5702069b10f83836191e886ae2eeedd650a71291363d846747ea13b67d",
+    ("--x", "0.065", "--y", "0.015", "--n", "200"):  # Green0 (b - a = -delta n), OutsideYellowPrime
+        "6ede9092a502974c4555415db008fad093e13947723c1e74f2e3ba40229022f1",
     ("--x", "0.5", "--y", "0.5", "--n", "128", "--delta", "0.1"):  # Yellow, A1
         "1b0d4096679e4a1de540fa65df7bb4150d8878ba784fafce3e939c50132dbf46",
     ("--x", "0.52", "--y", "0.45", "--n", "128", "--delta", "0.1"):  # Yellow, A0

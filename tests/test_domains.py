@@ -19,142 +19,124 @@ from fetsim.domains import (
     DOMAINS,
     DomainLabel,
     YellowLabel,
+    _domain_tests,
+    _in_box,
+    _yellow_area_tests,
     audit_partition,
     classify,
     classify_yellow,
     label_paths,
+    lambda_n,
 )
-from fetsim.dynamics import AnalysisConstants
 from fetsim.errors import UsageError
 
-# The uncovered grid points at (n, delta) = (200, 0.05): each lies on
-# x_{t+1} = x_t - delta, outside Yellow's x-band, so no definition holds.
-GAPS_200 = [[13, 3], [16, 6], [17, 7], [19, 9], [20, 10], [22, 12], [36, 26]]
+# The points at (n, delta) = (200, 0.05) that the float partition left
+# uncovered: each lies on x_{t+1} = x_t - delta, which delta * n = 10
+# (exactly, in floats) puts in Green0.
+FORMER_GAPS_200 = [[13, 3], [16, 6], [17, 7], [19, 9], [20, 10], [22, 12], [36, 26]]
 
 
-def consts(n, delta=0.05):
-    return AnalysisConstants.for_population(n, delta=delta)
+def domain(point, n, delta=0.05):
+    """The domain of the counts (k_t, k_{t+1}) through the classifier's int path."""
+    return DOMAINS[classify(*point, n, delta)]
 
 
-def domain(point, c):
-    """The domain of one point (x_t, x_{t+1}) through the classifier's float path."""
-    return DOMAINS[classify(*point, c)]
-
-
-def area(point, c):
-    """The Yellow' area of one point through the classifier's float path."""
-    return AREAS[classify_yellow(*point, c)]
+def area(point, n, delta=0.05):
+    """The Yellow' area of the counts (k_t, k_{t+1}) through the classifier's int path."""
+    return AREAS[classify_yellow(*point, n, delta)]
 
 
 def grid(n):
-    """The (n+1) x (n+1) fractions x_t, x_{t+1}, indexed [k_x, k_y]."""
-    frac = np.arange(n + 1) / n
-    return np.meshgrid(frac, frac, indexing="ij")
+    """The (n+1) x (n+1) counts k_t, k_{t+1}, indexed [k_x, k_y]."""
+    k = np.arange(n + 1)
+    return np.meshgrid(k, k, indexing="ij")
 
 
 class TestClassify:
     def test_green_by_margin(self):
-        c = consts(128, delta=0.1)
-        assert domain((0.2, 0.5), c) is DomainLabel.GREEN1
+        assert domain((26, 64), 128, delta=0.1) is DomainLabel.GREEN1
 
     def test_green_mirror(self):
-        c = consts(128, delta=0.1)
-        assert domain((0.8, 0.5), c) is DomainLabel.GREEN0
+        assert domain((102, 64), 128, delta=0.1) is DomainLabel.GREEN0
 
     def test_cyan_corner(self):
         for n in (64, 128, 512):
-            c = consts(n)
-            assert domain((1.0 / n, 1.0 / n), c) is DomainLabel.CYAN1
+            assert domain((1, 1), n) is DomainLabel.CYAN1
 
     def test_cyan_needs_only_one_coordinate_below_threshold(self):
-        # min(x_t, x_{t+1}) < 1/ln n: here x_t = 0.1875 < 0.206 < x_{t+1}.
+        # min(k_t, k_{t+1}) < n/ln n: here k_t = 24 < 26.38 < k_{t+1}.
         n = 128
-        c = consts(n)
-        assert domain((24 / n, 28 / n), c) is DomainLabel.CYAN1
-        assert domain((1 - 24 / n, 1 - 28 / n), c) is DomainLabel.CYAN0
+        assert domain((24, 28), n) is DomainLabel.CYAN1
+        assert domain((n - 24, n - 28), n) is DomainLabel.CYAN0
 
     def test_absorbing_corner_is_mirrored_cyan(self):
-        c = consts(128)
-        assert domain((1.0, 1.0), c) is DomainLabel.CYAN0
+        assert domain((128, 128), 128) is DomainLabel.CYAN0
 
     def test_purple_band(self):
-        c = consts(4096, delta=0.1)
-        x = 0.15
-        y = (1 - c.lambda_n) * x + 0.01
-        assert domain((x, y), c) is DomainLabel.PURPLE1
-        assert domain((1 - x, 1 - y), c) is DomainLabel.PURPLE0
+        n, delta, a = 4096, 0.1, 614
+        b = round((1 - lambda_n(n, delta)) * a + 0.01 * n)
+        assert domain((a, b), n, delta) is DomainLabel.PURPLE1
+        assert domain((n - a, n - b), n, delta) is DomainLabel.PURPLE0
 
     def test_red_band(self):
-        c = consts(8192, delta=0.1)
-        assert domain((0.18, 0.12), c) is DomainLabel.RED1
-        assert domain((0.82, 0.88), c) is DomainLabel.RED0
+        n = 8192
+        assert domain((1475, 983), n, delta=0.1) is DomainLabel.RED1
+        assert domain((n - 1475, n - 983), n, delta=0.1) is DomainLabel.RED0
 
     def test_yellow_centre(self):
-        c = consts(128)
-        assert domain((0.5, 0.5), c) is DomainLabel.YELLOW
+        assert domain((64, 64), 128) is DomainLabel.YELLOW
 
-    def test_unclassified_exists_and_is_counted(self):
-        # Diagonal points just below Yellow's x-band fall through every
-        # definition at n = 200, on the float and on the array path.
+    def test_former_float_gaps_are_green0(self):
+        # The float partition left these points uncovered, on the float
+        # and on the array path; on counts b - a = -10 meets -delta * n.
         n = 200
-        c = consts(n)
-        report = audit_partition(c)
-        assert report["uncovered"] == GAPS_200
-        kx, ky = np.array(GAPS_200).T
-        assert classify(kx / n, ky / n, c).tolist() == [len(DOMAINS) - 1] * len(GAPS_200)
-        for kx, ky in GAPS_200:
-            assert domain((kx / n, ky / n), c) is DomainLabel.UNCLASSIFIED
-            assert domain_oracle((kx / n, ky / n), c) is DomainLabel.UNCLASSIFIED
+        report = audit_partition(n, 0.05)
+        assert report["uncovered"] == [] and report["uncovered_count"] == 0
+        assert report["label_histogram"]["Unclassified"] == 0
+        kx, ky = np.array(FORMER_GAPS_200).T
+        green0 = DOMAINS.index(DomainLabel.GREEN0)
+        assert classify(kx, ky, n, 0.05).tolist() == [green0] * len(FORMER_GAPS_200)
+        for point in FORMER_GAPS_200:
+            assert domain(point, n) is domain_oracle(point, n, 0.05) is DomainLabel.GREEN0
 
     @settings(max_examples=300, deadline=None)
     @given(kx=st.integers(0, 128), ky=st.integers(0, 128))
     def test_reflection_symmetry(self, kx, ky):
         n = 128
-        c = consts(n)
-        point = (kx / n, ky / n)
-        mirror = (1.0 - kx / n, 1.0 - ky / n)
-        assert domain(point, c) is mirrored_label(domain(mirror, c))
+        assert domain((kx, ky), n) is mirrored_label(domain((n - kx, n - ky), n))
 
 
 class TestClassifyYellow:
     def test_centre_point(self):
-        c = consts(128, delta=0.1)
-        assert area((0.5, 0.5), c) is YellowLabel.A1
+        assert area((64, 64), 128, delta=0.1) is YellowLabel.A1
 
     def test_b_area(self):
-        c = consts(128, delta=0.1)
-        assert area((0.52, 0.53), c) is YellowLabel.B1
+        assert area((67, 68), 128, delta=0.1) is YellowLabel.B1
 
     def test_c_area(self):
-        c = consts(128, delta=0.1)
-        assert area((0.45, 0.47), c) is YellowLabel.C1
+        assert area((58, 60), 128, delta=0.1) is YellowLabel.C1
 
     def test_outside_box(self):
-        c = consts(128, delta=0.05)
-        assert area((0.2, 0.5), c) is YellowLabel.OUTSIDE
-        assert area((0.5, 0.71), c) is YellowLabel.OUTSIDE
+        assert area((26, 64), 128) is YellowLabel.OUTSIDE
+        assert area((64, 91), 128) is YellowLabel.OUTSIDE
 
     @settings(max_examples=300, deadline=None)
-    @given(
-        x=st.floats(0.301, 0.699),
-        y=st.floats(0.301, 0.699),
-    )
-    def test_box_always_labelled(self, x, y):
-        # Every point of Yellow' gets exactly one A/B/C label.
-        c = consts(128, delta=0.05)
-        assert in_yellow_prime((x, y), c)
-        assert area((x, y), c) is not YellowLabel.OUTSIDE
-        assert area((x, y), c) is area_oracle((x, y), c)
+    @given(kx=st.integers(39, 89), ky=st.integers(39, 89))
+    def test_box_always_labelled(self, kx, ky):
+        # Every point of Yellow' (counts 38.4 ... 89.6 at n = 128) gets
+        # exactly one A/B/C label.
+        assert in_yellow_prime((kx, ky), 128, 0.05)
+        assert area((kx, ky), 128) is not YellowLabel.OUTSIDE
+        assert area((kx, ky), 128) is area_oracle((kx, ky), 128, 0.05)
 
     def test_yellow_subset_of_box(self):
         # Yellow (domain) is contained in Yellow' (box) for every tested size.
         for n in (64, 128):
             for delta in (0.05, 0.1):
-                c = consts(n, delta=delta)
                 x, y = grid(n)
-                yellow = classify(x, y, c) == DOMAINS.index(DomainLabel.YELLOW)
+                yellow = classify(x, y, n, delta) == DOMAINS.index(DomainLabel.YELLOW)
                 assert yellow.any()
-                assert all(in_yellow_prime(point, c) for point in zip(x[yellow], y[yellow]))
+                assert all(in_yellow_prime(point, n, delta) for point in zip(x[yellow], y[yellow]))
 
 
 class TestGridPoint:
@@ -170,22 +152,19 @@ class TestGridPoint:
         assert x_t1 == pytest.approx(0.3, abs=1e-15)
 
     def test_classify_accepts_gridpoint(self):
-        c = consts(128)
-        assert domain((0.5, 0.5), c) is DomainLabel.YELLOW
-        assert classify(np.float64(0.5), np.float64(0.5), c) == DOMAINS.index(DomainLabel.YELLOW)
+        assert domain((64, 64), 128) is DomainLabel.YELLOW
+        assert classify(np.int64(64), np.int64(64), 128, 0.05) == DOMAINS.index(DomainLabel.YELLOW)
 
 
 class TestAudit:
     def test_smoke_small(self):
-        c = consts(8)
-        report = audit_partition(c)
+        report = audit_partition(8, 0.05)
         assert report["total_points"] == 81
         assert sum(report["label_histogram"].values()) == 81
-        assert report["yellow_reading"]
+        assert report["yellow_reading"] and report["threshold_reading"]
 
     def test_corners_covered_and_labelled(self):
-        c = consts(64)
-        report = audit_partition(c)
+        report = audit_partition(64, 0.05)
         assert report["corner_absorbing_label"] == "Cyan0"
         assert report["corner_cyan_label"] == "Cyan1"
         # Entries are [k_x, k_y] lists: a tuple is never among them.
@@ -194,60 +173,63 @@ class TestAudit:
 
     def test_match_counts_consistent(self):
         n = 200
-        c = consts(n)
-        report = audit_partition(c)
-        assert report["match_counts"] == {"0": 7, "1": 39526, "2": 868}
+        report = audit_partition(n, 0.05)
+        assert report["match_counts"] == {"1": 39555, "2": 846}
         assert sum(report["match_counts"].values()) == (n + 1) ** 2
-        assert report["match_counts"]["0"] == report["uncovered_count"] == len(GAPS_200)
+        assert report["uncovered_count"] == 0
         multi = sum(v for k, v in report["match_counts"].items() if int(k) >= 2)
         assert multi == report["multiply_covered_count"]
 
     def test_mirrored_coverage(self):
         for n in (32, 64):
-            report = audit_partition(consts(n))
+            report = audit_partition(n, 0.05)
             assert report["mirror_symmetric"]
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="each 0-variant is tested at 1.0 - k/n, which rounding does not always "
-        "make (n - k)/n: the gap (13, 3) is uncovered but its mirror (187, 197) is Cyan0",
-    )
-    def test_mirrored_coverage_with_gaps(self):
-        assert audit_partition(consts(200))["mirror_symmetric"]
+    def test_full_coverage_and_exact_mirrors_over_a_scan(self):
+        # Every grid point matches a definition, and each definition at
+        # (a, b) is its mirror's at (n - a, n - b): Yellow and each A/B/C
+        # pair, Yellow' and the 1- and 0-variants of each domain.
+        for n in range(3, 301):
+            x, y = np.arange(n + 1)[:, None], np.arange(n + 1)[None, :]
+            for delta in (0.05, 0.1, 0.2):
+                tests = _domain_tests(x, y, n, delta)
+                assert np.any(tests, axis=0).all(), (n, delta)
+                areas = _yellow_area_tests(x, y, n) + (_in_box(x, y, n, delta),) * 2
+                pairs = list(zip(tests[:8:2], tests[1:8:2])) + [(tests[8], tests[8])]
+                pairs += list(zip(areas[::2], areas[1::2]))
+                for one, zero in pairs:
+                    assert np.array_equal(one, zero[::-1, ::-1]), (n, delta)
 
     def test_agrees_with_pointwise_classifier(self):
         # The classifiers on whole grids agree at every grid point with
         # the oracles, which loop over the definitions one float point
         # at a time, and the audit's histogram counts the same labels.
         for n, delta in [(32, 0.05), (64, 0.05), (128, 0.1), (97, 0.2), (200, 0.05)]:
-            c = consts(n, delta=delta)
             x, y = grid(n)
-            domains, areas = classify(x, y, c), classify_yellow(x, y, c)
+            domains, areas = classify(x, y, n, delta), classify_yellow(x, y, n, delta)
             histogram = dict.fromkeys((label.value for label in DomainLabel), 0)
             for kx in range(n + 1):
                 for ky in range(n + 1):
-                    point = (kx / n, ky / n)
-                    label = domain_oracle(point, c)
+                    label = domain_oracle((kx, ky), n, delta)
                     histogram[label.value] += 1
                     assert DOMAINS[domains[kx, ky]] is label
-                    assert AREAS[areas[kx, ky]] is area_oracle(point, c)
-            assert histogram == audit_partition(c)["label_histogram"]
+                    assert AREAS[areas[kx, ky]] is area_oracle((kx, ky), n, delta)
+            assert histogram == audit_partition(n, delta)["label_histogram"]
 
     def test_multiply_covered_points_real(self):
         n = 128
-        c = consts(n)
-        report = audit_partition(c)
+        report = audit_partition(n, 0.05)
         for kx, ky, count in report["multiply_covered"][:20]:
-            assert len(matching_domains((kx / n, ky / n), c)) == count >= 2
+            assert len(matching_domains((kx, ky), n, 0.05)) == count >= 2
 
     def test_size_cap(self):
         with pytest.raises(UsageError):
-            audit_partition(consts(1024))
+            audit_partition(1024, 0.05)
 
     def test_report_serializes(self):
         import json
 
-        payload = audit_partition(consts(16))
+        payload = audit_partition(16, 0.05)
         assert json.loads(json.dumps(payload)) == payload
 
 
@@ -280,10 +262,9 @@ class TestLabelPaths:
                 assert set(own[0].tolist()) <= {len(DOMAINS) - 1}
                 assert set(own[1].tolist()) <= {len(AREAS) - 1}
                 continue
-            c = AnalysisConstants.for_population(n, delta=0.05)
-            for (k0, k1), label, yellow in zip(zip(path, path[1:]), *own):
-                assert DOMAINS[label] is domain_oracle((k0 / n, k1 / n), c)
-                assert AREAS[yellow] is area_oracle((k0 / n, k1 / n), c)
+            for pair, label, yellow in zip(zip(path, path[1:]), *own):
+                assert DOMAINS[label] is domain_oracle(pair, n, 0.05)
+                assert AREAS[yellow] is area_oracle(pair, n, 0.05)
 
     def test_no_paths(self):
         domains, yellows = label_paths(np.zeros(0, dtype=np.int64), 64, 0.05)

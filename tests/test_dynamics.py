@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fetsim.domains import lambda_n
 from fetsim.duel import exact_duel
 from fetsim.dynamics import (
-    AnalysisConstants,
     FlipProbs,
     cyan_constants,
     expected_next_fraction,
@@ -162,10 +162,11 @@ class TestFixedPoint:
 
 
 class TestAnalysisConstants:
+    """The analysis constants: the partition's lambda_n and Cyan's gamma and K."""
+
     def test_derived_values(self):
-        c = AnalysisConstants.for_population(4096, delta=0.05)
         log_n = math.log(4096)
-        assert c.lambda_n == pytest.approx(1.0 / log_n**0.55, abs=1e-12)
+        assert lambda_n(4096, 0.05) == pytest.approx(1.0 / log_n**0.55, abs=1e-12)
         gamma, K = cyan_constants(4096, 25)
         c_eff = 25 / log_n  # 3.0056
         assert gamma == pytest.approx((1 - 1 / math.e) * math.exp(-2.0 * c_eff) / 2, abs=1e-15)
@@ -183,10 +184,10 @@ class TestAnalysisConstants:
             cyan_constants(4096, 4000)
 
     def test_validation(self):
-        with pytest.raises(DomainError):
-            AnalysisConstants.for_population(4096, delta=0.6)
-        with pytest.raises(DomainError):
-            AnalysisConstants.for_population(1)
+        with pytest.raises(DomainError, match=r"delta must be in \(0, 1/2\), got 0.6"):
+            lambda_n(4096, 0.6)
+        with pytest.raises(DomainError, match="n must be >= 3 .* ln n > 1, got n = 1"):
+            lambda_n(1, 0.05)
 
     def test_flip_probs_validation(self):
         with pytest.raises(DomainError):

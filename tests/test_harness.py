@@ -27,8 +27,8 @@ from fetsim.harness import (
     plant_pair,
     run_lemma,
 )
-from fetsim.domains import DomainLabel
-from fetsim.dynamics import AnalysisConstants, cyan_constants, expected_next_fraction
+from fetsim.domains import DomainLabel, lambda_n
+from fetsim.dynamics import cyan_constants, expected_next_fraction
 from fetsim.protocol import SimConfig, derive_rng, run_trials, step_aggregate
 
 
@@ -44,16 +44,15 @@ def verify(tmp_path, lemma, config, out="out"):
 
 class TestPlanting:
     def test_valid_plant(self):
-        c = AnalysisConstants.for_population(4096, delta=0.2)
-        kx, ky = plant_pair(c, 0.2, 0.5, DomainLabel.GREEN1)
+        kx, ky = plant_pair(4096, 0.2, 0.2, 0.5, DomainLabel.GREEN1)
         assert (kx, ky) == (819, 2048)
 
     def test_empty_domain_aborts(self):
         # Red is empty at (n=4096, delta=0.05): lambda_n is too large for
         # any x to satisfy both band conditions.
-        c = AnalysisConstants.for_population(4096, delta=0.05)
+        y = 0.3 * (1 - lambda_n(4096, 0.05)) * 0.9
         with pytest.raises(PlantingError):
-            plant_pair(c, 0.3, 0.3 * (1 - c.lambda_n) * 0.9, DomainLabel.RED1)
+            plant_pair(4096, 0.05, 0.3, y, DomainLabel.RED1)
 
 
 class TestPlantedRows:
@@ -159,13 +158,12 @@ class TestCyan:
     def test_expectation_grid_matches_pointwise_loop(self, n, delta):
         # The band labelled in one array call visits the same Cyan1
         # points as a loop over the band with the pointwise oracle.
-        c = AnalysisConstants.for_population(n, delta=delta)
         ell, log_n, reach = math.ceil(3.0 * math.log(n)), math.log(n), math.ceil(delta * n)
         _, K = cyan_constants(n, ell)
         margins = []
         for k_y in range(1, n // ell + 1):
             for k_t in range(max(0, k_y - reach), min(math.ceil(n / log_n) - 1, k_y + reach) + 1):
-                if domain_oracle((k_t / n, k_y / n), c) is DomainLabel.CYAN1:
+                if domain_oracle((k_t, k_y), n, delta) is DomainLabel.CYAN1:
                     g = expected_next_fraction(k_t / n, k_y / n, n, ell)
                     margins.append(g - (K * (k_y / n) * log_n - 1.0 / n))
         result = cyan_expectation_check(n, delta, ell)
@@ -348,7 +346,7 @@ class TestTrialReductions:
         paths = split_paths(*run_trials(config, "cyan_corner", 40))
         bound = math.log(256) / math.log(math.log(256))
         gamma, _ = cyan_constants(256, config.ell)
-        expected = cyan_oracle(paths, 256, config.constants(), gamma, bound)
+        expected = cyan_oracle(paths, 256, config.delta, gamma, bound)
         assert self._cyan_details(report) == expected
 
     def test_cyan_matches_oracle_on_wandering_paths(self, monkeypatch):
@@ -361,7 +359,7 @@ class TestTrialReductions:
         bound = math.log(n) / math.log(math.log(n))
         paths = split_paths(counts, lengths)
         config = SimConfig(n=n)
-        expected = cyan_oracle(paths, n, config.constants(), cyan_constants(n, config.ell)[0], bound)
+        expected = cyan_oracle(paths, n, config.delta, cyan_constants(n, config.ell)[0], bound)
         assert 0 < expected["failures"] < trials
         assert len(expected["exit_label_tally"]) >= 3
         assert expected["next_fraction_above_half_after_first_crossing"] > 0
@@ -372,8 +370,7 @@ class TestTrialReductions:
         """Compare report with the oracle; returns every trial's escape time."""
         all_escapes = []
         for row, (n, paths) in zip(report.sweep, paths_by_n.items()):
-            constants = SimConfig(n=n, delta=delta).constants()
-            escapes, b_dwells = yellow_oracle(paths, n, constants, max_rounds)
+            escapes, b_dwells = yellow_oracle(paths, n, delta, max_rounds)
             all_escapes += escapes
             assert row["quantile50"] == float(np.percentile(escapes, 50))
             assert row["quantile99"] == float(np.percentile(escapes, 99))
