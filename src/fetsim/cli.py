@@ -146,11 +146,16 @@ def _cmd_audit(args) -> int:
 
 
 def _sim_config_from_settings(settings: dict) -> SimConfig:
-    known = {*SIM_CONFIG_KEYS, "preset", "trials"}
+    """The trials' SimConfig; c_sample only derives its ell, delta (read by the caller)
+    only labels its rows, and preset and trials pick what runs."""
+    known = {*SIM_CONFIG_KEYS, "c_sample", "delta", "preset", "trials"}
     unknown = sorted(set(settings) - known)
     if unknown:
         raise UsageError(f"unknown simulate config key(s) {unknown}; known: {sorted(known)}")
-    kwargs = {k: settings[k] for k in SIM_CONFIG_KEYS if k in settings}
+    if "ell" in settings and "c_sample" in settings:
+        raise UsageError(f"set ell or c_sample, not both; got ell = {settings['ell']!r} "
+                         f"and c_sample = {settings['c_sample']!r}")
+    kwargs = {k: settings[k] for k in (*SIM_CONFIG_KEYS, "c_sample") if k in settings}
     if "n" not in kwargs:
         raise DomainError("config must set n")
     return SimConfig(**kwargs)
@@ -164,11 +169,13 @@ def _cmd_simulate(args) -> int:
         settings["trials"] = args.trials
     trials = settings.get("trials", 1)
     config = _sim_config_from_settings(settings)
+    delta = settings.get("delta", 0.05)
+    check_delta(delta)
     preset = settings.get("preset", "all_wrong")
     out_dir = Path(args.out)
 
     counts, lengths = run_trials(config, preset, trials)  # before any output directory
-    domains, yellows = label_paths(counts, config.n, config.delta)
+    domains, yellows = label_paths(counts, config.n, delta)
     ends = np.cumsum(lengths)
     for t, (start, end) in enumerate(zip((ends - lengths).tolist(), ends.tolist())):
         # Row t holds x_t and the labels of the pair (x_t, x_{t+1}); the

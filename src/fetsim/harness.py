@@ -7,8 +7,11 @@ it from settings; ``_lemma_kwargs`` resolves and checks those
 arguments and plants Green's, Purple's and Red's pairs (the classifier
 must agree) before any trial.  A runner builds its configs, observes
 the protocol without modifying its semantics and returns what it
-measured; ``run_lemma`` alone builds the report and its PASS/FAIL
-verdict, which is recomputable from the reported raw numbers.
+measured, with the values it fixed or derived (its ell, lambda_n, ...);
+``run_lemma`` alone builds the report and its PASS/FAIL verdict, which
+is recomputable from the reported raw numbers.  A report's params are
+the resolved arguments, then those values, so the report's arguments
+rerun it.  delta draws the partition only: no SimConfig holds it.
 High-probability claims are tested as "failure fraction <=
 1/n^epsilon + 3 standard errors" with epsilon = 1 by default; the
 underlying exponents are unspecified constants, so epsilon is a knob
@@ -19,8 +22,9 @@ planted pair step together, one round or until they leave its domain.
 Cyan, Yellow and convergence reduce run_trials' end-to-end counts and
 their labels directly, each per-trial search one searchsorted (_first).
 Within one run_all call each of their cells (config, preset, trials)
-is simulated once and shared, read-only: Yellow's default sweep is
-exactly convergence's yellow_center cells.
+is simulated once and shared, read-only: Yellow's sweep at convergence's
+sizes, c_sample, seed and max_rounds is exactly convergence's
+yellow_center cells, whatever either lemma's delta.
 
 Scaling claims (Yellow escape, end-to-end convergence) are tested as
 properties: one reducer (_sweep) takes the q50 and q99 of the measured
@@ -135,8 +139,10 @@ def _check(**given) -> None:
 def _run_cell(config: SimConfig, preset: str, trials: int) -> tuple[np.ndarray, np.ndarray]:
     """run_trials' arrays, read-only; within run_all, once per distinct cell.
 
-    A cell's key holds every SimConfig field (a SimConfig is not
-    hashable), the preset and the trial count.
+    A cell's key is what its trials depend on: every SimConfig field (a
+    SimConfig is not hashable), the preset and the trial count.  Lemmas
+    whose trials differ only in delta or in a c_sample that gives the
+    same ell share the cell.
     """
     global _reused
     key = (astuple(config), preset, trials)
@@ -211,10 +217,11 @@ def _point_row(
 
 
 def _planted_rows(
-    lemma: str, config: SimConfig, trials: int, planted: list, gate: float, failed,
+    lemma: str, config: SimConfig, delta: float, trials: int, gate: float, failed,
     stay: tuple[DomainLabel, ...] = (), cap: int = 1,
 ) -> list[dict]:
-    """One report row per planted (x, y, label) pair, judged against gate.
+    """One report row per (x, y, label) pair that lemma plants at
+    (config.n, delta) (_planted), judged against gate.
 
     The trials of a pair (k_x, k_y) step together on the stream
     derive_rng(seed, lemma, k_x, k_y) while their pair's domain is in
@@ -224,10 +231,10 @@ def _planted_rows(
     counts, the classify positions of the last pairs and the
     rounds taken.
     """
-    n, delta = config.n, config.delta
+    n = config.n
     stay = [DOMAINS.index(label) for label in stay]
     rows = []
-    for x, y, label in planted:
+    for x, y, label in _planted(lemma, n, delta):
         k_x, k_y = plant_pair(n, delta, x, y, label)
         rng = derive_rng(config.seed, lemma, k_x, k_y)
         k_t, k_t1 = np.full(trials, k_x), np.full(trials, k_y)
@@ -243,14 +250,6 @@ def _planted_rows(
         failures = int(failed(label, k_t1, current, rounds).sum())
         rows.append(_point_row(k_x, k_y, n, label, trials, failures, gate))
     return rows
-
-
-def _point_params(config: SimConfig, trials: int, **extra) -> dict:
-    """A pointwise report's params: the population's, then the lemma's own."""
-    return {
-        "n": config.n, "ell": config.ell, "delta": config.delta, "trials": trials,
-        "seed": config.seed, **extra,
-    }
 
 
 def _planted(lemma: str, n: int, delta: float) -> list[tuple[float, float, DomainLabel]]:
@@ -295,14 +294,13 @@ def _verify_green(
     checks it), the default ell; that forces a larger delta than the
     sweep default 0.05 to keep ell practical.
     """
-    config = SimConfig(n=n, ell=ell, delta=delta, seed=seed)
+    config = SimConfig(n=n, ell=ell, seed=seed)
 
     def failed(label: DomainLabel, k_last: np.ndarray, *_) -> np.ndarray:
         return k_last != (n if label is DomainLabel.GREEN1 else 1)
 
-    planted = _planted("green", n, delta)
-    rows = _planted_rows("green", config, trials, planted, _whp_threshold(n, trials), failed)
-    return _point_params(config, trials), rows, {}, True
+    rows = _planted_rows("green", config, delta, trials, _whp_threshold(n, trials), failed)
+    return {}, rows, {}, True
 
 
 def _verify_purple(
@@ -318,15 +316,14 @@ def _verify_purple(
     in Green1 w.h.p.; mirrored for Purple0.  The default ell is Green's
     (2/delta^2) ln n, so delta is again larger than the sweep default.
     """
-    config = SimConfig(n=n, ell=ell, delta=delta, seed=seed)
+    config = SimConfig(n=n, ell=ell, seed=seed)
 
     def failed(label: DomainLabel, _k_last, current: np.ndarray, _rounds) -> np.ndarray:
         target = DomainLabel.GREEN1 if label is DomainLabel.PURPLE1 else DomainLabel.GREEN0
         return current != DOMAINS.index(target)
 
-    planted = _planted("purple", n, delta)
-    rows = _planted_rows("purple", config, trials, planted, _whp_threshold(n, trials), failed)
-    return _point_params(config, trials, lambda_n=lambda_n(n, delta)), rows, {}, True
+    rows = _planted_rows("purple", config, delta, trials, _whp_threshold(n, trials), failed)
+    return {"lambda_n": lambda_n(n, delta)}, rows, {}, True
 
 
 def _verify_red(
@@ -342,7 +339,7 @@ def _verify_red(
     so the check is that every trial leaves Red within
     (ln n)^{1/2 + 2 delta} rounds and never exits into Yellow or Red.
     """
-    config = SimConfig(n=n, c_sample=c_sample, delta=delta, seed=seed)
+    config = SimConfig(n=n, c_sample=c_sample, seed=seed)
     bound = math.log(n) ** (0.5 + 2.0 * delta)
     red = (DomainLabel.RED1, DomainLabel.RED0)
     forbidden = [DOMAINS.index(label) for label in red + (DomainLabel.YELLOW,)]
@@ -352,12 +349,11 @@ def _verify_red(
         exit_tally.update(DOMAINS[position].value for position in current.tolist())
         return (rounds >= bound) | np.isin(current, forbidden)
 
-    planted = _planted("red", n, delta)
     rows = _planted_rows(
-        "red", config, trials, planted, 0.0, failed, stay=red, cap=10 * math.ceil(bound)
+        "red", config, delta, trials, 0.0, failed, stay=red, cap=10 * math.ceil(bound)
     )
-    params = _point_params(config, trials, exit_round_bound=bound, lambda_n=lambda_n(n, delta))
-    return params, rows, {"exit_label_tally": dict(exit_tally)}, True
+    derived = {"ell": config.ell, "lambda_n": lambda_n(n, delta), "exit_round_bound": bound}
+    return derived, rows, {"exit_label_tally": dict(exit_tally)}, True
 
 
 def cyan_expectation_check(n: int, delta: float, ell: int) -> dict:
@@ -408,7 +404,7 @@ def _verify_cyan(
     1/n^epsilon + 3 SE.  (ii) The expectation inequality of
     cyan_expectation_check must hold with zero violations.
     """
-    config = SimConfig(n=n, c_sample=c_sample, delta=delta, seed=seed, max_rounds=1000)
+    config = SimConfig(n=n, c_sample=c_sample, seed=seed, max_rounds=1000)
     bound = math.log(n) / math.log(math.log(n))
     good_exits = [DOMAINS.index(DomainLabel.GREEN1), DOMAINS.index(DomainLabel.PURPLE1)]
 
@@ -435,7 +431,7 @@ def _verify_cyan(
     gate = _whp_threshold(n, trials, epsilon)
     row = _point_row(1, 1, n, DomainLabel.CYAN1, trials, failures, gate)
     analytic = cyan_expectation_check(n, delta, config.ell)
-    params = _point_params(config, trials, epsilon=epsilon, exit_round_bound=bound)
+    derived = {"ell": config.ell, "max_rounds": config.max_rounds, "exit_round_bound": bound}
     details = {
         "exit_label_tally": dict(exit_tally),
         "max_exit_rounds": int((t1 - t0).max()) if t1.size else None,
@@ -446,7 +442,7 @@ def _verify_cyan(
             "next_fraction_above_half_after_first_crossing": above_half,
         },
     }
-    return params, [row], details, analytic["violations"] == 0
+    return derived, [row], details, analytic["violations"] == 0
 
 
 def _fit_loglog(ns: list[int], values: list[float]) -> dict:
@@ -517,7 +513,7 @@ def _verify_yellow(
     b_dwell_stats = {}
     all_escaped = True
     for n in n_list:
-        config = SimConfig(n=n, c_sample=c_sample, delta=delta, seed=seed, max_rounds=max_rounds)
+        config = SimConfig(n=n, c_sample=c_sample, seed=seed, max_rounds=max_rounds)
         counts, lengths = _run_cell(config, "yellow_center", trials)
         _, areas = label_paths(counts, n, delta)
         ends = np.cumsum(lengths)
@@ -544,21 +540,13 @@ def _verify_yellow(
 
     sweep, fit = _sweep(n_list, samples)
     fits = len(n_list) >= 2 and fit["r2"] >= 0.9 and fit["slope"] <= SLOPE_TOLERANCE
-    params = {
-        "n_list": list(n_list),
-        "delta": delta,
-        "c_sample": c_sample,
-        "trials": trials,
-        "seed": seed,
-        "max_rounds": max_rounds,
-    }
     details = {
         "fit": fit,
         "all_escaped": all_escaped,
         "b_dwell": b_dwell_stats,
         "slope_tolerance": SLOPE_TOLERANCE,
     }
-    return params, sweep, details, all_escaped and fits
+    return {}, sweep, details, all_escaped and fits
 
 
 def _verify_convergence(
@@ -581,7 +569,7 @@ def _verify_convergence(
     times: dict[tuple[str, int], np.ndarray] = {}
     all_converged = True
     for n in n_list:
-        config = SimConfig(n=n, c_sample=c_sample, delta=delta, seed=seed, max_rounds=max_rounds)
+        config = SimConfig(n=n, c_sample=c_sample, seed=seed, max_rounds=max_rounds)
         for preset in presets:
             counts, lengths = _run_cell(config, preset, trials)
             # lengths - 1 is max_rounds for a trial that never reached consensus.
@@ -615,22 +603,13 @@ def _verify_convergence(
     # and every trial converged.  The pooled-q99 log-log fit (slope and
     # R^2) is reported in details + CSV for the scaling acceptance check,
     # which gates on the slope (<= SLOPE_TOLERANCE) and reports R^2 as data.
-    params = {
-        "n_list": list(n_list),
-        "presets": list(presets),
-        "delta": delta,
-        "c_sample": c_sample,
-        "trials": trials,
-        "seed": seed,
-        "max_rounds": max_rounds,
-    }
     details = {
         "fit_pooled_q99": fit,
         "envelope_C": envelope_c,
         "cells": cells,
         "all_converged": all_converged,
     }
-    return params, sweep, details, all_converged and frac_ok
+    return {}, sweep, details, all_converged and frac_ok
 
 
 _RUNNERS = {
@@ -698,8 +677,8 @@ def _lemma_kwargs(lemma: str, settings: dict) -> dict:
     # The joint limits (ell <= n; n >= 3 for the partition; Cyan's positive
     # gamma and K) through the SimConfig of every size the lemma simulates.
     for n in args.get("n_list", [args.get("n")]):
-        config = SimConfig(n=n, ell=args.get("ell"), c_sample=args.get("c_sample", 3.0),
-                           delta=args["delta"], seed=args["seed"])
+        ell_or_c = {key: args[key] for key in ("ell", "c_sample") if key in args}
+        config = SimConfig(n=n, seed=args["seed"], **ell_or_c)
         if lemma != "convergence":
             lambda_n(n, args["delta"])
         if lemma == "cyan":
@@ -716,14 +695,18 @@ def run_lemma(lemma: str, settings: dict | None = None) -> LemmaReport:
     """Run one lemma check at its runner's defaults plus overrides.
 
     _lemma_kwargs resolves and checks the arguments before any trial.
-    From the runner's (params, rows, details, ok) this builds the report:
-    rows are a "sweep" for a lemma with an n_list, else "pointwise"
-    points; PASS iff ok and every point passed.  runtime_s times the runner.
+    From the runner's (derived, rows, details, ok) this builds the report:
+    its params are the resolved arguments in signature order, then the
+    values the runner fixed or derived (ell, lambda_n, ...), so settings
+    "<lemma>_<key>" for its arguments rerun it; rows are a "sweep" for a
+    lemma with an n_list, else "pointwise" points; PASS iff ok and every
+    point passed.  runtime_s times the runner.
     """
     kwargs = _lemma_kwargs(lemma, settings or {})
     start = time.perf_counter()
-    params, rows, details, ok = _RUNNERS[lemma](**kwargs)
+    derived, rows, details, ok = _RUNNERS[lemma](**kwargs)
     runtime_s = time.perf_counter() - start
+    params = {**kwargs, **derived}
     kind, points, sweep = ("sweep", [], rows) if "n_list" in kwargs else ("pointwise", rows, [])
     ok = ok and all(row["verdict"] == "PASS" for row in points)
     verdict = "PASS" if ok else "FAIL"

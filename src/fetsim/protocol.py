@@ -52,12 +52,12 @@ from __future__ import annotations
 import hashlib
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .config import check_delta, check_number
+from .config import check_number
 from .duel import _duel_table, _pair_duels
 from .errors import DomainError, UsageError
 
@@ -100,35 +100,39 @@ def derive_rng(seed: int, *stream: object) -> Generator:
 
 @dataclass
 class SimConfig:
-    """Simulation parameters.
+    """A trial's inputs, and nothing else: equal configs run equal trials.
 
     ell is the per-half sample size (an agent reads 2*ell opinions per
     round); when omitted it is derived as ceil(c_sample * ln n).
+    c_sample is an init-only argument (checked, never stored), so
+    SimConfig(n=4096, c_sample=3.0) == SimConfig(n=4096, ell=25).
     backend selects agent-level rounds or the aggregate (class-count,
     then pair-state) rounds; the naive variant exists only agent-level.
+    The partition margin delta is no input of a trial: it only labels
+    the trial's pairs (domains.label_paths).
     """
 
     n: int
     ell: int | None = None
-    c_sample: float = 3.0
-    delta: float = 0.05
+    c_sample: InitVar[float] = 3.0
     source_opinion: int = 1
     max_rounds: int = 10_000
     seed: int = 0
     backend: str = "aggregate"
     variant: str = "fet"
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, c_sample: float) -> None:
         for name in ("n", "max_rounds", "seed", "source_opinion"):
             check_number(name, getattr(self, name), numbers.Integral)
         if self.ell is not None:
             check_number("ell", self.ell, numbers.Integral)
-        check_delta(self.delta)
-        check_number("c_sample", self.c_sample)
+        check_number("c_sample", c_sample)
+        if not c_sample > 0:
+            raise UsageError(f"c_sample must be positive, got {c_sample!r}")
         if self.n < 2:
             raise UsageError(f"population size must be >= 2, got {self.n}")
         if self.ell is None:
-            ell = self.c_sample * math.log(self.n)
+            ell = c_sample * math.log(self.n)
             # A huge c_sample gives inf, which has no ceiling and fails the range check.
             self.ell = math.ceil(ell) if math.isfinite(ell) else ell
         if not 1 <= self.ell <= self.n:

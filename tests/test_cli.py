@@ -396,6 +396,10 @@ class TestSimulateCommand:
             ("n = 64\nc_sample = abc", "c_sample must be a real number"),
             ("n = 64\nc_sample = nan", "c_sample must be finite"),
             ("n = 64\nc_sample = inf", "c_sample must be finite"),
+            ("n = 64\nc_sample = -3", "c_sample must be positive, got -3"),
+            ("n = 64\nell = 6\nc_sample = 3", "set ell or c_sample, not both; got ell = 6 "
+             "and c_sample = 3"),
+            ("n = 64\nell = 5\nc_sample = -3", "set ell or c_sample, not both"),
             # c_sample * ln n overflows to inf, which has no ceiling.
             ("n = 1000000\nc_sample = 1e308", "need 1 <= ell <= n, got ell=inf, n=1000000"),
             ("n = 64\nmax_rounds = 2.5", "max_rounds must be an integer"),
@@ -404,7 +408,8 @@ class TestSimulateCommand:
             ("n = 64\nn = 128", "key 'n' is given twice, on lines 1 and 2"),
         ],
         ids=["n_float", "ell_float", "seed_str", "delta_str", "delta_range", "c_sample_str",
-             "c_sample_nan", "c_sample_inf", "ell_overflows", "max_rounds_float", "source_str", "unknown_key",
+             "c_sample_nan", "c_sample_inf", "c_sample_negative", "ell_and_c_sample",
+             "ell_and_bad_c_sample", "ell_overflows", "max_rounds_float", "source_str", "unknown_key",
              "repeated_key"],
     )
     def test_bad_config_is_usage_error(self, capsys, tmp_path, lines, needle):
@@ -1072,13 +1077,13 @@ _OUTPUT_DIGESTS = {
         "convergence.csv": "159d180c3f8c589ad8a22edb39d1f00b83f76c7a2f6bd94231c8e019ba9529e3",
         "convergence.json": "23e457237d281c9799b3b9dc8ef3d0f8022753671f5efa0c298f22dcc1b62c49",
         "cyan.csv": "d7b54bfef2f1829067c8819e0093dae563e21ae47a7bf4e1ad3f3f26112d13d7",
-        "cyan.json": "e79fd9e75d7318a856f517d71dffad08ba22c10836fcc34da6c3a70d4a6c3fd0",
+        "cyan.json": "5acefc85308fb15066cb6f9ca43e3f492f8a71f1d90a308d17cd83e09ff6b85f",
         "green.csv": "9c4ee8424e746c856a642283d297e788aa224b80932e62337f0572a67f429f2b",
         "green.json": "31fbf59beba59de2e4eb7a69f064f9dcd24f347d1b6491db489b5842ebcc8e9e",
         "purple.csv": "e4d6ec9be61af76a893ba49aafb983e1ebc3f5733fdfbef05f91560a53b03d8a",
         "purple.json": "b9e79172d432ed099f8db2fc304d55ab03fa314a58549c5679ba72924ea18bf0",
         "red.csv": "4fff0f7975eca11c883c15951bacc139bacfe37328ebd20648b63943dde65d31",
-        "red.json": "fed6e353bffba3759a4c4bba382300d147b5992d0b9335f4ef222b909d3dd730",
+        "red.json": "527d6e60e4cb95ebe9e23193e5b4a426b6e1b1c959a1c838c63720ab358ddf2a",
         "summary.json": "0a223806a2e75c73d60a27427bd2354228b7aef58f80140e832a9fdebf0f8ec3",
         "yellow.csv": "2fee427bffeb8889eeb8c00c6dbfeb7bb33e006d086dd9baf26a1b2a0f7d9064",
         "yellow.json": "1209bf0e60276f56a1887232f845a5987d01089f041f681ad061fb36e6474ce4",
@@ -1087,13 +1092,13 @@ _OUTPUT_DIGESTS = {
         "convergence.csv": "6ef1df6686823a1c3e2f33478a1bfd65bae321e971a67146eb40f0c24d2abc38",
         "convergence.json": "1167093d3497e7f1bf21dd7f7063081723b6efa8cea7000f02d9fb222bd9123f",
         "cyan.csv": "673669b53e51f0cac888bbf4efd6aab509f0a360acfeca31851ea34c8c7a8cd5",
-        "cyan.json": "f9cbf75d019d2f011cfae5e80e0df5d879080183cf05739c68a37855cf7a20ac",
+        "cyan.json": "2fd25f5f3fc37b741bc8306e3ab2f30bd1c109cd16245d8eac3735571162a92b",
         "green.csv": "7671bf65c17c413ec185cb14a3283342148454a9f92034e7f13402a1a4b8b3e7",
         "green.json": "e7bc860748225bbc14be582b0d301bb310fbcb992e95c4cf71f2d7daa8a6876e",
         "purple.csv": "82bd737f11e8c754c873d1c749896162e11aa19c21da44ea66a1f0b773814670",
         "purple.json": "36d7ac64487e1c0a3f514b700fddca1c9480b02ce0aca0044e043852e0eec68e",
         "red.csv": "a53684c426f0dfb7830843e3a5d0e0bc6bf005e5d96a109dd2d6b3775ef21a75",
-        "red.json": "618d884dfd7fb5e74c0b36bbfe9fb9e6798ae4ed71f8b5a0b0a18b4ce13a38f1",
+        "red.json": "2c816b58d1a2a8eaa079c32fc2a153b7a0530c90342898d2cee8272255e37e79",
         "summary.json": "d33ed4da5b246494b22630d85af144d414b3ee2dee54f2bcbbb02ad5206717e8",
         "yellow.csv": "5ca9a54e5916bf0b4d9cac4937bf5cd192c294fef44c2778f22d8a487ab962c4",
         "yellow.json": "23b2a37c62f8e065dc55e9631ff00191502f0f340c4db3025e594eda3d63bbd4",

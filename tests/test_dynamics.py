@@ -35,6 +35,10 @@ class TestFlipProbs:
     def test_upward_trend_gains(self):
         assert flip_probs(0.4, 0.6, 20).p_gain_one > 0.5
 
+    def test_flip_probs_validation(self):
+        with pytest.raises(DomainError):
+            FlipProbs(p_keep_one=0.2, p_gain_one=0.5)
+
     @settings(max_examples=150, deadline=None)
     @given(x=fractions, y=fractions, ell=st.integers(1, 100))
     def test_keep_minus_gain_is_tie_probability(self, x, y, ell):
@@ -161,7 +165,7 @@ class TestFixedPoint:
             fixed_point_f(0.5 + 4 * self.DELTA + 0.01, 64, self.N, self.DELTA)
 
 
-class TestAnalysisConstants:
+class TestLambdaAndCyanConstants:
     """The analysis constants: the partition's lambda_n and Cyan's gamma and K."""
 
     def test_derived_values(self):
@@ -188,7 +192,3 @@ class TestAnalysisConstants:
             lambda_n(4096, 0.6)
         with pytest.raises(DomainError, match="n must be >= 3 .* ln n > 1, got n = 1"):
             lambda_n(1, 0.05)
-
-    def test_flip_probs_validation(self):
-        with pytest.raises(DomainError):
-            FlipProbs(p_keep_one=0.2, p_gain_one=0.5)

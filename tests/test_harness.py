@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import dataclasses
+import inspect
 import io
 import json
 import math
@@ -59,24 +60,27 @@ class TestPlantedRows:
     def test_no_stay_steps_each_trial_once_on_the_pair_stream(self):
         # stay=() is the one-round runner of Green and Purple: one
         # step_aggregate call per planted pair on its keyed stream.
-        config = SimConfig(n=1024, delta=0.05, seed=7)
-        seen = {}
+        config = SimConfig(n=1024, seed=7)
+        seen = []
 
         def failed(label, k_last, current, rounds):
-            seen.update(label=label, k_last=k_last.copy(), rounds=rounds.copy())
+            seen.append((label, k_last.copy(), rounds.copy()))
             return k_last > 512
 
-        planted = [(0.5, 0.5, DomainLabel.YELLOW)]
-        (row,) = _planted_rows("probe", config, 60, planted, 1.0, failed)
-        expected = step_aggregate(
-            np.full(60, 512), np.full(60, 512), config, derive_rng(7, "probe", 512, 512)
-        )
-        assert seen["label"] is DomainLabel.YELLOW
-        assert seen["rounds"].tolist() == [1] * 60
-        assert seen["k_last"].tolist() == np.asarray(expected).tolist()
-        assert len(set(expected.tolist())) > 1  # a random round, not a forced one
-        assert row["failures"] == int((expected > 512).sum())
-        assert (row["point_x"], row["point_y"], row["trials"]) == (0.5, 0.5, 60)
+        rows = _planted_rows("green", config, 0.2, 60, 1.0, failed)
+        planted = harness._planted("green", 1024, 0.2)
+        assert len(rows) == len(seen) == len(planted) == 6
+        for (x, y, label), row, (got_label, k_last, rounds) in zip(planted, rows, seen):
+            k_x, k_y = plant_pair(1024, 0.2, x, y, label)
+            expected = step_aggregate(
+                np.full(60, k_x), np.full(60, k_y), config, derive_rng(7, "green", k_x, k_y)
+            )
+            assert got_label is label
+            assert rounds.tolist() == [1] * 60
+            assert k_last.tolist() == np.asarray(expected).tolist()
+            assert row["failures"] == int((expected > 512).sum())
+            assert (row["point_x"], row["point_y"], row["trials"]) == (k_x / 1024, k_y / 1024, 60)
+        assert len(set(seen[0][1].tolist())) > 1  # a random round, not a forced one
 
 
 class TestGreen:
@@ -346,7 +350,7 @@ class TestTrialReductions:
         paths = split_paths(*run_trials(config, "cyan_corner", 40))
         bound = math.log(256) / math.log(math.log(256))
         gamma, _ = cyan_constants(256, config.ell)
-        expected = cyan_oracle(paths, 256, config.delta, gamma, bound)
+        expected = cyan_oracle(paths, 256, 0.05, gamma, bound)
         assert self._cyan_details(report) == expected
 
     def test_cyan_matches_oracle_on_wandering_paths(self, monkeypatch):
@@ -359,7 +363,7 @@ class TestTrialReductions:
         bound = math.log(n) / math.log(math.log(n))
         paths = split_paths(counts, lengths)
         config = SimConfig(n=n)
-        expected = cyan_oracle(paths, n, config.delta, cyan_constants(n, config.ell)[0], bound)
+        expected = cyan_oracle(paths, n, 0.05, cyan_constants(n, config.ell)[0], bound)
         assert 0 < expected["failures"] < trials
         assert len(expected["exit_label_tally"]) >= 3
         assert expected["next_fraction_above_half_after_first_crossing"] > 0
@@ -388,7 +392,7 @@ class TestTrialReductions:
                                       "trials": trials, "yellow_max_rounds": max_rounds})
         paths_by_n = {
             n: split_paths(*run_trials(
-                SimConfig(n=n, delta=delta, max_rounds=max_rounds), "yellow_center", trials
+                SimConfig(n=n, max_rounds=max_rounds), "yellow_center", trials
             ))
             for n in n_list
         }
@@ -535,6 +539,24 @@ class TestRunLemma:
         reports = harness.run_all(settings)
         for lemma, report in reports.items():
             assert report.to_dict() == run_lemma(lemma, settings).to_dict(), lemma
+
+    def test_cells_are_shared_across_deltas(self):
+        # delta only labels the paths, so Yellow's yellow_center cells at
+        # another delta are still convergence's.
+        reports = harness.run_all({"yellow_delta": 0.1})
+        assert reports["convergence"].trial_cells == (8, 4)
+        assert reports["convergence"].to_dict() == run_lemma("convergence").to_dict()
+
+    def test_params_rerun_the_report(self):
+        # Each report's params name its runner's arguments first, in
+        # signature order; fed back as settings they reproduce its bytes.
+        settings = {"trials": 50, "red_c_sample": 2.5, "cyan_c_sample": 2.5, "cyan_n": 256,
+                    "yellow_n_list": [64, 128], "convergence_n_list": [64, 128]}
+        for lemma, report in harness.run_all(settings).items():
+            arguments = list(inspect.signature(harness._RUNNERS[lemma]).parameters)
+            assert list(report.params)[:len(arguments)] == arguments, lemma
+            rerun = run_lemma(lemma, {f"{lemma}_{key}": report.params[key] for key in arguments})
+            assert json.dumps(rerun.to_dict()) == json.dumps(report.to_dict()), lemma
 
     def test_shared_cells_are_read_only(self):
         config = SimConfig(n=64, seed=3)

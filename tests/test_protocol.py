@@ -1,6 +1,7 @@
 """Agent-level and aggregate backends: update rule, absorption,
 determinism, symmetry, and agreement with the analytical layer."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -670,7 +671,7 @@ class TestRunTrial:
     def test_trajectory_pairs_labelled(self):
         config = SimConfig(n=128, c_sample=3.0, seed=12)
         counts, lengths = run_trials(config, "all_wrong_max_counters", 1)
-        domains, yellows = label_paths(counts, 128, config.delta)
+        domains, yellows = label_paths(counts, 128, 0.05)
         assert counts[0] / 128 == pytest.approx(1 / 128)
         # One label per consecutive pair: every round but the last.
         assert len(domains) == len(yellows) == lengths[0] - 1
@@ -697,7 +698,7 @@ class TestRunTrial:
         config = SimConfig(n=2, ell=1)
         counts, lengths = run_trials(config, "all_wrong", 1)
         assert counts[-1] == 2
-        domains, yellows = label_paths(counts, 2, config.delta)
+        domains, yellows = label_paths(counts, 2, 0.05)
         assert len(domains) == len(yellows) == lengths[0] - 1
         assert np.all(domains == DOMAINS.index(DomainLabel.UNCLASSIFIED))
         assert np.all(yellows == AREAS.index(YellowLabel.OUTSIDE))
@@ -798,7 +799,7 @@ class TestRunTrial:
         config = SimConfig(n=4096, c_sample=3.0, seed=17, backend="aggregate")
         trials = 100
         counts, lengths = run_trials(config, "cyan_corner", trials)
-        domains, _ = label_paths(counts, 4096, config.delta)
+        domains, _ = label_paths(counts, 4096, 0.05)
         ends = np.cumsum(lengths)
         assert np.all(counts[ends - 1] == 4096)
         upward = [DOMAINS.index(d) for d in (DomainLabel.PURPLE1, DomainLabel.GREEN1)]
@@ -823,7 +824,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "field, value",
         [("n", 64.0), ("ell", 4.0), ("max_rounds", 2.5), ("seed", "x"),
-         ("source_opinion", True), ("delta", "abc"), ("c_sample", None)],
+         ("source_opinion", True), ("c_sample", None)],
     )
     def test_wrong_type_rejected(self, field, value):
         kwargs = {"n": 16, "ell": 4, field: value}
@@ -838,3 +839,18 @@ class TestConfigValidation:
     def test_ell_derived_from_c_sample(self):
         config = SimConfig(n=4096, c_sample=3.0)
         assert config.ell == math.ceil(3.0 * math.log(4096))
+
+    def test_fields_are_the_trial_inputs(self):
+        # c_sample only derives ell and delta only labels pairs: neither is
+        # stored, so equal trials have equal configs.
+        assert [field.name for field in dataclasses.fields(SimConfig)] == [
+            "n", "ell", "source_opinion", "max_rounds", "seed", "backend", "variant"
+        ]
+        assert SimConfig(n=4096, c_sample=3.0) == SimConfig(n=4096, ell=25)
+
+    @pytest.mark.parametrize("c_sample", [0, -3, -0.5])
+    def test_non_positive_c_sample_rejected(self, c_sample):
+        # The message verify gives for the same value; with ell set too.
+        for ell in (None, 5):
+            with pytest.raises(UsageError, match=f"c_sample must be positive, got {c_sample}$"):
+                SimConfig(n=64, ell=ell, c_sample=c_sample)
