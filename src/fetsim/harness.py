@@ -589,8 +589,11 @@ def _verify_convergence(
     cells = {}
     frac_ok = True
     for (preset, n), cell in times.items():
-        budget = envelope_c * math.log(n) ** 2.5
-        frac = float(np.mean(cell <= budget))
+        # In ratio space: envelope_c is one cell's q99 / L exactly, so that
+        # cell's q99 passes, where envelope_c * L can round one ulp below it.
+        scale = math.log(n) ** 2.5
+        budget = envelope_c * scale
+        frac = float(np.mean(cell / scale <= envelope_c))
         cells[f"{preset}@{n}"] = {
             "trials": trials,
             "within_budget_fraction": frac,

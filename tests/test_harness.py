@@ -292,6 +292,37 @@ class TestSweeps:
         for cell in report.details["cells"].values():
             assert cell["within_budget_fraction"] >= 0.99
 
+    def test_convergence_reduced_sweep_seed_0(self):
+        # The cell that sets the envelope passes its own q99: at seed 0
+        # cyan_corner@128 once read 0.0 within budget, every trial
+        # converged, as envelope_C * L rounded one ulp below its q99.
+        report = run_lemma("convergence", {
+            "convergence_n_list": (128, 256), "convergence_trials": 100,
+            "convergence_presets": ("all_wrong", "cyan_corner"), "seed": 0,
+        })
+        cells = report.details["cells"]
+        envelope = max(cells, key=lambda key: cells[key]["quantile99"]
+                       / math.log(int(key.split("@")[1])) ** 2.5)
+        assert cells[envelope]["within_budget_fraction"] >= 0.99
+        assert all(cell["within_budget_fraction"] >= 0.99 for cell in cells.values())
+        assert report.details["all_converged"] and report.verdict == "PASS"
+
+    def test_integer_q99_within_its_own_budget(self, monkeypatch):
+        # Every trial takes 4 rounds at n = 128, so q99 = 4.0 sets the
+        # envelope, and envelope_C * (ln 128)^2.5 is 3.9999999999999996:
+        # the trials are compared as time / L <= envelope_C, where 4.0 passes.
+        def four_rounds(config, preset, trials):
+            return np.tile([0, 0, 64, 100, 128], trials), np.full(trials, 5)
+
+        monkeypatch.setattr(harness, "_run_cell", four_rounds)
+        report = run_lemma("convergence", {
+            "convergence_n_list": [128], "convergence_trials": 100,
+            "convergence_presets": ["all_wrong"],
+        })
+        cell = report.details["cells"]["all_wrong@128"]
+        assert (cell["quantile99"], cell["budget_rounds"]) == (4.0, 3.9999999999999996)
+        assert cell["within_budget_fraction"] == 1.0 and report.verdict == "PASS"
+
     def test_convergence_fails_when_a_trial_does_not_converge(self):
         # One round reaches consensus from no preset: the sweep's rows
         # carry no verdict, so all_converged alone fails it.
