@@ -41,10 +41,14 @@ pairs is the caller's business (``domains.label_paths``).
 
 Randomness is drawn from counter-based Philox streams keyed by hashes
 of (seed, labels).  Each block of trials has its own stream, keyed by
-(seed, n, preset, block index) with a fixed block size, and draws its
-random presets (one multinomial), then its rounds, in the same order
-whether blocks step alone or together.  So a trial's path depends on
-(config, preset, seed, its index), not on how many trials follow it.
+(seed, n, preset, block index) with a fixed block size (BLOCK = 256
+aggregate trials), and draws its random presets (one multinomial), then
+its rounds, in the same order whether blocks step alone or together.
+So a block's paths depend on (config, preset, seed, block index, its
+number of trials), and a run of whole blocks is a prefix of every
+longer run.  Within a block a path does depend on the trials after it:
+each aggregate round draws all the block's keep draws, then its gain
+draws, so a 10-trial run is not the first 10 paths of a BLOCK-trial run.
 """
 
 from __future__ import annotations
@@ -79,7 +83,7 @@ PRESETS = (
 )
 # Trials per aggregate block, and the cap on one agent-level round's
 # sample indices per block (2^22 int64 entries, 32 MiB).
-BLOCK = 64
+BLOCK = 256
 AGENT_BLOCK_INDICES = 1 << 22
 
 
@@ -104,8 +108,8 @@ class SimConfig:
 
     ell is the per-half sample size (an agent reads 2*ell opinions per
     round); when omitted it is derived as ceil(c_sample * ln n).
-    c_sample is an init-only argument (checked, never stored), so
-    SimConfig(n=4096, c_sample=3.0) == SimConfig(n=4096, ell=25).
+    c_sample is an init-only argument (checked, never stored; None, the
+    default, means 3.0), so SimConfig(n=4096) == SimConfig(n=4096, ell=25).
     backend selects agent-level rounds or the aggregate (class-count,
     then pair-state) rounds; the naive variant exists only agent-level.
     The partition margin delta is no input of a trial: it only labels
@@ -114,18 +118,20 @@ class SimConfig:
 
     n: int
     ell: int | None = None
-    c_sample: InitVar[float] = 3.0
+    # The class keeps this default, so an instance reads None, not its c_sample.
+    c_sample: InitVar[float | None] = None
     source_opinion: int = 1
     max_rounds: int = 10_000
     seed: int = 0
     backend: str = "aggregate"
     variant: str = "fet"
 
-    def __post_init__(self, c_sample: float) -> None:
+    def __post_init__(self, c_sample: float | None) -> None:
         for name in ("n", "max_rounds", "seed", "source_opinion"):
             check_number(name, getattr(self, name), numbers.Integral)
         if self.ell is not None:
             check_number("ell", self.ell, numbers.Integral)
+        c_sample = 3.0 if c_sample is None else c_sample
         check_number("c_sample", c_sample)
         if not c_sample > 0:
             raise UsageError(f"c_sample must be positive, got {c_sample!r}")
@@ -360,8 +366,11 @@ def run_trials(config: SimConfig, initial: str, trials: int) -> tuple[np.ndarray
     run one after another.  Block b draws from
     derive_rng(seed, "trials", n, initial, b): first its presets'
     class counts, then its rounds, in the same order when aggregate
-    blocks step together.  So a trial's path depends on (config, preset,
-    seed, its index), not on how many trials follow it.
+    blocks step together.  So the first m whole blocks of a run are the
+    same in every run of at least m blocks' trials (a BLOCK-trial run is
+    a prefix of a BLOCK + 7-trial run), but a part block draws other
+    paths than the first trials of a whole one: each round draws all
+    its keep draws, then its gain draws.
     """
     check_number("trials", trials, numbers.Integral)
     if trials < 1:

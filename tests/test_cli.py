@@ -1064,6 +1064,7 @@ _OUTPUT_CONFIGS = {
     "agent.cfg": "n = 64\nseed = 3\ntrials = 3\npreset = half_half\nbackend = agent\n"
     "source_opinion = 0\n",
     "sim0.cfg": "n = 256\nseed = 3\ntrials = 3\npreset = yellow_center\nsource_opinion = 0\n",
+    "sim300.cfg": "n = 64\nseed = 3\ntrials = 300\npreset = half_half\n",
     # One override of each kind: an explicit and a derived one-round ell
     # (purple_ell is 1,375; Purple is empty at delta >= 1/6), another
     # lemma's n and delta, a global seed and trials beside green_trials.
@@ -1121,6 +1122,12 @@ _OUTPUT_DIGESTS = {
         "trial_0.csv": "6b10ace6bd9f7555f203448680e033767af814ed4b6805e9a67e4cf63f09cec6",
         "trial_1.csv": "53ee788c245565e750c9947101eba94006afba641e8609f5a2ca341b5debe1c1",
         "trial_2.csv": "bf16140dd470bd48232a5c6feebea5e312666a450e93473f250c1232c14a3dc2",
+    }),
+    # Two aggregate blocks (256 + 44 trials), so a change of block size
+    # moves it; its 300 trial files are pinned as one fold (_fold_trials).
+    ("simulate", "--config", "{cfg}/sim300.cfg", "--out", "{out}"): (0, {
+        "summary.json": "b1a973f99fb45759d6f108fecba1c516a87246468f02ca2fe6f7015440551bca",
+        "trial_*.csv": "6e2ec96245b2eb1210d88aaf4db78c03e3efbb9ecc5d02a8978823612a4c3f26",
     }),
     ("audit", "--n", "16", "--out", "{out}/audit.json"): (0, {
         "audit.json": "4f72e7865895572f3a8bd738548a4dfd7c5504b61517675afc7adbe029420a24",
@@ -1191,6 +1198,15 @@ def _digests(directory):
     }
 
 
+def _fold_trials(digests):
+    """digests with the trial_<t>.csv entries folded into one "trial_*.csv":
+    the sha256 of their digests, one a line, in trial order."""
+    trials = sorted((name for name in digests if name.startswith("trial_")),
+                    key=lambda name: int(name[len("trial_"):-len(".csv")]))
+    folded = hashlib.sha256("\n".join(digests.pop(name) for name in trials).encode())
+    return {**digests, "trial_*.csv": folded.hexdigest()}
+
+
 class TestOutputBytes:
     @pytest.mark.parametrize("argv", list(_OUTPUT_DIGESTS), ids=lambda argv: " ".join(argv[:3]))
     def test_written_files_are_pinned(self, capsys, tmp_path, argv):
@@ -1199,7 +1215,10 @@ class TestOutputBytes:
             (tmp_path / name).write_text(text)
         out = tmp_path / "out"
         code, _, _ = run_cli(capsys, *(arg.format(cfg=tmp_path, out=out) for arg in argv))
-        assert (code, _digests(out)) == _OUTPUT_DIGESTS[argv]
+        digests = _digests(out)
+        if "trial_*.csv" in _OUTPUT_DIGESTS[argv][1]:
+            digests = _fold_trials(digests)
+        assert (code, digests) == _OUTPUT_DIGESTS[argv]
 
     def test_one_lemma_writes_the_suites_files(self, capsys, tmp_path):
         # --lemma green writes green.csv and green.json as --lemma all

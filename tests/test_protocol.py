@@ -580,6 +580,17 @@ class TestRunTrial:
         assert np.array_equal(lengths[:BLOCK], one_lengths)
         assert np.array_equal(counts[: one_lengths.sum()], one_counts)
 
+    @pytest.mark.parametrize("preset", ["all_wrong_max_counters", "half_half"])
+    def test_prefix_holds_for_whole_blocks_only(self, preset):
+        # A whole block's paths do not depend on the trials after it: a
+        # BLOCK-trial run is a prefix of a BLOCK + 7-trial run.  Within a
+        # block they do, as a round draws all keep draws, then all gain
+        # draws: a 10-trial run is not the first 10 paths of a BLOCK-trial run.
+        config = SimConfig(n=1024, seed=3)
+        whole = split_paths(*run_trials(config, preset, BLOCK))
+        assert split_paths(*run_trials(config, preset, BLOCK + 7))[:BLOCK] == whole
+        assert split_paths(*run_trials(config, preset, 10)) != whole[:10]
+
     @pytest.mark.parametrize("source_opinion", [1, 0])
     @pytest.mark.parametrize("preset", ["yellow_center", "all_wrong_max_counters"])
     def test_joint_rounds_do_not_mix_blocks(self, preset, source_opinion):
@@ -775,8 +786,9 @@ class TestRunTrial:
     @pytest.mark.parametrize("preset", PRESETS)
     def test_block_memory_does_not_grow_with_n(self, preset):
         # Presets are class counts and rounds are integer counts, so one
-        # block of 2^40 agents per trial runs to consensus in a few
-        # hundred KiB: no array has an agent axis.
+        # block of 2^40 agents per trial runs to consensus in about
+        # 1.5 MiB, set by the class round's (trials, 2, ell + 1) arrays:
+        # no array has an agent axis.
         config = SimConfig(n=1 << 40, seed=0)
         tracemalloc.start()
         try:
@@ -824,7 +836,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "field, value",
         [("n", 64.0), ("ell", 4.0), ("max_rounds", 2.5), ("seed", "x"),
-         ("source_opinion", True), ("c_sample", None)],
+         ("source_opinion", True), ("c_sample", "3")],
     )
     def test_wrong_type_rejected(self, field, value):
         kwargs = {"n": 16, "ell": 4, field: value}
@@ -847,6 +859,17 @@ class TestConfigValidation:
             "n", "ell", "source_opinion", "max_rounds", "seed", "backend", "variant"
         ]
         assert SimConfig(n=4096, c_sample=3.0) == SimConfig(n=4096, ell=25)
+
+    def test_c_sample_default_is_a_sentinel(self):
+        # The class keeps the init-only default, which every instance reads:
+        # None (meaning 3.0), not a c_sample it may not have been given.
+        config = SimConfig(n=64, c_sample=5)
+        assert config.c_sample is None and config.ell == math.ceil(5 * math.log(64))
+        assert SimConfig(n=64) == SimConfig(n=64, c_sample=3.0) == SimConfig(n=64, c_sample=None)
+        # replace passes that None back in: the config keeps its ell.
+        moved = dataclasses.replace(config, seed=9)
+        assert (moved.ell, moved.seed) == (config.ell, 9)
+        assert dataclasses.replace(config, ell=4) == SimConfig(n=64, ell=4)
 
     @pytest.mark.parametrize("c_sample", [0, -3, -0.5])
     def test_non_positive_c_sample_rejected(self, c_sample):
