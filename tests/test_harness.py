@@ -293,19 +293,16 @@ class TestSweeps:
             assert cell["within_budget_fraction"] >= 0.99
 
     def test_convergence_reduced_sweep_seed_0(self):
-        # The cell that sets the envelope passes its own q99: at seed 0
-        # cyan_corner@128 once read 0.0 within budget, every trial
-        # converged, as envelope_C * L rounded one ulp below its q99.
+        # With 64-trial blocks, cyan_corner@128 read 0.0 within budget here,
+        # every trial converged, as envelope_C * L rounded one ulp below
+        # the q99 of the cell that set envelope_C.
         report = run_lemma("convergence", {
             "convergence_n_list": (128, 256), "convergence_trials": 100,
             "convergence_presets": ("all_wrong", "cyan_corner"), "seed": 0,
         })
-        cells = report.details["cells"]
-        envelope = max(cells, key=lambda key: cells[key]["quantile99"]
-                       / math.log(int(key.split("@")[1])) ** 2.5)
-        assert cells[envelope]["within_budget_fraction"] >= 0.99
-        assert all(cell["within_budget_fraction"] >= 0.99 for cell in cells.values())
         assert report.details["all_converged"] and report.verdict == "PASS"
+        for cell in report.details["cells"].values():
+            assert cell["within_budget_fraction"] >= 0.99
 
     def test_integer_q99_within_its_own_budget(self, monkeypatch):
         # Every trial takes 4 rounds at n = 128, so q99 = 4.0 sets the
